@@ -125,8 +125,21 @@ class Dictionary:
 
 
 def build_dictionary(spec: GridSpec, schedule: SequenceSchedule,
-                     k_max: int | None = None, batch_size: int = 2048) -> Dictionary:
-    """Simulate every grid pair and assemble the normalized atom matrix."""
+                     k_max: int | None = None, batch_size: int = 64) -> Dictionary:
+    """Simulate every grid pair and assemble the normalized atom matrix.
+
+    ``batch_size`` atoms go through ``simulate_fingerprints`` per call. Small
+    batches pay the simulator's per-excitation Python overhead on few atoms;
+    large ones push its (orders x batch) state out of the core's cache. Best
+    of 4 (N=250, 2048 atoms) and of 2 (N=1750, 512 atoms) runs of the
+    default schedule, 2-core Xeon with 2 MB L2 per core, atoms/s:
+
+        batch     16    32    64   128   256   512  2048
+        N=250   2410  3443  4450  5207  5180  4183  3027
+        N=1750    99   106    94    76    62    56    51
+
+    64 stays within 15% of the best at both lengths.
+    """
     labels = expand_grid(spec)
     n = schedule.n_excitations
     atoms = np.empty((len(labels), n), dtype=np.float64)
@@ -161,6 +174,8 @@ def match(dictionary: Dictionary, query: np.ndarray) -> tuple[TissueParams, floa
     norm = np.linalg.norm(query)
     if norm == 0.0:
         raise ValueError("cannot match an all-zero query")
+    if not np.isfinite(norm):
+        raise ValueError("cannot match a query holding NaN, inf or overflowing values")
     scores = dictionary.atoms @ (query / norm)
     idx = int(np.argmax(scores))  # argmax returns the first maximal index
     return dictionary.labels[idx], float(scores[idx])
@@ -182,6 +197,11 @@ def match_batch(dictionary: Dictionary,
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
         raise ValueError(f"all-zero queries at indices {bad.tolist()}")
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ValueError(
+            f"queries holding NaN, inf or overflowing values at indices {bad.tolist()}"
+        )
     normalized = queries / norms[:, None]
     # Process in blocks so the score matrix stays around a quarter GB.
     block = max(1, 33_554_432 // dictionary.n_atoms)

@@ -16,6 +16,26 @@ N, so tracking K = N orders is lossless and the EPG signal equals the mean
 transverse magnetization of any >N uniformly dephased Bloch isochromats.
 That equality (to float64 rounding) is the correctness oracle for this
 module: ``isochromat_oracle`` simulates the same timeline spin-by-spin.
+
+``simulate_fingerprints`` is one in-place kernel (Weigel 2015, "Extended
+phase graphs: dephasing, RF pulses, and echoes - pure and simple", JMRI):
+
+* Frame. Between pulse i-1 and pulse i the state is stored in the frame of
+  pulse i's phase e = exp(i*phi): F+_k = i*e*a_k, F-_k = i*conj(e)*b_k,
+  Z_k = z_k. There the RF rotation has real coefficients,
+  a' = pp*a + pm*b - s*z, b' = pm*a + pp*b + s*z, z' = s*(a - b)/2 + c*z,
+  with pp = cos^2(alpha/2), pm = sin^2(alpha/2), s = sin(alpha) and
+  c = cos(alpha). Moving on to the next pulse multiplies a by e/e_next and b
+  by its conjugate; the refill F+_0 = conj(F-_0) reads a_0 = -conj(b_0).
+* Real or complex. When every RF phase is exactly 0 (the phase of the
+  inversion pulse) every frame factor is 1 and a, b and z stay real, so the
+  kernel runs on one float64 plane. Otherwise it carries a second plane for
+  the imaginary part and turns it with real arithmetic: NumPy's complex
+  multiply rounds differently for short inner loops, which would break the
+  bit-for-bit equality of a batch with its single-pair runs.
+* Layout. States are (planes, orders, batch) arrays, so the active window of
+  orders is contiguous. The spoiler shift copies nothing: F+ and F- live in
+  buffers of N+K rows whose base offsets move down and up by one per TR.
 """
 
 from __future__ import annotations
@@ -177,41 +197,120 @@ def simulate_fingerprints(params_list, schedule: SequenceSchedule,
         k_max = n
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    # Before excitation i only orders <= i are populated, so orders above N-1
+    # are always zero and K = N is already exact.
+    kk = min(k_max, n) + 1
 
     b = len(params_list)
-    t1 = np.array([p.t1_ms for p in params_list])[:, None]
-    t2 = np.array([p.t2_ms for p in params_list])[:, None]
-
-    f_plus = np.zeros((b, k_max + 1), dtype=np.complex128)
-    f_minus = np.zeros((b, k_max + 1), dtype=np.complex128)
-    z = np.zeros((b, k_max + 1), dtype=np.complex128)
-    z[:, 0] = 1.0
-
-    if schedule.inversion_prep:
-        f_plus, f_minus, z = _apply_rf(f_plus, f_minus, z, np.pi, 0.0)
-        f_plus, f_minus, z = _apply_relaxation(
-            f_plus, f_minus, z, schedule.inversion_delay_ms, t1, t2
-        )
-
-    te_decay = np.exp(-schedule.te_ms / t2)[:, 0]
-    samples = np.empty((b, n), dtype=np.complex128)
-
-    # Only orders <= i+1 can be populated after excitation i; restricting the
-    # operators to that active window halves the work without changing any
-    # value (the excluded entries are exactly zero).
-    flips = schedule.flip_angles_rad
+    t1 = np.array([p.t1_ms for p in params_list])
+    t2 = np.array([p.t2_ms for p in params_list])
     phases = schedule.rf_phases_rad
-    trs = schedule.tr_ms
+    # Interval i runs from the previous pulse (the phase-0 inversion, or
+    # equilibrium with dt = 0) to pulse i. Relaxing over it also carries the
+    # state into pulse i's frame: a turns by e_{i-1} / e_i, b by its
+    # conjugate. With every phase zero no turn happens and the state is real.
+    delay = schedule.inversion_delay_ms if schedule.inversion_prep else 0.0
+    dt = np.concatenate(([delay], schedule.tr_ms[:-1]))[:, None]
+    e1 = np.exp(-dt / t1)                      # (N, B)
+    e2 = np.exp(-dt / t2)
+    g1 = 1.0 - e1
+    turn = -np.diff(phases, prepend=0.0)
+    e2_cos = e2 * np.cos(turn)[:, None]
+    e2_sin = e2 * np.sin(turn)[:, None]
+    planes = 2 if np.any(phases) else 1
+    conj_neg = np.array([-1.0, 1.0])[:planes, None]
+
+    # State arrays are (planes, orders, B): the real part, then in the
+    # complex case the imaginary part, so every window is contiguous per
+    # plane. F+_k = i*e*a_k lives at a_buf[:, op + k] and F-_k = i*conj(e)*b_k
+    # at b_buf[:, om + k]. The spoiler shift moves op down and om up by one;
+    # the row above a window's top was never written, so it reads as zero.
+    a_buf = np.zeros((planes, n + kk - 1, b))
+    b_buf = np.zeros((planes, n + kk - 1, b))
+    z = np.zeros((planes, kk, b))
+    z[0, 0] = 1.0
+    scratch = np.empty((3, planes, kk, b))
+    a0 = np.zeros((2, n, b))
+    op, om = n - 1, 0
+
+    v, sz, t = scratch
+    if schedule.inversion_prep:
+        _rotate_real(a_buf[:, op:op + 1], b_buf[:, om:om + 1], z[:, :1],
+                     v[:, :1], sz[:, :1], t[:, :1], *_rf_real(np.pi))
+    rf = _rf_real(schedule.flip_angles_rad)
+    turns = turn.tolist()
+    w = 1  # populated orders
     for i in range(n):
-        w = min(i + 2, k_max + 1)
-        fp, fm, zw = f_plus[:, :w], f_minus[:, :w], z[:, :w]
-        fp, fm, zw = _apply_rf(fp, fm, zw, flips[i], phases[i])
-        samples[:, i] = fp[:, 0] * te_decay
-        fp, fm, zw = _apply_relaxation(fp, fm, zw, trs[i], t1, t2)
-        f_plus[:, :w], f_minus[:, :w], z[:, :w] = fp, fm, zw
-        wn = min(w + 1, k_max + 1)
-        _apply_shift(f_plus[:, :wn], f_minus[:, :wn])
-    return samples
+        a_w, b_w, z_w = a_buf[:, op:op + w], b_buf[:, om:om + w], z[:, :w]
+        if turns[i]:
+            _turn(a_w, e2_cos[i], e2_sin[i], t[:, :w])
+            _turn(b_w, e2_cos[i], -e2_sin[i], t[:, :w])
+        else:
+            np.multiply(a_w, e2[i], out=a_w)
+            np.multiply(b_w, e2[i], out=b_w)
+        np.multiply(z_w, e1[i], out=z_w)
+        z[0, 0] += g1[i]
+        if i:
+            op -= 1
+            om += 1
+            # F+_0 = conj(F-_0) reads a_0 = -conj(b_0) in the pulse frame.
+            np.multiply(b_buf[:, om], conj_neg, out=a_buf[:, op])
+            w = min(i + 1, kk)
+        _rotate_real(a_buf[:, op:op + w], b_buf[:, om:om + w], z[:, :w],
+                     v[:, :w], sz[:, :w], t[:, :w], *rf[i])
+        a0[:planes, i] = a_buf[:, op]
+
+    # Sample i is F+_0 = i * e_i * a_0 after pulse i, decayed to the echo.
+    a0 *= np.exp(-schedule.te_ms / t2)
+    x, y = a0
+    sin_p, cos_p = np.sin(phases)[:, None], np.cos(phases)[:, None]
+    signal = np.empty((b, n), dtype=np.complex128)
+    signal.real = (-x * sin_p - y * cos_p).T
+    signal.imag = (x * cos_p - y * sin_p).T
+    return signal
+
+
+def _turn(x, p, q, scratch) -> None:
+    """x <- (p + i*q) * x in place, for a state with planes (re, im).
+
+    Written with real ufuncs because NumPy's complex multiply rounds
+    differently for short inner loops, which would break batch = single.
+    """
+    re, im = x
+    t_re, t_im = scratch[0], scratch[1]
+    np.multiply(re, q, out=t_re)
+    np.multiply(im, q, out=t_im)
+    np.multiply(re, p, out=re)
+    np.subtract(re, t_im, out=re)
+    np.multiply(im, p, out=im)
+    np.add(im, t_re, out=im)
+
+
+def _rf_real(alpha):
+    """(c, s, s/2, (c - 1)/2) of flip angle(s) ``alpha`` for ``_rotate_real``."""
+    c, s = np.cos(alpha), np.sin(alpha)
+    coeffs = np.stack([c, s, 0.5 * s, 0.5 * (c - 1.0)], axis=-1)
+    return coeffs.tolist()
+
+
+def _rotate_real(a, b, z, v, sz, t, c, s, half_s, half_c1) -> None:
+    """RF pulse in its own phase frame, in place; v, sz and t are scratch.
+
+    With F+ = i*e*a, F- = i*conj(e)*b and Z = z the rotation is real:
+    a' = pp*a + pm*b - s*z, b' = pm*a + pp*b + s*z, z' = s*(a - b)/2 + c*z
+    (pp = cos^2(alpha/2), pm = sin^2(alpha/2), s = sin, c = cos). It is
+    computed as a' = a + d, b' = b - d with d = (c - 1)*(a - b)/2 - s*z,
+    on each real plane of the state alike.
+    """
+    np.subtract(a, b, out=v)
+    np.multiply(z, s, out=sz)
+    np.multiply(z, c, out=z)
+    np.multiply(v, half_s, out=t)
+    np.add(z, t, out=z)
+    np.multiply(v, half_c1, out=v)
+    np.subtract(v, sz, out=v)
+    np.add(a, v, out=a)
+    np.subtract(b, v, out=b)
 
 
 def simulate_fingerprint(params: TissueParams, schedule: SequenceSchedule,

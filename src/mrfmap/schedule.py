@@ -52,6 +52,14 @@ class SequenceSchedule:
                 f"schedule arrays must share one length, got "
                 f"flip={n}, phase={phase.size}, tr={tr.size}"
             )
+        # Comparisons with NaN are false, so non-finite values would pass the
+        # range checks below and turn every later simulated sample into NaN.
+        for name, values in (("flip angles", flip), ("RF phases", phase),
+                             ("repetition times", tr),
+                             ("te_ms", self.te_ms),
+                             ("inversion_delay_ms", self.inversion_delay_ms)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
         if np.any(flip < 0.0) or np.any(flip > math.pi):
             raise ValueError("flip angles must lie in [0, pi] radians")
         if np.any(tr <= 0.0):

@@ -170,6 +170,14 @@ class TestMatch:
         with pytest.raises(ValueError):
             match(d, np.zeros(d.n_samples))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_query_rejected(self, toy_dictionary, bad):
+        d, _ = toy_dictionary
+        q = d.atoms[2].copy()
+        q[5] = bad
+        with pytest.raises(ValueError, match="NaN"):
+            match(d, q)
+
     def test_length_mismatch_rejected(self, toy_dictionary):
         d, _ = toy_dictionary
         with pytest.raises(ValueError, match="length"):
@@ -207,6 +215,14 @@ class TestMatchBatch:
         queries[1] = 0.0
         queries[3] = 0.0
         with pytest.raises(ValueError, match=r"\[1, 3\]"):
+            match_batch(d, queries)
+
+    def test_nonfinite_rows_reported_per_query(self, toy_dictionary):
+        d, _ = toy_dictionary
+        queries = d.atoms[:5].copy()
+        queries[1, 0] = np.nan
+        queries[4, 7] = -np.inf
+        with pytest.raises(ValueError, match=r"NaN.*\[1, 4\]"):
             match_batch(d, queries)
 
 

@@ -14,10 +14,11 @@ from mrfmap.epg import (
 from mrfmap.schedule import SequenceSchedule, constant_schedule, default_schedule
 
 
-def random_schedule(rng, n):
+def random_schedule(rng, n, zero_phase=False):
+    """Random schedule; ``zero_phase`` keeps every RF phase at 0 (real state)."""
     return SequenceSchedule(
         flip_angles_rad=rng.uniform(0.05, np.pi / 2, n),
-        rf_phases_rad=rng.uniform(-np.pi, np.pi, n),
+        rf_phases_rad=np.zeros(n) if zero_phase else rng.uniform(-np.pi, np.pi, n),
         tr_ms=rng.uniform(3.0, 12.0, n),
         te_ms=0.0,
         inversion_prep=bool(rng.integers(0, 2)),
@@ -181,12 +182,37 @@ class TestSimulateFingerprint:
 
     def test_batch_equals_single(self):
         rng = np.random.default_rng(3)
-        sched = random_schedule(rng, 60)
-        params = [random_params(rng) for _ in range(7)]
-        batch = simulate_fingerprints(params, sched)
-        for i, p in enumerate(params):
-            single = simulate_fingerprint(p, sched)
-            np.testing.assert_array_equal(batch[i], single.samples)
+        for zero_phase in (False, True):
+            sched = random_schedule(rng, 60, zero_phase=zero_phase)
+            params = [random_params(rng) for _ in range(7)]
+            batch = simulate_fingerprints(params, sched)
+            for i, p in enumerate(params):
+                single = simulate_fingerprint(p, sched)
+                np.testing.assert_array_equal(batch[i], single.samples)
+
+    @pytest.mark.parametrize("zero_phase", [True, False])
+    def test_truncated_orders_match_single_step_loop(self, zero_phase):
+        # k_max < N drops orders above K; the single-step operators on an
+        # EpgState of K+1 orders truncate the same way after each shift.
+        rng = np.random.default_rng(17)
+        n = 60
+        sched = random_schedule(rng, n, zero_phase=zero_phase)
+        sched = SequenceSchedule(sched.flip_angles_rad, sched.rf_phases_rad,
+                                 sched.tr_ms, te_ms=0.0, inversion_prep=False)
+        params = [random_params(rng) for _ in range(3)]
+        full = simulate_fingerprints(params, sched)
+        for k in (1, 3, 10):
+            got = simulate_fingerprints(params, sched, k_max=k)
+            for row, p in zip(got, params):
+                state = EpgState.equilibrium(k)
+                expected = np.empty(n, dtype=np.complex128)
+                for i in range(n):
+                    state = rf_rotation(state, sched.flip_angles_rad[i],
+                                        sched.rf_phases_rad[i])
+                    expected[i] = state.f_plus[0]
+                    state = relax_shift(state, sched.tr_ms[i], p)
+                assert np.max(np.abs(row - expected)) < 1e-12
+            assert np.max(np.abs(got - full)) > 1e-6  # truncation did bite
 
     def test_z0_imag_zero_for_real_phases(self):
         rng = np.random.default_rng(11)
@@ -247,6 +273,17 @@ class TestIsochromatOracle:
         for _ in range(25):
             n = int(rng.integers(5, 200))
             sched = random_schedule(rng, n)
+            p = random_params(rng)
+            epg = simulate_fingerprint(p, sched)
+            oracle = isochromat_oracle(p, sched, n_spins=n + 14)
+            assert np.max(np.abs(epg.samples - oracle.samples)) < 1e-9
+
+    def test_agreement_property_randomized_zero_phase(self):
+        # Every RF phase 0 runs the real-valued state; same bound as above.
+        rng = np.random.default_rng(2025)
+        for _ in range(25):
+            n = int(rng.integers(5, 200))
+            sched = random_schedule(rng, n, zero_phase=True)
             p = random_params(rng)
             epg = simulate_fingerprint(p, sched)
             oracle = isochromat_oracle(p, sched, n_spins=n + 14)

@@ -1,0 +1,44 @@
+import numpy as np
+import pytest
+
+from mrfmap.schedule import (
+    SequenceSchedule,
+    constant_schedule,
+    load_schedule,
+    save_schedule,
+)
+
+
+def schedule_kwargs(n=5):
+    return dict(flip_angles_rad=np.full(n, 0.3), rf_phases_rad=np.zeros(n),
+                tr_ms=np.full(n, 4.3), te_ms=1.0, inversion_delay_ms=2.0)
+
+
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("field", ["flip_angles_rad", "rf_phases_rad", "tr_ms"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_array_fields(self, field, bad):
+        kwargs = schedule_kwargs()
+        kwargs[field] = kwargs[field].copy()
+        kwargs[field][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SequenceSchedule(**kwargs)
+
+    @pytest.mark.parametrize("field", ["te_ms", "inversion_delay_ms"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_scalar_fields(self, field, bad):
+        kwargs = schedule_kwargs()
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SequenceSchedule(**kwargs)
+
+    def test_load_rejects_nan_tr(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        save_schedule(constant_schedule(4, 30.0), path)
+        lines = path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[3] = "nan"
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="repetition times must be finite"):
+            load_schedule(path)
