@@ -5,7 +5,6 @@ from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .models import (
     ModelSpec,
     forward_batch,
-    forward_sequence,
     init_params,
     mse_loss,
     param_count,
@@ -21,7 +20,6 @@ __all__ = [
     "adam_update",
     "backward",
     "forward_batch",
-    "forward_sequence",
     "gru_step",
     "init_cell",
     "init_params",

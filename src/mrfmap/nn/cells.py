@@ -1,4 +1,4 @@
-"""Recurrent cell parameters and single-step operations.
+"""Recurrent cell parameters and the one step function of every cell.
 
 Gate weights are stored concatenated along the output axis (the same layout
 the training loop uses), with named views for tests and inspection:
@@ -7,8 +7,13 @@ the training loop uses), with named views for tests and inspection:
 * gru:    gate order [reset | update | candidate], ``w`` (in, 3h), ...
 * lstm:   gate order [input | forget | output | cell], ``w`` (in, 4h), ...
 
-All step functions accept a single time step ``x_t`` of shape (input_dim,)
-or a batch (B, input_dim), with hidden states shaped to match.
+``step`` holds the only copy of each cell's arithmetic and ``sigmoid`` the
+only logistic function. ``step`` starts from the projected input
+``x_t @ w + b``, so an unroll can project every time step in one matmul,
+and returns the gate activations for the caller to cache.
+``simple_rnn_step``, ``gru_step`` and ``lstm_step`` are that projection
+plus one ``step``, for a single time step ``x_t`` of shape (input_dim,) or
+a batch (B, input_dim), with hidden states shaped to match.
 
 GRU convention: h = z * h_prev + (1 - z) * candidate, with the candidate
 computed from the reset-masked previous state. With reset gates saturated
@@ -95,16 +100,46 @@ def init_cell(cell_kind: str, input_dim: int, hidden_dim: int,
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # Split by sign to stay overflow-free for saturating gate biases.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function as 0.5 * (1 + tanh(x / 2)).
+
+    tanh saturates where exp would overflow, so no input needs a sign
+    split and the result stays in [0, 1].
+    """
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def _check_step_shapes(cell: RnnCellParams, x_t, h_prev):
+def step(kind: str, u: np.ndarray, xp_t: np.ndarray, h: np.ndarray,
+         c: np.ndarray | None = None):
+    """One step of a ``kind`` cell from its projected input xp_t = x_t @ w + b.
+
+    ``h`` is the previous hidden state and ``c`` the previous LSTM cell
+    state (None for the other kinds). Returns ``(h_t, c_t, acts)``, where
+    ``c_t`` is None except for the LSTM and ``acts`` are the gate
+    activations backprop needs: () for simple, (r, z, candidate) for GRU,
+    (i, f, o, g) for LSTM.
+    """
+    n = h.shape[-1]
+    if kind == "simple":
+        return np.tanh(xp_t + h @ u), None, ()
+    if kind == "gru":
+        gates = sigmoid(xp_t[..., :2 * n] + h @ u[:, :2 * n])
+        r, z = gates[..., :n], gates[..., n:]
+        cand = np.tanh(xp_t[..., 2 * n:] + (r * h) @ u[:, 2 * n:])
+        return z * h + (1.0 - z) * cand, None, (r, z, cand)
+    if kind == "lstm":
+        pre = xp_t + h @ u
+        gates = sigmoid(pre[..., :3 * n])
+        i, f, o = gates[..., :n], gates[..., n:2 * n], gates[..., 2 * n:]
+        g = np.tanh(pre[..., 3 * n:])
+        c_t = f * c + i * g
+        return o * np.tanh(c_t), c_t, (i, f, o, g)
+    raise ValueError(f"unknown cell kind {kind!r}")
+
+
+def _project(cell: RnnCellParams, x_t, h_prev):
+    """Shape-checked float64 (x_t @ w + b, h_prev) for the public steps."""
+    x_t = np.asarray(x_t, dtype=np.float64)
+    h_prev = np.asarray(h_prev, dtype=np.float64)
     if x_t.shape[-1] != cell.input_dim:
         raise ValueError(
             f"x_t last dim {x_t.shape[-1]} != input_dim {cell.input_dim}")
@@ -114,47 +149,29 @@ def _check_step_shapes(cell: RnnCellParams, x_t, h_prev):
     if x_t.shape[:-1] != h_prev.shape[:-1]:
         raise ValueError(
             f"batch shapes differ: x_t {x_t.shape[:-1]} vs h_prev {h_prev.shape[:-1]}")
+    return x_t @ cell.w + cell.b, h_prev
 
 
 def simple_rnn_step(cell: RnnCellParams, x_t: np.ndarray,
                     h_prev: np.ndarray) -> np.ndarray:
     """h_t = tanh(x_t W + h_prev U + b)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    _check_step_shapes(cell, x_t, h_prev)
-    return np.tanh(x_t @ cell.w + h_prev @ cell.u + cell.b)
+    xp_t, h_prev = _project(cell, x_t, h_prev)
+    return step("simple", cell.u, xp_t, h_prev)[0]
 
 
 def gru_step(cell: RnnCellParams, x_t: np.ndarray,
              h_prev: np.ndarray) -> np.ndarray:
     """Reset/update-gated step; returns the new hidden state."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    _check_step_shapes(cell, x_t, h_prev)
-    h = cell.hidden_dim
-    gates = sigmoid(x_t @ cell.w[:, :2 * h] + h_prev @ cell.u[:, :2 * h]
-                    + cell.b[:2 * h])
-    r = gates[..., :h]
-    z = gates[..., h:]
-    cand = np.tanh(x_t @ cell.w[:, 2 * h:] + (r * h_prev) @ cell.u[:, 2 * h:]
-                   + cell.b[2 * h:])
-    return z * h_prev + (1.0 - z) * cand
+    xp_t, h_prev = _project(cell, x_t, h_prev)
+    return step("gru", cell.u, xp_t, h_prev)[0]
 
 
 def lstm_step(cell: RnnCellParams, x_t: np.ndarray, h_prev: np.ndarray,
               c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Input/forget/output-gated step; returns (h_t, c_t)."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
+    xp_t, h_prev = _project(cell, x_t, h_prev)
     c_prev = np.asarray(c_prev, dtype=np.float64)
-    _check_step_shapes(cell, x_t, h_prev)
     if c_prev.shape != h_prev.shape:
         raise ValueError(f"c_prev shape {c_prev.shape} != h_prev {h_prev.shape}")
-    h = cell.hidden_dim
-    pre = x_t @ cell.w + h_prev @ cell.u + cell.b
-    i = sigmoid(pre[..., :h])
-    f = sigmoid(pre[..., h:2 * h])
-    o = sigmoid(pre[..., 2 * h:3 * h])
-    g = np.tanh(pre[..., 3 * h:])
-    c = f * c_prev + i * g
-    return o * np.tanh(c), c
+    h_t, c_t, _ = step("lstm", cell.u, xp_t, h_prev, c_prev)
+    return h_t, c_t

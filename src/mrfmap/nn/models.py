@@ -7,7 +7,10 @@ that declaration order also defines the checkpoint blob layout.
 The recurrent regressor feeds the signal ``chunk_size`` samples per time
 step (chunk_size=1 reproduces one-sample-per-step reading of the signal;
 larger chunks shorten the unrolled sequence for speed) and regresses from
-the final hidden state through a dense head.
+the final hidden state through a dense head. The unroll calls
+``cells.step``, the one step function of each cell, and stores per-step
+activations only when ``forward_batch`` is asked for the backprop cache;
+``predict_batch`` and ``predict_single`` (the batch forward at B=1) are not.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cells import GATE_NAMES, N_GATES, RnnCellParams, _glorot, init_cell, sigmoid
+from .cells import N_GATES, RnnCellParams, _glorot, init_cell, step
 
 OUTPUT_DIM = 2
 
@@ -168,25 +171,24 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-def _signals_to_steps(spec: ModelSpec, signals: np.ndarray) -> np.ndarray:
-    # (B, input_len) -> (n_steps, B, chunk_size), time-major for the unroll
-    b = signals.shape[0]
-    steps = signals.reshape(b, spec.n_steps, spec.chunk_size)
-    return np.ascontiguousarray(steps.transpose(1, 0, 2))
-
-
 def forward_batch(spec: ModelSpec, params: dict[str, np.ndarray],
-                  signals: np.ndarray):
+                  signals: np.ndarray, _cache: bool = True):
     """Forward pass on a (B, input_len) batch; returns (preds, cache).
 
     The cache holds every activation the matching backward pass needs.
+    Rows holding NaN or inf are rejected with their indices. Inference
+    passes ``_cache=False``, with which the recurrent unroll stores no
+    per-step activations and returns an empty cache.
     """
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim != 2 or signals.shape[1] != spec.input_len:
         raise ValueError(
             f"signals must be (B, {spec.input_len}), got {signals.shape}")
+    bad = np.flatnonzero(~np.isfinite(signals).all(axis=1))
+    if bad.size:
+        raise ValueError(f"signals holding NaN or inf at indices {bad.tolist()}")
     if spec.kind == "rnn_regressor":
-        return _forward_rnn(spec, params, signals)
+        return _forward_rnn(spec, params, signals, _cache)
     if spec.kind == "ann":
         return _forward_ann(spec, params, signals)
     if spec.kind == "cnn1d":
@@ -194,63 +196,41 @@ def forward_batch(spec: ModelSpec, params: dict[str, np.ndarray],
     raise ValueError(spec.kind)
 
 
-def forward_sequence(spec: ModelSpec, params: dict[str, np.ndarray],
-                     signal: np.ndarray) -> np.ndarray:
-    """Forward one signal of length ``input_len``; returns the (2,) output."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.shape != (spec.input_len,):
-        raise ValueError(
-            f"signal must have length {spec.input_len}, got {signal.shape}")
-    preds, _ = forward_batch(spec, params, signal[None, :])
-    return preds[0]
+# Per-step gate activations each cell kind caches for backprop, in the
+# order cells.step returns them.
+ACT_KEYS = {"simple": (), "gru": ("rs", "zs", "cands"),
+            "lstm": ("gi", "gf", "go", "gg")}
 
 
-def _forward_rnn(spec, params, signals):
-    h_dim = spec.hidden_dim
-    b = signals.shape[0]
-    xs = _signals_to_steps(spec, signals)  # (T, B, chunk)
-    n_steps = xs.shape[0]
-    w, u, bias = params["cell.w"], params["cell.u"], params["cell.b"]
+def _forward_rnn(spec, params, signals, keep_cache):
+    kind, h_dim = spec.cell_kind, spec.hidden_dim
+    b, n_steps = signals.shape[0], spec.n_steps
+    # (B, input_len) -> (n_steps, B, chunk_size), time-major for the unroll
+    xs = np.ascontiguousarray(
+        signals.reshape(b, n_steps, spec.chunk_size).transpose(1, 0, 2))
     # Input projections for all steps in one matmul.
-    xp = xs.reshape(n_steps * b, spec.chunk_size) @ w
-    xp = xp.reshape(n_steps, b, -1) + bias
+    xp = xs.reshape(n_steps * b, spec.chunk_size) @ params["cell.w"]
+    xp = xp.reshape(n_steps, b, -1)
+    xp += params["cell.b"]
 
-    hs = np.zeros((n_steps + 1, b, h_dim))
-    cache = {"xs": xs, "hs": hs}
-    if spec.cell_kind == "simple":
-        for t in range(n_steps):
-            hs[t + 1] = np.tanh(xp[t] + hs[t] @ u)
-    elif spec.cell_kind == "gru":
-        rs = np.empty((n_steps, b, h_dim))
-        zs = np.empty((n_steps, b, h_dim))
-        cands = np.empty((n_steps, b, h_dim))
-        u_gates, u_cand = u[:, :2 * h_dim], u[:, 2 * h_dim:]
-        for t in range(n_steps):
-            gates = sigmoid(xp[t][:, :2 * h_dim] + hs[t] @ u_gates)
-            rs[t] = gates[:, :h_dim]
-            zs[t] = gates[:, h_dim:]
-            cands[t] = np.tanh(xp[t][:, 2 * h_dim:] + (rs[t] * hs[t]) @ u_cand)
-            hs[t + 1] = zs[t] * hs[t] + (1.0 - zs[t]) * cands[t]
-        cache.update(rs=rs, zs=zs, cands=cands)
-    elif spec.cell_kind == "lstm":
-        gi = np.empty((n_steps, b, h_dim))
-        gf = np.empty((n_steps, b, h_dim))
-        go = np.empty((n_steps, b, h_dim))
-        gg = np.empty((n_steps, b, h_dim))
-        cs = np.zeros((n_steps + 1, b, h_dim))
-        for t in range(n_steps):
-            pre = xp[t] + hs[t] @ u
-            gi[t] = sigmoid(pre[:, :h_dim])
-            gf[t] = sigmoid(pre[:, h_dim:2 * h_dim])
-            go[t] = sigmoid(pre[:, 2 * h_dim:3 * h_dim])
-            gg[t] = np.tanh(pre[:, 3 * h_dim:])
-            cs[t + 1] = gf[t] * cs[t] + gi[t] * gg[t]
-            hs[t + 1] = go[t] * np.tanh(cs[t + 1])
-        cache.update(gi=gi, gf=gf, go=go, gg=gg, cs=cs)
-    else:
-        raise ValueError(spec.cell_kind)
+    h = np.zeros((b, h_dim))
+    c = np.zeros((b, h_dim)) if kind == "lstm" else None
+    cache = {}
+    if keep_cache:
+        cache = {"xs": xs, "hs": np.zeros((n_steps + 1, b, h_dim))}
+        cache.update((key, np.empty((n_steps, b, h_dim))) for key in ACT_KEYS[kind])
+        if c is not None:
+            cache["cs"] = np.zeros((n_steps + 1, b, h_dim))
+    for t in range(n_steps):
+        h, c, acts = step(kind, params["cell.u"], xp[t], h, c)
+        if cache:
+            cache["hs"][t + 1] = h
+            if c is not None:
+                cache["cs"][t + 1] = c
+            for key, act in zip(ACT_KEYS[kind], acts):
+                cache[key][t] = act
 
-    preds = hs[-1] @ params["head.w"] + params["head.b"]
+    preds = h @ params["head.w"] + params["head.b"]
     return preds, cache
 
 
@@ -290,70 +270,21 @@ def _forward_cnn(spec, params, signals):
 
 def predict_batch(spec: ModelSpec, params: dict[str, np.ndarray],
                   signals: np.ndarray) -> np.ndarray:
-    preds, _ = forward_batch(spec, params, signals)
+    """(B, 2) outputs for a (B, input_len) batch, without the backprop cache."""
+    preds, _ = forward_batch(spec, params, signals, _cache=False)
     return preds
 
 
 def predict_single(spec: ModelSpec, params: dict[str, np.ndarray],
                    signal: np.ndarray) -> np.ndarray:
-    """Latency-oriented single-signal forward.
+    """(2,) output for one signal of length ``input_len``.
 
-    Identical arithmetic to ``forward_sequence`` for recurrent models but
-    with preallocated buffers and no activation caching, which is what the
-    per-signal timing benchmark measures.
+    The batch forward at B=1 without the backprop cache, so the result
+    equals row 0 of ``forward_batch`` on ``signal[None]`` bit for bit.
     """
-    if spec.kind != "rnn_regressor":
-        return forward_sequence(spec, params, signal)
     signal = np.asarray(signal, dtype=np.float64)
     if signal.shape != (spec.input_len,):
         raise ValueError(
             f"signal must have length {spec.input_len}, got {signal.shape}")
-    h_dim = spec.hidden_dim
-    w, u, bias = params["cell.w"], params["cell.u"], params["cell.b"]
-    xp = signal.reshape(spec.n_steps, spec.chunk_size) @ w
-    xp += bias
-    h = np.zeros(h_dim)
-
-    if spec.cell_kind == "simple":
-        for t in range(spec.n_steps):
-            h = np.tanh(xp[t] + h @ u)
-    elif spec.cell_kind == "gru":
-        u_gates = np.asfortranarray(u[:, :2 * h_dim])
-        u_cand = np.asfortranarray(u[:, 2 * h_dim:])
-        gates = np.empty(2 * h_dim)
-        cand = np.empty(h_dim)
-        scratch = np.empty(h_dim)
-        for t in range(spec.n_steps):
-            np.dot(h, u_gates, out=gates)
-            gates += xp[t][:2 * h_dim]
-            np.negative(gates, out=gates)
-            np.exp(gates, out=gates)
-            gates += 1.0
-            np.reciprocal(gates, out=gates)
-            np.multiply(gates[:h_dim], h, out=scratch)
-            np.dot(scratch, u_cand, out=cand)
-            cand += xp[t][2 * h_dim:]
-            np.tanh(cand, out=cand)
-            # h = z*h + (1-z)*cand, rewritten as cand + z*(h - cand)
-            h -= cand
-            h *= gates[h_dim:]
-            h += cand
-    else:  # lstm
-        uf = np.asfortranarray(u)
-        pre = np.empty(4 * h_dim)
-        c = np.zeros(h_dim)
-        tanh_c = np.empty(h_dim)
-        for t in range(spec.n_steps):
-            np.dot(h, uf, out=pre)
-            pre += xp[t]
-            gates = pre[:3 * h_dim]
-            np.negative(gates, out=gates)
-            np.exp(gates, out=gates)
-            gates += 1.0
-            np.reciprocal(gates, out=gates)
-            g = np.tanh(pre[3 * h_dim:])
-            c *= pre[h_dim:2 * h_dim]   # forget
-            c += pre[:h_dim] * g        # input * candidate
-            np.tanh(c, out=tanh_c)
-            h = tanh_c * pre[2 * h_dim:3 * h_dim]
-    return h @ params["head.w"] + params["head.b"]
+    preds, _ = forward_batch(spec, params, signal[None, :], _cache=False)
+    return preds[0]

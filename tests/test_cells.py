@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mrfmap.nn.cells import (
     RnnCellParams,
     gru_step,
     init_cell,
     lstm_step,
+    sigmoid,
     simple_rnn_step,
 )
 
@@ -80,6 +84,25 @@ def lstm_step_reference(cell, x, h_prev, c_prev):
 
 def make_cell(kind, input_dim, hidden_dim, seed=0):
     return init_cell(kind, input_dim, hidden_dim, np.random.default_rng(seed))
+
+
+class TestSigmoid:
+    def test_matches_scalar_reference(self):
+        xs = np.linspace(-40.0, 40.0, 80_001)
+        ref = np.array([scalar_sigmoid(x) for x in xs])
+        assert np.max(np.abs(sigmoid(xs) - ref)) <= 2.3e-16
+
+    def test_extremes_saturate_without_floating_point_errors(self):
+        x = np.array([1e3, -1e3, 1e308, -1e308])
+        with np.errstate(all="raise"):
+            out = sigmoid(x)
+        np.testing.assert_array_equal(out, [1.0, 0.0, 1.0, 0.0])
+
+    @given(hnp.arrays(np.float64, st.integers(1, 50),
+                      elements=st.floats(allow_nan=False)))
+    def test_stays_in_unit_interval(self, x):
+        out = sigmoid(x)
+        assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 class TestSimpleRnnStep:

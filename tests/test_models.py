@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from mrfmap.nn.cells import gru_step, lstm_step, simple_rnn_step
+from mrfmap.nn.backprop import loss_and_grads
 from mrfmap.nn.models import (
     ModelSpec,
     cell_view,
     forward_batch,
-    forward_sequence,
     init_params,
     mse_loss,
     param_count,
+    predict_batch,
     predict_single,
 )
+from test_cells import gru_step_reference, lstm_step_reference, simple_step_reference
 
 
 class TestParamCount:
@@ -82,6 +83,8 @@ class TestMseLoss:
 
 
 class TestForwardSequence:
+    """One signal forwarded through ``predict_single``."""
+
     def test_zero_signal_zero_params_gives_head_bias(self):
         spec = ModelSpec("rnn_regressor", input_len=12, cell_kind="gru",
                          hidden_dim=5, chunk_size=3)
@@ -89,7 +92,7 @@ class TestForwardSequence:
         for arr in params.values():
             arr[:] = 0.0
         params["head.b"][:] = [0.25, -0.5]
-        out = forward_sequence(spec, params, np.zeros(12))
+        out = predict_single(spec, params, np.zeros(12))
         np.testing.assert_allclose(out, [0.25, -0.5], atol=1e-15)
 
     def test_frozen_gru_state_gives_head_bias(self):
@@ -101,11 +104,13 @@ class TestForwardSequence:
         view.gate("z")[1][:] = 0.0
         view.gate("z")[2][:] = 30.0  # update gate -> 1: state never moves
         params["head.b"][:] = [0.7, 0.1]
-        out = forward_sequence(spec, params, np.full(10, 0.4))
+        out = predict_single(spec, params, np.full(10, 0.4))
         np.testing.assert_allclose(out, [0.7, 0.1], atol=1e-5)
 
     @pytest.mark.parametrize("cell_kind", ["simple", "gru", "lstm"])
     def test_matches_stepwise_composition(self, cell_kind):
+        # The reference is the scalar per-step loops of test_cells, which
+        # share no arithmetic with the cells.step kernel.
         spec = ModelSpec("rnn_regressor", input_len=7, cell_kind=cell_kind,
                          hidden_dim=4)
         params = init_params(spec, seed=7)
@@ -117,28 +122,28 @@ class TestForwardSequence:
         for t in range(7):
             x_t = signal[t:t + 1]
             if cell_kind == "simple":
-                h = simple_rnn_step(cell, x_t, h)
+                h = simple_step_reference(cell, x_t, h)
             elif cell_kind == "gru":
-                h = gru_step(cell, x_t, h)
+                h = gru_step_reference(cell, x_t, h)
             else:
-                h, c = lstm_step(cell, x_t, h, c)
+                h, c = lstm_step_reference(cell, x_t, h, c)
         expected = h @ params["head.w"] + params["head.b"]
-        got = forward_sequence(spec, params, signal)
+        got = predict_single(spec, params, signal)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
     def test_length_mismatch(self):
         spec = ModelSpec("rnn_regressor", input_len=10, hidden_dim=3)
         params = init_params(spec, seed=0)
         with pytest.raises(ValueError):
-            forward_sequence(spec, params, np.zeros(11))
+            predict_single(spec, params, np.zeros(11))
 
     def test_deterministic(self):
         spec = ModelSpec("rnn_regressor", input_len=30, cell_kind="lstm",
                          hidden_dim=6, chunk_size=2)
         params = init_params(spec, seed=3)
         sig = np.random.default_rng(1).normal(size=30)
-        a = forward_sequence(spec, params, sig)
-        b = forward_sequence(spec, params, sig)
+        a = predict_single(spec, params, sig)
+        b = predict_single(spec, params, sig)
         np.testing.assert_array_equal(a, b)
 
 
@@ -170,16 +175,25 @@ class TestBaselines:
             ModelSpec("rnn_regressor", input_len=10, chunk_size=3)
 
 
+SINGLE_SPECS = {
+    **{f"{cell_kind}-{chunk}": ModelSpec("rnn_regressor", input_len=60,
+                                         cell_kind=cell_kind, hidden_dim=9,
+                                         chunk_size=chunk)
+       for cell_kind in ("simple", "gru", "lstm") for chunk in (1, 3)},
+    "ann": ModelSpec("ann", input_len=60, ann_hidden=(13, 7)),
+    "cnn1d": ModelSpec("cnn1d", input_len=60, cnn_channels=(4, 8)),
+}
+
+
 class TestPredictSingle:
-    @pytest.mark.parametrize("cell_kind", ["simple", "gru", "lstm"])
-    def test_matches_forward_sequence(self, cell_kind):
-        spec = ModelSpec("rnn_regressor", input_len=60, cell_kind=cell_kind,
-                         hidden_dim=9, chunk_size=3)
+    @pytest.mark.parametrize("name", list(SINGLE_SPECS))
+    def test_equals_forward_batch_row(self, name):
+        spec = SINGLE_SPECS[name]
         params = init_params(spec, seed=11)
         sig = np.random.default_rng(2).normal(size=60) * 0.5
-        fast = predict_single(spec, params, sig)
-        slow = forward_sequence(spec, params, sig)
-        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(
+            predict_single(spec, params, sig),
+            forward_batch(spec, params, sig[None])[0][0])
 
     def test_activations_bounded_no_nan(self):
         spec = ModelSpec("rnn_regressor", input_len=40, cell_kind="gru",
@@ -198,3 +212,32 @@ class TestPredictSingle:
                          cnn_kernel=3, cnn_stride=2)
         again = ModelSpec.from_json_dict(spec.to_json_dict())
         assert again == spec
+
+
+NONFINITE_SPECS = {
+    "rnn_regressor": ModelSpec("rnn_regressor", input_len=12, hidden_dim=4,
+                               chunk_size=3),
+    "ann": ModelSpec("ann", input_len=12, ann_hidden=(5,)),
+    "cnn1d": ModelSpec("cnn1d", input_len=12, cnn_channels=(3,), cnn_kernel=3),
+}
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("kind", list(NONFINITE_SPECS))
+    def test_rows_rejected_with_indices(self, kind):
+        spec = NONFINITE_SPECS[kind]
+        params = init_params(spec, seed=0)
+        signals = np.random.default_rng(6).normal(size=(5, 12))
+        signals[1, 7] = np.nan
+        signals[3, 0] = np.inf
+        signals[4, 11] = -np.inf
+        for call in (forward_batch, predict_batch):
+            with pytest.raises(ValueError,
+                               match=r"NaN or inf at indices \[1, 3, 4\]"):
+                call(spec, params, signals)
+        with pytest.raises(ValueError, match=r"indices \[1, 3, 4\]"):
+            loss_and_grads(spec, params, signals, np.zeros((5, 2)))
+        for row in (1, 3, 4):
+            with pytest.raises(ValueError, match=r"NaN or inf at indices \[0\]"):
+                predict_single(spec, params, signals[row])
+        assert np.all(np.isfinite(predict_batch(spec, params, signals[[0, 2]])))
