@@ -15,8 +15,10 @@ still accumulated in float64.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -124,15 +126,84 @@ class Dictionary:
         return np.array([[p.t1_ms, p.t2_ms] for p in self.labels])
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def build_plan(n_atoms: int, batch_size: int = 64) -> tuple[int, int]:
+    """Atoms per batch and processes ``build_dictionary`` uses for ``n_atoms``.
+
+    Batches hold ``min(batch_size, ceil(n_atoms / cpus))`` atoms, so a grid
+    smaller than one batch still spreads over every CPU. Without ``fork``
+    the build runs in the calling process alone.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+    cpus = available_cpus() if hasattr(os, "fork") else 1
+    size = min(batch_size, -(-n_atoms // cpus))
+    return size, min(cpus, -(-n_atoms // size))
+
+
+def _magnitudes(chunk: list[TissueParams], schedule: SequenceSchedule,
+                k_max: int | None) -> np.ndarray:
+    """float64 magnitude fingerprints of one batch of tissues."""
+    return np.abs(simulate_fingerprints(chunk, schedule, k_max=k_max))
+
+
+def _fan_out(simulate, chunks: list, processes: int):
+    """Yield ``(index, simulate(chunks[index]))`` for every chunk, in no fixed order.
+
+    The calling process simulates every ``processes``-th chunk itself and
+    ``processes - 1`` forked workers take the rest. A worker's rows are
+    collected after each of the caller's own chunks, so the caller holds
+    about one batch per worker at a time, not a whole share. A forked worker
+    starts without importing NumPy again and runs element-wise NumPy only,
+    never BLAS. Shutting the pool down on the way out, also after an error,
+    cancels the batches no worker has started and joins the workers.
+    """
+    # Imported here: they cost about 2 MB of resident memory, which
+    # processes that only train or map should not pay.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    pool = ProcessPoolExecutor(processes - 1,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        pending = {pool.submit(simulate, chunk): i
+                   for i, chunk in enumerate(chunks) if i % processes}
+        for i in range(0, len(chunks), processes):
+            yield i, simulate(chunks[i])
+            for future in [f for f in pending if f.done()]:
+                yield pending.pop(future), future.result()
+        for future in as_completed(pending):
+            yield pending.pop(future), future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def build_dictionary(spec: GridSpec, schedule: SequenceSchedule,
                      k_max: int | None = None, batch_size: int = 64) -> Dictionary:
     """Simulate every grid pair and assemble the normalized atom matrix.
+
+    The grid is split into batches of ``min(batch_size, ceil(M / P))``
+    atoms, where P is the number of CPUs the process may use
+    (``build_plan``). With more than one batch and CPU, the calling process
+    simulates every P-th batch and forked workers the rest; otherwise every
+    batch runs in the calling process. ``simulate_fingerprints`` gives each
+    atom bit for bit the same samples in any batch, so the atoms are
+    identical however the grid is split and whichever process simulates it.
+    Normalization and float32 quantization run in the calling process.
 
     ``batch_size`` atoms go through ``simulate_fingerprints`` per call. Small
     batches pay the simulator's per-excitation Python overhead on few atoms;
     large ones push its (orders x batch) state out of the core's cache. Best
     of 4 (N=250, 2048 atoms) and of 2 (N=1750, 512 atoms) runs of the
-    default schedule, 2-core Xeon with 2 MB L2 per core, atoms/s:
+    default schedule on one core of a 2-core Xeon with 2 MB L2 per core,
+    atoms/s:
 
         batch     16    32    64   128   256   512  2048
         N=250   2410  3443  4450  5207  5180  4183  3027
@@ -141,12 +212,14 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule,
     64 stays within 15% of the best at both lengths.
     """
     labels = expand_grid(spec)
-    n = schedule.n_excitations
-    atoms = np.empty((len(labels), n), dtype=np.float64)
-    for lo in range(0, len(labels), batch_size):
-        chunk = labels[lo:lo + batch_size]
-        signals = simulate_fingerprints(chunk, schedule, k_max=k_max)
-        atoms[lo:lo + len(chunk)] = np.abs(signals)
+    size, processes = build_plan(len(labels), batch_size)
+    chunks = [labels[lo:lo + size] for lo in range(0, len(labels), size)]
+    simulate = partial(_magnitudes, schedule=schedule, k_max=k_max)
+    batches = (_fan_out(simulate, chunks, processes) if processes > 1
+               else enumerate(map(simulate, chunks)))
+    atoms = np.empty((len(labels), schedule.n_excitations), dtype=np.float64)
+    for i, rows in batches:
+        atoms[i * size:i * size + len(rows)] = rows
     norms = np.linalg.norm(atoms, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         bad = [labels[i] for i in np.flatnonzero(norms[:, 0] == 0.0)[:5]]
@@ -237,6 +310,11 @@ def save_dictionary(dictionary: Dictionary, name: str | Path) -> tuple[Path, Pat
 
 
 def load_dictionary(name: str | Path) -> Dictionary:
+    """Read ``<name>.dict`` and ``<name>.json`` as written by ``save_dictionary``.
+
+    Rejects a bad header or size, atoms holding NaN or inf (naming the rows),
+    and manifest labels that differ from the expansion of the manifest's grid.
+    """
     base = Path(name)
     dict_path = base.with_suffix(".dict")
     json_path = base.with_suffix(".json")
@@ -252,11 +330,22 @@ def load_dictionary(name: str | Path) -> Dictionary:
         raise ValueError(f"{dict_path}: expected {expected} bytes, got {len(blob)}")
     atoms = np.frombuffer(blob, dtype="<f4", offset=24).reshape(m, n)
     atoms = atoms.astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(atoms).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{dict_path}: NaN or inf atoms in rows {bad.tolist()}")
     manifest = json.loads(json_path.read_text())
+    grid = GridSpec.from_json_dict(manifest["grid"])
     labels = [TissueParams(t1, t2) for t1, t2 in manifest["labels"]]
+    expected = expand_grid(grid)
+    if labels != expected:
+        first = next((i for i, (a, b) in enumerate(zip(labels, expected)) if a != b),
+                     min(len(labels), len(expected)))
+        raise ValueError(
+            f"{json_path}: labels differ from the expansion of the recorded grid "
+            f"from row {first} ({len(labels)} labels, {len(expected)} grid pairs)")
     return Dictionary(
         atoms=atoms,
         labels=labels,
         schedule_digest=manifest["schedule_digest"],
-        grid=GridSpec.from_json_dict(manifest["grid"]),
+        grid=grid,
     )

@@ -1,6 +1,13 @@
+import concurrent.futures
+import json
+import multiprocessing
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from mrfmap import dictionary
 from mrfmap.dictionary import (
     Dictionary,
     GridSpec,
@@ -11,7 +18,7 @@ from mrfmap.dictionary import (
     match_batch,
     save_dictionary,
 )
-from mrfmap.epg import TissueParams, simulate_fingerprint
+from mrfmap.epg import TissueParams, simulate_fingerprint, simulate_fingerprints
 from mrfmap.schedule import default_schedule
 
 
@@ -54,6 +61,27 @@ def naive_match(dictionary, query):
         if s > best_score:
             best_idx, best_score = i, s
     return dictionary.labels[best_idx], best_score
+
+
+def one_call_reference(spec, schedule, k_max=None):
+    """Atoms from one simulate_fingerprints call over the whole grid."""
+    atoms = np.abs(simulate_fingerprints(expand_grid(spec), schedule, k_max=k_max))
+    atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
+    return atoms.astype(np.float32).astype(np.float64)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the main thread if the block runs too long."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestExpandGrid:
@@ -136,6 +164,64 @@ class TestBuildDictionary:
         d, schedule = toy_dictionary
         d2 = build_dictionary(d.grid, schedule, batch_size=3)
         np.testing.assert_array_equal(d.atoms, d2.atoms)
+
+    @pytest.mark.parametrize("k_max", [None, 10])
+    @pytest.mark.parametrize("batch_size", [64, 3, 7])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_atoms_equal_one_call_reference(self, toy_dictionary, monkeypatch,
+                                            cpus, batch_size, k_max):
+        # The toy grid has 24 atoms; a batch_size of 7 does not divide it.
+        d, schedule = toy_dictionary
+        pools = []
+        real_pool = concurrent.futures.ProcessPoolExecutor
+
+        def counting_pool(max_workers, **kwargs):
+            pools.append(max_workers)
+            return real_pool(max_workers, **kwargs)
+
+        monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+        built = build_dictionary(d.grid, schedule, k_max=k_max, batch_size=batch_size)
+        expected = one_call_reference(d.grid, schedule, k_max=k_max)
+        assert built.atoms.tobytes() == expected.tobytes()
+        assert built.labels == d.labels
+        assert pools == ([cpus - 1] if cpus > 1 else [])
+
+    @pytest.mark.parametrize("n_atoms, batch_size, cpus, plan", [
+        (36, 64, 2, (18, 2)),
+        (114_650, 64, 2, (64, 2)),
+        (24, 64, 1, (24, 1)),
+        (5, 64, 4, (2, 3)),
+        (1, 64, 8, (1, 1)),
+    ])
+    def test_build_plan_split_rule(self, monkeypatch, n_atoms, batch_size, cpus, plan):
+        monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        assert dictionary.build_plan(n_atoms, batch_size) == plan
+
+    def test_nonpositive_batch_size_rejected(self, toy_dictionary):
+        d, schedule = toy_dictionary
+        with pytest.raises(ValueError, match="batch_size"):
+            build_dictionary(d.grid, schedule, batch_size=-1)
+
+    # T1 = 200 ms lies in the first batch, which the calling process
+    # simulates; T1 = 1000 ms lies in the last, which a worker simulates.
+    @pytest.mark.parametrize("bad_t1", [200.0, 1000.0])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_simulation_error_propagates(self, toy_dictionary, monkeypatch,
+                                         cpus, bad_t1):
+        d, schedule = toy_dictionary
+        real = dictionary.simulate_fingerprints
+
+        def failing(params, sched, k_max=None):
+            if any(p.t1_ms == bad_t1 for p in params):
+                raise RuntimeError(f"no signal for T1={bad_t1}")
+            return real(params, sched, k_max=k_max)
+
+        monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(dictionary, "simulate_fingerprints", failing)
+        with time_limit(60), pytest.raises(RuntimeError, match=f"T1={bad_t1}"):
+            build_dictionary(d.grid, schedule)
+        assert multiprocessing.active_children() == []
 
 
 class TestMatch:
@@ -246,6 +332,35 @@ class TestSerialization:
         dict_path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="magic"):
             load_dictionary(tmp_path / "dict_c")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_atoms_rejected_with_rows(self, toy_dictionary, tmp_path, bad):
+        d, _ = toy_dictionary
+        dict_path, _ = save_dictionary(d, tmp_path / "dict_e")
+        atoms = d.atoms.astype("<f4")
+        atoms[2, 5] = bad
+        atoms[9, 0] = bad
+        dict_path.write_bytes(dict_path.read_bytes()[:24] + atoms.tobytes())
+        with pytest.raises(ValueError, match=r"rows \[2, 9\]"):
+            load_dictionary(tmp_path / "dict_e")
+
+    def test_labels_off_grid_rejected(self, toy_dictionary, tmp_path):
+        d, _ = toy_dictionary
+        _, json_path = save_dictionary(d, tmp_path / "dict_f")
+        manifest = json.loads(json_path.read_text())
+        manifest["labels"][5][1] -= 1.0
+        json_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="from row 5"):
+            load_dictionary(tmp_path / "dict_f")
+
+    def test_labels_of_another_grid_rejected(self, toy_dictionary, tmp_path):
+        d, _ = toy_dictionary
+        _, json_path = save_dictionary(d, tmp_path / "dict_g")
+        manifest = json.loads(json_path.read_text())
+        manifest["grid"]["t1_segments"] = [[200.0, 1200.0, 200.0]]
+        json_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="recorded grid"):
+            load_dictionary(tmp_path / "dict_g")
 
     def test_truncated_file_rejected(self, toy_dictionary, tmp_path):
         d, _ = toy_dictionary

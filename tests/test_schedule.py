@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrfmap.schedule import (
     SequenceSchedule,
     constant_schedule,
+    default_schedule,
     load_schedule,
     save_schedule,
+    schedule_digest,
 )
 
 
@@ -42,3 +46,22 @@ class TestNonFiniteRejected:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="repetition times must be finite"):
             load_schedule(path)
+
+
+class TestRoundTrip:
+    # Flip angles are stored in degrees, so a round trip may move one by an
+    # ulp in radians; only they are compared to an ulp instead of bitwise.
+    @pytest.mark.parametrize("n", [1, 7, 250, 1750])
+    @settings(max_examples=10, deadline=None)
+    @given(tr_ms=st.floats(min_value=0.5, max_value=50.0))
+    def test_default_schedule_save_load(self, tmp_path_factory, n, tr_ms):
+        schedule = default_schedule(n, tr_ms=tr_ms)
+        path = tmp_path_factory.mktemp("schedule") / "s.csv"
+        save_schedule(schedule, path)
+        loaded = load_schedule(path)
+        assert loaded.tr_ms.tobytes() == schedule.tr_ms.tobytes()
+        assert loaded.rf_phases_rad.tobytes() == schedule.rf_phases_rad.tobytes()
+        assert loaded.prep_settings() == schedule.prep_settings()
+        np.testing.assert_array_max_ulp(loaded.flip_angles_rad,
+                                        schedule.flip_angles_rad, maxulp=1)
+        assert schedule_digest(loaded) == schedule_digest(schedule)
