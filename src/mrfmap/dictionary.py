@@ -15,6 +15,7 @@ still accumulated in float64.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -52,6 +53,10 @@ class GridSpec:
         for seg in t1 + t2:
             if len(seg) != 3:
                 raise ValueError(f"segment must be (start, stop, step), got {seg}")
+            # NaN fails every comparison below and inf would overflow the
+            # expansion, so both are refused here.
+            if not all(math.isfinite(x) for x in seg):
+                raise ValueError(f"segment values must be finite, got {seg}")
             start, stop, step = seg
             if step <= 0 or stop < start:
                 raise ValueError(f"invalid segment {seg}")
@@ -121,9 +126,6 @@ class Dictionary:
     @property
     def n_samples(self) -> int:
         return self.atoms.shape[1]
-
-    def label_array(self) -> np.ndarray:
-        return np.array([[p.t1_ms, p.t2_ms] for p in self.labels])
 
 
 def available_cpus() -> int:

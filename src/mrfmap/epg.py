@@ -17,6 +17,11 @@ transverse magnetization of any >N uniformly dephased Bloch isochromats.
 That equality (to float64 rounding) is the correctness oracle for this
 module: ``isochromat_oracle`` simulates the same timeline spin-by-spin.
 
+The public surface is ``TissueParams``, ``simulate_fingerprints`` (the one
+simulator, for one tissue or a batch) and ``isochromat_oracle``. The oracle
+returns a ``Fingerprint``, which holds only its complex ``samples``; it stays
+because ``mrfbench`` reads the oracle's ``samples`` attribute.
+
 ``simulate_fingerprints`` is one in-place kernel (Weigel 2015, "Extended
 phase graphs: dephasing, RF pulses, and echoes - pure and simple", JMRI):
 
@@ -64,36 +69,9 @@ class TissueParams:
             )
 
 
-@dataclass
-class EpgState:
-    """Configuration states up to order K (arrays of length K+1)."""
-
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-    z: np.ndarray
-
-    @classmethod
-    def equilibrium(cls, k_max: int) -> "EpgState":
-        """Fully relaxed state: Z_0 = 1, everything else 0."""
-        if k_max < 1:
-            raise ValueError("k_max must be at least 1")
-        f_plus = np.zeros(k_max + 1, dtype=np.complex128)
-        f_minus = np.zeros(k_max + 1, dtype=np.complex128)
-        z = np.zeros(k_max + 1, dtype=np.complex128)
-        z[0] = 1.0
-        return cls(f_plus, f_minus, z)
-
-    @property
-    def k_max(self) -> int:
-        return self.f_plus.size - 1
-
-    def copy(self) -> "EpgState":
-        return EpgState(self.f_plus.copy(), self.f_minus.copy(), self.z.copy())
-
-
 @dataclass(frozen=True)
 class Fingerprint:
-    """Complex signal evolution sampled at each excitation."""
+    """Complex signal evolution sampled at each excitation (the oracle's result)."""
 
     samples: np.ndarray
 
@@ -102,79 +80,6 @@ class Fingerprint:
             self, "samples",
             np.ascontiguousarray(np.asarray(self.samples, dtype=np.complex128)),
         )
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.samples)
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
-def _rf_coefficients(alpha: float, phi: float):
-    """Entries of the order-wise EPG rotation matrix for (alpha, phi)."""
-    cos_half_sq = np.cos(alpha / 2.0) ** 2
-    sin_half_sq = np.sin(alpha / 2.0) ** 2
-    sin_a = np.sin(alpha)
-    e_ip = np.exp(1j * phi)
-    e_2ip = e_ip * e_ip
-    return (
-        cos_half_sq,                      # F+ <- F+
-        e_2ip * sin_half_sq,              # F+ <- F-
-        -1j * e_ip * sin_a,               # F+ <- Z
-        np.conj(e_2ip) * sin_half_sq,     # F- <- F+
-        1j * np.conj(e_ip) * sin_a,       # F- <- Z
-        -0.5j * np.conj(e_ip) * sin_a,    # Z  <- F+
-        0.5j * e_ip * sin_a,              # Z  <- F-
-        np.cos(alpha),                    # Z  <- Z
-    )
-
-
-def _apply_rf(f_plus, f_minus, z, alpha: float, phi: float):
-    """Rotate (F+, F-, Z) arrays in place-free style; works on any leading shape."""
-    pp, pm, pz, mp, mz_, zp, zm, zz = _rf_coefficients(alpha, phi)
-    f_plus_new = pp * f_plus + pm * f_minus + pz * z
-    f_minus_new = mp * f_plus + pp * f_minus + mz_ * z
-    z_new = zp * f_plus + zm * f_minus + zz * z
-    return f_plus_new, f_minus_new, z_new
-
-
-def _apply_relaxation(f_plus, f_minus, z, dt_ms, t1_ms, t2_ms):
-    """Scale states by the decay factors and recover Z_0; no gradient shift."""
-    e1 = np.exp(-dt_ms / np.asarray(t1_ms))
-    e2 = np.exp(-dt_ms / np.asarray(t2_ms))
-    f_plus = f_plus * e2
-    f_minus = f_minus * e2
-    z = z * e1
-    z[..., 0] += np.reshape(1.0 - e1, np.shape(z[..., 0]))
-    return f_plus, f_minus, z
-
-
-def _apply_shift(f_plus, f_minus):
-    """One unit of gradient dephasing: F+ up one order, F- down one order."""
-    f_plus[..., 1:] = f_plus[..., :-1]
-    f_minus[..., :-1] = f_minus[..., 1:]
-    f_minus[..., -1] = 0.0
-    f_plus[..., 0] = np.conj(f_minus[..., 0])
-    return f_plus, f_minus
-
-
-def rf_rotation(state: EpgState, alpha: float, phi: float) -> EpgState:
-    """Apply an RF pulse of flip angle ``alpha`` and phase ``phi`` (radians)."""
-    if not (np.isfinite(alpha) and np.isfinite(phi)):
-        raise ValueError("alpha and phi must be finite")
-    f_plus, f_minus, z = _apply_rf(state.f_plus, state.f_minus, state.z, alpha, phi)
-    return EpgState(f_plus, f_minus, z)
-
-
-def relax_shift(state: EpgState, dt_ms: float, params: TissueParams) -> EpgState:
-    """Relax for ``dt_ms`` then apply one gradient-spoiler dephasing step."""
-    if dt_ms < 0.0:
-        raise ValueError("dt_ms must be nonnegative")
-    f_plus, f_minus, z = _apply_relaxation(
-        state.f_plus, state.f_minus, state.z, dt_ms, params.t1_ms, params.t2_ms
-    )
-    f_plus, f_minus = _apply_shift(f_plus, f_minus)
-    return EpgState(f_plus, f_minus, z)
 
 
 def simulate_fingerprints(params_list, schedule: SequenceSchedule,
@@ -185,9 +90,9 @@ def simulate_fingerprints(params_list, schedule: SequenceSchedule,
     ``k_max`` keeps the default K = N configuration orders (exact); smaller
     values trade accuracy for speed by truncating high dephasing orders.
 
-    Batching only vectorizes the identical per-pair arithmetic, so results
-    match the single-pair path bit for bit and are independent of how a
-    larger batch is split.
+    Batching only vectorizes the identical per-pair arithmetic, so each row
+    equals the same pair simulated alone, bit for bit, and is independent of
+    how a larger batch is split.
     """
     params_list = list(params_list)
     if not params_list:
@@ -311,13 +216,6 @@ def _rotate_real(a, b, z, v, sz, t, c, s, half_s, half_c1) -> None:
     np.subtract(v, sz, out=v)
     np.add(a, v, out=a)
     np.subtract(b, v, out=b)
-
-
-def simulate_fingerprint(params: TissueParams, schedule: SequenceSchedule,
-                         k_max: int | None = None) -> Fingerprint:
-    """Simulate one tissue's signal evolution; see ``simulate_fingerprints``."""
-    samples = simulate_fingerprints([params], schedule, k_max=k_max)
-    return Fingerprint(samples[0])
 
 
 def isochromat_oracle(params: TissueParams, schedule: SequenceSchedule,

@@ -1,6 +1,6 @@
 from .adam import AdamState, adam_update
 from .backprop import backward, loss_and_grads, mse_grad
-from .cells import RnnCellParams, gru_step, init_cell, lstm_step, simple_rnn_step
+from .cells import RnnCellParams, init_cell
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .models import (
     ModelSpec,
@@ -20,17 +20,14 @@ __all__ = [
     "adam_update",
     "backward",
     "forward_batch",
-    "gru_step",
     "init_cell",
     "init_params",
     "load_checkpoint",
     "loss_and_grads",
-    "lstm_step",
     "mse_grad",
     "mse_loss",
     "param_count",
     "predict_batch",
     "predict_single",
     "save_checkpoint",
-    "simple_rnn_step",
 ]

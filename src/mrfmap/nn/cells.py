@@ -11,9 +11,6 @@ the training loop uses), with named views for tests and inspection:
 only logistic function. ``step`` starts from the projected input
 ``x_t @ w + b``, so an unroll can project every time step in one matmul,
 and returns the gate activations for the caller to cache.
-``simple_rnn_step``, ``gru_step`` and ``lstm_step`` are that projection
-plus one ``step``, for a single time step ``x_t`` of shape (input_dim,) or
-a batch (B, input_dim), with hidden states shaped to match.
 
 GRU convention: h = z * h_prev + (1 - z) * candidate, with the candidate
 computed from the reset-masked previous state. With reset gates saturated
@@ -134,44 +131,3 @@ def step(kind: str, u: np.ndarray, xp_t: np.ndarray, h: np.ndarray,
         c_t = f * c + i * g
         return o * np.tanh(c_t), c_t, (i, f, o, g)
     raise ValueError(f"unknown cell kind {kind!r}")
-
-
-def _project(cell: RnnCellParams, x_t, h_prev):
-    """Shape-checked float64 (x_t @ w + b, h_prev) for the public steps."""
-    x_t = np.asarray(x_t, dtype=np.float64)
-    h_prev = np.asarray(h_prev, dtype=np.float64)
-    if x_t.shape[-1] != cell.input_dim:
-        raise ValueError(
-            f"x_t last dim {x_t.shape[-1]} != input_dim {cell.input_dim}")
-    if h_prev.shape[-1] != cell.hidden_dim:
-        raise ValueError(
-            f"h_prev last dim {h_prev.shape[-1]} != hidden_dim {cell.hidden_dim}")
-    if x_t.shape[:-1] != h_prev.shape[:-1]:
-        raise ValueError(
-            f"batch shapes differ: x_t {x_t.shape[:-1]} vs h_prev {h_prev.shape[:-1]}")
-    return x_t @ cell.w + cell.b, h_prev
-
-
-def simple_rnn_step(cell: RnnCellParams, x_t: np.ndarray,
-                    h_prev: np.ndarray) -> np.ndarray:
-    """h_t = tanh(x_t W + h_prev U + b)."""
-    xp_t, h_prev = _project(cell, x_t, h_prev)
-    return step("simple", cell.u, xp_t, h_prev)[0]
-
-
-def gru_step(cell: RnnCellParams, x_t: np.ndarray,
-             h_prev: np.ndarray) -> np.ndarray:
-    """Reset/update-gated step; returns the new hidden state."""
-    xp_t, h_prev = _project(cell, x_t, h_prev)
-    return step("gru", cell.u, xp_t, h_prev)[0]
-
-
-def lstm_step(cell: RnnCellParams, x_t: np.ndarray, h_prev: np.ndarray,
-              c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Input/forget/output-gated step; returns (h_t, c_t)."""
-    xp_t, h_prev = _project(cell, x_t, h_prev)
-    c_prev = np.asarray(c_prev, dtype=np.float64)
-    if c_prev.shape != h_prev.shape:
-        raise ValueError(f"c_prev shape {c_prev.shape} != h_prev {h_prev.shape}")
-    h_t, c_t, _ = step("lstm", cell.u, xp_t, h_prev, c_prev)
-    return h_t, c_t

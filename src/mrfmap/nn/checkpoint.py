@@ -4,7 +4,9 @@ A ``.ckpt`` file is a one-line JSON header (model spec, label-scaling
 constants, seed, training metadata), a delimiter line, then every parameter
 array flattened to little-endian float32 in declaration order. Loading
 restores float64 parameters whose values are exactly the stored f32 ones,
-so save -> load -> save is byte-identical.
+so save -> load -> save is byte-identical. It rejects a file whose blob
+size disagrees with the header, whose shapes disagree with the spec, or
+whose parameters hold NaN or inf.
 """
 
 from __future__ import annotations
@@ -62,17 +64,22 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
     blob = raw[cut + len(DELIMITER):]
 
     spec = ModelSpec.from_json_dict(header["spec"])
+    shapes = {name: tuple(header["param_shapes"][name])
+              for name in header["param_order"]}
+    expected = sum(4 * int(np.prod(shape)) for shape in shapes.values())
+    if expected != len(blob):
+        raise ValueError(
+            f"{path}: parameter blob has {len(blob)} bytes, expected {expected}")
     params: dict[str, np.ndarray] = {}
     offset = 0
-    for name in header["param_order"]:
-        shape = tuple(header["param_shapes"][name])
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in shapes.items():
+        count = int(np.prod(shape))
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         params[name] = arr.astype(np.float64).reshape(shape)
         offset += 4 * count
-    if offset != len(blob):
-        raise ValueError(
-            f"{path}: parameter blob has {len(blob)} bytes, expected {offset}")
+    bad = [name for name, arr in params.items() if not np.all(np.isfinite(arr))]
+    if bad:
+        raise ValueError(f"{path}: NaN or inf values in parameters {bad}")
 
     # Layout sanity: same keys/shapes a fresh init would produce.
     reference = init_params(spec, seed=0)

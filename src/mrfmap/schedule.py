@@ -2,10 +2,10 @@
 
 A schedule is the per-excitation list of RF flip angles, RF phases and
 repetition times, plus the preparation settings (inversion pulse, inversion
-delay, echo time). Schedules are persisted as a CSV file with an optional
-JSON sidecar holding the preparation settings; the SHA-256 digest of the
-canonical serialization identifies a schedule in dictionary/dataset
-manifests.
+delay, echo time). Schedules are persisted as a CSV file, angles in radians,
+with an optional JSON sidecar holding the preparation settings; the SHA-256
+digest of the canonical serialization identifies a schedule in
+dictionary/dataset manifests.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEDULE_CSV_HEADER = ["index", "flip_deg", "phase_deg", "tr_ms"]
+SCHEDULE_CSV_HEADER = ["index", "flip_rad", "phase_rad", "tr_ms"]
 
 DEFAULT_N_EXCITATIONS = 1750
 DEFAULT_TR_MS = 4.3
@@ -115,15 +115,17 @@ def constant_schedule(n_excitations: int, flip_deg: float,
 
 
 def schedule_to_csv_bytes(schedule: SequenceSchedule) -> bytes:
-    """Canonical CSV serialization (header ``index,flip_deg,phase_deg,tr_ms``)."""
+    """Canonical CSV serialization (header ``index,flip_rad,phase_rad,tr_ms``).
+
+    Values are written with ``repr``, which reads back as the same float, so
+    a save -> load round trip returns the schedule bit for bit.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCHEDULE_CSV_HEADER)
-    flip_deg = np.rad2deg(schedule.flip_angles_rad)
-    phase_deg = np.rad2deg(schedule.rf_phases_rad)
-    for i in range(schedule.n_excitations):
-        writer.writerow([i, repr(float(flip_deg[i])), repr(float(phase_deg[i])),
-                         repr(float(schedule.tr_ms[i]))])
+    columns = (schedule.flip_angles_rad, schedule.rf_phases_rad, schedule.tr_ms)
+    for i, values in enumerate(zip(*(c.tolist() for c in columns))):
+        writer.writerow([i, *map(repr, values)])
     return buf.getvalue().encode("utf-8")
 
 
@@ -165,8 +167,8 @@ def load_schedule(csv_path: str | Path) -> SequenceSchedule:
         rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"{csv_path}: schedule has no excitations")
-    flip_deg = np.array([float(r[1]) for r in rows])
-    phase_deg = np.array([float(r[2]) for r in rows])
+    flip = np.array([float(r[1]) for r in rows])
+    phase = np.array([float(r[2]) for r in rows])
     tr = np.array([float(r[3]) for r in rows])
 
     prep = {"inversion_prep": True, "inversion_delay_ms": 0.0, "te_ms": 0.0}
@@ -174,8 +176,8 @@ def load_schedule(csv_path: str | Path) -> SequenceSchedule:
     if sidecar.exists():
         prep.update(json.loads(sidecar.read_text()))
     return SequenceSchedule(
-        flip_angles_rad=np.deg2rad(flip_deg),
-        rf_phases_rad=np.deg2rad(phase_deg),
+        flip_angles_rad=flip,
+        rf_phases_rad=phase,
         tr_ms=tr,
         te_ms=float(prep["te_ms"]),
         inversion_prep=bool(prep["inversion_prep"]),

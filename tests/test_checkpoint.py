@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -49,3 +50,54 @@ def test_save_load_save_is_byte_identical(name, param_seed, scale, t1_max, t2_ma
     assert list(loaded.params) == list(params)
     for k, v in params.items():
         assert loaded.params[k].tobytes() == v.astype(np.float32).astype(np.float64).tobytes()
+
+
+def saved_gru(tmp_path, **changes):
+    """A saved GRU checkpoint whose parameters are updated from ``changes``."""
+    spec = SPECS["gru"]
+    params = init_params(spec, seed=1)
+    for name, value in changes.items():
+        params[name] = np.asarray(value, dtype=np.float64)
+    return save_checkpoint(ModelCheckpoint(spec, params, 4000.0, 500.0, 0),
+                           tmp_path / "m.ckpt")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_parameters_rejected_by_name(tmp_path, bad):
+    good = init_params(SPECS["gru"], seed=1)
+    names = list(good)
+    first, last = good[names[0]].copy(), good[names[-1]].copy()
+    first.flat[1] = bad
+    last.flat[-1] = bad
+    path = saved_gru(tmp_path, **{names[0]: first, names[-1]: last})
+    with pytest.raises(ValueError, match="NaN or inf") as err:
+        load_checkpoint(path)
+    assert str([names[0], names[-1]]) in str(err.value)
+
+
+def test_missing_delimiter_rejected(tmp_path):
+    path = saved_gru(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"---PARAMS---\n", b"---PARAMZ---\n"))
+    with pytest.raises(ValueError, match="delimiter"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("delta", [-4, 4])
+def test_blob_one_float_short_or_long_rejected(tmp_path, delta):
+    path = saved_gru(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:delta] if delta < 0 else raw + b"\0" * delta)
+    with pytest.raises(ValueError, match="parameter blob has"):
+        load_checkpoint(path)
+
+
+def test_shape_disagreeing_with_spec_rejected(tmp_path):
+    # Transposed: the blob size still fits, but the spec implies another shape.
+    path = saved_gru(tmp_path)
+    header, sep, blob = path.read_bytes().partition(b"\n---PARAMS---\n")
+    meta = json.loads(header)
+    name = next(n for n, s in meta["param_shapes"].items() if len(s) == 2 and s[0] != s[1])
+    meta["param_shapes"][name] = meta["param_shapes"][name][::-1]
+    path.write_bytes(json.dumps(meta, sort_keys=True).encode() + sep + blob)
+    with pytest.raises(ValueError, match=f"{name} has shape"):
+        load_checkpoint(path)

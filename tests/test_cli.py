@@ -59,3 +59,16 @@ def test_n_and_schedule_are_exclusive(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["build", str(tmp_path / "d"), "--n", "40", "--schedule", "s.csv"])
     assert "not allowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_nonfinite_grid_rejected(tmp_path, capsys, position, bad):
+    segment = [300.0, 900.0, 300.0]
+    segment[position] = bad
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({**GRID, "t1_segments": [segment]}))
+    with pytest.raises(ValueError, match="segment values must be finite"):
+        main(["build", str(tmp_path / "d"), "--n", "40", "--grid", str(grid)])
+    assert not (tmp_path / "d.dict").exists()
+    assert capsys.readouterr().out == ""

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import multiprocessing
+import re
 import signal
 from contextlib import contextmanager
 
@@ -18,7 +19,7 @@ from mrfmap.dictionary import (
     match_batch,
     save_dictionary,
 )
-from mrfmap.epg import TissueParams, simulate_fingerprint, simulate_fingerprints
+from mrfmap.epg import TissueParams, simulate_fingerprints
 from mrfmap.schedule import default_schedule
 
 
@@ -132,6 +133,18 @@ class TestExpandGrid:
         with pytest.raises(ValueError):
             GridSpec(t1_segments=((0.0, 10.0, 0.0),), t2_segments=((1, 2, 1),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("axis", ["t1_segments", "t2_segments"])
+    def test_nonfinite_segment_rejected(self, axis, position, bad):
+        segment = [100.0, 500.0, 10.0]
+        segment[position] = bad
+        valid = ((10.0, 50.0, 10.0),)
+        segments = {"t1_segments": valid, "t2_segments": valid}
+        segments[axis] = valid + (tuple(segment),)
+        with pytest.raises(ValueError, match=re.escape(f"finite, got {tuple(segment)}")):
+            GridSpec(**segments)
+
 
 class TestBuildDictionary:
     def test_rows_normalized(self, toy_dictionary):
@@ -155,7 +168,7 @@ class TestBuildDictionary:
         d, schedule = toy_dictionary
         rng = np.random.default_rng(5)
         for i in rng.integers(0, d.n_atoms, size=10):
-            mag = simulate_fingerprint(d.labels[i], schedule).magnitude()
+            mag = np.abs(simulate_fingerprints([d.labels[i]], schedule)[0])
             expected = mag / np.linalg.norm(mag)
             # Rows are quantized to float32 at build time.
             np.testing.assert_allclose(d.atoms[i], expected, atol=1e-6)
@@ -227,7 +240,7 @@ class TestBuildDictionary:
 class TestMatch:
     def test_self_match(self, toy_dictionary):
         d, schedule = toy_dictionary
-        raw = simulate_fingerprint(d.labels[7], schedule).magnitude()
+        raw = np.abs(simulate_fingerprints([d.labels[7]], schedule)[0])
         label, score = match(d, raw)
         assert label == d.labels[7]
         assert score >= 1.0 - 1e-6

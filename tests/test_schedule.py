@@ -49,8 +49,6 @@ class TestNonFiniteRejected:
 
 
 class TestRoundTrip:
-    # Flip angles are stored in degrees, so a round trip may move one by an
-    # ulp in radians; only they are compared to an ulp instead of bitwise.
     @pytest.mark.parametrize("n", [1, 7, 250, 1750])
     @settings(max_examples=10, deadline=None)
     @given(tr_ms=st.floats(min_value=0.5, max_value=50.0))
@@ -61,7 +59,19 @@ class TestRoundTrip:
         loaded = load_schedule(path)
         assert loaded.tr_ms.tobytes() == schedule.tr_ms.tobytes()
         assert loaded.rf_phases_rad.tobytes() == schedule.rf_phases_rad.tobytes()
+        assert loaded.flip_angles_rad.tobytes() == schedule.flip_angles_rad.tobytes()
         assert loaded.prep_settings() == schedule.prep_settings()
-        np.testing.assert_array_max_ulp(loaded.flip_angles_rad,
-                                        schedule.flip_angles_rad, maxulp=1)
+        assert schedule_digest(loaded) == schedule_digest(schedule)
+
+    def test_random_angles_save_load(self, tmp_path):
+        rng = np.random.default_rng(3)
+        schedule = SequenceSchedule(
+            flip_angles_rad=rng.uniform(0.0, np.pi, 500),
+            rf_phases_rad=rng.uniform(-np.pi, np.pi, 500),
+            tr_ms=rng.uniform(1.0, 20.0, 500), te_ms=0.5, inversion_delay_ms=7.0)
+        save_schedule(schedule, tmp_path / "s.csv")
+        loaded = load_schedule(tmp_path / "s.csv")
+        for field in ("flip_angles_rad", "rf_phases_rad", "tr_ms"):
+            assert getattr(loaded, field).tobytes() == getattr(schedule, field).tobytes()
+        assert loaded.prep_settings() == schedule.prep_settings()
         assert schedule_digest(loaded) == schedule_digest(schedule)
