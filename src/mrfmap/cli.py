@@ -8,6 +8,7 @@ paper grid) for the schedule (default: ``default_schedule(N)``), writes
 N, the number of processes, the build time, atoms/s and the schedule digest.
 ``GRID.json`` holds ``{"t1_segments": [[start, stop, step], ...],
 "t2_segments": [...]}`` in ms, as in a dictionary manifest's ``grid``.
+Bad input or an unreadable file prints ``mrfmap: error: ...`` and exits 2.
 """
 
 from __future__ import annotations
@@ -56,8 +57,13 @@ def _build(args) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    print(json.dumps(args.run(args)))
+    parser = _parser()
+    args = parser.parse_args(argv)
+    try:
+        report = args.run(args)
+    except (ValueError, OSError) as err:
+        parser.error(str(err))
+    print(json.dumps(report))
     return 0
 
 

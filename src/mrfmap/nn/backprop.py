@@ -2,7 +2,9 @@
 
 ``backward`` consumes the cache produced by ``forward_batch`` and the
 gradient of the loss w.r.t. the predictions, and returns gradients for every
-parameter in declaration order. ``loss_and_grads`` wires forward, MSE and
+parameter in declaration order. Backpropagation through time is one loop
+for every cell kind over the forward tape, through ``cells.step_grad``, the
+derivative of ``cells.step``. ``loss_and_grads`` wires forward, MSE and
 backward together for the training loop.
 
 The finite-difference tests in the suite are the authority these
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cells import step_grad
 from .models import ModelSpec, _conv_windows, forward_batch, mse_loss
 
 
@@ -57,60 +60,20 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
 
 
 def _backward_rnn(spec, params, cache, d_preds):
-    h_dim = spec.hidden_dim
-    xs, hs = cache["xs"], cache["hs"]
-    n_steps, b, _ = xs.shape
     u = params["cell.u"]
 
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    grads["head.w"] += hs[-1].T @ d_preds
+    grads["head.w"] += cache["h"].T @ d_preds
     grads["head.b"] += d_preds.sum(axis=0)
     dh = d_preds @ params["head.w"].T
+    dc = np.zeros_like(dh)  # read by the LSTM only
 
     dw, du, db = grads["cell.w"], grads["cell.u"], grads["cell.b"]
-    if spec.cell_kind == "simple":
-        for t in range(n_steps - 1, -1, -1):
-            da = dh * (1.0 - hs[t + 1] ** 2)
-            dw += xs[t].T @ da
-            du += hs[t].T @ da
-            db += da.sum(axis=0)
-            dh = da @ u.T
-    elif spec.cell_kind == "gru":
-        rs, zs, cands = cache["rs"], cache["zs"], cache["cands"]
-        u_gates, u_cand = u[:, :2 * h_dim], u[:, 2 * h_dim:]
-        for t in range(n_steps - 1, -1, -1):
-            h_prev = hs[t]
-            dz = dh * (h_prev - cands[t]) * zs[t] * (1.0 - zs[t])
-            dcand_pre = dh * (1.0 - zs[t]) * (1.0 - cands[t] ** 2)
-            ds = dcand_pre @ u_cand.T            # grad w.r.t. r * h_prev
-            dr = ds * h_prev * rs[t] * (1.0 - rs[t])
-            dgates = np.concatenate([dr, dz], axis=1)
-            dw[:, :2 * h_dim] += xs[t].T @ dgates
-            dw[:, 2 * h_dim:] += xs[t].T @ dcand_pre
-            du[:, :2 * h_dim] += h_prev.T @ dgates
-            du[:, 2 * h_dim:] += (rs[t] * h_prev).T @ dcand_pre
-            db[:2 * h_dim] += dgates.sum(axis=0)
-            db[2 * h_dim:] += dcand_pre.sum(axis=0)
-            dh = dh * zs[t] + ds * rs[t] + dgates @ u_gates.T
-    elif spec.cell_kind == "lstm":
-        gi, gf, go, gg = cache["gi"], cache["gf"], cache["go"], cache["gg"]
-        cs = cache["cs"]
-        dc = np.zeros((b, h_dim))
-        for t in range(n_steps - 1, -1, -1):
-            tc = np.tanh(cs[t + 1])
-            do = dh * tc * go[t] * (1.0 - go[t])
-            dc = dc + dh * go[t] * (1.0 - tc ** 2)
-            di = dc * gg[t] * gi[t] * (1.0 - gi[t])
-            df = dc * cs[t] * gf[t] * (1.0 - gf[t])
-            dg = dc * gi[t] * (1.0 - gg[t] ** 2)
-            dpre = np.concatenate([di, df, do, dg], axis=1)
-            dw += xs[t].T @ dpre
-            du += hs[t].T @ dpre
-            db += dpre.sum(axis=0)
-            dh = dpre @ u.T
-            dc = dc * gf[t]
-    else:
-        raise ValueError(spec.cell_kind)
+    for x_t, (h, c, acts) in zip(cache["xs"][::-1], reversed(cache["tape"])):
+        dxp, du_t, dh, dc = step_grad(spec.cell_kind, u, h, c, acts, dh, dc)
+        dw += x_t.T @ dxp
+        du += du_t
+        db += dxp.sum(axis=0)
     return grads
 
 

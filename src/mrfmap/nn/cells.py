@@ -7,10 +7,9 @@ the training loop uses), with named views for tests and inspection:
 * gru:    gate order [reset | update | candidate], ``w`` (in, 3h), ...
 * lstm:   gate order [input | forget | output | cell], ``w`` (in, 4h), ...
 
-``step`` holds the only copy of each cell's arithmetic and ``sigmoid`` the
-only logistic function. ``step`` starts from the projected input
-``x_t @ w + b``, so an unroll can project every time step in one matmul,
-and returns the gate activations for the caller to cache.
+``step`` holds the only copy of each cell's arithmetic, ``step_grad`` its
+derivative, and ``sigmoid`` the only logistic function. Both start from the
+projected input ``x_t @ w + b``; no other module slices the gates.
 
 GRU convention: h = z * h_prev + (1 - z) * candidate, with the candidate
 computed from the reset-masked previous state. With reset gates saturated
@@ -110,14 +109,15 @@ def step(kind: str, u: np.ndarray, xp_t: np.ndarray, h: np.ndarray,
     """One step of a ``kind`` cell from its projected input xp_t = x_t @ w + b.
 
     ``h`` is the previous hidden state and ``c`` the previous LSTM cell
-    state (None for the other kinds). Returns ``(h_t, c_t, acts)``, where
-    ``c_t`` is None except for the LSTM and ``acts`` are the gate
-    activations backprop needs: () for simple, (r, z, candidate) for GRU,
-    (i, f, o, g) for LSTM.
+    state (ignored by the other kinds). Returns ``(h_t, c_t, acts)``, where
+    ``c_t`` is None except for the LSTM and ``acts`` are what ``step_grad``
+    needs: (h_t,) for simple, (r, z, candidate) for GRU, (i, f, o, g, c_t)
+    for LSTM, all arrays the step computes anyway.
     """
     n = h.shape[-1]
     if kind == "simple":
-        return np.tanh(xp_t + h @ u), None, ()
+        h_t = np.tanh(xp_t + h @ u)
+        return h_t, None, (h_t,)
     if kind == "gru":
         gates = sigmoid(xp_t[..., :2 * n] + h @ u[:, :2 * n])
         r, z = gates[..., :n], gates[..., n:]
@@ -129,5 +129,36 @@ def step(kind: str, u: np.ndarray, xp_t: np.ndarray, h: np.ndarray,
         i, f, o = gates[..., :n], gates[..., n:2 * n], gates[..., 2 * n:]
         g = np.tanh(pre[..., 3 * n:])
         c_t = f * c + i * g
-        return o * np.tanh(c_t), c_t, (i, f, o, g)
+        return o * np.tanh(c_t), c_t, (i, f, o, g, c_t)
+    raise ValueError(f"unknown cell kind {kind!r}")
+
+
+def step_grad(kind: str, u: np.ndarray, h: np.ndarray, c: np.ndarray | None,
+              acts: tuple, dh: np.ndarray, dc: np.ndarray | None):
+    """Derivative of a (B, h) batch ``step`` from its h, c, ``acts`` and the
+    loss gradients dh, dc at h_t, c_t (dc read by the LSTM only). Returns the
+    gradients ``(dxp, du, dh_prev, dc_prev)`` with respect to xp_t, u (this
+    step's share), h and c (None but for the LSTM)."""
+    n = h.shape[-1]
+    if kind == "simple":
+        (h_t,) = acts
+        dxp = dh * (1.0 - h_t ** 2)
+        return dxp, h.T @ dxp, dxp @ u.T, None
+    if kind == "gru":
+        r, z, cand = acts
+        dcand = dh * (1.0 - z) * (1.0 - cand ** 2)
+        ds = dcand @ u[:, 2 * n:].T  # gradient with respect to r * h
+        dxp = np.concatenate([ds * h * r * (1.0 - r),
+                              dh * (h - cand) * z * (1.0 - z), dcand], axis=1)
+        dgates = dxp[:, :2 * n]
+        du = np.concatenate([h.T @ dgates, (r * h).T @ dcand], axis=1)
+        return dxp, du, dh * z + ds * r + dgates @ u[:, :2 * n].T, None
+    if kind == "lstm":
+        i, f, o, g, c_t = acts
+        tc = np.tanh(c_t)
+        dc = dc + dh * o * (1.0 - tc ** 2)
+        dxp = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
+                              dh * tc * o * (1.0 - o), dc * i * (1.0 - g ** 2)],
+                             axis=1)
+        return dxp, h.T @ dxp, dxp @ u.T, dc * f
     raise ValueError(f"unknown cell kind {kind!r}")

@@ -4,9 +4,9 @@ A ``.ckpt`` file is a one-line JSON header (model spec, label-scaling
 constants, seed, training metadata), a delimiter line, then every parameter
 array flattened to little-endian float32 in declaration order. Loading
 restores float64 parameters whose values are exactly the stored f32 ones,
-so save -> load -> save is byte-identical. It rejects a file whose blob
-size disagrees with the header, whose shapes disagree with the spec, or
-whose parameters hold NaN or inf.
+so save -> load -> save is byte-identical. Saving and loading refuse NaN
+or inf parameters; loading also rejects a file whose blob size disagrees
+with the header or whose shapes disagree with the spec.
 """
 
 from __future__ import annotations
@@ -32,8 +32,17 @@ class ModelCheckpoint:
     metadata: dict = field(default_factory=dict)
 
 
+def _reject_nonfinite(path: Path, params: dict[str, np.ndarray]) -> None:
+    bad = [name for name, arr in params.items() if not np.all(np.isfinite(arr))]
+    if bad:
+        raise ValueError(f"{path}: NaN or inf values in parameters {bad}")
+
+
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
     path = Path(path)
+    stored = {name: np.ascontiguousarray(arr, dtype="<f4")
+              for name, arr in ckpt.params.items()}
+    _reject_nonfinite(path, stored)
     header = {
         "spec": ckpt.spec.to_json_dict(),
         "label_scaling": {"t1_max": ckpt.t1_max, "t2_max": ckpt.t2_max},
@@ -42,10 +51,7 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
         "param_order": list(ckpt.params.keys()),
         "param_shapes": {k: list(v.shape) for k, v in ckpt.params.items()},
     }
-    blob = b"".join(
-        np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        for arr in ckpt.params.values()
-    )
+    blob = b"".join(arr.tobytes() for arr in stored.values())
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
@@ -77,9 +83,7 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         params[name] = arr.astype(np.float64).reshape(shape)
         offset += 4 * count
-    bad = [name for name, arr in params.items() if not np.all(np.isfinite(arr))]
-    if bad:
-        raise ValueError(f"{path}: NaN or inf values in parameters {bad}")
+    _reject_nonfinite(path, params)
 
     # Layout sanity: same keys/shapes a fresh init would produce.
     reference = init_params(spec, seed=0)

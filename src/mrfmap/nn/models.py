@@ -7,10 +7,10 @@ that declaration order also defines the checkpoint blob layout.
 The recurrent regressor feeds the signal ``chunk_size`` samples per time
 step (chunk_size=1 reproduces one-sample-per-step reading of the signal;
 larger chunks shorten the unrolled sequence for speed) and regresses from
-the final hidden state through a dense head. The unroll calls
-``cells.step``, the one step function of each cell, and stores per-step
-activations only when ``forward_batch`` is asked for the backprop cache;
-``predict_batch`` and ``predict_single`` (the batch forward at B=1) are not.
+the final hidden state through a dense head. The unroll projects each
+step's input and calls ``cells.step``; for the backprop cache it records a
+tape of ``(h_prev, c_prev, acts)`` per step for ``cells.step_grad``, which
+``predict_batch`` and ``predict_single`` (the batch forward at B=1) skip.
 """
 
 from __future__ import annotations
@@ -196,42 +196,23 @@ def forward_batch(spec: ModelSpec, params: dict[str, np.ndarray],
     raise ValueError(spec.kind)
 
 
-# Per-step gate activations each cell kind caches for backprop, in the
-# order cells.step returns them.
-ACT_KEYS = {"simple": (), "gru": ("rs", "zs", "cands"),
-            "lstm": ("gi", "gf", "go", "gg")}
-
-
 def _forward_rnn(spec, params, signals, keep_cache):
-    kind, h_dim = spec.cell_kind, spec.hidden_dim
-    b, n_steps = signals.shape[0], spec.n_steps
+    w, u, b = params["cell.w"], params["cell.u"], params["cell.b"]
+    n_rows, n_steps = signals.shape[0], spec.n_steps
     # (B, input_len) -> (n_steps, B, chunk_size), time-major for the unroll
     xs = np.ascontiguousarray(
-        signals.reshape(b, n_steps, spec.chunk_size).transpose(1, 0, 2))
-    # Input projections for all steps in one matmul.
-    xp = xs.reshape(n_steps * b, spec.chunk_size) @ params["cell.w"]
-    xp = xp.reshape(n_steps, b, -1)
-    xp += params["cell.b"]
-
-    h = np.zeros((b, h_dim))
-    c = np.zeros((b, h_dim)) if kind == "lstm" else None
-    cache = {}
-    if keep_cache:
-        cache = {"xs": xs, "hs": np.zeros((n_steps + 1, b, h_dim))}
-        cache.update((key, np.empty((n_steps, b, h_dim))) for key in ACT_KEYS[kind])
-        if c is not None:
-            cache["cs"] = np.zeros((n_steps + 1, b, h_dim))
-    for t in range(n_steps):
-        h, c, acts = step(kind, params["cell.u"], xp[t], h, c)
-        if cache:
-            cache["hs"][t + 1] = h
-            if c is not None:
-                cache["cs"][t + 1] = c
-            for key, act in zip(ACT_KEYS[kind], acts):
-                cache[key][t] = act
+        signals.reshape(n_rows, n_steps, spec.chunk_size).transpose(1, 0, 2))
+    h = np.zeros((n_rows, spec.hidden_dim))
+    c = np.zeros_like(h)  # read by the LSTM only
+    tape = []
+    for x_t in xs:
+        h_t, c_t, acts = step(spec.cell_kind, u, x_t @ w + b, h, c)
+        if keep_cache:
+            tape.append((h, c, acts))
+        h, c = h_t, c_t
 
     preds = h @ params["head.w"] + params["head.b"]
-    return preds, cache
+    return preds, ({"xs": xs, "tape": tape, "h": h} if keep_cache else {})
 
 
 def _forward_ann(spec, params, signals):

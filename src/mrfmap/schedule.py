@@ -154,22 +154,33 @@ def save_schedule(schedule: SequenceSchedule, csv_path: str | Path) -> None:
 
 
 def load_schedule(csv_path: str | Path) -> SequenceSchedule:
-    """Load a schedule CSV; preparation settings come from the sidecar if present."""
+    """Load a schedule CSV; preparation settings come from the sidecar if present.
+
+    A row must hold its index (0, 1, 2, ... in order) and three numbers.
+    """
     csv_path = Path(csv_path)
+    values = []
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [c.strip() for c in header] != SCHEDULE_CSV_HEADER:
             raise ValueError(
                 f"{csv_path}: expected header {','.join(SCHEDULE_CSV_HEADER)}, "
                 f"got {','.join(header)}"
             )
-        rows = [row for row in reader if row]
-    if not rows:
+        for row in filter(None, reader):
+            where = f"{csv_path}, line {reader.line_num}"
+            try:
+                index, *fields = map(float, row)
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field in {row}") from None
+            if len(fields) != 3 or index != len(values):
+                raise ValueError(
+                    f"{where}: expected index {len(values)} and 3 values, got {row}")
+            values.append(fields)
+    if not values:
         raise ValueError(f"{csv_path}: schedule has no excitations")
-    flip = np.array([float(r[1]) for r in rows])
-    phase = np.array([float(r[2]) for r in rows])
-    tr = np.array([float(r[3]) for r in rows])
+    flip, phase, tr = np.array(values).T
 
     prep = {"inversion_prep": True, "inversion_delay_ms": 0.0, "te_ms": 0.0}
     sidecar = csv_path.with_suffix(".prep.json")

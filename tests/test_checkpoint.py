@@ -52,27 +52,39 @@ def test_save_load_save_is_byte_identical(name, param_seed, scale, t1_max, t2_ma
         assert loaded.params[k].tobytes() == v.astype(np.float32).astype(np.float64).tobytes()
 
 
-def saved_gru(tmp_path, **changes):
-    """A saved GRU checkpoint whose parameters are updated from ``changes``."""
-    spec = SPECS["gru"]
-    params = init_params(spec, seed=1)
-    for name, value in changes.items():
-        params[name] = np.asarray(value, dtype=np.float64)
-    return save_checkpoint(ModelCheckpoint(spec, params, 4000.0, 500.0, 0),
-                           tmp_path / "m.ckpt")
+def gru_checkpoint():
+    return ModelCheckpoint(SPECS["gru"], init_params(SPECS["gru"], seed=1),
+                           4000.0, 500.0, 0)
+
+
+def saved_gru(tmp_path):
+    return save_checkpoint(gru_checkpoint(), tmp_path / "m.ckpt")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_parameters_rejected_by_name(tmp_path, bad):
-    good = init_params(SPECS["gru"], seed=1)
-    names = list(good)
-    first, last = good[names[0]].copy(), good[names[-1]].copy()
-    first.flat[1] = bad
-    last.flat[-1] = bad
-    path = saved_gru(tmp_path, **{names[0]: first, names[-1]: last})
+    # Entry 1 of the first tensor and the last entry of the last one, written
+    # over the float32 blob of a finite checkpoint.
+    path = saved_gru(tmp_path)
+    header, sep, blob = path.read_bytes().partition(b"\n---PARAMS---\n")
+    word = np.array([bad], dtype="<f4").tobytes()
+    path.write_bytes(header + sep + blob[:4] + word + blob[8:-4] + word)
+    names = json.loads(header)["param_order"]
     with pytest.raises(ValueError, match="NaN or inf") as err:
         load_checkpoint(path)
     assert str([names[0], names[-1]]) in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_refuses_nonfinite_parameters_by_name(tmp_path, bad):
+    ckpt = gru_checkpoint()
+    names = list(ckpt.params)
+    ckpt.params[names[0]].flat[1] = bad
+    ckpt.params[names[-1]].flat[-1] = bad
+    with pytest.raises(ValueError, match="NaN or inf") as err:
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+    assert str([names[0], names[-1]]) in str(err.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_missing_delimiter_rejected(tmp_path):

@@ -55,6 +55,19 @@ def test_build_schedule_file(tmp_path, grid_json, capsys):
     np.testing.assert_array_equal(loaded.atoms, expected.atoms)
 
 
+def build_error(capsys, argv):
+    """Run ``mrfmap build`` on bad input; return its one stderr error line."""
+    with pytest.raises(SystemExit) as exit_:
+        main(["build", *argv])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines[-1].startswith("mrfmap: error: ")
+    assert "Traceback" not in captured.err
+    return lines[-1]
+
+
 def test_n_and_schedule_are_exclusive(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["build", str(tmp_path / "d"), "--n", "40", "--schedule", "s.csv"])
@@ -68,7 +81,27 @@ def test_nonfinite_grid_rejected(tmp_path, capsys, position, bad):
     segment[position] = bad
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({**GRID, "t1_segments": [segment]}))
-    with pytest.raises(ValueError, match="segment values must be finite"):
-        main(["build", str(tmp_path / "d"), "--n", "40", "--grid", str(grid)])
+    error = build_error(capsys, [str(tmp_path / "d"), "--n", "40", "--grid", str(grid)])
+    assert "segment values must be finite" in error
+    assert str(tuple(segment)) in error
     assert not (tmp_path / "d.dict").exists()
-    assert capsys.readouterr().out == ""
+
+
+def test_missing_schedule_file(tmp_path, grid_json, capsys):
+    missing = tmp_path / "absent.csv"
+    error = build_error(capsys, [str(tmp_path / "d"), "--schedule", str(missing),
+                                 "--grid", str(grid_json)])
+    assert "No such file" in error and str(missing) in error
+    assert not (tmp_path / "d.dict").exists()
+
+
+def test_malformed_schedule_row(tmp_path, grid_json, capsys):
+    schedule = tmp_path / "s.csv"
+    save_schedule(constant_schedule(3, 25.0), schedule)
+    lines = schedule.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    schedule.write_text("\n".join(lines) + "\n")
+    error = build_error(capsys, [str(tmp_path / "d"), "--schedule", str(schedule),
+                                 "--grid", str(grid_json)])
+    assert f"{schedule}, line 3: expected index 1 and 3 values" in error
+    assert not (tmp_path / "d.dict").exists()

@@ -1,10 +1,15 @@
-"""Analytic gradients vs finite differences (central; one-sided at ReLU kinks)."""
+"""Analytic gradients vs finite differences (central; one-sided at ReLU kinks).
+
+The whole-model checks run every model through ``loss_and_grads``; the
+kernel-level check compares ``cells.step_grad`` with ``cells.step`` alone.
+"""
 
 import numpy as np
 import pytest
 
 from mrfmap.nn import backprop
 from mrfmap.nn.backprop import backward, loss_and_grads, mse_grad
+from mrfmap.nn.cells import N_GATES, step, step_grad
 from mrfmap.nn.models import ModelSpec, forward_batch, init_params, mse_loss
 
 DELTA = 1e-6
@@ -90,28 +95,72 @@ def random_case(spec, seed, batch=2):
     return params, signals, targets
 
 
+def assert_gradients_agree(a, n, what):
+    """Assert flat analytic gradients ``a`` equal finite differences ``n``."""
+    # Norm-wise relative error is the primary criterion; individually large
+    # entries must also agree, and near-zero ones sit below the FD noise
+    # floor (~eps*|loss|/delta).
+    norm_rel = np.linalg.norm(a - n) / max(np.linalg.norm(a) + np.linalg.norm(n),
+                                           1e-12)
+    assert norm_rel < 1e-6, f"{what}: norm error {norm_rel}"
+    big = np.abs(a) + np.abs(n) > 1e-3
+    if np.any(big):
+        rel = np.abs(a[big] - n[big]) / (np.abs(a[big]) + np.abs(n[big]))
+        assert rel.max() < 1e-6, f"{what}: entry error {rel.max()}"
+    if np.any(~big):
+        assert np.abs(a[~big] - n[~big]).max() < 1e-8, what
+
+
 def check_gradients(spec, params, signals, targets):
     """Assert analytic == finite-difference gradients; return the kink
     entries (flat indices per parameter name) that used one-sided ones."""
     loss, analytic, _ = loss_and_grads(spec, params, signals, targets)
     numeric, kinks = finite_difference_grads(spec, params, signals, targets)
 
-    a = np.concatenate([analytic[k].ravel() for k in params])
-    n = np.concatenate([numeric[k].ravel() for k in params])
-    # Norm-wise relative error is the primary criterion; individually large
-    # entries must also agree, and near-zero ones sit below the FD noise
-    # floor (~eps*|loss|/delta).
-    norm_rel = np.linalg.norm(a - n) / max(np.linalg.norm(a) + np.linalg.norm(n),
-                                           1e-12)
-    assert norm_rel < 1e-6, f"{spec.kind}/{spec.cell_kind}: norm error {norm_rel}"
-    big = np.abs(a) + np.abs(n) > 1e-3
-    if np.any(big):
-        rel = np.abs(a[big] - n[big]) / (np.abs(a[big]) + np.abs(n[big]))
-        assert rel.max() < 1e-6
-    if np.any(~big):
-        assert np.abs(a[~big] - n[~big]).max() < 1e-8
+    assert_gradients_agree(np.concatenate([analytic[k].ravel() for k in params]),
+                           np.concatenate([numeric[k].ravel() for k in params]),
+                           f"{spec.kind}/{spec.cell_kind}")
     assert np.isfinite(loss)
     return {name: idx for name, idx in kinks.items() if idx}
+
+
+@pytest.mark.parametrize("kind", ["simple", "gru", "lstm"])
+def test_step_grad_matches_central_differences(kind):
+    # One cell step with the loss sum(a * h_t) + sum(b * c_t), the c_t term
+    # for the LSTM only, differentiated with respect to each input of step.
+    rng = np.random.default_rng(0)
+    batch, n = 2, 3
+    width = N_GATES[kind] * n
+    inputs = {"xp_t": rng.normal(size=(batch, width)),
+              "u": 0.5 * rng.normal(size=(n, width)),
+              "h": 0.5 * rng.normal(size=(batch, n)),
+              "c": 0.5 * rng.normal(size=(batch, n))}
+    a, b = rng.normal(size=(batch, n)), rng.normal(size=(batch, n))
+
+    def loss():
+        h_t, c_t, _ = step(kind, inputs["u"], inputs["xp_t"], inputs["h"],
+                           inputs["c"])
+        return np.sum(a * h_t) + (0.0 if c_t is None else np.sum(b * c_t))
+
+    _, c_t, acts = step(kind, inputs["u"], inputs["xp_t"], inputs["h"], inputs["c"])
+    dxp, du, dh_prev, dc_prev = step_grad(kind, inputs["u"], inputs["h"],
+                                          inputs["c"], acts, a, b)
+    assert (dc_prev is None) == (c_t is None)
+    analytic = {"xp_t": dxp, "u": du, "h": dh_prev,
+                "c": np.zeros((batch, n)) if dc_prev is None else dc_prev}
+    for name, arr in inputs.items():
+        numeric = np.zeros_like(arr)
+        for i in range(arr.size):
+            orig = arr.flat[i]
+            arr.flat[i] = orig + DELTA
+            up = loss()
+            arr.flat[i] = orig - DELTA
+            down = loss()
+            arr.flat[i] = orig
+            numeric.flat[i] = (up - down) / (2.0 * DELTA)
+        assert analytic[name].shape == arr.shape
+        assert_gradients_agree(analytic[name].ravel(), numeric.ravel(),
+                               f"{kind} d/d{name}")
 
 
 # At seed 2 four conv2 pre-activations are exactly 0.0: each reads a window

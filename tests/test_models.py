@@ -202,10 +202,14 @@ class TestPredictSingle:
         sig = np.random.default_rng(3).normal(size=40) * 5.0
         preds, cache = forward_batch(spec, params, sig[None, :])
         assert np.all(np.isfinite(preds))
-        assert np.all(np.abs(cache["hs"]) <= 1.0)
-        assert np.all((cache["rs"] >= 0.0) & (cache["rs"] <= 1.0))
-        assert np.all((cache["zs"] >= 0.0) & (cache["zs"] <= 1.0))
-        assert np.all(np.abs(cache["cands"]) <= 1.0)
+        tape = cache["tape"]
+        assert len(tape) == spec.n_steps
+        hs = np.array([h for h, _, _ in tape] + [cache["h"]])
+        rs, zs, cands = (np.array(act) for act in zip(*(acts for _, _, acts in tape)))
+        assert np.all(np.abs(hs) <= 1.0)
+        assert np.all((rs >= 0.0) & (rs <= 1.0))
+        assert np.all((zs >= 0.0) & (zs <= 1.0))
+        assert np.all(np.abs(cands) <= 1.0)
 
     def test_spec_roundtrip_json(self):
         spec = ModelSpec("cnn1d", input_len=300, cnn_channels=(8, 16),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,44 @@ class TestNonFiniteRejected:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="repetition times must be finite"):
             load_schedule(path)
+
+
+class TestMalformedRows:
+    @staticmethod
+    def load_rows(tmp_path, *rows):
+        path = tmp_path / "sched.csv"
+        path.write_text("index,flip_rad,phase_rad,tr_ms\n" + "".join(
+            f"{row}\n" for row in rows))
+        return path
+
+    def assert_rejected(self, path, line, message):
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}, line {line}: "
+                                             f"{message}"):
+            load_schedule(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="expected header"):
+            load_schedule(path)
+
+    @pytest.mark.parametrize("short_or_long", ["1,0.5,0.0", "1,0.5,0.0,4.3,9"])
+    def test_row_with_other_than_four_fields(self, tmp_path, short_or_long):
+        path = self.load_rows(tmp_path, "0,0.5,0.0,4.3", short_or_long)
+        self.assert_rejected(path, 3, "expected index 1 and 3 values")
+
+    def test_non_numeric_field(self, tmp_path):
+        path = self.load_rows(tmp_path, "0,0.5,0.0,4.3", "1,0.5,zero,4.3")
+        self.assert_rejected(path, 3, "non-numeric field")
+
+    @pytest.mark.parametrize("rows, line, expected", [
+        (("5,0.5,0.0,4.3", "2,0.5,0.0,4.3"), 2, 0),
+        (("0,0.5,0.0,4.3", "2,0.5,0.0,4.3"), 3, 1),
+        (("0,0.5,0.0,4.3", "0,0.5,0.0,4.3"), 3, 1),
+    ], ids=["5-then-2", "0-then-2", "0-then-0"])
+    def test_index_not_in_order(self, tmp_path, rows, line, expected):
+        path = self.load_rows(tmp_path, *rows)
+        self.assert_rejected(path, line, f"expected index {expected} and 3 values")
 
 
 class TestRoundTrip:
