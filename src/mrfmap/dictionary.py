@@ -71,8 +71,22 @@ class GridSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
-        return cls(tuple(tuple(s) for s in d["t1_segments"]),
-                   tuple(tuple(s) for s in d["t2_segments"]))
+        """The grid ``to_json_dict`` wrote; anything else raises ValueError."""
+        keys = ["t1_segments", "t2_segments"]
+        if not isinstance(d, dict):
+            raise ValueError(f"grid must be a JSON object, got {type(d).__name__}")
+        if sorted(d) != keys:
+            raise ValueError(f"grid keys must be {keys}, got {sorted(d)}")
+        for key in keys:
+            segments = d[key]
+            if not (isinstance(segments, list) and all(
+                    isinstance(seg, list) and len(seg) == 3
+                    and all(isinstance(x, (int, float)) for x in seg)
+                    for seg in segments)):
+                raise ValueError(f"grid {key} must be a list of [start, stop, step] "
+                                 f"lists of numbers, got {segments!r}")
+        return cls(tuple(map(tuple, d["t1_segments"])),
+                   tuple(map(tuple, d["t2_segments"])))
 
 
 def _expand_segments(segments) -> np.ndarray:
@@ -136,24 +150,21 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def build_plan(n_atoms: int, batch_size: int = 64) -> tuple[int, int]:
+def build_plan(n_atoms: int) -> tuple[int, int]:
     """Atoms per batch and processes ``build_dictionary`` uses for ``n_atoms``.
 
-    Batches hold ``min(batch_size, ceil(n_atoms / cpus))`` atoms, so a grid
+    Batches hold ``min(BATCH_SIZE, ceil(n_atoms / cpus))`` atoms, so a grid
     smaller than one batch still spreads over every CPU. Without ``fork``
     the build runs in the calling process alone.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
     cpus = available_cpus() if hasattr(os, "fork") else 1
-    size = min(batch_size, -(-n_atoms // cpus))
+    size = min(BATCH_SIZE, -(-n_atoms // cpus))
     return size, min(cpus, -(-n_atoms // size))
 
 
-def _magnitudes(chunk: list[TissueParams], schedule: SequenceSchedule,
-                k_max: int | None) -> np.ndarray:
+def _magnitudes(chunk: list[TissueParams], schedule: SequenceSchedule) -> np.ndarray:
     """float64 magnitude fingerprints of one batch of tissues."""
-    return np.abs(simulate_fingerprints(chunk, schedule, k_max=k_max))
+    return np.abs(simulate_fingerprints(chunk, schedule))
 
 
 def _fan_out(simulate, chunks: list, processes: int):
@@ -187,25 +198,30 @@ def _fan_out(simulate, chunks: list, processes: int):
         pool.shutdown(cancel_futures=True)
 
 
-def build_dictionary(spec: GridSpec, schedule: SequenceSchedule,
-                     k_max: int | None = None, batch_size: int = 64) -> Dictionary:
+# Atoms per ``simulate_fingerprints`` call; see the sweep in
+# ``build_dictionary``'s docstring.
+BATCH_SIZE = 64
+
+
+def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
     """Simulate every grid pair and assemble the normalized atom matrix.
 
-    The grid is split into batches of ``min(batch_size, ceil(M / P))``
-    atoms, where P is the number of CPUs the process may use
-    (``build_plan``). With more than one batch and CPU, the calling process
-    simulates every P-th batch and forked workers the rest; otherwise every
-    batch runs in the calling process. ``simulate_fingerprints`` gives each
-    atom bit for bit the same samples in any batch, so the atoms are
-    identical however the grid is split and whichever process simulates it.
-    Normalization and float32 quantization run in the calling process.
+    Every build is exact: each atom keeps all K = N dephasing orders. The
+    grid is split into batches of ``min(BATCH_SIZE, ceil(M / P))`` atoms,
+    where P is the number of CPUs the process may use (``build_plan``).
+    With more than one batch and CPU, the calling process simulates every
+    P-th batch and forked workers the rest; otherwise every batch runs in
+    the calling process. ``simulate_fingerprints`` gives each atom bit for
+    bit the same samples in any batch, so the atoms are identical however
+    the grid is split and whichever process simulates it. Normalization
+    and float32 quantization run in the calling process.
 
-    ``batch_size`` atoms go through ``simulate_fingerprints`` per call. Small
-    batches pay the simulator's per-excitation Python overhead on few atoms;
-    large ones push its (orders x batch) state out of the core's cache. Best
-    of 4 (N=250, 2048 atoms) and of 2 (N=1750, 512 atoms) runs of the
-    default schedule on one core of a 2-core Xeon with 2 MB L2 per core,
-    atoms/s:
+    ``BATCH_SIZE`` atoms go through ``simulate_fingerprints`` per call.
+    Small batches pay the simulator's per-excitation Python overhead on few
+    atoms; large ones push its (orders x batch) state out of the core's
+    cache. Best of 4 (N=250, 2048 atoms) and of 2 (N=1750, 512 atoms) runs
+    of the default schedule on one core of a 2-core Xeon with 2 MB L2 per
+    core, atoms/s:
 
         batch     16    32    64   128   256   512  2048
         N=250   2410  3443  4450  5207  5180  4183  3027
@@ -214,9 +230,9 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule,
     64 stays within 15% of the best at both lengths.
     """
     labels = expand_grid(spec)
-    size, processes = build_plan(len(labels), batch_size)
+    size, processes = build_plan(len(labels))
     chunks = [labels[lo:lo + size] for lo in range(0, len(labels), size)]
-    simulate = partial(_magnitudes, schedule=schedule, k_max=k_max)
+    simulate = partial(_magnitudes, schedule=schedule)
     batches = (_fan_out(simulate, chunks, processes) if processes > 1
                else enumerate(map(simulate, chunks)))
     atoms = np.empty((len(labels), schedule.n_excitations), dtype=np.float64)
@@ -233,41 +249,9 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule,
                       schedule_digest=schedule_digest(schedule), grid=spec)
 
 
-def match(dictionary: Dictionary, query: np.ndarray) -> tuple[TissueParams, float]:
-    """Best (T1, T2) label for a magnitude signal by maximum dot product.
-
-    The query is L2-normalized first, so the returned score lies in [-1, 1]
-    and the result is invariant to positive rescaling of the query. Ties
-    break toward the lowest row index.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    if query.ndim != 1 or query.size != dictionary.n_samples:
-        raise ValueError(
-            f"query length {query.size} does not match dictionary "
-            f"sample count {dictionary.n_samples}"
-        )
-    norm = np.linalg.norm(query)
-    if norm == 0.0:
-        raise ValueError("cannot match an all-zero query")
-    if not np.isfinite(norm):
-        raise ValueError("cannot match a query holding NaN, inf or overflowing values")
-    scores = dictionary.atoms @ (query / norm)
-    idx = int(np.argmax(scores))  # argmax returns the first maximal index
-    return dictionary.labels[idx], float(scores[idx])
-
-
-def match_batch(dictionary: Dictionary,
+def _match_rows(dictionary: Dictionary,
                 queries: np.ndarray) -> list[tuple[TissueParams, float]]:
-    """Match many signals at once; output order follows input order.
-
-    Invalid rows are rejected up front with an error enumerating every
-    offending query index, so a batch never returns partial results.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != dictionary.n_samples:
-        raise ValueError(
-            f"queries must be (Q, {dictionary.n_samples}), got {queries.shape}"
-        )
+    """Best label and score of every row of a (Q, N) float64 query matrix."""
     norms = np.linalg.norm(queries, axis=1)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
@@ -283,12 +267,45 @@ def match_batch(dictionary: Dictionary,
     results: list[tuple[TissueParams, float]] = []
     for lo in range(0, normalized.shape[0], block):
         scores = normalized[lo:lo + block] @ dictionary.atoms.T
-        best = np.argmax(scores, axis=1)
+        best = np.argmax(scores, axis=1)  # the first maximal index per row
         results.extend(
             (dictionary.labels[int(i)], float(scores[q, int(i)]))
             for q, i in enumerate(best)
         )
     return results
+
+
+def match(dictionary: Dictionary, query: np.ndarray) -> tuple[TissueParams, float]:
+    """Best (T1, T2) label for a magnitude signal by maximum dot product.
+
+    This is ``match_batch`` at Q=1: the result equals
+    ``match_batch(dictionary, query[None])[0]`` bit for bit. The query is
+    L2-normalized first, so the returned score lies in [-1, 1] and the
+    result is invariant to positive rescaling of the query. Ties break
+    toward the lowest row index.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    if query.ndim != 1 or query.size != dictionary.n_samples:
+        raise ValueError(
+            f"query length {query.size} does not match dictionary "
+            f"sample count {dictionary.n_samples}"
+        )
+    return _match_rows(dictionary, query[None])[0]
+
+
+def match_batch(dictionary: Dictionary,
+                queries: np.ndarray) -> list[tuple[TissueParams, float]]:
+    """Match many signals at once; output order follows input order.
+
+    Invalid rows are rejected up front with an error enumerating every
+    offending query index, so a batch never returns partial results.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != dictionary.n_samples:
+        raise ValueError(
+            f"queries must be (Q, {dictionary.n_samples}), got {queries.shape}"
+        )
+    return _match_rows(dictionary, queries)
 
 
 def save_dictionary(dictionary: Dictionary, name: str | Path) -> tuple[Path, Path]:
@@ -336,6 +353,10 @@ def load_dictionary(name: str | Path) -> Dictionary:
     if bad.size:
         raise ValueError(f"{dict_path}: NaN or inf atoms in rows {bad.tolist()}")
     manifest = json.loads(json_path.read_text())
+    missing = [key for key in ("grid", "labels", "schedule_digest")
+               if key not in manifest]
+    if missing:
+        raise ValueError(f"{json_path}: manifest lacks {missing}")
     grid = GridSpec.from_json_dict(manifest["grid"])
     labels = [TissueParams(t1, t2) for t1, t2 in manifest["labels"]]
     expected = expand_grid(grid)

@@ -1,7 +1,6 @@
 """Recurrent cell parameters and the one step function of every cell.
 
-Gate weights are stored concatenated along the output axis (the same layout
-the training loop uses), with named views for tests and inspection:
+Gate weights are stored concatenated along the output axis:
 
 * simple: ``w`` (in, h), ``u`` (h, h), ``b`` (h,)
 * gru:    gate order [reset | update | candidate], ``w`` (in, 3h), ...
@@ -19,50 +18,9 @@ sharing the candidate weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 N_GATES = {"simple": 1, "gru": 3, "lstm": 4}
-GATE_NAMES = {
-    "simple": ("",),
-    "gru": ("r", "z", "h"),
-    "lstm": ("i", "f", "o", "g"),
-}
-
-
-@dataclass
-class RnnCellParams:
-    cell_kind: str
-    input_dim: int
-    hidden_dim: int
-    w: np.ndarray  # (input_dim, n_gates * hidden_dim)
-    u: np.ndarray  # (hidden_dim, n_gates * hidden_dim)
-    b: np.ndarray  # (n_gates * hidden_dim,)
-
-    def __post_init__(self):
-        if self.cell_kind not in N_GATES:
-            raise ValueError(f"unknown cell kind {self.cell_kind!r}")
-        g = N_GATES[self.cell_kind] * self.hidden_dim
-        if self.w.shape != (self.input_dim, g):
-            raise ValueError(f"w must be {(self.input_dim, g)}, got {self.w.shape}")
-        if self.u.shape != (self.hidden_dim, g):
-            raise ValueError(f"u must be {(self.hidden_dim, g)}, got {self.u.shape}")
-        if self.b.shape != (g,):
-            raise ValueError(f"b must be {(g,)}, got {self.b.shape}")
-
-    def gate(self, name: str):
-        """(w, u, b) views for one named gate block."""
-        names = GATE_NAMES[self.cell_kind]
-        if name not in names:
-            raise KeyError(f"{self.cell_kind} cell has gates {names}, not {name!r}")
-        h = self.hidden_dim
-        k = names.index(name)
-        sl = slice(k * h, (k + 1) * h)
-        return self.w[:, sl], self.u[:, sl], self.b[sl]
-
-    def n_params(self) -> int:
-        return self.w.size + self.u.size + self.b.size
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -77,22 +35,24 @@ def _orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def init_cell(cell_kind: str, input_dim: int, hidden_dim: int,
-              rng: np.random.Generator) -> RnnCellParams:
-    """Glorot input weights, orthogonal recurrent blocks, zero biases.
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell parameters ``(w, u, b)`` in the layout above: Glorot input
+    weights, orthogonal recurrent blocks and zero biases.
 
     The LSTM forget-gate bias starts at +1 so early training does not
     immediately flush the cell state.
     """
+    if cell_kind not in N_GATES:
+        raise ValueError(f"unknown cell kind {cell_kind!r}")
     n_gates = N_GATES[cell_kind]
     w = np.concatenate(
         [_glorot(rng, input_dim, hidden_dim) for _ in range(n_gates)], axis=1)
     u = np.concatenate(
         [_orthogonal(rng, hidden_dim) for _ in range(n_gates)], axis=1)
     b = np.zeros(n_gates * hidden_dim)
-    cell = RnnCellParams(cell_kind, input_dim, hidden_dim, w, u, b)
     if cell_kind == "lstm":
-        cell.gate("f")[2][:] = 1.0
-    return cell
+        b[hidden_dim:2 * hidden_dim] = 1.0  # [input | forget | output | cell]
+    return w, u, b
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ constants, seed, training metadata), a delimiter line, then every parameter
 array flattened to little-endian float32 in declaration order. Loading
 restores float64 parameters whose values are exactly the stored f32 ones,
 so save -> load -> save is byte-identical. Saving and loading refuse NaN
-or inf parameters; loading also rejects a file whose blob size disagrees
-with the header or whose shapes disagree with the spec.
+or inf parameters; loading also rejects a header that lacks a key or holds
+an unknown spec key, and a file whose blob size disagrees with the header
+or whose shapes disagree with the spec.
 """
 
 from __future__ import annotations
@@ -68,8 +69,15 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         raise ValueError(f"{path}: missing parameter delimiter")
     header = json.loads(raw[:cut].decode("utf-8"))
     blob = raw[cut + len(DELIMITER):]
+    missing = [key for key in ("spec", "param_order", "param_shapes",
+                               "label_scaling", "seed") if key not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks {missing}")
 
-    spec = ModelSpec.from_json_dict(header["spec"])
+    try:
+        spec = ModelSpec.from_json_dict(header["spec"])
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     shapes = {name: tuple(header["param_shapes"][name])
               for name in header["param_order"]}
     expected = sum(4 * int(np.prod(shape)) for shape in shapes.values())

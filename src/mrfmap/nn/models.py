@@ -15,11 +15,11 @@ tape of ``(h_prev, c_prev, acts)`` per step for ``cells.step_grad``, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .cells import N_GATES, RnnCellParams, _glorot, init_cell, step
+from .cells import _glorot, init_cell, step
 
 OUTPUT_DIM = 2
 
@@ -69,53 +69,18 @@ class ModelSpec:
         return lengths
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_len": self.input_len,
-            "cell_kind": self.cell_kind,
-            "hidden_dim": self.hidden_dim,
-            "chunk_size": self.chunk_size,
-            "ann_hidden": list(self.ann_hidden),
-            "cnn_channels": list(self.cnn_channels),
-            "cnn_kernel": self.cnn_kernel,
-            "cnn_stride": self.cnn_stride,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelSpec":
-        return cls(
-            kind=d["kind"],
-            input_len=int(d["input_len"]),
-            cell_kind=d.get("cell_kind", "gru"),
-            hidden_dim=int(d.get("hidden_dim", 100)),
-            chunk_size=int(d.get("chunk_size", 1)),
-            ann_hidden=tuple(d.get("ann_hidden", (300, 300))),
-            cnn_channels=tuple(d.get("cnn_channels", (16, 32, 64, 128))),
-            cnn_kernel=int(d.get("cnn_kernel", 5)),
-            cnn_stride=int(d.get("cnn_stride", 2)),
-        )
-
-
-def param_count(spec: ModelSpec) -> int:
-    """Exact trainable-parameter total, head included (closed form)."""
-    if spec.kind == "rnn_regressor":
-        h, i = spec.hidden_dim, spec.chunk_size
-        gates = N_GATES[spec.cell_kind]
-        cell = gates * (h * (i + h) + h)
-        return cell + h * OUTPUT_DIM + OUTPUT_DIM
-    if spec.kind == "ann":
-        total, fan_in = 0, spec.input_len
-        for width in spec.ann_hidden:
-            total += fan_in * width + width
-            fan_in = width
-        return total + fan_in * OUTPUT_DIM + OUTPUT_DIM
-    if spec.kind == "cnn1d":
-        total, c_in = 0, 1
-        for c_out in spec.cnn_channels:
-            total += c_out * c_in * spec.cnn_kernel + c_out
-            c_in = c_out
-        return total + c_in * OUTPUT_DIM + OUTPUT_DIM
-    raise ValueError(spec.kind)
+        """The spec ``to_json_dict`` wrote; unknown keys raise ValueError."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown model spec keys {unknown}")
+        if "kind" not in d:
+            raise ValueError("model spec lacks 'kind'")
+        return cls(**d)
 
 
 def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
@@ -123,10 +88,8 @@ def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     if spec.kind == "rnn_regressor":
-        cell = init_cell(spec.cell_kind, spec.chunk_size, spec.hidden_dim, rng)
-        params["cell.w"] = cell.w
-        params["cell.u"] = cell.u
-        params["cell.b"] = cell.b
+        params["cell.w"], params["cell.u"], params["cell.b"] = init_cell(
+            spec.cell_kind, spec.chunk_size, spec.hidden_dim, rng)
         params["head.w"] = _glorot(rng, spec.hidden_dim, OUTPUT_DIM)
         params["head.b"] = np.zeros(OUTPUT_DIM)
     elif spec.kind == "ann":
@@ -151,12 +114,6 @@ def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
     else:
         raise ValueError(spec.kind)
     return params
-
-
-def cell_view(spec: ModelSpec, params: dict[str, np.ndarray]) -> RnnCellParams:
-    """The recurrent block of a parameter dict as an RnnCellParams view."""
-    return RnnCellParams(spec.cell_kind, spec.chunk_size, spec.hidden_dim,
-                         params["cell.w"], params["cell.u"], params["cell.b"])
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mrfmap.nn.cells import RnnCellParams, init_cell, sigmoid, step
+from mrfmap.nn.cells import init_cell, sigmoid, step
 
 BIG = 30.0  # saturates a sigmoid to within ~1e-13 of 0/1
 
@@ -15,31 +15,36 @@ def scalar_sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def blocks(arr, n):
+    """``arr`` split into n equal column blocks (views), in storage order."""
+    return np.split(arr, n, axis=-1)
+
+
 def simple_step_reference(cell, x, h_prev):
     """Independent scalar-loop evaluation of the tanh step."""
-    h = cell.hidden_dim
+    w, u, b = cell
+    h = u.shape[0]
     out = np.zeros(h)
     for j in range(h):
-        acc = cell.b[j]
-        for i in range(cell.input_dim):
-            acc += x[i] * cell.w[i, j]
+        acc = b[j]
+        for i in range(w.shape[0]):
+            acc += x[i] * w[i, j]
         for i in range(h):
-            acc += h_prev[i] * cell.u[i, j]
+            acc += h_prev[i] * u[i, j]
         out[j] = math.tanh(acc)
     return out
 
 
 def gru_step_reference(cell, x, h_prev):
-    h = cell.hidden_dim
-    w_r, u_r, b_r = cell.gate("r")
-    w_z, u_z, b_z = cell.gate("z")
-    w_h, u_h, b_h = cell.gate("h")
+    """Scalar-loop GRU step; the blocks are [reset | update | candidate]."""
+    (w_r, w_z, w_h), (u_r, u_z, u_h), (b_r, b_z, b_h) = (blocks(a, 3) for a in cell)
+    n_in, h = w_r.shape
     out = np.zeros(h)
     r = np.zeros(h)
     z = np.zeros(h)
     for j in range(h):
         acc_r, acc_z = b_r[j], b_z[j]
-        for i in range(cell.input_dim):
+        for i in range(n_in):
             acc_r += x[i] * w_r[i, j]
             acc_z += x[i] * w_z[i, j]
         for i in range(h):
@@ -49,7 +54,7 @@ def gru_step_reference(cell, x, h_prev):
         z[j] = scalar_sigmoid(acc_z)
     for j in range(h):
         acc = b_h[j]
-        for i in range(cell.input_dim):
+        for i in range(n_in):
             acc += x[i] * w_h[i, j]
         for i in range(h):
             acc += r[i] * h_prev[i] * u_h[i, j]
@@ -58,14 +63,14 @@ def gru_step_reference(cell, x, h_prev):
 
 
 def lstm_step_reference(cell, x, h_prev, c_prev):
-    h = cell.hidden_dim
+    """Scalar-loop LSTM step; the blocks are [input | forget | output | cell]."""
+    h = cell[1].shape[0]
     gates = {}
-    for name in ("i", "f", "o", "g"):
-        w, u, b = cell.gate(name)
+    for name, w, u, b in zip("ifog", *(blocks(a, 4) for a in cell)):
         vals = np.zeros(h)
         for j in range(h):
             acc = b[j]
-            for i in range(cell.input_dim):
+            for i in range(w.shape[0]):
                 acc += x[i] * w[i, j]
             for i in range(h):
                 acc += h_prev[i] * u[i, j]
@@ -79,9 +84,10 @@ def make_cell(kind, input_dim, hidden_dim, seed=0):
     return init_cell(kind, input_dim, hidden_dim, np.random.default_rng(seed))
 
 
-def cell_step(cell, x, h_prev, c_prev=None):
+def cell_step(kind, cell, x, h_prev, c_prev=None):
     """``step`` of ``cell`` from the raw input: (h_t, c_t), c_t None but for LSTM."""
-    h_t, c_t, _ = step(cell.cell_kind, cell.u, x @ cell.w + cell.b, h_prev, c_prev)
+    w, u, b = cell
+    h_t, c_t, _ = step(kind, u, x @ w + b, h_prev, c_prev)
     return h_t, c_t
 
 
@@ -107,19 +113,18 @@ class TestSigmoid:
 class TestSimpleRnnStep:
     def test_zero_params_give_zero(self):
         cell = make_cell("simple", 3, 4)
-        cell.w[:] = 0.0
-        cell.u[:] = 0.0
-        cell.b[:] = 0.0
-        out, _ = cell_step(cell, np.ones(3), np.ones(4))
+        for arr in cell:
+            arr[:] = 0.0
+        out, _ = cell_step("simple", cell, np.ones(3), np.ones(4))
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_identity_recurrence(self):
-        cell = make_cell("simple", 2, 4)
-        cell.w[:] = 0.0
-        cell.u[:] = np.eye(4)
-        cell.b[:] = 0.0
+        w, u, b = cell = make_cell("simple", 2, 4)
+        w[:] = 0.0
+        u[:] = np.eye(4)
+        b[:] = 0.0
         h_prev = np.array([0.1, -0.2, 0.05, 0.0])
-        out, _ = cell_step(cell, np.zeros(2), h_prev)
+        out, _ = cell_step("simple", cell, np.zeros(2), h_prev)
         np.testing.assert_allclose(out, np.tanh(h_prev), rtol=0, atol=1e-15)
 
     def test_matches_scalar_reference(self):
@@ -128,7 +133,7 @@ class TestSimpleRnnStep:
             cell = make_cell("simple", 3, 6, seed)
             x = rng.normal(size=3)
             h_prev = rng.normal(size=6) * 0.5
-            got, _ = cell_step(cell, x, h_prev)
+            got, _ = cell_step("simple", cell, x, h_prev)
             np.testing.assert_allclose(got, simple_step_reference(cell, x, h_prev),
                                        rtol=0, atol=1e-12)
 
@@ -137,31 +142,33 @@ class TestSimpleRnnStep:
         rng = np.random.default_rng(0)
         xs = rng.normal(size=(4, 2))
         hs = rng.normal(size=(4, 3)) * 0.3
-        batched, _ = cell_step(cell, xs, hs)
+        batched, _ = cell_step("simple", cell, xs, hs)
         for b in range(4):
             np.testing.assert_allclose(
-                batched[b], cell_step(cell, xs[b], hs[b])[0], atol=1e-15)
+                batched[b], cell_step("simple", cell, xs[b], hs[b])[0], atol=1e-15)
 
 
 class TestLstmStep:
     def test_closed_gates_clear_cell(self):
-        cell = make_cell("lstm", 2, 4, seed=3)
-        cell.gate("f")[2][:] = -BIG
-        cell.gate("i")[2][:] = -BIG
-        cell.w[:] = 0.0
-        cell.u[:] = 0.0
-        h, c = cell_step(cell, np.zeros(2), np.zeros(4), np.ones(4) * 0.7)
+        w, u, b = cell = make_cell("lstm", 2, 4, seed=3)
+        b_i, b_f, _, _ = blocks(b, 4)
+        b_f[:] = -BIG
+        b_i[:] = -BIG
+        w[:] = 0.0
+        u[:] = 0.0
+        h, c = cell_step("lstm", cell, np.zeros(2), np.zeros(4), np.ones(4) * 0.7)
         assert np.all(np.abs(c) < 1e-12)
 
     def test_open_forget_gate_preserves_cell(self):
-        cell = make_cell("lstm", 2, 4, seed=4)
-        cell.w[:] = 0.0
-        cell.u[:] = 0.0
-        cell.gate("f")[2][:] = BIG
-        cell.gate("i")[2][:] = -BIG
-        cell.gate("o")[2][:] = BIG
+        w, u, b = cell = make_cell("lstm", 2, 4, seed=4)
+        w[:] = 0.0
+        u[:] = 0.0
+        b_i, b_f, b_o, _ = blocks(b, 4)
+        b_f[:] = BIG
+        b_i[:] = -BIG
+        b_o[:] = BIG
         c_prev = np.array([0.3, -0.4, 0.1, 0.6])
-        h, c = cell_step(cell, np.zeros(2), np.zeros(4), c_prev)
+        h, c = cell_step("lstm", cell, np.zeros(2), np.zeros(4), c_prev)
         np.testing.assert_allclose(c, c_prev, atol=1e-6)
         np.testing.assert_allclose(h, np.tanh(c_prev), atol=1e-6)
 
@@ -172,7 +179,7 @@ class TestLstmStep:
             x = rng.normal(size=3)
             h_prev = rng.normal(size=5) * 0.5
             c_prev = rng.normal(size=5) * 0.5
-            h, c = cell_step(cell, x, h_prev, c_prev)
+            h, c = cell_step("lstm", cell, x, h_prev, c_prev)
             h_ref, c_ref = lstm_step_reference(cell, x, h_prev, c_prev)
             np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
             np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-12)
@@ -184,28 +191,27 @@ class TestGruStep:
         # plain tanh cell sharing the candidate weights.
         rng = np.random.default_rng(17)
         gru = make_cell("gru", 3, 5, seed=8)
-        gru.gate("r")[0][:] = 0.0
-        gru.gate("r")[1][:] = 0.0
-        gru.gate("r")[2][:] = BIG    # r -> 1
-        gru.gate("z")[0][:] = 0.0
-        gru.gate("z")[1][:] = 0.0
-        gru.gate("z")[2][:] = -BIG   # z -> 0
-        w_h, u_h, b_h = gru.gate("h")
-        simple = RnnCellParams("simple", 3, 5, w_h.copy(), u_h.copy(), b_h.copy())
+        (w_r, w_z, w_h), (u_r, u_z, u_h), (b_r, b_z, b_h) = (blocks(a, 3) for a in gru)
+        for arr in (w_r, u_r, w_z, u_z):
+            arr[:] = 0.0
+        b_r[:] = BIG    # r -> 1
+        b_z[:] = -BIG   # z -> 0
+        simple = (w_h.copy(), u_h.copy(), b_h.copy())
         for _ in range(10):
             x = rng.normal(size=3)
             h_prev = rng.normal(size=5) * 0.8
             np.testing.assert_allclose(
-                cell_step(gru, x, h_prev)[0], cell_step(simple, x, h_prev)[0],
-                rtol=0, atol=1e-6)
+                cell_step("gru", gru, x, h_prev)[0],
+                cell_step("simple", simple, x, h_prev)[0], rtol=0, atol=1e-6)
 
     def test_full_memory_when_update_saturated(self):
         gru = make_cell("gru", 2, 4, seed=2)
-        gru.gate("z")[0][:] = 0.0
-        gru.gate("z")[1][:] = 0.0
-        gru.gate("z")[2][:] = BIG    # z -> 1
+        (_, w_z, _), (_, u_z, _), (_, b_z, _) = (blocks(a, 3) for a in gru)
+        w_z[:] = 0.0
+        u_z[:] = 0.0
+        b_z[:] = BIG    # z -> 1
         h_prev = np.array([0.2, -0.5, 0.9, 0.0])
-        out, _ = cell_step(gru, np.ones(2), h_prev)
+        out, _ = cell_step("gru", gru, np.ones(2), h_prev)
         np.testing.assert_allclose(out, h_prev, atol=1e-6)
 
     def test_matches_scalar_reference(self):
@@ -214,7 +220,7 @@ class TestGruStep:
             cell = make_cell("gru", 3, 5, seed)
             x = rng.normal(size=3)
             h_prev = rng.normal(size=5) * 0.5
-            got, _ = cell_step(cell, x, h_prev)
+            got, _ = cell_step("gru", cell, x, h_prev)
             np.testing.assert_allclose(got, gru_step_reference(cell, x, h_prev),
                                        rtol=0, atol=1e-12)
 
@@ -223,20 +229,18 @@ class TestCellParams:
     def test_param_counts(self):
         # simple: h(i+h)+h, gru: 3x, lstm: 4x
         for kind, factor in (("simple", 1), ("gru", 3), ("lstm", 4)):
-            cell = make_cell(kind, 1, 100)
-            assert cell.n_params() == factor * (100 * 101 + 100)
+            w, u, b = make_cell(kind, 1, 100)
+            assert w.shape == (1, factor * 100)
+            assert u.shape == (100, factor * 100)
+            assert b.shape == (factor * 100,)
+            assert w.size + u.size + b.size == factor * (100 * 101 + 100)
 
     def test_lstm_forget_bias_one(self):
-        cell = make_cell("lstm", 1, 8)
-        np.testing.assert_array_equal(cell.gate("f")[2], np.ones(8))
+        _, _, b = make_cell("lstm", 1, 8)
+        b_i, b_f, b_o, b_g = blocks(b, 4)
+        np.testing.assert_array_equal(b_f, np.ones(8))
+        np.testing.assert_array_equal(np.concatenate([b_i, b_o, b_g]), np.zeros(24))
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError):
-            RnnCellParams("elman", 1, 2, np.zeros((1, 2)), np.zeros((2, 2)),
-                          np.zeros(2))
-
-    def test_gate_views_share_memory(self):
-        cell = make_cell("gru", 2, 3)
-        w_r, _, _ = cell.gate("r")
-        w_r[0, 0] = 123.0
-        assert cell.w[0, 0] == 123.0
+        with pytest.raises(ValueError, match="elman"):
+            make_cell("elman", 1, 2)

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from mrfmap.nn.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from mrfmap.nn.models import ModelSpec, init_params
+from test_gradients import TOY_SPECS
+from test_models import NONFINITE_SPECS, SINGLE_SPECS
 
 SPECS = {
     "simple": ModelSpec("rnn_regressor", input_len=12, cell_kind="simple",
@@ -113,3 +116,44 @@ def test_shape_disagreeing_with_spec_rejected(tmp_path):
     path.write_bytes(json.dumps(meta, sort_keys=True).encode() + sep + blob)
     with pytest.raises(ValueError, match=f"{name} has shape"):
         load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to the JSON header of the checkpoint at ``path``."""
+    header, sep, blob = path.read_bytes().partition(b"\n---PARAMS---\n")
+    meta = json.loads(header)
+    edit(meta)
+    path.write_bytes(json.dumps(meta, sort_keys=True).encode() + sep + blob)
+
+
+@pytest.mark.parametrize("key", ["spec", "param_order", "param_shapes",
+                                 "label_scaling", "seed"])
+def test_header_missing_key_rejected(tmp_path, key):
+    path = saved_gru(tmp_path)
+    rewrite_header(path, lambda meta: meta.pop(key))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: header lacks ['{key}']")):
+        load_checkpoint(path)
+
+
+def test_unknown_spec_key_rejected(tmp_path):
+    # A misspelled key must not fall back to the field's default.
+    path = saved_gru(tmp_path)
+    rewrite_header(path, lambda meta: meta["spec"].update(hidden_dimm=8))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: unknown model spec keys ['hidden_dimm']")):
+        load_checkpoint(path)
+
+
+ALL_SPECS = {
+    **{f"checkpoint-{k}": v for k, v in SPECS.items()},
+    **{f"gradients-{k}": v for k, v in TOY_SPECS.items()},
+    **{f"single-{k}": v for k, v in SINGLE_SPECS.items()},
+    **{f"nonfinite-{k}": v for k, v in NONFINITE_SPECS.items()},
+    **{f"default-{kind}": ModelSpec(kind) for kind in ("rnn_regressor", "ann", "cnn1d")},
+}
+
+
+@pytest.mark.parametrize("name", ALL_SPECS)
+def test_spec_json_round_trip(name):
+    spec = ALL_SPECS[name]
+    assert ModelSpec.from_json_dict(json.loads(json.dumps(spec.to_json_dict()))) == spec

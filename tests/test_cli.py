@@ -87,6 +87,30 @@ def test_nonfinite_grid_rejected(tmp_path, capsys, position, bad):
     assert not (tmp_path / "d.dict").exists()
 
 
+KEYS = "['t1_segments', 't2_segments']"
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({}, f"grid keys must be {KEYS}, got []"),
+    ({"t1_segments": GRID["t1_segments"]},
+     f"grid keys must be {KEYS}, got ['t1_segments']"),
+    ({**GRID, "t3_segments": []},
+     f"grid keys must be {KEYS}, got ['t1_segments', 't2_segments', 't3_segments']"),
+    ([GRID], "grid must be a JSON object, got list"),
+    ({**GRID, "t1_segments": 5}, "grid t1_segments must be a list of [start, stop, step] "
+                                 "lists of numbers, got 5"),
+    ({**GRID, "t2_segments": [[40.0, 120.0]]}, "grid t2_segments must be a list of"),
+    ({**GRID, "t1_segments": [[None, 900.0, 300.0]]}, "grid t1_segments must be a list of"),
+], ids=["empty", "missing_key", "unknown_key", "not_object", "segments_not_list",
+        "short_segment", "null_value"])
+def test_malformed_grid_json_rejected(tmp_path, capsys, grid, message):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    error = build_error(capsys, [str(tmp_path / "d"), "--n", "40", "--grid", str(path)])
+    assert message in error
+    assert not (tmp_path / "d.dict").exists()
+
+
 def test_missing_schedule_file(tmp_path, grid_json, capsys):
     missing = tmp_path / "absent.csv"
     error = build_error(capsys, [str(tmp_path / "d"), "--schedule", str(missing),

@@ -33,6 +33,13 @@ def toy_dictionary():
     return build_dictionary(spec, schedule), schedule
 
 
+# 392 atoms: 7 batches of BATCH_SIZE = 64, the last one short (8 atoms), so
+# at 1, 2 and 3 CPUs every process simulates several batches. The grid
+# holds every pair of the toy grid.
+SPLIT_GRID = GridSpec(t1_segments=((100.0, 4000.0, 100.0),),
+                      t2_segments=((25.0, 250.0, 25.0),))
+
+
 def brute_force_pairs(t1_segments, t2_segments):
     """Independent enumeration oracle using integer segment arithmetic."""
     def seg_values(segments):
@@ -64,9 +71,9 @@ def naive_match(dictionary, query):
     return dictionary.labels[best_idx], best_score
 
 
-def one_call_reference(spec, schedule, k_max=None):
+def one_call_reference(spec, schedule):
     """Atoms from one simulate_fingerprints call over the whole grid."""
-    atoms = np.abs(simulate_fingerprints(expand_grid(spec), schedule, k_max=k_max))
+    atoms = np.abs(simulate_fingerprints(expand_grid(spec), schedule))
     atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
     return atoms.astype(np.float32).astype(np.float64)
 
@@ -173,18 +180,27 @@ class TestBuildDictionary:
             # Rows are quantized to float32 at build time.
             np.testing.assert_allclose(d.atoms[i], expected, atol=1e-6)
 
-    def test_batching_does_not_change_atoms(self, toy_dictionary):
+    def test_batching_does_not_change_atoms(self, toy_dictionary, monkeypatch):
+        # The toy grid is one batch per process; in the split grid its
+        # atoms sit in several batches of other atoms.
         d, schedule = toy_dictionary
-        d2 = build_dictionary(d.grid, schedule, batch_size=3)
-        np.testing.assert_array_equal(d.atoms, d2.atoms)
+        monkeypatch.setattr(dictionary, "available_cpus", lambda: 1)
+        split = build_dictionary(SPLIT_GRID, schedule)
+        assert dictionary.build_plan(split.n_atoms) == (64, 1)
+        rows = [split.labels.index(label) for label in d.labels]
+        assert split.atoms[rows].tobytes() == d.atoms.tobytes()
 
-    @pytest.mark.parametrize("k_max", [None, 10])
-    @pytest.mark.parametrize("batch_size", [64, 3, 7])
+    # grid None is the 24-atom toy grid: one batch per process at the
+    # default BATCH_SIZE, several at 3 and 7 (7 does not divide 24). The
+    # split grid gives every process several batches at the default size.
+    @pytest.mark.parametrize("batch_size, grid", [
+        (64, None), (3, None), (7, None), pytest.param(64, SPLIT_GRID, id="64-split"),
+    ])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_atoms_equal_one_call_reference(self, toy_dictionary, monkeypatch,
-                                            cpus, batch_size, k_max):
-        # The toy grid has 24 atoms; a batch_size of 7 does not divide it.
+                                            cpus, batch_size, grid):
         d, schedule = toy_dictionary
+        spec = d.grid if grid is None else grid
         pools = []
         real_pool = concurrent.futures.ProcessPoolExecutor
 
@@ -193,11 +209,12 @@ class TestBuildDictionary:
             return real_pool(max_workers, **kwargs)
 
         monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(dictionary, "BATCH_SIZE", batch_size)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
-        built = build_dictionary(d.grid, schedule, k_max=k_max, batch_size=batch_size)
-        expected = one_call_reference(d.grid, schedule, k_max=k_max)
+        built = build_dictionary(spec, schedule)
+        expected = one_call_reference(spec, schedule)
         assert built.atoms.tobytes() == expected.tobytes()
-        assert built.labels == d.labels
+        assert built.labels == expand_grid(spec)
         assert pools == ([cpus - 1] if cpus > 1 else [])
 
     @pytest.mark.parametrize("n_atoms, batch_size, cpus, plan", [
@@ -209,12 +226,8 @@ class TestBuildDictionary:
     ])
     def test_build_plan_split_rule(self, monkeypatch, n_atoms, batch_size, cpus, plan):
         monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
-        assert dictionary.build_plan(n_atoms, batch_size) == plan
-
-    def test_nonpositive_batch_size_rejected(self, toy_dictionary):
-        d, schedule = toy_dictionary
-        with pytest.raises(ValueError, match="batch_size"):
-            build_dictionary(d.grid, schedule, batch_size=-1)
+        assert dictionary.BATCH_SIZE == batch_size
+        assert dictionary.build_plan(n_atoms) == plan
 
     # T1 = 200 ms lies in the first batch, which the calling process
     # simulates; T1 = 1000 ms lies in the last, which a worker simulates.
@@ -225,10 +238,10 @@ class TestBuildDictionary:
         d, schedule = toy_dictionary
         real = dictionary.simulate_fingerprints
 
-        def failing(params, sched, k_max=None):
+        def failing(params, sched):
             if any(p.t1_ms == bad_t1 for p in params):
                 raise RuntimeError(f"no signal for T1={bad_t1}")
-            return real(params, sched, k_max=k_max)
+            return real(params, sched)
 
         monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
         monkeypatch.setattr(dictionary, "simulate_fingerprints", failing)
@@ -281,6 +294,8 @@ class TestMatch:
         d, _ = toy_dictionary
         with pytest.raises(ValueError, match="length"):
             match(d, np.ones(d.n_samples + 3))
+        with pytest.raises(ValueError, match="length"):
+            match(d, d.atoms[:1])  # a (1, N) row matrix is match_batch's input
 
 
 class TestMatchBatch:
@@ -289,7 +304,7 @@ class TestMatchBatch:
         q = d.atoms[4] + 0.001
         (label_b, score_b), = match_batch(d, q[None, :])
         label_s, score_s = match(d, q)
-        assert label_b == label_s and abs(score_b - score_s) < 1e-12
+        assert label_b == label_s and score_b == score_s
 
     def test_permutation_equivariance(self, toy_dictionary):
         d, _ = toy_dictionary
@@ -374,6 +389,16 @@ class TestSerialization:
         json_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="recorded grid"):
             load_dictionary(tmp_path / "dict_g")
+
+    @pytest.mark.parametrize("key", ["grid", "labels", "schedule_digest"])
+    def test_manifest_missing_key_rejected(self, toy_dictionary, tmp_path, key):
+        d, _ = toy_dictionary
+        _, json_path = save_dictionary(d, tmp_path / "dict_h")
+        manifest = json.loads(json_path.read_text())
+        del manifest[key]
+        json_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(f"{json_path}: manifest lacks ['{key}']")):
+            load_dictionary(tmp_path / "dict_h")
 
     def test_truncated_file_rejected(self, toy_dictionary, tmp_path):
         d, _ = toy_dictionary

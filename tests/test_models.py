@@ -4,15 +4,37 @@ import pytest
 from mrfmap.nn.backprop import loss_and_grads
 from mrfmap.nn.models import (
     ModelSpec,
-    cell_view,
     forward_batch,
     init_params,
     mse_loss,
-    param_count,
     predict_batch,
     predict_single,
 )
-from test_cells import gru_step_reference, lstm_step_reference, simple_step_reference
+from test_cells import (
+    blocks,
+    gru_step_reference,
+    lstm_step_reference,
+    simple_step_reference,
+)
+
+
+def param_count(spec):
+    """Trainable parameters ``init_params`` allocates for ``spec``."""
+    return sum(p.size for p in init_params(spec, seed=0).values())
+
+
+def closed_form_count(spec):
+    """Parameter total written out from the layer sizes, head included."""
+    if spec.kind == "rnn_regressor":
+        h, i = spec.hidden_dim, spec.chunk_size
+        gates = {"simple": 1, "gru": 3, "lstm": 4}[spec.cell_kind]
+        return gates * (h * (i + h) + h) + h * 2 + 2
+    if spec.kind == "ann":
+        sizes, kernel = [spec.input_len, *spec.ann_hidden], 1
+    else:
+        sizes, kernel = [1, *spec.cnn_channels], spec.cnn_kernel
+    layers = sum(n_in * n_out * kernel + n_out for n_in, n_out in zip(sizes, sizes[1:]))
+    return layers + sizes[-1] * 2 + 2
 
 
 class TestParamCount:
@@ -55,8 +77,7 @@ class TestParamCount:
             ModelSpec("cnn1d", input_len=80, cnn_channels=(4, 8)),
         ]
         for spec in specs:
-            params = init_params(spec, seed=0)
-            assert sum(p.size for p in params.values()) == param_count(spec)
+            assert param_count(spec) == closed_form_count(spec)
 
 
 class TestMseLoss:
@@ -99,10 +120,12 @@ class TestForwardSequence:
         spec = ModelSpec("rnn_regressor", input_len=10, cell_kind="gru",
                          hidden_dim=4)
         params = init_params(spec, seed=1)
-        view = cell_view(spec, params)
-        view.gate("z")[0][:] = 0.0
-        view.gate("z")[1][:] = 0.0
-        view.gate("z")[2][:] = 30.0  # update gate -> 1: state never moves
+        # Blocks are [reset | update | candidate].
+        (_, w_z, _), (_, u_z, _), (_, b_z, _) = (
+            blocks(params[f"cell.{k}"], 3) for k in "wub")
+        w_z[:] = 0.0
+        u_z[:] = 0.0
+        b_z[:] = 30.0  # update gate -> 1: state never moves
         params["head.b"][:] = [0.7, 0.1]
         out = predict_single(spec, params, np.full(10, 0.4))
         np.testing.assert_allclose(out, [0.7, 0.1], atol=1e-5)
@@ -116,7 +139,7 @@ class TestForwardSequence:
         params = init_params(spec, seed=7)
         rng = np.random.default_rng(0)
         signal = rng.normal(size=7)
-        cell = cell_view(spec, params)
+        cell = (params["cell.w"], params["cell.u"], params["cell.b"])
         h = np.zeros(4)
         c = np.zeros(4)
         for t in range(7):
