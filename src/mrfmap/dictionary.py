@@ -6,10 +6,11 @@ the atom with the largest inner product — exhaustive search over all rows.
 
 On disk a dictionary is a ``<name>.dict`` binary (magic ``MRFD``, version,
 M, N, then M*N little-endian float32 atoms, row-major) plus a ``<name>.json``
-manifest carrying the grid specification, the labels and the digest of the
-generating schedule. Atom values are quantized to float32 at build time so
-the in-memory matrix and the file round-trip bit-exactly; match scores are
-still accumulated in float64.
+manifest of two keys, ``grid`` and the generating ``schedule_digest``. Row i
+is labelled by pair i of ``expand_grid(grid)``; the ``labels`` older
+manifests also hold are ignored. Atom values are quantized to float32 at
+build time so the in-memory matrix and the file round-trip bit-exactly;
+match scores are still accumulated in float64.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -120,18 +121,20 @@ def expand_grid(spec: GridSpec) -> list[TissueParams]:
 
 @dataclass
 class Dictionary:
-    """Row-normalized atom matrix with aligned labels and provenance."""
+    """Row-normalized atom matrix and its provenance; labels come from the grid."""
 
     atoms: np.ndarray          # (M, N) float64, values exactly f32-representable
-    labels: list[TissueParams]
     schedule_digest: str
     grid: GridSpec
+    labels: list[TissueParams] = field(init=False)  # expand_grid(grid), row by row
 
     def __post_init__(self):
         if self.atoms.ndim != 2:
             raise ValueError("atoms must be a 2-D matrix")
+        self.labels = expand_grid(self.grid)
         if self.atoms.shape[0] != len(self.labels):
-            raise ValueError("labels must align with atom rows")
+            raise ValueError(f"{self.atoms.shape[0]} atom rows, but the grid "
+                             f"expands to {len(self.labels)} (T1, T2) pairs")
 
     @property
     def n_atoms(self) -> int:
@@ -245,8 +248,7 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
     atoms /= norms
     # Quantize to the storage precision so build -> save -> load is identity.
     atoms = atoms.astype(np.float32).astype(np.float64)
-    return Dictionary(atoms=atoms, labels=labels,
-                      schedule_digest=schedule_digest(schedule), grid=spec)
+    return Dictionary(atoms, schedule_digest(schedule), spec)
 
 
 def _match_rows(dictionary: Dictionary,
@@ -321,7 +323,6 @@ def save_dictionary(dictionary: Dictionary, name: str | Path) -> tuple[Path, Pat
         fh.write(np.ascontiguousarray(dictionary.atoms, dtype="<f4").tobytes())
     manifest = {
         "grid": dictionary.grid.to_json_dict(),
-        "labels": [[p.t1_ms, p.t2_ms] for p in dictionary.labels],
         "schedule_digest": dictionary.schedule_digest,
     }
     json_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
@@ -332,7 +333,7 @@ def load_dictionary(name: str | Path) -> Dictionary:
     """Read ``<name>.dict`` and ``<name>.json`` as written by ``save_dictionary``.
 
     Rejects a bad header or size, atoms holding NaN or inf (naming the rows),
-    and manifest labels that differ from the expansion of the manifest's grid.
+    and a row count other than the number of pairs of the manifest's grid.
     """
     base = Path(name)
     dict_path = base.with_suffix(".dict")
@@ -353,22 +354,11 @@ def load_dictionary(name: str | Path) -> Dictionary:
     if bad.size:
         raise ValueError(f"{dict_path}: NaN or inf atoms in rows {bad.tolist()}")
     manifest = json.loads(json_path.read_text())
-    missing = [key for key in ("grid", "labels", "schedule_digest")
-               if key not in manifest]
+    missing = [key for key in ("grid", "schedule_digest") if key not in manifest]
     if missing:
         raise ValueError(f"{json_path}: manifest lacks {missing}")
     grid = GridSpec.from_json_dict(manifest["grid"])
-    labels = [TissueParams(t1, t2) for t1, t2 in manifest["labels"]]
-    expected = expand_grid(grid)
-    if labels != expected:
-        first = next((i for i, (a, b) in enumerate(zip(labels, expected)) if a != b),
-                     min(len(labels), len(expected)))
-        raise ValueError(
-            f"{json_path}: labels differ from the expansion of the recorded grid "
-            f"from row {first} ({len(labels)} labels, {len(expected)} grid pairs)")
-    return Dictionary(
-        atoms=atoms,
-        labels=labels,
-        schedule_digest=manifest["schedule_digest"],
-        grid=grid,
-    )
+    try:
+        return Dictionary(atoms, manifest["schedule_digest"], grid)
+    except ValueError as err:
+        raise ValueError(f"{dict_path}: {err} (grid of {json_path})") from None

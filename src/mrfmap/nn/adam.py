@@ -3,9 +3,9 @@
 ``adam_update`` performs, per parameter array and in this order of
 floating-point operations::
 
-    m = beta1 * m;  m += (1 - beta1) * g
-    v = beta2 * v;  v += (1 - beta2) * g * g
-    p -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+    m = BETA1 * m;  m += (1 - BETA1) * g
+    v = BETA2 * v;  v += (1 - BETA2) * g * g
+    p -= lr * (m / (1 - BETA1**t)) / (sqrt(v / (1 - BETA2**t)) + EPS)
 
 The test suite compares a trajectory against a scalar recurrence written
 in the same order bit for bit, so a change to this order is a change in
@@ -29,9 +29,6 @@ EPS = 1e-8
 @dataclass
 class AdamState:
     learning_rate: float = DEFAULT_LR
-    beta1: float = BETA1
-    beta2: float = BETA2
-    eps: float = EPS
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -50,8 +47,8 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
     """One Adam step; parameters are updated in place and returned."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for key, p in params.items():
         g = grads[key]
         if g.shape != p.shape:
@@ -59,9 +56,9 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
                              f"{p.shape} for {key!r}")
         m = state.m[key]
         v = state.v[key]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return params

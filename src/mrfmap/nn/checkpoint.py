@@ -2,12 +2,13 @@
 
 A ``.ckpt`` file is a one-line JSON header (model spec, label-scaling
 constants, seed, training metadata), a delimiter line, then every parameter
-array flattened to little-endian float32 in declaration order. Loading
-restores float64 parameters whose values are exactly the stored f32 ones,
-so save -> load -> save is byte-identical. Saving and loading refuse NaN
-or inf parameters; loading also rejects a header that lacks a key or holds
-an unknown spec key, and a file whose blob size disagrees with the header
-or whose shapes disagree with the spec.
+array of ``init_params(spec)``, in its order and shapes, flattened to
+little-endian float32; the ``param_order`` and ``param_shapes`` that older
+headers also hold are ignored. Loading restores float64 parameters whose
+values are exactly the stored f32 ones, so save -> load -> save is
+byte-identical. Saving refuses parameters off that layout; saving and loading
+refuse NaN or inf parameters; loading also rejects a header that lacks a key
+or holds an unknown spec key, and a blob whose size disagrees with the layout.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ class ModelCheckpoint:
     metadata: dict = field(default_factory=dict)
 
 
+def _layout(spec: ModelSpec) -> dict[str, tuple]:
+    """Name -> shape of every parameter array, in file order."""
+    return {name: arr.shape for name, arr in init_params(spec, seed=0).items()}
+
+
 def _reject_nonfinite(path: Path, params: dict[str, np.ndarray]) -> None:
     bad = [name for name, arr in params.items() if not np.all(np.isfinite(arr))]
     if bad:
@@ -41,16 +47,22 @@ def _reject_nonfinite(path: Path, params: dict[str, np.ndarray]) -> None:
 
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
     path = Path(path)
-    stored = {name: np.ascontiguousarray(arr, dtype="<f4")
-              for name, arr in ckpt.params.items()}
+    layout = _layout(ckpt.spec)
+    given = {name: np.shape(arr) for name, arr in ckpt.params.items()}
+    wrong = {name: (given.get(name), layout.get(name))
+             for name in sorted(given.keys() | layout.keys())
+             if given.get(name) != layout.get(name)}
+    if wrong:
+        raise ValueError(f"{path}: parameters do not fit the {ckpt.spec.kind} spec, "
+                         f"name: (given shape, spec shape): {wrong}")
+    stored = {name: np.ascontiguousarray(ckpt.params[name], dtype="<f4")
+              for name in layout}
     _reject_nonfinite(path, stored)
     header = {
         "spec": ckpt.spec.to_json_dict(),
         "label_scaling": {"t1_max": ckpt.t1_max, "t2_max": ckpt.t2_max},
         "seed": ckpt.seed,
         "metadata": ckpt.metadata,
-        "param_order": list(ckpt.params.keys()),
-        "param_shapes": {k: list(v.shape) for k, v in ckpt.params.items()},
     }
     blob = b"".join(arr.tobytes() for arr in stored.values())
     with open(path, "wb") as fh:
@@ -69,41 +81,32 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         raise ValueError(f"{path}: missing parameter delimiter")
     header = json.loads(raw[:cut].decode("utf-8"))
     blob = raw[cut + len(DELIMITER):]
-    missing = [key for key in ("spec", "param_order", "param_shapes",
-                               "label_scaling", "seed") if key not in header]
+    missing = [key for key in ("spec", "label_scaling", "seed") if key not in header]
     if missing:
         raise ValueError(f"{path}: header lacks {missing}")
+    scaling = header["label_scaling"]
+    missing = [key for key in ("t1_max", "t2_max") if key not in scaling]
+    if missing:
+        raise ValueError(f"{path}: label_scaling lacks {missing}")
 
     try:
         spec = ModelSpec.from_json_dict(header["spec"])
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    shapes = {name: tuple(header["param_shapes"][name])
-              for name in header["param_order"]}
-    expected = sum(4 * int(np.prod(shape)) for shape in shapes.values())
+    layout = _layout(spec)
+    expected = sum(4 * int(np.prod(shape)) for shape in layout.values())
     if expected != len(blob):
         raise ValueError(
             f"{path}: parameter blob has {len(blob)} bytes, expected {expected}")
     params: dict[str, np.ndarray] = {}
     offset = 0
-    for name, shape in shapes.items():
+    for name, shape in layout.items():
         count = int(np.prod(shape))
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         params[name] = arr.astype(np.float64).reshape(shape)
         offset += 4 * count
     _reject_nonfinite(path, params)
 
-    # Layout sanity: same keys/shapes a fresh init would produce.
-    reference = init_params(spec, seed=0)
-    if list(reference.keys()) != list(params.keys()):
-        raise ValueError(f"{path}: parameter names do not match spec {spec.kind}")
-    for name, arr in params.items():
-        if reference[name].shape != arr.shape:
-            raise ValueError(
-                f"{path}: {name} has shape {arr.shape}, "
-                f"spec implies {reference[name].shape}")
-
-    scaling = header["label_scaling"]
     return ModelCheckpoint(
         spec=spec,
         params=params,

@@ -15,7 +15,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -156,7 +156,10 @@ def save_schedule(schedule: SequenceSchedule, csv_path: str | Path) -> None:
 def load_schedule(csv_path: str | Path) -> SequenceSchedule:
     """Load a schedule CSV; preparation settings come from the sidecar if present.
 
-    A row must hold its index (0, 1, 2, ... in order) and three numbers.
+    A row must hold its index (0, 1, 2, ... in order) and three numbers. A
+    setting the sidecar omits keeps its ``SequenceSchedule`` default; an
+    unknown key, an ``inversion_prep`` other than a JSON boolean and a time
+    other than a JSON number are refused.
     """
     csv_path = Path(csv_path)
     values = []
@@ -182,15 +185,17 @@ def load_schedule(csv_path: str | Path) -> SequenceSchedule:
         raise ValueError(f"{csv_path}: schedule has no excitations")
     flip, phase, tr = np.array(values).T
 
-    prep = {"inversion_prep": True, "inversion_delay_ms": 0.0, "te_ms": 0.0}
     sidecar = csv_path.with_suffix(".prep.json")
-    if sidecar.exists():
-        prep.update(json.loads(sidecar.read_text()))
-    return SequenceSchedule(
-        flip_angles_rad=flip,
-        rf_phases_rad=phase,
-        tr_ms=tr,
-        te_ms=float(prep["te_ms"]),
-        inversion_prep=bool(prep["inversion_prep"]),
-        inversion_delay_ms=float(prep["inversion_delay_ms"]),
-    )
+    prep = json.loads(sidecar.read_text()) if sidecar.exists() else {}
+    if not isinstance(prep, dict):
+        raise ValueError(f"{sidecar}: expected a JSON object, got {type(prep).__name__}")
+    unknown = sorted(set(prep) - {"inversion_prep", "inversion_delay_ms", "te_ms"})
+    if unknown:
+        raise ValueError(f"{sidecar}: unknown preparation keys {unknown}")
+    for key, value in prep.items():
+        flag = key == "inversion_prep"
+        if (type(value) is bool) != flag or not isinstance(value, (int, float)):
+            raise ValueError(f"{sidecar}: {key} must be a JSON "
+                             f"{'boolean' if flag else 'number'}, got {value!r}")
+    return SequenceSchedule(flip, phase, tr, **{
+        key: value if key == "inversion_prep" else float(value) for key, value in prep.items()})

@@ -72,7 +72,7 @@ def test_nonfinite_parameters_rejected_by_name(tmp_path, bad):
     header, sep, blob = path.read_bytes().partition(b"\n---PARAMS---\n")
     word = np.array([bad], dtype="<f4").tobytes()
     path.write_bytes(header + sep + blob[:4] + word + blob[8:-4] + word)
-    names = json.loads(header)["param_order"]
+    names = list(init_params(SPECS["gru"], seed=0))
     with pytest.raises(ValueError, match="NaN or inf") as err:
         load_checkpoint(path)
     assert str([names[0], names[-1]]) in str(err.value)
@@ -106,16 +106,30 @@ def test_blob_one_float_short_or_long_rejected(tmp_path, delta):
         load_checkpoint(path)
 
 
+def refused_save(tmp_path, params):
+    """The error ``save_checkpoint`` raises for these GRU parameters; no file is left."""
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError) as err:
+        save_checkpoint(ModelCheckpoint(SPECS["gru"], params, 4000.0, 500.0, 0), path)
+    assert list(tmp_path.iterdir()) == []
+    return str(err.value).removeprefix(f"{path}: parameters do not fit the "
+                                       "rnn_regressor spec, name: (given shape, spec shape): ")
+
+
 def test_shape_disagreeing_with_spec_rejected(tmp_path):
-    # Transposed: the blob size still fits, but the spec implies another shape.
-    path = saved_gru(tmp_path)
-    header, sep, blob = path.read_bytes().partition(b"\n---PARAMS---\n")
-    meta = json.loads(header)
-    name = next(n for n, s in meta["param_shapes"].items() if len(s) == 2 and s[0] != s[1])
-    meta["param_shapes"][name] = meta["param_shapes"][name][::-1]
-    path.write_bytes(json.dumps(meta, sort_keys=True).encode() + sep + blob)
-    with pytest.raises(ValueError, match=f"{name} has shape"):
-        load_checkpoint(path)
+    # Transposed: the size still fits, but the spec implies another shape.
+    params = init_params(SPECS["gru"], seed=0)
+    params["cell.w"] = params["cell.w"].T.copy()
+    assert refused_save(tmp_path, params) == "{'cell.w': ((12, 3), (3, 12))}"
+
+
+def test_save_refuses_a_missing_or_an_extra_tensor(tmp_path):
+    params = init_params(SPECS["gru"], seed=0)
+    del params["head.b"]
+    assert refused_save(tmp_path, params) == "{'head.b': (None, (2,))}"
+    params = init_params(SPECS["gru"], seed=0)
+    params["extra"] = np.zeros(3)
+    assert refused_save(tmp_path, params) == "{'extra': ((3,), None)}"
 
 
 def rewrite_header(path, edit):
@@ -126,12 +140,43 @@ def rewrite_header(path, edit):
     path.write_bytes(json.dumps(meta, sort_keys=True).encode() + sep + blob)
 
 
-@pytest.mark.parametrize("key", ["spec", "param_order", "param_shapes",
-                                 "label_scaling", "seed"])
+def test_header_holds_no_layout(tmp_path):
+    header = json.loads(saved_gru(tmp_path).read_bytes().partition(b"\n")[0])
+    assert sorted(header) == ["label_scaling", "metadata", "seed", "spec"]
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_header_with_old_layout_keys_loads_the_same(tmp_path, name):
+    # Older files also listed the layout; loading ignores it.
+    spec = SPECS[name]
+    params = init_params(spec, seed=1)
+    path = save_checkpoint(ModelCheckpoint(spec, params, 4000.0, 500.0, 7, {"a": 1}),
+                           tmp_path / "m.ckpt")
+    fresh = load_checkpoint(path)
+    rewrite_header(path, lambda meta: meta.update(
+        param_order=list(params), param_shapes={k: list(v.shape) for k, v in params.items()}))
+    old = load_checkpoint(path)
+    assert (old.spec, old.t1_max, old.t2_max, old.seed, old.metadata) == (
+        fresh.spec, fresh.t1_max, fresh.t2_max, fresh.seed, fresh.metadata)
+    assert list(old.params) == list(fresh.params) == list(params)
+    for k in params:
+        assert old.params[k].tobytes() == fresh.params[k].tobytes()
+
+
+@pytest.mark.parametrize("key", ["spec", "label_scaling", "seed"])
 def test_header_missing_key_rejected(tmp_path, key):
     path = saved_gru(tmp_path)
     rewrite_header(path, lambda meta: meta.pop(key))
     with pytest.raises(ValueError, match=re.escape(f"{path}: header lacks ['{key}']")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["t1_max", "t2_max"])
+def test_label_scaling_missing_key_rejected(tmp_path, key):
+    path = saved_gru(tmp_path)
+    rewrite_header(path, lambda meta: meta["label_scaling"].pop(key))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: label_scaling lacks ['{key}']")):
         load_checkpoint(path)
 
 

@@ -129,3 +129,14 @@ def test_malformed_schedule_row(tmp_path, grid_json, capsys):
                                  "--grid", str(grid_json)])
     assert f"{schedule}, line 3: expected index 1 and 3 values" in error
     assert not (tmp_path / "d.dict").exists()
+
+
+def test_malformed_schedule_sidecar(tmp_path, grid_json, capsys):
+    schedule = tmp_path / "s.csv"
+    save_schedule(constant_schedule(3, 25.0), schedule)
+    sidecar = schedule.with_suffix(".prep.json")
+    sidecar.write_text(json.dumps({"te": 2.0}))
+    error = build_error(capsys, [str(tmp_path / "d"), "--schedule", str(schedule),
+                                 "--grid", str(grid_json)])
+    assert f"{sidecar}: unknown preparation keys ['te']" in error
+    assert not (tmp_path / "d.dict").exists()

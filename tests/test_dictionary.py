@@ -19,7 +19,7 @@ from mrfmap.dictionary import (
     match_batch,
     save_dictionary,
 )
-from mrfmap.epg import TissueParams, simulate_fingerprints
+from mrfmap.epg import simulate_fingerprints
 from mrfmap.schedule import default_schedule
 
 
@@ -346,7 +346,7 @@ class TestSerialization:
         dict_path, json_path = save_dictionary(d, tmp_path / "dict_a")
         loaded = load_dictionary(tmp_path / "dict_a")
         np.testing.assert_array_equal(loaded.atoms, d.atoms)
-        assert loaded.labels == d.labels
+        assert loaded.labels == d.labels == expand_grid(d.grid)
         assert loaded.schedule_digest == d.schedule_digest
         assert loaded.grid == d.grid
         p2, _ = save_dictionary(loaded, tmp_path / "dict_b")
@@ -372,25 +372,43 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"rows \[2, 9\]"):
             load_dictionary(tmp_path / "dict_e")
 
-    def test_labels_off_grid_rejected(self, toy_dictionary, tmp_path):
+    def test_manifest_holds_grid_and_digest_only(self, toy_dictionary, tmp_path):
         d, _ = toy_dictionary
-        _, json_path = save_dictionary(d, tmp_path / "dict_f")
-        manifest = json.loads(json_path.read_text())
-        manifest["labels"][5][1] -= 1.0
-        json_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="from row 5"):
-            load_dictionary(tmp_path / "dict_f")
+        _, json_path = save_dictionary(d, tmp_path / "dict_i")
+        assert sorted(json.loads(json_path.read_text())) == ["grid", "schedule_digest"]
 
-    def test_labels_of_another_grid_rejected(self, toy_dictionary, tmp_path):
+    def test_manifest_with_old_labels_loads_the_same(self, toy_dictionary, tmp_path):
+        # Older manifests also listed the labels; loading ignores them.
         d, _ = toy_dictionary
-        _, json_path = save_dictionary(d, tmp_path / "dict_g")
+        _, json_path = save_dictionary(d, tmp_path / "dict_j")
+        fresh = load_dictionary(tmp_path / "dict_j")
+        manifest = json.loads(json_path.read_text())
+        manifest["labels"] = [[p.t1_ms, p.t2_ms] for p in d.labels]
+        json_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        old = load_dictionary(tmp_path / "dict_j")
+        assert old.atoms.tobytes() == fresh.atoms.tobytes() == d.atoms.tobytes()
+        assert old.labels == fresh.labels == d.labels
+        assert (old.schedule_digest, old.grid) == (fresh.schedule_digest, fresh.grid)
+
+    def test_rows_disagreeing_with_grid_rejected(self, toy_dictionary, tmp_path):
+        # The toy grid has 24 pairs; this one, with T1 up to 1200 ms, has 29.
+        d, _ = toy_dictionary
+        dict_path, json_path = save_dictionary(d, tmp_path / "dict_g")
         manifest = json.loads(json_path.read_text())
         manifest["grid"]["t1_segments"] = [[200.0, 1200.0, 200.0]]
         json_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="recorded grid"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{dict_path}: 24 atom rows, but the grid expands to 29 (T1, T2) "
+                f"pairs (grid of {json_path})")):
             load_dictionary(tmp_path / "dict_g")
 
-    @pytest.mark.parametrize("key", ["grid", "labels", "schedule_digest"])
+    def test_constructor_rejects_rows_disagreeing_with_grid(self, toy_dictionary):
+        d, _ = toy_dictionary
+        with pytest.raises(ValueError, match=re.escape(
+                "23 atom rows, but the grid expands to 24 (T1, T2) pairs")):
+            Dictionary(d.atoms[:-1], d.schedule_digest, d.grid)
+
+    @pytest.mark.parametrize("key", ["grid", "schedule_digest"])
     def test_manifest_missing_key_rejected(self, toy_dictionary, tmp_path, key):
         d, _ = toy_dictionary
         _, json_path = save_dictionary(d, tmp_path / "dict_h")

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -115,3 +116,46 @@ class TestRoundTrip:
             assert getattr(loaded, field).tobytes() == getattr(schedule, field).tobytes()
         assert loaded.prep_settings() == schedule.prep_settings()
         assert schedule_digest(loaded) == schedule_digest(schedule)
+
+
+class TestPrepSidecar:
+    @staticmethod
+    def saved(tmp_path, sidecar):
+        """A saved schedule whose ``.prep.json`` sidecar holds ``sidecar``."""
+        path = tmp_path / "s.csv"
+        save_schedule(constant_schedule(4, 30.0), path)
+        if sidecar is None:
+            path.with_suffix(".prep.json").unlink()
+        else:
+            path.with_suffix(".prep.json").write_text(json.dumps(sidecar))
+        return path
+
+    @pytest.mark.parametrize("sidecar", [None, {}], ids=["absent", "empty"])
+    def test_omitted_keys_take_the_dataclass_defaults(self, tmp_path, sidecar):
+        loaded = load_schedule(self.saved(tmp_path, sidecar))
+        fresh = SequenceSchedule(loaded.flip_angles_rad, loaded.rf_phases_rad,
+                                 loaded.tr_ms)
+        assert loaded.prep_settings() == fresh.prep_settings()
+
+    def test_partial_sidecar_keeps_other_defaults(self, tmp_path):
+        loaded = load_schedule(self.saved(tmp_path, {"te_ms": 2}))
+        assert loaded.prep_settings() == {"inversion_prep": True,
+                                          "inversion_delay_ms": 0.0, "te_ms": 2.0}
+
+    @pytest.mark.parametrize("sidecar, message", [
+        ({"te": 2.0}, "unknown preparation keys ['te']"),
+        ({"te_ms": 1.0, "inversion": False, "delay": 3.0},
+         "unknown preparation keys ['delay', 'inversion']"),
+        ({"inversion_prep": "false"}, "inversion_prep must be a JSON boolean, got 'false'"),
+        ({"inversion_prep": 0}, "inversion_prep must be a JSON boolean, got 0"),
+        ({"te_ms": None}, "te_ms must be a JSON number, got None"),
+        ({"inversion_delay_ms": "2.0"}, "inversion_delay_ms must be a JSON number, got '2.0'"),
+        ({"te_ms": True}, "te_ms must be a JSON number, got True"),
+        ([], "expected a JSON object, got list"),
+    ], ids=["misspelled", "several_unknown", "string_bool", "int_bool", "null_time",
+            "string_time", "bool_time", "not_object"])
+    def test_malformed_sidecar_rejected(self, tmp_path, sidecar, message):
+        path = self.saved(tmp_path, sidecar)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path.with_suffix('.prep.json')}: {message}")):
+            load_schedule(path)
