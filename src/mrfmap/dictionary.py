@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from functools import partial
@@ -26,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .epg import TissueParams, simulate_fingerprints
+from .parallel import available_cpus, fan_out
 from .schedule import SequenceSchedule, schedule_digest
 
 DICT_MAGIC = b"MRFD"
@@ -145,14 +145,6 @@ class Dictionary:
         return self.atoms.shape[1]
 
 
-def available_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the machine's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def build_plan(n_atoms: int) -> tuple[int, int]:
     """Atoms per batch and processes ``build_dictionary`` uses for ``n_atoms``.
 
@@ -160,7 +152,7 @@ def build_plan(n_atoms: int) -> tuple[int, int]:
     smaller than one batch still spreads over every CPU. Without ``fork``
     the build runs in the calling process alone.
     """
-    cpus = available_cpus() if hasattr(os, "fork") else 1
+    cpus = available_cpus()
     size = min(BATCH_SIZE, -(-n_atoms // cpus))
     return size, min(cpus, -(-n_atoms // size))
 
@@ -168,37 +160,6 @@ def build_plan(n_atoms: int) -> tuple[int, int]:
 def _magnitudes(chunk: list[TissueParams], schedule: SequenceSchedule) -> np.ndarray:
     """float64 magnitude fingerprints of one batch of tissues."""
     return np.abs(simulate_fingerprints(chunk, schedule))
-
-
-def _fan_out(simulate, chunks: list, processes: int):
-    """Yield ``(index, simulate(chunks[index]))`` for every chunk, in no fixed order.
-
-    The calling process simulates every ``processes``-th chunk itself and
-    ``processes - 1`` forked workers take the rest. A worker's rows are
-    collected after each of the caller's own chunks, so the caller holds
-    about one batch per worker at a time, not a whole share. A forked worker
-    starts without importing NumPy again and runs element-wise NumPy only,
-    never BLAS. Shutting the pool down on the way out, also after an error,
-    cancels the batches no worker has started and joins the workers.
-    """
-    # Imported here: they cost about 2 MB of resident memory, which
-    # processes that only train or map should not pay.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    pool = ProcessPoolExecutor(processes - 1,
-                               mp_context=multiprocessing.get_context("fork"))
-    try:
-        pending = {pool.submit(simulate, chunk): i
-                   for i, chunk in enumerate(chunks) if i % processes}
-        for i in range(0, len(chunks), processes):
-            yield i, simulate(chunks[i])
-            for future in [f for f in pending if f.done()]:
-                yield pending.pop(future), future.result()
-        for future in as_completed(pending):
-            yield pending.pop(future), future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 # Atoms per ``simulate_fingerprints`` call; see the sweep in
@@ -236,7 +197,7 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
     size, processes = build_plan(len(labels))
     chunks = [labels[lo:lo + size] for lo in range(0, len(labels), size)]
     simulate = partial(_magnitudes, schedule=schedule)
-    batches = (_fan_out(simulate, chunks, processes) if processes > 1
+    batches = (fan_out(simulate, chunks, processes) if processes > 1
                else enumerate(map(simulate, chunks)))
     atoms = np.empty((len(labels), schedule.n_excitations), dtype=np.float64)
     for i, rows in batches:

@@ -44,16 +44,27 @@ class AdamState:
 
 def adam_update(state: AdamState, params: dict[str, np.ndarray],
                 grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """One Adam step; parameters are updated in place and returned."""
+    """One Adam step; parameters are updated in place and returned.
+
+    ``grads`` must hold exactly the keys of ``params``, each with its
+    parameter's shape; otherwise ValueError is raised before anything
+    changes.
+    """
+    missing = [key for key in params if key not in grads]
+    extra = [key for key in grads if key not in params]
+    if missing or extra:
+        raise ValueError(f"gradient keys differ from the parameters: "
+                         f"missing {missing}, extra {extra}")
+    for key, p in params.items():
+        if grads[key].shape != p.shape:
+            raise ValueError(f"gradient shape {grads[key].shape} != param shape "
+                             f"{p.shape} for {key!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     for key, p in params.items():
         g = grads[key]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape "
-                             f"{p.shape} for {key!r}")
         m = state.m[key]
         v = state.v[key]
         m *= BETA1

@@ -78,6 +78,31 @@ def test_shape_mismatch_rejected():
         adam_update(state, params, {"w": np.zeros(4)})
 
 
+def test_shape_mismatch_changes_nothing():
+    # The bad gradient comes after a good one in declaration order.
+    params = {"w": np.ones(3), "b": np.ones(1)}
+    state = AdamState.for_params(params)
+    with pytest.raises(ValueError, match=r"for 'b'"):
+        adam_update(state, params, {"w": np.ones(3), "b": np.ones(2)})
+    assert state.step == 0
+    np.testing.assert_array_equal(params["w"], np.ones(3))
+    np.testing.assert_array_equal(state.m["w"], np.zeros(3))
+
+
+@pytest.mark.parametrize("grads, message", [
+    ({"w": np.zeros(3)}, r"missing \['b'\], extra \[\]"),
+    ({"w": np.zeros(3), "b": np.zeros(1), "head.b": np.zeros(2)},
+     r"missing \[\], extra \['head.b'\]"),
+])
+def test_gradient_keys_must_match_params(grads, message):
+    params = {"w": np.ones(3), "b": np.ones(1)}
+    state = AdamState.for_params(params)
+    with pytest.raises(ValueError, match=message):
+        adam_update(state, params, grads)
+    assert state.step == 0
+    np.testing.assert_array_equal(params["w"], np.ones(3))
+
+
 def test_update_is_in_place():
     params = {"w": np.ones(2)}
     state = AdamState.for_params(params)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mrfmap.nn.backprop import loss_and_grads
+from mrfmap.nn.cells import step
 from mrfmap.nn.models import (
     ModelSpec,
     forward_batch,
@@ -153,6 +154,26 @@ class TestForwardSequence:
         expected = h @ params["head.w"] + params["head.b"]
         got = predict_single(spec, params, signal)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cell_kind", ["simple", "gru", "lstm"])
+    @pytest.mark.parametrize("chunk_size", [1, 3])
+    def test_input_projection_matches_matmul_unroll(self, cell_kind, chunk_size):
+        # The unroll projects each input chunk with np.dot; an unroll that
+        # projects it with the @ operator must give the same bits.
+        spec = ModelSpec("rnn_regressor", input_len=12, cell_kind=cell_kind,
+                         hidden_dim=5, chunk_size=chunk_size)
+        params = init_params(spec, seed=4)
+        signals = np.random.default_rng(4).normal(size=(6, 12))
+        w, u, b = params["cell.w"], params["cell.u"], params["cell.b"]
+        xs = np.ascontiguousarray(
+            signals.reshape(6, spec.n_steps, chunk_size).transpose(1, 0, 2))
+        h = c = np.zeros((6, 5))
+        for x_t in xs:
+            h, c, _ = step(cell_kind, u, x_t @ w + b, h, c)
+        expected = h @ params["head.w"] + params["head.b"]
+        assert predict_batch(spec, params, signals).tobytes() == expected.tobytes()
+        preds, _ = forward_batch(spec, params, signals)
+        assert preds.tobytes() == expected.tobytes()
 
     def test_length_mismatch(self):
         spec = ModelSpec("rnn_regressor", input_len=10, hidden_dim=3)
