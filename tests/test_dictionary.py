@@ -7,6 +7,8 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrfmap import dictionary
 from mrfmap.dictionary import (
@@ -31,6 +33,22 @@ def toy_dictionary():
     )
     schedule = default_schedule(80)
     return build_dictionary(spec, schedule), schedule
+
+
+# The map benchmark's grid: 1020 atoms, far more than RANK, so matching
+# takes the low-rank path. The toy grid's 24 atoms are below RANK.
+MAP_GRID = GridSpec(t1_segments=((100.0, 1000.0, 50.0), (1000.0, 4000.0, 150.0)),
+                    t2_segments=((5.0, 50.0, 5.0), (50.0, 500.0, 25.0)))
+
+
+@pytest.fixture(scope="module")
+def map_dictionary():
+    return build_dictionary(MAP_GRID, default_schedule(64))
+
+
+def numbered_grid(m):
+    """A grid of exactly m pairs, (1, 1) to (m, 1) ms, for hand-made atoms."""
+    return GridSpec(t1_segments=((1.0, float(m), 1.0),), t2_segments=((1.0, 1.0, 1.0),))
 
 
 # 392 atoms: 7 batches of BATCH_SIZE = 64, the last one short (8 atoms), so
@@ -339,6 +357,185 @@ class TestMatchBatch:
         with pytest.raises(ValueError, match=r"NaN.*\[1, 4\]"):
             match_batch(d, queries)
 
+    def test_overflowing_rows_reported_per_query(self, toy_dictionary):
+        # Finite rows whose squared norm overflows are refused like inf rows.
+        d, _ = toy_dictionary
+        queries = d.atoms[:5].copy()
+        queries[2] *= 1e200
+        with pytest.raises(ValueError, match=r"overflowing values at indices \[2\]"):
+            match_batch(d, queries)
+
+
+class TestCertifiedMatch:
+    """Matching above RANK atoms: subspace bounds, then exact re-scoring."""
+
+    def test_atoms_differing_only_outside_the_subspace(self):
+        # Atoms j and j + RANK share their part in a strong RANK-dimensional
+        # subspace and differ only in weak residual directions, so their
+        # bounds agree and only exact scores can tell them apart.
+        r, extra = dictionary.RANK, 8
+        m = r + extra
+        basis = np.linalg.qr(np.random.default_rng(3).standard_normal((r + m, r + m)))[0]
+        strong, weak = basis[:, :r].T, basis[:, r:].T
+        cos = 0.99
+        sin = np.sqrt(1.0 - cos ** 2)
+        atoms = cos * strong[np.arange(m) % r] + sin * weak[:m]
+        d = Dictionary(atoms, "hand-made", numbered_grid(m))
+        w = dictionary._subspace(d)[1]
+        assert w.shape == (r + 1, m)
+        np.testing.assert_allclose(w[:, :extra], w[:, r:], atol=1e-6)
+        queries = np.vstack([atoms, atoms + 0.05 * weak[:m]])
+        for (label, score), query in zip(match_batch(d, queries), queries):
+            ref_label, ref_score = naive_match(d, query)
+            assert label == ref_label
+            assert abs(score - ref_score) < 1e-12
+        assert [label for label, _ in match_batch(d, queries)] == 2 * d.labels
+
+    @pytest.mark.parametrize("factor", [0.0, 10.0])
+    @pytest.mark.parametrize("scaled", [10, 50])
+    def test_equal_scores_go_to_the_lowest_row(self, scaled, factor):
+        # Rows 10 and 50 agree on the first half of the samples, where the
+        # query lives, so their exact scores are equal bit for bit. Scaling
+        # the second half of one of them changes their bounds: row 50 has
+        # the larger bound in some of these cases, row 10 in the others.
+        rng = np.random.default_rng(0)
+        m, half = 2 * dictionary.RANK, 24
+        heads = rng.standard_normal((m, half))
+        heads /= np.linalg.norm(heads, axis=1, keepdims=True)
+        atoms = np.hstack([heads, rng.standard_normal((m, half))])
+        atoms[50, :half] = atoms[10, :half]
+        atoms[scaled, half:] *= factor
+        d = Dictionary(atoms, "hand-made", numbered_grid(m))
+        query = np.concatenate([atoms[10, :half], np.zeros(half)])
+        (label, score), = match_batch(d, query[None])
+        assert (label, score) == match(d, query)
+        assert label == d.labels[10]
+        assert abs(score - naive_match(d, query)[1]) < 1e-12
+
+    def test_matches_naive_reference(self, map_dictionary):
+        d = map_dictionary
+        rng = np.random.default_rng(11)
+        picks = rng.integers(0, d.n_atoms, size=40)
+        queries = d.atoms[picks] * rng.uniform(0.5, 2.0, size=(40, 1))
+        queries += rng.normal(0.0, 0.05, size=queries.shape) * queries.max(axis=1, keepdims=True)
+        for (label, score), query in zip(match_batch(d, queries), queries):
+            ref_label, ref_score = naive_match(d, query)
+            assert label == ref_label
+            assert abs(score - ref_score) < 1e-12
+
+    def test_self_match_sweep(self, map_dictionary):
+        d = map_dictionary
+        assert [label for label, _ in match_batch(d, d.atoms)] == d.labels
+
+    def test_every_row_equals_match_bit_for_bit(self, map_dictionary):
+        d = map_dictionary
+        rng = np.random.default_rng(12)
+        queries = np.abs(d.atoms[rng.integers(0, d.n_atoms, size=300)]
+                         + rng.normal(0.0, 0.02, size=(300, d.n_samples)))
+        for i, row in enumerate(match_batch(d, queries)):
+            assert match(d, queries[i]) == row
+
+    def test_memory_layout_changes_nothing(self, map_dictionary):
+        d = map_dictionary
+        rng = np.random.default_rng(14)
+        queries = np.abs(d.atoms[rng.integers(0, d.n_atoms, size=100)]
+                         + rng.normal(0.0, 0.02, size=(100, d.n_samples)))
+        expected = match_batch(d, queries)
+        assert match_batch(d, np.asfortranarray(queries)) == expected
+        wide = np.zeros((100, 2 * d.n_samples))
+        wide[:, ::2] = queries
+        assert match_batch(d, wide[:, ::2]) == expected
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_poor_basis_changes_nothing(self, map_dictionary, monkeypatch, rank):
+        d = map_dictionary
+        rng = np.random.default_rng(13)
+        queries = np.abs(d.atoms[rng.integers(0, d.n_atoms, size=200)]
+                         + rng.normal(0.0, 0.02, size=(200, d.n_samples)))
+        expected = match_batch(d, queries)
+        monkeypatch.setattr(dictionary, "RANK", rank)
+        poor = Dictionary(d.atoms, d.schedule_digest, d.grid)
+        assert match_batch(poor, queries) == expected
+        assert dictionary._subspace(poor)[0].shape == (d.n_samples, rank)
+
+    def test_subspace_follows_a_new_atom_array(self, map_dictionary):
+        d = map_dictionary
+        copy = Dictionary(d.atoms.copy(), d.schedule_digest, d.grid)
+        match(copy, d.atoms[5])
+        copy.atoms = d.atoms[::-1].copy()
+        assert match(copy, d.atoms[5])[0] == d.labels[d.n_atoms - 6]
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-162, 1e-200, 1e-300])
+    def test_tiny_queries_match_like_unit_ones(self, map_dictionary, scale):
+        # Squares of these rows underflow, partly or wholly.
+        d = map_dictionary
+        query = d.atoms[17] + 0.01
+        label, score = match(d, query)
+        tiny_label, tiny_score = match(d, scale * query)
+        assert tiny_label == label
+        assert abs(tiny_score - score) < 1e-12
+
+
+def random_dictionary(m, n, seed, rank):
+    """Atoms of a random (m, n) dictionary near a rank-``rank`` subspace."""
+    rng = np.random.default_rng(seed)
+    atoms = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    atoms += 1e-3 * rng.standard_normal((m, n))
+    return Dictionary(atoms, "random", numbered_grid(m))
+
+
+def probe_queries(d, seed):
+    """Exact, scaled and noisy atoms and queries inside the subspace."""
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, d.n_atoms, size=6)
+    v = dictionary._subspace(d)[0]
+    return np.vstack([
+        d.atoms[picks],
+        d.atoms[picks] * rng.uniform(1e-3, 1e3, size=(6, 1)),
+        d.atoms[picks] + 0.01 * rng.standard_normal((6, d.n_samples)),
+        rng.standard_normal((6, v.shape[1])) @ v.T,
+    ])
+
+
+dictionary_shapes = st.tuples(
+    st.integers(1, 2 * dictionary.RANK + 8),  # M on both sides of RANK
+    st.integers(1, 80),
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(1, 40),
+)
+
+
+class TestMatchProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(dictionary_shapes)
+    def test_equals_naive_double_loop(self, shape):
+        m, n, seed, rank = shape
+        d = random_dictionary(m, n, seed, rank)
+        queries = probe_queries(d, seed + 1)
+        for (label, score), query in zip(match_batch(d, queries), queries):
+            ref_label, ref_score = naive_match(d, query)
+            assert label == ref_label
+            assert abs(score - ref_score) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(dictionary_shapes)
+    def test_match_equals_every_batch_row_bit_for_bit(self, shape):
+        m, n, seed, rank = shape
+        d = random_dictionary(m, n, seed, rank)
+        queries = probe_queries(d, seed + 2)
+        batch = match_batch(d, queries)
+        for i, query in enumerate(queries):
+            (label, score), (batch_label, batch_score) = match(d, query), batch[i]
+            assert label == batch_label
+            assert np.float64(score).tobytes() == np.float64(batch_score).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(dictionary_shapes)
+    def test_empty_query_matrix(self, shape):
+        m, n, seed, rank = shape
+        d = random_dictionary(m, n, seed, rank)
+        assert match_batch(d, np.empty((0, n))) == []
+
 
 class TestSerialization:
     def test_round_trip_bit_identical(self, toy_dictionary, tmp_path):
@@ -407,6 +604,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(
                 "23 atom rows, but the grid expands to 24 (T1, T2) pairs")):
             Dictionary(d.atoms[:-1], d.schedule_digest, d.grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects_nonfinite_atoms_with_rows(self, toy_dictionary, bad):
+        d, _ = toy_dictionary
+        atoms = d.atoms.copy()
+        atoms[4, 3] = bad
+        atoms[20, 0] = bad
+        with pytest.raises(ValueError, match=re.escape("NaN or inf atoms in rows [4, 20]")):
+            Dictionary(atoms, d.schedule_digest, d.grid)
 
     @pytest.mark.parametrize("key", ["grid", "schedule_digest"])
     def test_manifest_missing_key_rejected(self, toy_dictionary, tmp_path, key):
