@@ -3,9 +3,11 @@
 ``backward`` consumes the cache produced by ``forward_batch`` and the
 gradient of the loss w.r.t. the predictions, and returns gradients for every
 parameter in declaration order. Backpropagation through time is one loop
-for every cell kind over the forward tape, through ``cells.step_grad``, the
-derivative of ``cells.step``. ``loss_and_grads`` wires forward, MSE and
-backward together for the training loop.
+for every cell kind: it walks the slots of the forward tape's
+whole-sequence arrays from the last step to the first and hands slot t of
+each to ``cells.step_grad``, the derivative of ``cells.step``.
+``loss_and_grads`` wires forward, MSE and backward together for the
+training loop.
 
 Data-parallel BPTT. Every row's forward and backward pass is independent
 until the gradients are summed, so ``loss_and_grads`` splits a recurrent
@@ -88,16 +90,17 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
 
     Every slab pays the unroll's per-step Python cost, and a split pays
     10-20 ms to start the pool, so a small batch runs faster whole. Median
-    ms of 7-9 alternating runs for one process against two slabs (GRU,
+    ms of 7 alternating runs for one process against two slabs (GRU,
     h=100, one BLAS thread, 2-core Xeon):
 
         N (chunk_size)    B=16       B=32       B=64       B=128
-        1750 (1)        740/653  1163/1008  2020/1381
-        250 (1)         111/138    148/163    283/231    601/326
-        1750 (10)                  131/122    208/159    398/258
+        1750 (1)        677/547  1010/770   1784/1092  3402/1761
+        250 (1)           87/87    148/137    248/183    448/281
+        1750 (10)         73/72    112/95     183/149    349/211
 
     With ``MIN_SLAB_ROWS`` = 32 no measured split is slower than the whole
-    batch; at 16, the B=32 batches of length 250 would be.
+    batch. The B=16 and B=32 columns split into slabs of 8 and 16 rows:
+    those of 16 were faster in every row, those of 8 only at N=1750 (1).
     """
     signals = _checked_signals(spec, signals)
     targets = np.asarray(targets, dtype=np.float64)
@@ -151,9 +154,13 @@ def _backward_rnn(spec, params, cache, d_preds):
     dc = np.zeros_like(dh)  # read by the LSTM only
 
     dw, du, db = grads["cell.w"], grads["cell.u"], grads["cell.b"]
-    for x_t, (h, c, acts) in zip(cache["xs"][::-1], reversed(cache["tape"])):
-        dxp, du_t, dh, dc = step_grad(spec.cell_kind, u, h, c, acts, dh, dc)
-        dw += x_t.T @ dxp
+    xs, tape = cache["xs"], cache["tape"]
+    hs, cs, acts = tape["h"], tape.get("c"), tape["acts"]
+    for t in range(len(xs) - 1, -1, -1):
+        dxp, du_t, dh, dc = step_grad(
+            spec.cell_kind, u, hs[t], None if cs is None else cs[t],
+            tuple(act[t] for act in acts), dh, dc)
+        dw += xs[t].T @ dxp
         du += du_t
         db += dxp.sum(axis=0)
     return grads

@@ -7,13 +7,18 @@ little-endian float32; the ``param_order`` and ``param_shapes`` that older
 headers also hold are ignored. Loading restores float64 parameters whose
 values are exactly the stored f32 ones, so save -> load -> save is
 byte-identical. Saving refuses parameters off that layout; saving and loading
-refuse NaN or inf parameters; loading also rejects a header that lacks a key
-or holds an unknown spec key, and a blob whose size disagrees with the layout.
+refuse NaN or inf parameters, label scaling that is not a finite positive
+number, a ``seed`` that is not an integer and ``metadata`` that is not an
+object. Loading also rejects a header that lacks a key, holds an unknown spec
+key or a spec value ``ModelSpec`` refuses, or a ``spec`` or ``label_scaling``
+that is not a JSON object, and a blob whose size disagrees with the layout;
+each with a ValueError that names the file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,8 +50,29 @@ def _reject_nonfinite(path: Path, params: dict[str, np.ndarray]) -> None:
         raise ValueError(f"{path}: NaN or inf values in parameters {bad}")
 
 
+def _check_object(path: Path, key: str, value) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{path}: {key} must be a JSON object, "
+                         f"got {type(value).__name__}")
+
+
+def _check_values(path: Path, t1_max, t2_max, seed, metadata) -> None:
+    """ValueError naming ``path`` unless both label scalings are finite
+    positive numbers, ``seed`` is an integer and ``metadata`` an object."""
+    bad = {key: value for key, value in (("t1_max", t1_max), ("t2_max", t2_max))
+           if isinstance(value, bool) or not isinstance(value, (int, float))
+           or not (math.isfinite(value) and value > 0)}
+    if bad:
+        raise ValueError(f"{path}: label scaling must be finite and positive, "
+                         f"got {bad}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"{path}: seed must be an integer, got {seed!r}")
+    _check_object(path, "metadata", metadata)
+
+
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
     path = Path(path)
+    _check_values(path, ckpt.t1_max, ckpt.t2_max, ckpt.seed, ckpt.metadata)
     layout = _layout(ckpt.spec)
     given = {name: np.shape(arr) for name, arr in ckpt.params.items()}
     wrong = {name: (given.get(name), layout.get(name))
@@ -79,15 +105,23 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
     cut = raw.find(DELIMITER)
     if cut < 0:
         raise ValueError(f"{path}: missing parameter delimiter")
-    header = json.loads(raw[:cut].decode("utf-8"))
+    try:
+        header = json.loads(raw[:cut].decode("utf-8"))
+    except ValueError as err:  # also UnicodeDecodeError
+        raise ValueError(f"{path}: header is not JSON: {err}") from None
     blob = raw[cut + len(DELIMITER):]
+    _check_object(path, "header", header)
     missing = [key for key in ("spec", "label_scaling", "seed") if key not in header]
     if missing:
         raise ValueError(f"{path}: header lacks {missing}")
+    for key in ("spec", "label_scaling"):
+        _check_object(path, key, header[key])
     scaling = header["label_scaling"]
     missing = [key for key in ("t1_max", "t2_max") if key not in scaling]
     if missing:
         raise ValueError(f"{path}: label_scaling lacks {missing}")
+    _check_values(path, scaling["t1_max"], scaling["t2_max"], header["seed"],
+                  header.get("metadata", {}))
 
     try:
         spec = ModelSpec.from_json_dict(header["spec"])
@@ -112,6 +146,6 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         params=params,
         t1_max=float(scaling["t1_max"]),
         t2_max=float(scaling["t2_max"]),
-        seed=int(header["seed"]),
+        seed=header["seed"],
         metadata=header.get("metadata", {}),
     )

@@ -189,6 +189,86 @@ def test_unknown_spec_key_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key", ["spec", "label_scaling", "metadata"])
+@pytest.mark.parametrize("value", [[1, 2], 3, "x", None])
+def test_header_value_that_is_no_object_rejected(tmp_path, key, value):
+    path = saved_gru(tmp_path)
+    rewrite_header(path, lambda meta: meta.update({key: value}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: {key} must be a JSON object, got {type(value).__name__}")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    (b"[1, 2]", "header must be a JSON object, got list"),
+    (b"{'seed': 1}", "header is not JSON"),
+    (b"\xff{}", "header is not JSON")])
+def test_header_that_is_no_json_object_rejected(tmp_path, header, message):
+    path = saved_gru(tmp_path)
+    _, sep, blob = path.read_bytes().partition(b"\n---PARAMS---\n")
+    path.write_bytes(header + sep + blob)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("input_len", "12"), ("hidden_dim", 2.5), ("hidden_dim", -1), ("chunk_size", 0),
+    ("cnn_kernel", True), ("ann_hidden", 5), ("cnn_channels", [4, "8"])])
+def test_spec_value_of_wrong_type_or_range_rejected(tmp_path, key, value):
+    # These used to raise TypeError or ZeroDivisionError from inside the spec.
+    path = saved_gru(tmp_path)
+    rewrite_header(path, lambda meta: meta["spec"].update({key: value}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {key} must be")):
+        load_checkpoint(path)
+
+
+BAD_SCALING = [None, float("nan"), float("inf"), -4000.0, 0.0, "4000", True]
+
+
+@pytest.mark.parametrize("key", ["t1_max", "t2_max"])
+@pytest.mark.parametrize("value", BAD_SCALING)
+def test_label_scaling_not_finite_positive_rejected(tmp_path, key, value):
+    path = saved_gru(tmp_path)
+    rewrite_header(path, lambda meta: meta["label_scaling"].update({key: value}))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: label scaling must be finite and positive, got {{'{key}': ")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["t1_max", "t2_max"])
+@pytest.mark.parametrize("value", BAD_SCALING)
+def test_save_refuses_scaling_not_finite_positive(tmp_path, key, value):
+    ckpt = gru_checkpoint()
+    setattr(ckpt, key, value)
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: label scaling must be finite and positive, got {{'{key}': ")):
+        save_checkpoint(ckpt, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0, "1", None, True])
+def test_seed_that_is_no_integer_rejected(tmp_path, value):
+    # 1.7 used to load as seed 1.
+    path = saved_gru(tmp_path)
+    rewrite_header(path, lambda meta: meta.update(seed=value))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: seed must be an integer, got {value!r}")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 1.7, "seed must be an integer, got 1.7"),
+    ("metadata", [1], "metadata must be a JSON object, got list")])
+def test_save_refuses_a_header_load_would_reject(tmp_path, field, value, message):
+    ckpt = gru_checkpoint()
+    setattr(ckpt, field, value)
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        save_checkpoint(ckpt, path)
+    assert list(tmp_path.iterdir()) == []
+
+
 ALL_SPECS = {
     **{f"checkpoint-{k}": v for k, v in SPECS.items()},
     **{f"gradients-{k}": v for k, v in TOY_SPECS.items()},

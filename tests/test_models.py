@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mrfmap.nn.backprop import loss_and_grads
-from mrfmap.nn.cells import step
+from mrfmap.nn.backprop import backward, loss_and_grads
+from mrfmap.nn.cells import step, step_grad
 from mrfmap.nn.models import (
     ModelSpec,
     forward_batch,
@@ -247,9 +247,10 @@ class TestPredictSingle:
         preds, cache = forward_batch(spec, params, sig[None, :])
         assert np.all(np.isfinite(preds))
         tape = cache["tape"]
-        assert len(tape) == spec.n_steps
-        hs = np.array([h for h, _, _ in tape] + [cache["h"]])
-        rs, zs, cands = (np.array(act) for act in zip(*(acts for _, _, acts in tape)))
+        rs, zs, cands = tape["acts"]
+        for arr in (tape["h"], rs, zs, cands):
+            assert arr.shape == (spec.n_steps, 1, spec.hidden_dim)
+        hs = np.concatenate([tape["h"], cache["h"][None]])
         assert np.all(np.abs(hs) <= 1.0)
         assert np.all((rs >= 0.0) & (rs <= 1.0))
         assert np.all((zs >= 0.0) & (zs <= 1.0))
@@ -260,6 +261,83 @@ class TestPredictSingle:
                          cnn_kernel=3, cnn_stride=2)
         again = ModelSpec.from_json_dict(spec.to_json_dict())
         assert again == spec
+
+
+def list_tape_reference(spec, params, signals, d_preds):
+    """Predictions and gradients of a recurrent regressor from a forward
+    that keeps a Python list of per-step ``(h, c, acts)`` and a BPTT that
+    walks it backwards, composed from ``cells.step`` and ``cells.step_grad``
+    in the order of the model's own unroll."""
+    w, u, b = params["cell.w"], params["cell.u"], params["cell.b"]
+    n_rows = signals.shape[0]
+    xs = np.ascontiguousarray(
+        signals.reshape(n_rows, spec.n_steps, spec.chunk_size).transpose(1, 0, 2))
+    h = np.zeros((n_rows, spec.hidden_dim))
+    c = np.zeros_like(h)
+    tape = []
+    for x_t in xs:
+        h_t, c_t, acts = step(spec.cell_kind, u, np.dot(x_t, w) + b, h, c)
+        tape.append((h, c, acts))
+        h, c = h_t, c_t
+    preds = h @ params["head.w"] + params["head.b"]
+
+    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    grads["head.w"] += h.T @ d_preds
+    grads["head.b"] += d_preds.sum(axis=0)
+    dh = d_preds @ params["head.w"].T
+    dc = np.zeros_like(dh)
+    for x_t, (h, c, acts) in zip(xs[::-1], tape[::-1]):
+        dxp, du_t, dh, dc = step_grad(spec.cell_kind, u, h, c, acts, dh, dc)
+        grads["cell.w"] += x_t.T @ dxp
+        grads["cell.u"] += du_t
+        grads["cell.b"] += dxp.sum(axis=0)
+    return preds, grads
+
+
+def cache_arrays(obj):
+    """Number of arrays held anywhere in a forward cache."""
+    if isinstance(obj, np.ndarray):
+        return 1
+    if isinstance(obj, dict):
+        obj = obj.values()
+    return sum(cache_arrays(item) for item in obj)
+
+
+class TestTape:
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("chunk_size", [1, 3])
+    @pytest.mark.parametrize("cell_kind", ["simple", "gru", "lstm"])
+    def test_matches_list_tape_bitwise(self, cell_kind, chunk_size, rows):
+        spec = ModelSpec("rnn_regressor", input_len=24, cell_kind=cell_kind,
+                         hidden_dim=6, chunk_size=chunk_size)
+        params = init_params(spec, seed=4)
+        rng = np.random.default_rng(rows)
+        signals = rng.normal(size=(rows, spec.input_len))
+        d_preds = rng.normal(size=(rows, 2))
+        preds, cache = forward_batch(spec, params, signals)
+        grads = backward(spec, params, cache, d_preds)
+        ref_preds, ref_grads = list_tape_reference(spec, params, signals, d_preds)
+        np.testing.assert_array_equal(preds, ref_preds)
+        assert list(grads) == list(ref_grads)
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("cell_kind", ["simple", "gru", "lstm"])
+    def test_array_count_independent_of_length(self, cell_kind):
+        # One array per taped quantity, however long the unroll: a per-step
+        # list would grow with n_steps.
+        counts = []
+        for n_steps in (4, 40):
+            spec = ModelSpec("rnn_regressor", input_len=n_steps,
+                             cell_kind=cell_kind, hidden_dim=3)
+            _, cache = forward_batch(spec, init_params(spec, seed=0),
+                                     np.ones((2, n_steps)))
+            tape = cache["tape"]
+            assert sorted(tape) == (["acts", "c", "h"] if cell_kind == "lstm"
+                                    else ["acts", "h"])
+            assert all(len(arr) == n_steps for arr in (tape["h"], *tape["acts"]))
+            counts.append(cache_arrays(cache))
+        assert counts[0] == counts[1]
 
 
 NONFINITE_SPECS = {
