@@ -221,10 +221,8 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
     size, processes = build_plan(len(labels))
     chunks = [labels[lo:lo + size] for lo in range(0, len(labels), size)]
     simulate = partial(_magnitudes, schedule=schedule)
-    batches = (fan_out(simulate, chunks, processes) if processes > 1
-               else enumerate(map(simulate, chunks)))
     atoms = np.empty((len(labels), schedule.n_excitations), dtype=np.float64)
-    for i, rows in batches:
+    for i, rows in fan_out(simulate, chunks, processes):
         atoms[i * size:i * size + len(rows)] = rows
     norms = np.linalg.norm(atoms, axis=1, keepdims=True)
     if np.any(norms == 0.0):
@@ -438,7 +436,9 @@ def load_dictionary(name: str | Path) -> Dictionary:
     """Read ``<name>.dict`` and ``<name>.json`` as written by ``save_dictionary``.
 
     Rejects a bad header or size, atoms holding NaN or inf (naming the rows),
-    and a row count other than the number of pairs of the manifest's grid.
+    a manifest that is not a JSON object holding a valid grid and a string
+    ``schedule_digest``, and a row count other than the number of pairs of
+    the manifest's grid, each with a ValueError naming the file.
     """
     base = Path(name)
     dict_path = base.with_suffix(".dict")
@@ -455,11 +455,20 @@ def load_dictionary(name: str | Path) -> Dictionary:
         raise ValueError(f"{dict_path}: expected {expected} bytes, got {len(blob)}")
     atoms = np.frombuffer(blob, dtype="<f4", offset=24).reshape(m, n)
     atoms = atoms.astype(np.float64)
-    manifest = json.loads(json_path.read_text())
-    missing = [key for key in ("grid", "schedule_digest") if key not in manifest]
-    if missing:
-        raise ValueError(f"{json_path}: manifest lacks {missing}")
-    grid = GridSpec.from_json_dict(manifest["grid"])
+    try:  # a JSON or UTF-8 decoding error is a ValueError too
+        manifest = json.loads(json_path.read_text())
+        if not isinstance(manifest, dict):
+            raise ValueError("manifest must be a JSON object, "
+                             f"got {type(manifest).__name__}")
+        missing = [key for key in ("grid", "schedule_digest") if key not in manifest]
+        if missing:
+            raise ValueError(f"manifest lacks {missing}")
+        if not isinstance(manifest["schedule_digest"], str):
+            raise ValueError("schedule_digest must be a string, "
+                             f"got {manifest['schedule_digest']!r}")
+        grid = GridSpec.from_json_dict(manifest["grid"])
+    except ValueError as err:
+        raise ValueError(f"{json_path}: {err}") from None
     try:
         return Dictionary(atoms, manifest["schedule_digest"], grid)
     except ValueError as err:

@@ -3,21 +3,21 @@
 ``backward`` consumes the cache produced by ``forward_batch`` and the
 gradient of the loss w.r.t. the predictions, and returns gradients for every
 parameter in declaration order. Backpropagation through time is one loop
-for every cell kind: it walks the slots of the forward tape's
-whole-sequence arrays from the last step to the first and hands slot t of
-each to ``cells.step_grad``, the derivative of ``cells.step``.
+for every cell kind: it puts the head's gradient in the first h columns of
+the final state's, walks the forward tape's slots from the last step to the
+first and hands slot t of each array to ``cells.step_grad``.
 ``loss_and_grads`` wires forward, MSE and backward together for the
 training loop.
 
 Data-parallel BPTT. Every row's forward and backward pass is independent
 until the gradients are summed, so ``loss_and_grads`` splits a recurrent
-regressor's minibatch of B rows into P = ``min(available_cpus(),
-B // MIN_SLAB_ROWS)`` contiguous slabs of near-equal size when P > 1. The
-calling process runs the first slab and P - 1 forked workers the others
-(``parallel.fan_out``); each runs forward and backward over its rows with
-the whole batch's MSE gradient, and the caller sums the slab gradients in
-slab order. An ANN or CNN minibatch costs about as much as starting a
-pool (13 ms for the benchmark's ANN step), so neither ever splits.
+regressor's minibatch of B rows into P = ``max(1, min(available_cpus(),
+B // MIN_SLAB_ROWS))`` contiguous slabs of near-equal size. The caller
+runs the first slab and P - 1 forked workers the others (``fan_out``,
+which starts no pool at P = 1); each runs forward and backward over its
+rows with the whole batch's MSE gradient, and the caller sums the slab
+gradients in slab order. An ANN or CNN minibatch costs about as much as
+starting a pool (13 ms for the benchmark's ANN step), so neither splits.
 
 With one slab the loss, the gradients and the predictions are bit for bit
 those of one forward and one backward over the whole batch. A split
@@ -111,21 +111,16 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
     bad = np.flatnonzero(~np.isfinite(targets).all(axis=1))
     if bad.size:
         raise ValueError(f"targets holding NaN or inf at indices {bad.tolist()}")
-    slabs = (min(available_cpus(), n_rows // MIN_SLAB_ROWS)
+    slabs = (max(1, min(available_cpus(), n_rows // MIN_SLAB_ROWS))
              if spec.kind == "rnn_regressor" else 1)
-    work = partial(_slab, spec, params, targets.size)
-    if slabs <= 1:
-        preds, grads = work((signals, targets))
-    else:
-        edges = [n_rows * i // slabs for i in range(slabs + 1)]
-        chunks = [(signals[lo:hi], targets[lo:hi])
-                  for lo, hi in zip(edges, edges[1:])]
-        done = dict(fan_out(work, chunks, slabs))
-        preds = np.concatenate([done[i][0] for i in range(slabs)])
-        grads = done[0][1]
-        for i in range(1, slabs):
-            for name, grad in done[i][1].items():
-                grads[name] += grad
+    edges = [n_rows * i // slabs for i in range(slabs + 1)]
+    chunks = [(signals[lo:hi], targets[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    done = dict(fan_out(partial(_slab, spec, params, targets.size), chunks, slabs))
+    preds = np.concatenate([done[i][0] for i in range(slabs)])
+    grads = done[0][1]
+    for i in range(1, slabs):
+        for name, grad in done[i][1].items():
+            grads[name] += grad
     return mse_loss(preds, targets), grads, preds
 
 
@@ -145,21 +140,19 @@ def _slab(spec, params, n_entries, rows):
 
 
 def _backward_rnn(spec, params, cache, d_preds):
-    u = params["cell.u"]
+    u, n = params["cell.u"], spec.hidden_dim
 
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    grads["head.w"] += cache["h"].T @ d_preds
+    grads["head.w"] += cache["s"][:, :n].T @ d_preds
     grads["head.b"] += d_preds.sum(axis=0)
-    dh = d_preds @ params["head.w"].T
-    dc = np.zeros_like(dh)  # read by the LSTM only
+    ds = np.zeros_like(cache["s"])
+    ds[:, :n] = d_preds @ params["head.w"].T
 
     dw, du, db = grads["cell.w"], grads["cell.u"], grads["cell.b"]
     xs, tape = cache["xs"], cache["tape"]
-    hs, cs, acts = tape["h"], tape.get("c"), tape["acts"]
     for t in range(len(xs) - 1, -1, -1):
-        dxp, du_t, dh, dc = step_grad(
-            spec.cell_kind, u, hs[t], None if cs is None else cs[t],
-            tuple(act[t] for act in acts), dh, dc)
+        s, *acts = (buf[t] for buf in tape)
+        dxp, du_t, ds = step_grad(spec.cell_kind, u, s, acts, ds)
         dw += xs[t].T @ dxp
         du += du_t
         db += dxp.sum(axis=0)

@@ -6,9 +6,13 @@ Gate weights are stored concatenated along the output axis:
 * gru:    gate order [reset | update | candidate], ``w`` (in, 3h), ...
 * lstm:   gate order [input | forget | output | cell], ``w`` (in, 4h), ...
 
+A cell's state is one array of ``N_STATES[kind] * h`` columns: (B, h) for
+the simple and GRU cells, (B, 2h) ``[h | c]`` for the LSTM. Its first h
+columns are always the hidden output the head reads.
+
 ``step`` holds the only copy of each cell's arithmetic, ``step_grad`` its
 derivative, and ``sigmoid`` the only logistic function. Both start from the
-projected input ``x_t @ w + b``; no other module slices the gates.
+projected input ``x_t @ w + b``; no other module slices gates or state.
 
 GRU convention: h = z * h_prev + (1 - z) * candidate, with the candidate
 computed from the reset-masked previous state. With reset gates saturated
@@ -21,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 N_GATES = {"simple": 1, "gru": 3, "lstm": 4}
+N_STATES = {"simple": 1, "gru": 1, "lstm": 2}
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -64,61 +69,61 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def step(kind: str, u: np.ndarray, xp_t: np.ndarray, h: np.ndarray,
-         c: np.ndarray | None = None):
-    """One step of a ``kind`` cell from its projected input xp_t = x_t @ w + b.
+def step(kind: str, u: np.ndarray, xp_t: np.ndarray, s: np.ndarray):
+    """One step of a ``kind`` cell from its projected input xp_t = x_t @ w + b
+    and its previous state ``s``.
 
-    ``h`` is the previous hidden state and ``c`` the previous LSTM cell
-    state (ignored by the other kinds). Returns ``(h_t, c_t, acts)``, where
-    ``c_t`` is None except for the LSTM and ``acts`` are what ``step_grad``
-    needs: (h_t,) for simple, (r, z, candidate) for GRU, (i, f, o, g, c_t)
-    for LSTM, all arrays the step computes anyway.
+    Returns ``(s_t, acts)``, where ``acts`` are what ``step_grad`` needs:
+    (h_t,) for simple, (r, z, candidate) for GRU, (i, f, o, g, c_t) for
+    LSTM, all arrays the step computes anyway.
     """
-    n = h.shape[-1]
+    n = u.shape[0]
     if kind == "simple":
-        h_t = np.tanh(xp_t + h @ u)
-        return h_t, None, (h_t,)
+        h_t = np.tanh(xp_t + s @ u)
+        return h_t, (h_t,)
     if kind == "gru":
-        gates = sigmoid(xp_t[..., :2 * n] + h @ u[:, :2 * n])
+        gates = sigmoid(xp_t[..., :2 * n] + s @ u[:, :2 * n])
         r, z = gates[..., :n], gates[..., n:]
-        cand = np.tanh(xp_t[..., 2 * n:] + (r * h) @ u[:, 2 * n:])
-        return z * h + (1.0 - z) * cand, None, (r, z, cand)
+        cand = np.tanh(xp_t[..., 2 * n:] + (r * s) @ u[:, 2 * n:])
+        return z * s + (1.0 - z) * cand, (r, z, cand)
     if kind == "lstm":
+        h, c = s[..., :n], s[..., n:]
         pre = xp_t + h @ u
         gates = sigmoid(pre[..., :3 * n])
         i, f, o = gates[..., :n], gates[..., n:2 * n], gates[..., 2 * n:]
         g = np.tanh(pre[..., 3 * n:])
         c_t = f * c + i * g
-        return o * np.tanh(c_t), c_t, (i, f, o, g, c_t)
+        return np.concatenate([o * np.tanh(c_t), c_t], axis=-1), (i, f, o, g, c_t)
     raise ValueError(f"unknown cell kind {kind!r}")
 
 
-def step_grad(kind: str, u: np.ndarray, h: np.ndarray, c: np.ndarray | None,
-              acts: tuple, dh: np.ndarray, dc: np.ndarray | None):
-    """Derivative of a (B, h) batch ``step`` from its h, c, ``acts`` and the
-    loss gradients dh, dc at h_t, c_t (dc read by the LSTM only). Returns the
-    gradients ``(dxp, du, dh_prev, dc_prev)`` with respect to xp_t, u (this
-    step's share), h and c (None but for the LSTM)."""
-    n = h.shape[-1]
+def step_grad(kind: str, u: np.ndarray, s: np.ndarray, acts, ds: np.ndarray):
+    """Derivative of a (B, ·) batch ``step`` from its previous state ``s``,
+    its ``acts`` and the loss gradient ``ds`` at s_t. Returns the gradients
+    ``(dxp, du, ds_prev)`` with respect to xp_t, u (this step's share) and
+    ``s``."""
+    n = u.shape[0]
     if kind == "simple":
         (h_t,) = acts
-        dxp = dh * (1.0 - h_t ** 2)
-        return dxp, h.T @ dxp, dxp @ u.T, None
+        dxp = ds * (1.0 - h_t ** 2)
+        return dxp, s.T @ dxp, dxp @ u.T
     if kind == "gru":
         r, z, cand = acts
-        dcand = dh * (1.0 - z) * (1.0 - cand ** 2)
-        ds = dcand @ u[:, 2 * n:].T  # gradient with respect to r * h
-        dxp = np.concatenate([ds * h * r * (1.0 - r),
-                              dh * (h - cand) * z * (1.0 - z), dcand], axis=1)
+        dcand = ds * (1.0 - z) * (1.0 - cand ** 2)
+        drs = dcand @ u[:, 2 * n:].T  # gradient with respect to r * s
+        dxp = np.concatenate([drs * s * r * (1.0 - r),
+                              ds * (s - cand) * z * (1.0 - z), dcand], axis=1)
         dgates = dxp[:, :2 * n]
-        du = np.concatenate([h.T @ dgates, (r * h).T @ dcand], axis=1)
-        return dxp, du, dh * z + ds * r + dgates @ u[:, :2 * n].T, None
+        du = np.concatenate([s.T @ dgates, (r * s).T @ dcand], axis=1)
+        return dxp, du, ds * z + drs * r + dgates @ u[:, :2 * n].T
     if kind == "lstm":
+        h, c = s[:, :n], s[:, n:]
+        dh, dc = ds[:, :n], ds[:, n:]
         i, f, o, g, c_t = acts
         tc = np.tanh(c_t)
         dc = dc + dh * o * (1.0 - tc ** 2)
         dxp = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
                               dh * tc * o * (1.0 - o), dc * i * (1.0 - g ** 2)],
                              axis=1)
-        return dxp, h.T @ dxp, dxp @ u.T, dc * f
+        return dxp, h.T @ dxp, np.concatenate([dxp @ u.T, dc * f], axis=1)
     raise ValueError(f"unknown cell kind {kind!r}")

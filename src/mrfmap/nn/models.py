@@ -7,13 +7,13 @@ that declaration order also defines the checkpoint blob layout.
 The recurrent regressor feeds the signal ``chunk_size`` samples per time
 step (chunk_size=1 reproduces one-sample-per-step reading of the signal;
 larger chunks shorten the unrolled sequence for speed) and regresses from
-the final hidden state through a dense head. The unroll projects each
-step's input and calls ``cells.step``. For the backprop cache it records a
-tape for ``cells.step_grad``: one ``(n_steps, B, k)`` array per quantity,
-``h`` for every step's previous hidden state, ``c`` for its previous cell
-state (only for a cell whose step returns one, the LSTM), and one array
+the final hidden state through a dense head. The unroll carries one state
+array of ``cells.N_STATES`` blocks of h columns, projects each step's input
+and calls ``cells.step``; the head reads the state's first h columns. For
+the backprop cache it records a tape for ``cells.step_grad``: a tuple of
+``(n_steps, B, k)`` arrays, one for every step's previous state and one
 per entry of the step's ``acts``, shaped from the first step's, so this
-module knows no gate layout. Step t copies into slot t of each.
+module knows no gate or state layout. Step t copies into slot t of each.
 ``predict_batch`` and ``predict_single`` (the batch forward at B=1) record
 no tape.
 
@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .cells import _glorot, init_cell, step
+from .cells import N_STATES, _glorot, init_cell, step
 
 OUTPUT_DIM = 2
 
@@ -199,36 +199,22 @@ def _forward_rnn(spec, params, signals, keep_cache):
     # (B, input_len) -> (n_steps, B, chunk_size), time-major for the unroll
     xs = np.ascontiguousarray(
         signals.reshape(n_rows, n_steps, spec.chunk_size).transpose(1, 0, 2))
-    h = np.zeros((n_rows, spec.hidden_dim))
-    c = np.zeros_like(h)  # read by the LSTM only
-    tape = {}
+    s = np.zeros((n_rows, N_STATES[spec.cell_kind] * spec.hidden_dim))
+    tape = ()
     for t, x_t in enumerate(xs):
         # np.dot, not @: at chunk_size 1 NumPy's matmul takes about twice
         # as long on this (B, 1) @ (1, gates * h) product, for the same bits.
-        h_t, c_t, acts = step(spec.cell_kind, u, np.dot(x_t, w) + b, h, c)
+        s_t, acts = step(spec.cell_kind, u, np.dot(x_t, w) + b, s)
         if keep_cache:
             if not tape:
-                tape = _empty_tape(n_steps, h, c_t is not None, acts)
-            tape["h"][t] = h
-            if c_t is not None:
-                tape["c"][t] = c
-            for buf, act in zip(tape["acts"], acts):
-                buf[t] = act
-        h, c = h_t, c_t
+                tape = tuple(np.empty((n_steps, *a.shape), dtype=a.dtype)
+                             for a in (s, *acts))
+            for buf, a in zip(tape, (s, *acts)):
+                buf[t] = a
+        s = s_t
 
-    preds = h @ params["head.w"] + params["head.b"]
-    return preds, ({"xs": xs, "tape": tape, "h": h} if keep_cache else {})
-
-
-def _empty_tape(n_steps, h, has_c, acts):
-    """Uninitialized ``(n_steps, ...)`` buffers for every step's previous
-    ``h``, its previous ``c`` if ``has_c``, and each entry of ``acts``."""
-    tape = {"h": np.empty((n_steps, *h.shape)),
-            "acts": tuple(np.empty((n_steps, *act.shape), dtype=act.dtype)
-                          for act in acts)}
-    if has_c:
-        tape["c"] = np.empty_like(tape["h"])
-    return tape
+    preds = s[:, :spec.hidden_dim] @ params["head.w"] + params["head.b"]
+    return preds, ({"xs": xs, "tape": tape, "s": s} if keep_cache else {})
 
 
 def _forward_ann(spec, params, signals):

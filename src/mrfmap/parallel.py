@@ -3,6 +3,7 @@
 ``build_dictionary`` fans its atom batches out through ``fan_out``, and
 ``nn.backprop.loss_and_grads`` the row slabs of a recurrent minibatch. No
 option or environment variable changes either: both read ``available_cpus``.
+At one process ``fan_out`` runs every chunk in the caller and starts no pool.
 """
 
 from __future__ import annotations
@@ -27,17 +28,21 @@ def available_cpus() -> int:
 def fan_out(work, chunks: list, processes: int):
     """Yield ``(index, work(chunks[index]))`` for every chunk, in no fixed order.
 
-    The calling process runs every ``processes``-th chunk itself and
-    ``processes - 1`` forked workers take the rest. A worker's results are
-    collected after each of the caller's own chunks, so the caller holds
-    about one result per worker at a time, not a whole share. A forked
-    worker starts from the caller's memory, so it imports nothing again and
-    sees the module globals the caller had when the pool started; ``work``
-    and each chunk are pickled to it and its result pickled back. An error
-    raised by ``work`` in a worker is raised again in the caller. Shutting
-    the pool down on the way out, also after an error, cancels the chunks no
-    worker has started and joins the workers.
+    With ``processes`` <= 1 the calling process runs every chunk in order
+    and no pool starts. Otherwise it runs every ``processes``-th chunk
+    itself and ``processes - 1`` forked workers take the rest. A worker's
+    results are collected after each of the caller's own chunks, so the
+    caller holds about one result per worker at a time, not a whole share. A
+    forked worker starts from the caller's memory, so it imports nothing
+    again and sees the module globals the caller had when the pool started;
+    ``work`` and each chunk are pickled to it and its result pickled back.
+    An error raised by ``work`` in a worker is raised again in the caller.
+    Shutting the pool down on the way out, also after an error, cancels the
+    chunks no worker has started and joins the workers.
     """
+    if processes <= 1:
+        yield from enumerate(map(work, chunks))
+        return
     # Imported here: they cost about 2 MB of resident memory, which
     # processes that never fan out should not pay.
     import multiprocessing

@@ -85,10 +85,13 @@ def make_cell(kind, input_dim, hidden_dim, seed=0):
 
 
 def cell_step(kind, cell, x, h_prev, c_prev=None):
-    """``step`` of ``cell`` from the raw input: (h_t, c_t), c_t None but for LSTM."""
+    """``step`` of ``cell`` from the raw input and the state ``[h_prev | c_prev]``
+    (``c_prev`` for the LSTM only): (h_t, c_t), c_t empty but for the LSTM."""
     w, u, b = cell
-    h_t, c_t, _ = step(kind, u, x @ w + b, h_prev, c_prev)
-    return h_t, c_t
+    s = np.concatenate([h_prev] if c_prev is None else [h_prev, c_prev], axis=-1)
+    s_t, _ = step(kind, u, x @ w + b, s)
+    n = h_prev.shape[-1]
+    return s_t[..., :n], s_t[..., n:]
 
 
 class TestSigmoid:

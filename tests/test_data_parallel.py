@@ -6,16 +6,15 @@ composed here from ``forward_batch``, ``mse_loss``, ``mse_grad`` and
 and a split only by the rounding of the gradient sums.
 """
 
-import concurrent.futures
 import multiprocessing
 
 import numpy as np
 import pytest
 
+from conftest import time_limit
 from mrfmap.nn import backprop
 from mrfmap.nn.backprop import MIN_SLAB_ROWS, backward, loss_and_grads, mse_grad
 from mrfmap.nn.models import ModelSpec, forward_batch, init_params, mse_loss
-from test_dictionary import time_limit
 
 SPECS = {
     "simple": ModelSpec("rnn_regressor", input_len=12, cell_kind="simple",
@@ -43,20 +42,6 @@ def whole_batch(spec, params, signals, targets):
     preds, cache = forward_batch(spec, params, signals)
     grads = backward(spec, params, cache, mse_grad(preds, targets))
     return mse_loss(preds, targets), grads, preds
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Worker counts of every ProcessPoolExecutor made while the test runs."""
-    made = []
-    real_pool = concurrent.futures.ProcessPoolExecutor
-
-    def counting_pool(max_workers, **kwargs):
-        made.append(max_workers)
-        return real_pool(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
-    return made
 
 
 def assert_same_bits(got, expected):

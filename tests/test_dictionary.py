@@ -1,15 +1,13 @@
-import concurrent.futures
 import json
 import multiprocessing
 import re
-import signal
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import time_limit
 from mrfmap import dictionary
 from mrfmap.dictionary import (
     Dictionary,
@@ -94,20 +92,6 @@ def one_call_reference(spec, schedule):
     atoms = np.abs(simulate_fingerprints(expand_grid(spec), schedule))
     atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
     return atoms.astype(np.float32).astype(np.float64)
-
-
-@contextmanager
-def time_limit(seconds):
-    """Raise TimeoutError in the main thread if the block runs too long."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 class TestExpandGrid:
@@ -216,19 +200,11 @@ class TestBuildDictionary:
     ])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_atoms_equal_one_call_reference(self, toy_dictionary, monkeypatch,
-                                            cpus, batch_size, grid):
+                                            pools, cpus, batch_size, grid):
         d, schedule = toy_dictionary
         spec = d.grid if grid is None else grid
-        pools = []
-        real_pool = concurrent.futures.ProcessPoolExecutor
-
-        def counting_pool(max_workers, **kwargs):
-            pools.append(max_workers)
-            return real_pool(max_workers, **kwargs)
-
         monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
         monkeypatch.setattr(dictionary, "BATCH_SIZE", batch_size)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
         built = build_dictionary(spec, schedule)
         expected = one_call_reference(spec, schedule)
         assert built.atoms.tobytes() == expected.tobytes()
@@ -537,6 +513,11 @@ class TestMatchProperties:
         assert match_batch(d, np.empty((0, n))) == []
 
 
+# The toy_dictionary fixture's grid as its manifest writes it.
+TOY_GRID_JSON = ('{"t1_segments": [[200.0, 1000.0, 200.0]], '
+                 '"t2_segments": [[50.0, 250.0, 50.0]]}')
+
+
 class TestSerialization:
     def test_round_trip_bit_identical(self, toy_dictionary, tmp_path):
         d, _ = toy_dictionary
@@ -623,6 +604,28 @@ class TestSerialization:
         json_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=re.escape(f"{json_path}: manifest lacks ['{key}']")):
             load_dictionary(tmp_path / "dict_h")
+
+    @pytest.mark.parametrize("text, reason", [
+        ('["grid", "schedule_digest"]', "manifest must be a JSON object, got list"),
+        ('"grid schedule_digest"', "manifest must be a JSON object, got str"),
+        ("5", "manifest must be a JSON object, got int"),
+        ("null", "manifest must be a JSON object, got NoneType"),
+        ("grid: toy", "Expecting value"),
+        ("", "Expecting value"),
+        (b"\xff\xfe{}", ""),  # not UTF-8
+        ('{"grid": %s, "schedule_digest": 5}' % TOY_GRID_JSON,
+         "schedule_digest must be a string, got 5"),
+        ('{"grid": %s, "schedule_digest": null}' % TOY_GRID_JSON,
+         "schedule_digest must be a string, got None"),
+        ('{"grid": [], "schedule_digest": "ab"}', "grid must be a JSON object, got list"),
+    ])
+    def test_corrupt_manifest_rejected_naming_file(self, toy_dictionary, tmp_path,
+                                                   text, reason):
+        d, _ = toy_dictionary
+        _, json_path = save_dictionary(d, tmp_path / "dict_k")
+        json_path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(ValueError, match=re.escape(f"{json_path}: {reason}")):
+            load_dictionary(tmp_path / "dict_k")
 
     def test_truncated_file_rejected(self, toy_dictionary, tmp_path):
         d, _ = toy_dictionary

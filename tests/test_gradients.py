@@ -9,7 +9,7 @@ import pytest
 
 from mrfmap.nn import backprop
 from mrfmap.nn.backprop import backward, loss_and_grads, mse_grad
-from mrfmap.nn.cells import N_GATES, step, step_grad
+from mrfmap.nn.cells import N_GATES, N_STATES, step, step_grad
 from mrfmap.nn.models import ModelSpec, forward_batch, init_params, mse_loss
 
 DELTA = 1e-6
@@ -126,28 +126,24 @@ def check_gradients(spec, params, signals, targets):
 
 @pytest.mark.parametrize("kind", ["simple", "gru", "lstm"])
 def test_step_grad_matches_central_differences(kind):
-    # One cell step with the loss sum(a * h_t) + sum(b * c_t), the c_t term
-    # for the LSTM only, differentiated with respect to each input of step.
+    # One cell step with the loss sum(a * s_t) over the whole state, the
+    # LSTM's c half included, differentiated with respect to each input of
+    # step, the whole previous state among them.
     rng = np.random.default_rng(0)
     batch, n = 2, 3
-    width = N_GATES[kind] * n
+    width, states = N_GATES[kind] * n, N_STATES[kind] * n
     inputs = {"xp_t": rng.normal(size=(batch, width)),
               "u": 0.5 * rng.normal(size=(n, width)),
-              "h": 0.5 * rng.normal(size=(batch, n)),
-              "c": 0.5 * rng.normal(size=(batch, n))}
-    a, b = rng.normal(size=(batch, n)), rng.normal(size=(batch, n))
+              "s": 0.5 * rng.normal(size=(batch, states))}
+    a = rng.normal(size=(batch, states))
 
     def loss():
-        h_t, c_t, _ = step(kind, inputs["u"], inputs["xp_t"], inputs["h"],
-                           inputs["c"])
-        return np.sum(a * h_t) + (0.0 if c_t is None else np.sum(b * c_t))
+        s_t, _ = step(kind, inputs["u"], inputs["xp_t"], inputs["s"])
+        return np.sum(a * s_t)
 
-    _, c_t, acts = step(kind, inputs["u"], inputs["xp_t"], inputs["h"], inputs["c"])
-    dxp, du, dh_prev, dc_prev = step_grad(kind, inputs["u"], inputs["h"],
-                                          inputs["c"], acts, a, b)
-    assert (dc_prev is None) == (c_t is None)
-    analytic = {"xp_t": dxp, "u": du, "h": dh_prev,
-                "c": np.zeros((batch, n)) if dc_prev is None else dc_prev}
+    _, acts = step(kind, inputs["u"], inputs["xp_t"], inputs["s"])
+    dxp, du, ds_prev = step_grad(kind, inputs["u"], inputs["s"], acts, a)
+    analytic = {"xp_t": dxp, "u": du, "s": ds_prev}
     for name, arr in inputs.items():
         numeric = np.zeros_like(arr)
         for i in range(arr.size):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mrfmap.nn.backprop import backward, loss_and_grads
-from mrfmap.nn.cells import step, step_grad
+from mrfmap.nn.cells import N_STATES, step, step_grad
 from mrfmap.nn.models import (
     ModelSpec,
     forward_batch,
@@ -167,10 +167,10 @@ class TestForwardSequence:
         w, u, b = params["cell.w"], params["cell.u"], params["cell.b"]
         xs = np.ascontiguousarray(
             signals.reshape(6, spec.n_steps, chunk_size).transpose(1, 0, 2))
-        h = c = np.zeros((6, 5))
+        s = np.zeros((6, N_STATES[cell_kind] * 5))
         for x_t in xs:
-            h, c, _ = step(cell_kind, u, x_t @ w + b, h, c)
-        expected = h @ params["head.w"] + params["head.b"]
+            s, _ = step(cell_kind, u, x_t @ w + b, s)
+        expected = s[:, :5] @ params["head.w"] + params["head.b"]
         assert predict_batch(spec, params, signals).tobytes() == expected.tobytes()
         preds, _ = forward_batch(spec, params, signals)
         assert preds.tobytes() == expected.tobytes()
@@ -247,10 +247,10 @@ class TestPredictSingle:
         preds, cache = forward_batch(spec, params, sig[None, :])
         assert np.all(np.isfinite(preds))
         tape = cache["tape"]
-        rs, zs, cands = tape["acts"]
-        for arr in (tape["h"], rs, zs, cands):
+        ss, rs, zs, cands = tape
+        for arr in tape:
             assert arr.shape == (spec.n_steps, 1, spec.hidden_dim)
-        hs = np.concatenate([tape["h"], cache["h"][None]])
+        hs = np.concatenate([ss, cache["s"][None]])
         assert np.all(np.abs(hs) <= 1.0)
         assert np.all((rs >= 0.0) & (rs <= 1.0))
         assert np.all((zs >= 0.0) & (zs <= 1.0))
@@ -265,29 +265,28 @@ class TestPredictSingle:
 
 def list_tape_reference(spec, params, signals, d_preds):
     """Predictions and gradients of a recurrent regressor from a forward
-    that keeps a Python list of per-step ``(h, c, acts)`` and a BPTT that
-    walks it backwards, composed from ``cells.step`` and ``cells.step_grad``
-    in the order of the model's own unroll."""
+    that keeps a Python list of per-step ``(s, acts)`` and a BPTT that walks
+    it backwards, composed from ``cells.step`` and ``cells.step_grad`` in
+    the order of the model's own unroll."""
     w, u, b = params["cell.w"], params["cell.u"], params["cell.b"]
-    n_rows = signals.shape[0]
+    n_rows, n = signals.shape[0], spec.hidden_dim
     xs = np.ascontiguousarray(
         signals.reshape(n_rows, spec.n_steps, spec.chunk_size).transpose(1, 0, 2))
-    h = np.zeros((n_rows, spec.hidden_dim))
-    c = np.zeros_like(h)
+    s = np.zeros((n_rows, N_STATES[spec.cell_kind] * n))
     tape = []
     for x_t in xs:
-        h_t, c_t, acts = step(spec.cell_kind, u, np.dot(x_t, w) + b, h, c)
-        tape.append((h, c, acts))
-        h, c = h_t, c_t
-    preds = h @ params["head.w"] + params["head.b"]
+        s_t, acts = step(spec.cell_kind, u, np.dot(x_t, w) + b, s)
+        tape.append((s, acts))
+        s = s_t
+    preds = s[:, :n] @ params["head.w"] + params["head.b"]
 
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    grads["head.w"] += h.T @ d_preds
+    grads["head.w"] += s[:, :n].T @ d_preds
     grads["head.b"] += d_preds.sum(axis=0)
-    dh = d_preds @ params["head.w"].T
-    dc = np.zeros_like(dh)
-    for x_t, (h, c, acts) in zip(xs[::-1], tape[::-1]):
-        dxp, du_t, dh, dc = step_grad(spec.cell_kind, u, h, c, acts, dh, dc)
+    ds = np.zeros_like(s)
+    ds[:, :n] = d_preds @ params["head.w"].T
+    for x_t, (s, acts) in zip(xs[::-1], tape[::-1]):
+        dxp, du_t, ds = step_grad(spec.cell_kind, u, s, acts, ds)
         grads["cell.w"] += x_t.T @ dxp
         grads["cell.u"] += du_t
         grads["cell.b"] += dxp.sum(axis=0)
@@ -333,9 +332,10 @@ class TestTape:
             _, cache = forward_batch(spec, init_params(spec, seed=0),
                                      np.ones((2, n_steps)))
             tape = cache["tape"]
-            assert sorted(tape) == (["acts", "c", "h"] if cell_kind == "lstm"
-                                    else ["acts", "h"])
-            assert all(len(arr) == n_steps for arr in (tape["h"], *tape["acts"]))
+            # The previous state, then one array per entry of the step's acts.
+            assert len(tape) == {"simple": 2, "gru": 4, "lstm": 6}[cell_kind]
+            assert tape[0].shape == (n_steps, 2, N_STATES[cell_kind] * 3)
+            assert all(len(arr) == n_steps for arr in tape)
             counts.append(cache_arrays(cache))
         assert counts[0] == counts[1]
 
