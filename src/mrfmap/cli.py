@@ -8,7 +8,8 @@ paper grid) for the schedule (default: ``default_schedule(N)``), writes
 N, the number of processes, the build time, atoms/s and the schedule digest.
 ``GRID.json`` holds ``{"t1_segments": [[start, stop, step], ...],
 "t2_segments": [...]}`` in ms, as in a dictionary manifest's ``grid``.
-Bad input or an unreadable file prints ``mrfmap: error: ...`` and exits 2.
+Bad input or an unreadable file prints ``mrfmap: error: ...``, naming the
+schedule or grid file at fault, and exits 2.
 """
 
 from __future__ import annotations
@@ -44,8 +45,12 @@ def _parser() -> argparse.ArgumentParser:
 def _build(args) -> dict:
     schedule = (load_schedule(args.schedule) if args.schedule is not None
                 else default_schedule(args.n))
-    grid = (GridSpec.from_json_dict(json.loads(args.grid.read_text()))
-            if args.grid is not None else GridSpec.paper_grid())
+    grid = GridSpec.paper_grid()
+    if args.grid is not None:
+        try:  # a JSON or UTF-8 decoding error is a ValueError too
+            grid = GridSpec.from_json_dict(json.loads(args.grid.read_text(encoding="utf-8")))
+        except ValueError as err:
+            raise ValueError(f"{args.grid}: {err}") from None
     start = time.perf_counter()
     built = build_dictionary(grid, schedule)
     seconds = time.perf_counter() - start

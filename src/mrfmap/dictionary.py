@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 from functools import partial
@@ -62,13 +63,19 @@ class GridSpec:
     t2_segments: tuple
 
     def __post_init__(self):
-        t1 = tuple(tuple(float(x) for x in seg) for seg in self.t1_segments)
-        t2 = tuple(tuple(float(x) for x in seg) for seg in self.t2_segments)
-        object.__setattr__(self, "t1_segments", t1)
-        object.__setattr__(self, "t2_segments", t2)
-        for seg in t1 + t2:
-            if len(seg) != 3:
-                raise ValueError(f"segment must be (start, stop, step), got {seg}")
+        for name in ("t1_segments", "t2_segments"):
+            segments = getattr(self, name)
+            # A bool is an int to Python, but JSON's true is no time in ms.
+            if not (isinstance(segments, (list, tuple)) and all(
+                    isinstance(seg, (list, tuple)) and len(seg) == 3
+                    and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                            for x in seg)
+                    for seg in segments)):
+                raise ValueError(f"grid {name} must be a list of [start, stop, step] "
+                                 f"lists of numbers, got {segments!r}")
+            object.__setattr__(self, name, tuple(tuple(map(float, seg))
+                                                 for seg in segments))
+        for seg in self.t1_segments + self.t2_segments:
             # NaN fails every comparison below and inf would overflow the
             # expansion, so both are refused here.
             if not all(math.isfinite(x) for x in seg):
@@ -93,16 +100,7 @@ class GridSpec:
             raise ValueError(f"grid must be a JSON object, got {type(d).__name__}")
         if sorted(d) != keys:
             raise ValueError(f"grid keys must be {keys}, got {sorted(d)}")
-        for key in keys:
-            segments = d[key]
-            if not (isinstance(segments, list) and all(
-                    isinstance(seg, list) and len(seg) == 3
-                    and all(isinstance(x, (int, float)) for x in seg)
-                    for seg in segments)):
-                raise ValueError(f"grid {key} must be a list of [start, stop, step] "
-                                 f"lists of numbers, got {segments!r}")
-        return cls(tuple(map(tuple, d["t1_segments"])),
-                   tuple(map(tuple, d["t2_segments"])))
+        return cls(d["t1_segments"], d["t2_segments"])
 
 
 def _expand_segments(segments) -> np.ndarray:

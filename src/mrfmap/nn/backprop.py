@@ -6,8 +6,9 @@ parameter in declaration order. Backpropagation through time is one loop
 for every cell kind: it puts the head's gradient in the first h columns of
 the final state's, walks the forward tape's slots from the last step to the
 first and hands slot t of each array to ``cells.step_grad``.
-``loss_and_grads`` wires forward, MSE and backward together for the
-training loop.
+``loss_and_grads`` wires forward, the MSE derivative ``2 * (preds -
+targets) / targets.size`` that ``_slab`` computes, and backward together
+for the training loop.
 
 Data-parallel BPTT. Every row's forward and backward pass is independent
 until the gradients are summed, so ``loss_and_grads`` splits a recurrent
@@ -52,15 +53,6 @@ from .models import (OUTPUT_DIM, ModelSpec, _conv_windows, _checked_signals,
                      forward_batch, mse_loss)
 
 
-def mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """d(mse)/d(pred): 2 * (pred - target) / pred.size."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return 2.0 * (pred - target) / pred.size
-
-
 def backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: dict,
              d_preds: np.ndarray) -> dict[str, np.ndarray]:
     if not cache:
@@ -69,9 +61,7 @@ def backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: dict,
         return _backward_rnn(spec, params, cache, d_preds)
     if spec.kind == "ann":
         return _backward_ann(spec, params, cache, d_preds)
-    if spec.kind == "cnn1d":
-        return _backward_cnn(spec, params, cache, d_preds)
-    raise ValueError(spec.kind)
+    return _backward_cnn(spec, params, cache, d_preds)
 
 
 # Fewest rows in a slab of a split recurrent minibatch; see the table in
@@ -134,7 +124,7 @@ def _slab(spec, params, n_entries, rows):
     """
     signals, targets = rows
     preds, cache = forward_batch(spec, params, signals)
-    # mse_grad of the whole batch, restricted to this slab's rows.
+    # d(mse)/d(preds) of the whole batch, restricted to this slab's rows.
     d_preds = 2.0 * (preds - targets) / n_entries
     return preds, backward(spec, params, cache, d_preds)
 

@@ -38,12 +38,11 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .cells import N_STATES, _glorot, init_cell, step
+from .cells import N_GATES, N_STATES, _glorot, init_cell, step
 
 OUTPUT_DIM = 2
 
 MODEL_KINDS = ("rnn_regressor", "ann", "cnn1d")
-CELL_KINDS = ("simple", "lstm", "gru")
 
 
 def _positive_int(value) -> bool:
@@ -78,7 +77,7 @@ class ModelSpec:
                 raise ValueError(f"{name} must be a sequence of positive "
                                  f"integers, got {value!r}")
         if self.kind == "rnn_regressor":
-            if self.cell_kind not in CELL_KINDS:
+            if self.cell_kind not in N_GATES:
                 raise ValueError(f"unknown cell kind {self.cell_kind!r}")
             if self.input_len % self.chunk_size != 0:
                 raise ValueError(
@@ -133,7 +132,7 @@ def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
             fan_in = width
         params["head.w"] = _glorot(rng, fan_in, OUTPUT_DIM)
         params["head.b"] = np.zeros(OUTPUT_DIM)
-    elif spec.kind == "cnn1d":
+    else:
         c_in = 1
         for idx, c_out in enumerate(spec.cnn_channels, start=1):
             fan_in = c_in * spec.cnn_kernel
@@ -144,8 +143,6 @@ def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
             c_in = c_out
         params["head.w"] = _glorot(rng, c_in, OUTPUT_DIM)
         params["head.b"] = np.zeros(OUTPUT_DIM)
-    else:
-        raise ValueError(spec.kind)
     return params
 
 
@@ -188,9 +185,7 @@ def forward_batch(spec: ModelSpec, params: dict[str, np.ndarray],
         return _forward_rnn(spec, params, signals, _cache)
     if spec.kind == "ann":
         return _forward_ann(spec, params, signals)
-    if spec.kind == "cnn1d":
-        return _forward_cnn(spec, params, signals)
-    raise ValueError(spec.kind)
+    return _forward_cnn(spec, params, signals)
 
 
 def _forward_rnn(spec, params, signals, keep_cache):

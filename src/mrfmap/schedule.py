@@ -15,7 +15,8 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -85,32 +86,19 @@ class SequenceSchedule:
         }
 
 
-def default_schedule(n_excitations: int = DEFAULT_N_EXCITATIONS,
-                     tr_ms: float = DEFAULT_TR_MS) -> SequenceSchedule:
+def default_schedule(n_excitations: int = DEFAULT_N_EXCITATIONS) -> SequenceSchedule:
     """Built-in inversion-prepared schedule with sinusoidal flip-angle lobes.
 
     Flip angle of excitation i is (10 + 50*|sin(pi*i/250)|) degrees at
-    constant phase 0 and constant TR. Users with a specific acquisition
-    should load their own schedule from file instead.
+    constant phase 0 and a constant TR of ``DEFAULT_TR_MS``. Users with a
+    specific acquisition should load their own schedule from file instead.
     """
     i = np.arange(n_excitations, dtype=np.float64)
     flip_deg = 10.0 + 50.0 * np.abs(np.sin(math.pi * i / 250.0))
     return SequenceSchedule(
         flip_angles_rad=np.deg2rad(flip_deg),
         rf_phases_rad=np.zeros(n_excitations),
-        tr_ms=np.full(n_excitations, float(tr_ms)),
-    )
-
-
-def constant_schedule(n_excitations: int, flip_deg: float,
-                      tr_ms: float = DEFAULT_TR_MS, *,
-                      inversion_prep: bool = True) -> SequenceSchedule:
-    """Constant flip-angle schedule, mostly useful for tests and sanity runs."""
-    return SequenceSchedule(
-        flip_angles_rad=np.full(n_excitations, np.deg2rad(flip_deg)),
-        rf_phases_rad=np.zeros(n_excitations),
-        tr_ms=np.full(n_excitations, float(tr_ms)),
-        inversion_prep=inversion_prep,
+        tr_ms=np.full(n_excitations, DEFAULT_TR_MS),
     )
 
 
@@ -153,49 +141,68 @@ def save_schedule(schedule: SequenceSchedule, csv_path: str | Path) -> None:
     sidecar.write_bytes(prep_sidecar_bytes(schedule))
 
 
+@contextmanager
+def _naming(path: Path):
+    """Start the message of a ValueError raised in the block with ``path``."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+
+
 def load_schedule(csv_path: str | Path) -> SequenceSchedule:
     """Load a schedule CSV; preparation settings come from the sidecar if present.
 
     A row must hold its index (0, 1, 2, ... in order) and three numbers. A
     setting the sidecar omits keeps its ``SequenceSchedule`` default; an
     unknown key, an ``inversion_prep`` other than a JSON boolean and a time
-    other than a JSON number are refused.
+    other than a JSON number are refused. Every ValueError starts with the
+    path of the file at fault: the CSV for its text and the values it holds,
+    the sidecar for its text and its settings (a TE not below the CSV's
+    shortest TR included).
     """
     csv_path = Path(csv_path)
+    with _naming(csv_path):  # a UTF-8 decoding error is a ValueError too
+        text = csv_path.read_text(encoding="utf-8")
     values = []
-    with open(csv_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [c.strip() for c in header] != SCHEDULE_CSV_HEADER:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
+    if [c.strip() for c in header] != SCHEDULE_CSV_HEADER:
+        raise ValueError(
+            f"{csv_path}: expected header {','.join(SCHEDULE_CSV_HEADER)}, "
+            f"got {','.join(header)}"
+        )
+    for row in filter(None, reader):
+        where = f"{csv_path}, line {reader.line_num}"
+        try:
+            index, *fields = map(float, row)
+        except ValueError:
+            raise ValueError(f"{where}: non-numeric field in {row}") from None
+        if len(fields) != 3 or index != len(values):
             raise ValueError(
-                f"{csv_path}: expected header {','.join(SCHEDULE_CSV_HEADER)}, "
-                f"got {','.join(header)}"
-            )
-        for row in filter(None, reader):
-            where = f"{csv_path}, line {reader.line_num}"
-            try:
-                index, *fields = map(float, row)
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric field in {row}") from None
-            if len(fields) != 3 or index != len(values):
-                raise ValueError(
-                    f"{where}: expected index {len(values)} and 3 values, got {row}")
-            values.append(fields)
+                f"{where}: expected index {len(values)} and 3 values, got {row}")
+        values.append(fields)
     if not values:
         raise ValueError(f"{csv_path}: schedule has no excitations")
     flip, phase, tr = np.array(values).T
+    with _naming(csv_path):
+        schedule = SequenceSchedule(flip, phase, tr)
 
     sidecar = csv_path.with_suffix(".prep.json")
-    prep = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    if not isinstance(prep, dict):
-        raise ValueError(f"{sidecar}: expected a JSON object, got {type(prep).__name__}")
-    unknown = sorted(set(prep) - {"inversion_prep", "inversion_delay_ms", "te_ms"})
-    if unknown:
-        raise ValueError(f"{sidecar}: unknown preparation keys {unknown}")
-    for key, value in prep.items():
-        flag = key == "inversion_prep"
-        if (type(value) is bool) != flag or not isinstance(value, (int, float)):
-            raise ValueError(f"{sidecar}: {key} must be a JSON "
-                             f"{'boolean' if flag else 'number'}, got {value!r}")
-    return SequenceSchedule(flip, phase, tr, **{
-        key: value if key == "inversion_prep" else float(value) for key, value in prep.items()})
+    if not sidecar.exists():
+        return schedule
+    with _naming(sidecar):  # so is a JSON decoding error
+        prep = json.loads(sidecar.read_text(encoding="utf-8"))
+        if not isinstance(prep, dict):
+            raise ValueError(f"expected a JSON object, got {type(prep).__name__}")
+        unknown = sorted(set(prep) - {"inversion_prep", "inversion_delay_ms", "te_ms"})
+        if unknown:
+            raise ValueError(f"unknown preparation keys {unknown}")
+        for key, value in prep.items():
+            flag = key == "inversion_prep"
+            if (type(value) is bool) != flag or not isinstance(value, (int, float)):
+                raise ValueError(f"{key} must be a JSON "
+                                 f"{'boolean' if flag else 'number'}, got {value!r}")
+        return replace(schedule, **{
+            key: value if key == "inversion_prep" else float(value)
+            for key, value in prep.items()})

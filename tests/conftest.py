@@ -1,10 +1,25 @@
-"""Helpers shared by the tests that fork worker processes."""
+"""Helpers shared by the tests: a constant flip-angle schedule, and a time
+limit and a pool counter for the tests that fork worker processes."""
 
 import concurrent.futures
 import signal
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
+
+from mrfmap.schedule import DEFAULT_TR_MS, SequenceSchedule
+
+
+def constant_schedule(n_excitations, flip_deg, tr_ms=DEFAULT_TR_MS, *,
+                      inversion_prep=True):
+    """Constant flip-angle schedule at phase 0 and a constant TR."""
+    return SequenceSchedule(
+        flip_angles_rad=np.full(n_excitations, np.deg2rad(flip_deg)),
+        rf_phases_rad=np.zeros(n_excitations),
+        tr_ms=np.full(n_excitations, float(tr_ms)),
+        inversion_prep=inversion_prep,
+    )
 
 
 @contextmanager

@@ -3,14 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from conftest import constant_schedule
 from mrfmap.cli import main
 from mrfmap.dictionary import GridSpec, build_dictionary, build_plan, load_dictionary
-from mrfmap.schedule import (
-    constant_schedule,
-    default_schedule,
-    save_schedule,
-    schedule_digest,
-)
+from mrfmap.schedule import default_schedule, save_schedule, schedule_digest
 
 GRID = {"t1_segments": [[300.0, 900.0, 300.0]], "t2_segments": [[40.0, 120.0, 40.0]]}
 
@@ -101,13 +97,18 @@ KEYS = "['t1_segments', 't2_segments']"
                                  "lists of numbers, got 5"),
     ({**GRID, "t2_segments": [[40.0, 120.0]]}, "grid t2_segments must be a list of"),
     ({**GRID, "t1_segments": [[None, 900.0, 300.0]]}, "grid t1_segments must be a list of"),
+    ({**GRID, "t1_segments": [[True, 900.0, 300.0]]}, "grid t1_segments must be a list of"),
+    (b'{"t1_segments": [[300, 900, 300]], t2_segments: []}',
+     "Expecting property name enclosed in double quotes"),
+    (b'{"t1_segments": [[300, 900, 300]]}\xff', "'utf-8' codec can't decode"),
 ], ids=["empty", "missing_key", "unknown_key", "not_object", "segments_not_list",
-        "short_segment", "null_value"])
+        "short_segment", "null_value", "bool_value", "not_json", "not_utf8"])
 def test_malformed_grid_json_rejected(tmp_path, capsys, grid, message):
+    """``grid`` is written as JSON, or as it is when given as bytes."""
     path = tmp_path / "grid.json"
-    path.write_text(json.dumps(grid))
+    path.write_bytes(grid if isinstance(grid, bytes) else json.dumps(grid).encode())
     error = build_error(capsys, [str(tmp_path / "d"), "--n", "40", "--grid", str(path)])
-    assert message in error
+    assert error.startswith(f"mrfmap: error: {path}: {message}")
     assert not (tmp_path / "d.dict").exists()
 
 

@@ -1,9 +1,10 @@
 """Data-parallel BPTT: a recurrent minibatch split into slabs over processes.
 
 The reference is one forward and one backward over the whole batch,
-composed here from ``forward_batch``, ``mse_loss``, ``mse_grad`` and
-``backward``: with one slab ``loss_and_grads`` must equal it bit for bit,
-and a split only by the rounding of the gradient sums.
+composed here from ``forward_batch``, ``mse_loss``, the MSE derivative
+``2 * (preds - targets) / preds.size`` and ``backward``: with one slab
+``loss_and_grads`` must equal it bit for bit, and a split only by the
+rounding of the gradient sums.
 """
 
 import multiprocessing
@@ -13,7 +14,7 @@ import pytest
 
 from conftest import time_limit
 from mrfmap.nn import backprop
-from mrfmap.nn.backprop import MIN_SLAB_ROWS, backward, loss_and_grads, mse_grad
+from mrfmap.nn.backprop import MIN_SLAB_ROWS, backward, loss_and_grads
 from mrfmap.nn.models import ModelSpec, forward_batch, init_params, mse_loss
 
 SPECS = {
@@ -40,7 +41,7 @@ def case(kind, rows, seed=0):
 def whole_batch(spec, params, signals, targets):
     """Loss, gradients and predictions of one pass over the whole batch."""
     preds, cache = forward_batch(spec, params, signals)
-    grads = backward(spec, params, cache, mse_grad(preds, targets))
+    grads = backward(spec, params, cache, 2.0 * (preds - targets) / preds.size)
     return mse_loss(preds, targets), grads, preds
 
 

@@ -142,6 +142,14 @@ class TestExpandGrid:
         with pytest.raises(ValueError):
             GridSpec(t1_segments=((0.0, 10.0, 0.0),), t2_segments=((1, 2, 1),))
 
+    def test_bool_rejected_numpy_float_accepted(self):
+        with pytest.raises(ValueError, match="t1_segments must be a list of"):
+            GridSpec(t1_segments=((True, 900.0, 300.0),), t2_segments=((1, 2, 1),))
+        spec = GridSpec(t1_segments=((np.float64(300.0), np.float32(900.0), 300),),
+                        t2_segments=((1, 2, 1),))
+        assert spec.t1_segments == ((300.0, 900.0, 300.0),)
+        assert all(type(x) is float for seg in spec.t1_segments for x in seg)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("axis", ["t1_segments", "t2_segments"])

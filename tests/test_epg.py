@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import constant_schedule
 from mrfmap.epg import TissueParams, isochromat_oracle, simulate_fingerprints
-from mrfmap.schedule import SequenceSchedule, constant_schedule, default_schedule
+from mrfmap.schedule import SequenceSchedule, default_schedule
 
 
 def random_schedule(rng, n, zero_phase=False):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import constant_schedule
 from mrfmap.schedule import (
     SequenceSchedule,
-    constant_schedule,
     default_schedule,
     load_schedule,
     save_schedule,
@@ -94,7 +95,7 @@ class TestRoundTrip:
     @settings(max_examples=10, deadline=None)
     @given(tr_ms=st.floats(min_value=0.5, max_value=50.0))
     def test_default_schedule_save_load(self, tmp_path_factory, n, tr_ms):
-        schedule = default_schedule(n, tr_ms=tr_ms)
+        schedule = dataclasses.replace(default_schedule(n), tr_ms=np.full(n, tr_ms))
         path = tmp_path_factory.mktemp("schedule") / "s.csv"
         save_schedule(schedule, path)
         loaded = load_schedule(path)
@@ -116,6 +117,35 @@ class TestRoundTrip:
             assert getattr(loaded, field).tobytes() == getattr(schedule, field).tobytes()
         assert loaded.prep_settings() == schedule.prep_settings()
         assert schedule_digest(loaded) == schedule_digest(schedule)
+
+
+HEADER = b"index,flip_rad,phase_rad,tr_ms\n"
+ROWS = b"0,0.5,0.0,4.3\n1,0.5,0.0,4.3\n"
+
+
+@pytest.mark.parametrize("csv_bytes, sidecar, at_fault, message", [
+    (HEADER + b"0,0.5,0.0,4.3\xff\n", None, "csv", "'utf-8' codec can't decode"),
+    (HEADER + b"0,0.5,0.0,4.3\n1,nan,0.0,4.3\n", None, "csv",
+     "flip angles must be finite"),
+    (HEADER + b"0,4.0,0.0,4.3\n", None, "csv", "flip angles must lie in [0, pi] radians"),
+    (HEADER + b"0,0.5,0.0,-1\n", None, "csv", "repetition times must be positive"),
+    (HEADER + ROWS, b"{te_ms: 1.0}", "sidecar", "Expecting property name"),
+    (HEADER + ROWS, b'{"te_ms": 1.0}\xff', "sidecar", "'utf-8' codec can't decode"),
+    (HEADER + ROWS, b'{"te_ms": -1}', "sidecar", "te_ms must be nonnegative"),
+    (HEADER + ROWS, b'{"te_ms": 5.0}', "sidecar",
+     "te_ms=5.0 must be below the shortest TR (4.3)"),
+], ids=["csv_not_utf8", "nan_flip", "flip_above_pi", "negative_tr", "sidecar_not_json",
+        "sidecar_not_utf8", "negative_te", "te_above_tr"])
+def test_load_error_names_the_file_at_fault(tmp_path, csv_bytes, sidecar, at_fault,
+                                            message):
+    path = tmp_path / "s.csv"
+    path.write_bytes(csv_bytes)
+    if sidecar is not None:
+        path.with_suffix(".prep.json").write_bytes(sidecar)
+    faulty = path if at_fault == "csv" else path.with_suffix(".prep.json")
+    with pytest.raises(ValueError) as err:
+        load_schedule(path)
+    assert str(err.value).startswith(f"{faulty}: {message}")
 
 
 class TestPrepSidecar:
