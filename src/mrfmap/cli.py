@@ -5,11 +5,14 @@
 ``build`` simulates a fingerprint dictionary over the grid (default: the
 paper grid) for the schedule (default: ``default_schedule(N)``), writes
 ``OUT.dict`` and ``OUT.json``, and prints one JSON line with the atom count,
-N, the number of processes, the build time, atoms/s and the schedule digest.
+N, the number of processes, ``orders_kept`` (the EPG work the order caps
+leave, as a share of every atom at K = N), the build time, atoms/s and the
+schedule digest.
 ``GRID.json`` holds ``{"t1_segments": [[start, stop, step], ...],
 "t2_segments": [...]}`` in ms, as in a dictionary manifest's ``grid``.
 Bad input or an unreadable file prints ``mrfmap: error: ...``, naming the
-schedule or grid file at fault, and exits 2.
+schedule or grid file at fault (a grid of no valid (T1, T2) pair
+included), and exits 2.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-from .dictionary import GridSpec, build_dictionary, build_plan, save_dictionary
+from .dictionary import GridSpec, build_dictionary, build_plan, expand_grid, save_dictionary
 from .schedule import DEFAULT_N_EXCITATIONS, default_schedule, load_schedule
 
 
@@ -49,14 +52,16 @@ def _build(args) -> dict:
     if args.grid is not None:
         try:  # a JSON or UTF-8 decoding error is a ValueError too
             grid = GridSpec.from_json_dict(json.loads(args.grid.read_text(encoding="utf-8")))
+            expand_grid(grid)  # a grid of no valid pair is the file's fault too
         except ValueError as err:
             raise ValueError(f"{args.grid}: {err}") from None
     start = time.perf_counter()
     built = build_dictionary(grid, schedule)
     seconds = time.perf_counter() - start
     save_dictionary(built, args.out)
-    return {"atoms": built.n_atoms, "n": built.n_samples,
-            "workers": build_plan(built.n_atoms)[1], "seconds": seconds,
+    plan = build_plan(built.labels, schedule)
+    return {"atoms": built.n_atoms, "n": built.n_samples, "workers": plan.processes,
+            "orders_kept": plan.orders_kept, "seconds": seconds,
             "atoms_per_s": built.n_atoms / seconds,
             "schedule_digest": built.schedule_digest}
 

@@ -30,6 +30,7 @@ match scores are still accumulated in float64.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
@@ -37,10 +38,11 @@ import struct
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .epg import TissueParams, simulate_fingerprints
+from .epg import TissueParams, order_caps, simulate_fingerprints
 from .parallel import available_cpus, fan_out
 from .schedule import SequenceSchedule, schedule_digest
 
@@ -167,16 +169,62 @@ class Dictionary:
         return self.atoms.shape[1]
 
 
-def build_plan(n_atoms: int) -> tuple[int, int]:
-    """Atoms per batch and processes ``build_dictionary`` uses for ``n_atoms``.
+class BuildPlan(NamedTuple):
+    """How ``build_dictionary`` splits a grid over ``simulate_fingerprints`` calls."""
 
-    Batches hold ``min(BATCH_SIZE, ceil(n_atoms / cpus))`` atoms, so a grid
-    smaller than one batch still spreads over every CPU. Without ``fork``
-    the build runs in the calling process alone.
+    batches: list[np.ndarray]  # rows of ``expand_grid(spec)``, one array per call
+    processes: int
+    orders_kept: float  # modelled EPG work, as a share of every atom at K = N
+
+
+def _orders_swept(caps, n: int) -> np.ndarray:
+    """Σ_i min(i + 1, K + 1) over N steps: the state rows a run capped at K updates."""
+    w = np.minimum(np.asarray(caps, dtype=np.int64) + 1, n)
+    return w * (w + 1) // 2 + (n - w) * w
+
+
+def _cuts(head: np.ndarray, limit) -> list[int]:
+    """Greedy cut points of batches of at most ``BATCH_SIZE`` atoms costing at most ``limit``.
+
+    A batch that starts at atom lo costs its size times ``head[lo]``, which
+    descends with lo and is at most ``limit``.
     """
-    cpus = available_cpus()
-    size = min(BATCH_SIZE, -(-n_atoms // cpus))
-    return size, min(cpus, -(-n_atoms // size))
+    cuts = [0]
+    while cuts[-1] < head.size:
+        lo = cuts[-1]
+        cuts.append(min(head.size, lo + min(BATCH_SIZE, int(limit // head[lo]))))
+    return cuts
+
+
+def build_plan(labels: list[TissueParams], schedule: SequenceSchedule) -> BuildPlan:
+    """The batches and processes ``build_dictionary`` uses for ``labels``.
+
+    Atoms are taken in descending order of their ``order_caps``. A batch
+    costs its size times the rows its largest cap sweeps (``_orders_swept``).
+    When the grid fits in one batch of at most ``BATCH_SIZE`` atoms per CPU,
+    the cut points minimize the largest batch cost; otherwise batches of
+    ``BATCH_SIZE`` follow each other in cap order, so that ``fan_out`` hands
+    consecutive costs to alternating processes. Without ``fork`` the build
+    runs in the calling process alone.
+    """
+    n, m, cpus = schedule.n_excitations, len(labels), available_cpus()
+    caps = order_caps(labels, schedule)
+    order = np.argsort(-caps, kind="stable")
+    head = _orders_swept(caps[order], n)
+    if m <= cpus * BATCH_SIZE:
+        # The least largest cost is some batch size times some head's cost,
+        # and at least the first atom's: the least such limit that the
+        # greedy split meets in at most ``cpus`` batches.
+        limits = np.unique(np.arange(1, min(BATCH_SIZE, m) + 1)[:, None] * head)
+        limits = limits[limits >= head[0]]
+        least = bisect.bisect_left(limits, True,
+                                   key=lambda limit: len(_cuts(head, limit)) <= cpus + 1)
+        cuts = _cuts(head, limits[least])
+    else:
+        cuts = [*range(0, m, BATCH_SIZE), m]
+    batches = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    return BuildPlan(batches, min(cpus, len(batches)),
+                     float(head.sum() / (m * _orders_swept(n, n))))
 
 
 def _magnitudes(chunk: list[TissueParams], schedule: SequenceSchedule) -> np.ndarray:
@@ -184,7 +232,7 @@ def _magnitudes(chunk: list[TissueParams], schedule: SequenceSchedule) -> np.nda
     return np.abs(simulate_fingerprints(chunk, schedule))
 
 
-# Atoms per ``simulate_fingerprints`` call; see the sweep in
+# Most atoms per ``simulate_fingerprints`` call; see the sweep in
 # ``build_dictionary``'s docstring.
 BATCH_SIZE = 64
 
@@ -192,36 +240,38 @@ BATCH_SIZE = 64
 def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
     """Simulate every grid pair and assemble the normalized atom matrix.
 
-    Every build is exact: each atom keeps all K = N dephasing orders. The
-    grid is split into batches of ``min(BATCH_SIZE, ceil(M / P))`` atoms,
-    where P is the number of CPUs the process may use (``build_plan``).
-    With more than one batch and CPU, the calling process simulates every
-    P-th batch and forked workers the rest; otherwise every batch runs in
-    the calling process. ``simulate_fingerprints`` gives each atom bit for
-    bit the same samples in any batch, so the atoms are identical however
-    the grid is split and whichever process simulates it. Normalization
-    and float32 quantization run in the calling process.
+    Each atom keeps the dephasing orders ``order_caps`` gives it, which
+    moves no sample by more than ``EPSILON`` from keeping all K = N.
+    ``build_plan`` sorts the atoms by cap and cuts them into batches: with
+    one batch per CPU it balances the batches' modelled costs, and a larger
+    grid goes in batches of ``BATCH_SIZE`` in cap order. With more than one
+    batch and CPU, the calling process simulates every P-th batch and forked
+    workers the rest; otherwise every batch runs in the calling process.
+    ``simulate_fingerprints`` gives each atom bit for bit the same samples
+    in any batch, so the atoms are identical however the grid is split and
+    whichever process simulates it, and rows keep ``expand_grid`` order.
+    Normalization and float32 quantization run in the calling process.
 
-    ``BATCH_SIZE`` atoms go through ``simulate_fingerprints`` per call.
-    Small batches pay the simulator's per-excitation Python overhead on few
-    atoms; large ones push its (orders x batch) state out of the core's
-    cache. Best of 4 (N=250, 2048 atoms) and of 2 (N=1750, 512 atoms) runs
-    of the default schedule on one core of a 2-core Xeon with 2 MB L2 per
-    core, atoms/s:
+    At most ``BATCH_SIZE`` atoms go through ``simulate_fingerprints`` per
+    call. Small batches pay the simulator's per-excitation Python overhead
+    on few atoms; large ones push its (orders x batch) state out of the
+    core's cache. Atoms/s of evenly spaced paper-grid atoms (2048 at N=250,
+    best of 3; 512 at N=1750, best of 2) in cap order, default schedule, on
+    one core of a 2-core Xeon with 2 MB L2 per core:
 
         batch     16    32    64   128   256   512  2048
-        N=250   2410  3443  4450  5207  5180  4183  3027
-        N=1750    99   106    94    76    62    56    51
+        N=250   1665  2716  3999  4239  4108  3301  3115
+        N=1750   111   115   107    95    84    70    68
 
-    64 stays within 15% of the best at both lengths.
+    64 stays within 7% of the best at both lengths.
     """
     labels = expand_grid(spec)
-    size, processes = build_plan(len(labels))
-    chunks = [labels[lo:lo + size] for lo in range(0, len(labels), size)]
+    plan = build_plan(labels, schedule)
+    chunks = [[labels[j] for j in rows.tolist()] for rows in plan.batches]
     simulate = partial(_magnitudes, schedule=schedule)
     atoms = np.empty((len(labels), schedule.n_excitations), dtype=np.float64)
-    for i, rows in fan_out(simulate, chunks, processes):
-        atoms[i * size:i * size + len(rows)] = rows
+    for i, mags in fan_out(simulate, chunks, plan.processes):
+        atoms[plan.batches[i]] = mags
     norms = np.linalg.norm(atoms, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         bad = [labels[i] for i in np.flatnonzero(norms[:, 0] == 0.0)[:5]]

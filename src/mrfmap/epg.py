@@ -11,16 +11,51 @@ the intra-voxel dephasing angle. Three operators evolve the states:
 * The spoiler gradient of each TR advances every transverse state by one
   dephasing order (F+ up, F- down, F+_0 refilled from conj(F-_1)).
 
-For a gradient-spoiled train of N excitations the state never exceeds order
-N, so tracking K = N orders is lossless and the EPG signal equals the mean
-transverse magnetization of any >N uniformly dephased Bloch isochromats.
-That equality (to float64 rounding) is the correctness oracle for this
-module: ``isochromat_oracle`` simulates the same timeline spin-by-spin.
+Before excitation i only orders <= i are populated, so tracking K = N
+orders is lossless, and the EPG signal then equals the mean transverse
+magnetization of any >N uniformly dephased Bloch isochromats. That equality
+(to float64 rounding) is the correctness oracle for this module:
+``isochromat_oracle`` simulates the same timeline spin-by-spin.
+
+Order cap. A state of order k has dephased for at least k TRs, so a
+short-T2 tissue's high orders are gone to float64 rounding long before step
+N. ``order_caps`` keeps, per tissue,
+
+    K = min(N, ceil(T2 * ln(sqrt(2) * N * C / EPSILON) / (2 * TR_min)) - 1),
+    C = 2 + sum_i (1 - exp(-dt_i / T1)),
+
+orders, where dt_i runs over every relaxation interval and TR_min is the
+shortest interval that precedes a spoiler shift. Dropping the orders above
+K moves no sample by more than EPSILON. Proof: write the state two-sided,
+F_k = F+_k and F_-k = conj(F-_k) (likewise Z_-k = conj(Z_k)), so that the
+shift is F_k -> F_k+1. Let r = exp(-TR_min / T2) and, for s = +1 or -1,
+
+    ||S||_s^2 = sum over all integers k of r^(2 s |k|) (|F_k|^2 + |Z_k|^2).
+
+* Neither norm grows under RF, relaxation or the shift. A pulse turns the
+  Fourier coefficient vectors (Mx, My, Mz) of orders k and -k by one real
+  rotation, so it keeps |F_k|^2 + |F_-k|^2 + |Z_k|^2 + |Z_-k|^2, and both
+  orders have the same weight. Relaxation scales F by e2 <= 1 and Z by
+  e1 <= 1 (a frame turn only changes phases). The shift follows a
+  relaxation by some e2 <= r and moves each F_k one order, which changes its
+  weight by r^-1 at most.
+* The recovery adds 1 - e1 to Z_0, whose weight is 1. From equilibrium
+  (norm 1) a run therefore has ||S||_-1 <= C - 1 at every step, capped or
+  not, as a cap only removes terms; so |F_k| <= (C - 1) r^|k|.
+* A capped run differs from the full one only in that each shift drops
+  F_K+1 = e2 F_K, of size <= (C - 1) r^(K+1) (F_-K takes F_-K-1, which a
+  capped run never holds). The difference of the two runs evolves by the
+  linear part of the same steps, so it is the sum of what the drops become.
+  A drop starts with ||.||_+1 <= (C - 1) r^(2(K+1)) and keeps that bound;
+  a sample reads F_0, of weight 1, times exp(-TE/T2) <= 1.
+* Summing over the N - 1 shifts, |delta s| <= (N - 1)(C - 1) r^(2(K+1)),
+  below sqrt(2) N C r^(2(K+1)) <= EPSILON by the choice of K.
 
 The public surface is ``TissueParams``, ``simulate_fingerprints`` (the one
-simulator, for one tissue or a batch) and ``isochromat_oracle``. The oracle
-returns a ``Fingerprint``, which holds only its complex ``samples``; it stays
-because ``mrfbench`` reads the oracle's ``samples`` attribute.
+simulator, for one tissue or a batch), ``order_caps`` (the K of each tissue,
+for ``EPSILON``) and ``isochromat_oracle``. The oracle returns a
+``Fingerprint``, which holds only its complex ``samples``; it stays because
+``mrfbench`` reads the oracle's ``samples`` attribute.
 
 ``simulate_fingerprints`` is one in-place kernel (Weigel 2015, "Extended
 phase graphs: dephasing, RF pulses, and echoes - pure and simple", JMRI):
@@ -41,6 +76,11 @@ phase graphs: dephasing, RF pulses, and echoes - pure and simple", JMRI):
 * Layout. States are (planes, orders, batch) arrays, so the active window of
   orders is contiguous. The spoiler shift copies nothing: F+ and F- live in
   buffers of N+K rows whose base offsets move down and up by one per TR.
+* Mixed caps. The window is the batch's largest K. After each shift the
+  kernel writes +0 into F-_K of every tissue whose own K is smaller, which
+  is what that tissue reads there when simulated alone. Its orders <= K
+  then see exactly the arithmetic of that lone run, and the orders above,
+  which RF never mixes into lower ones, feed nothing back.
 """
 
 from __future__ import annotations
@@ -82,13 +122,45 @@ class Fingerprint:
         )
 
 
-def simulate_fingerprints(params_list, schedule: SequenceSchedule,
-                          k_max: int | None = None) -> np.ndarray:
+# Largest change of a sample (samples are bounded by 1) that dropping the
+# orders above ``order_caps`` may cause: about float64 rounding at 1.
+EPSILON = 1e-16
+
+
+def order_caps(params_list, schedule: SequenceSchedule) -> np.ndarray:
+    """The highest dephasing order K each tissue keeps (see the module docstring).
+
+    Each K depends only on its tissue and the schedule, never on the other
+    tissues of the list, and lies in [0, N].
+    """
+    n = schedule.n_excitations
+    if n < 2:  # no spoiler shift, so no order above 0 is ever populated
+        return np.full(len(params_list), n)
+    t1 = np.array([p.t1_ms for p in params_list])
+    t2 = np.array([p.t2_ms for p in params_list])
+    # One contiguous row per distinct T1: a row sum does not depend on
+    # which other rows share the call.
+    t1_values, t1_index = np.unique(t1, return_inverse=True)
+    recovery = 1.0 - np.exp(-_intervals(schedule)[None, :] / t1_values[:, None])
+    c = 2.0 + recovery.sum(axis=1)[t1_index]
+    rate = np.log(np.sqrt(2.0) * n * c / EPSILON) / (2.0 * float(schedule.tr_ms[:-1].min()))
+    # Clipping T2 first keeps an enormous T2 from overflowing the product.
+    orders = np.ceil(np.minimum(t2, (n + 1) / rate) * rate) - 1.0
+    return np.clip(orders, 0, n).astype(np.int64)
+
+
+def _intervals(schedule: SequenceSchedule) -> np.ndarray:
+    """Relaxation interval before each pulse: the inversion delay (or 0), then the TRs."""
+    delay = schedule.inversion_delay_ms if schedule.inversion_prep else 0.0
+    return np.concatenate(([delay], schedule.tr_ms[:-1]))
+
+
+def simulate_fingerprints(params_list, schedule: SequenceSchedule) -> np.ndarray:
     """Simulate a batch of tissue parameter pairs through one schedule.
 
     Returns a complex array of shape (len(params_list), n_excitations).
-    ``k_max`` keeps the default K = N configuration orders (exact); smaller
-    values trade accuracy for speed by truncating high dephasing orders.
+    Each tissue keeps the orders ``order_caps`` gives it, which moves no
+    sample by more than ``EPSILON`` from keeping all K = N.
 
     Batching only vectorizes the identical per-pair arithmetic, so each row
     equals the same pair simulated alone, bit for bit, and is independent of
@@ -98,13 +170,11 @@ def simulate_fingerprints(params_list, schedule: SequenceSchedule,
     if not params_list:
         raise ValueError("params_list must not be empty")
     n = schedule.n_excitations
-    if k_max is None:
-        k_max = n
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    # Before excitation i only orders <= i are populated, so orders above N-1
-    # are always zero and K = N is already exact.
-    kk = min(k_max, n) + 1
+    caps = order_caps(params_list, schedule)
+    kk = int(caps.max()) + 1
+    # Tissues capped below the window, and the F- row each zeroes per shift.
+    capped = np.flatnonzero(caps < kk - 1)
+    capped_rows = caps[capped]
 
     b = len(params_list)
     t1 = np.array([p.t1_ms for p in params_list])
@@ -114,8 +184,7 @@ def simulate_fingerprints(params_list, schedule: SequenceSchedule,
     # equilibrium with dt = 0) to pulse i. Relaxing over it also carries the
     # state into pulse i's frame: a turns by e_{i-1} / e_i, b by its
     # conjugate. With every phase zero no turn happens and the state is real.
-    delay = schedule.inversion_delay_ms if schedule.inversion_prep else 0.0
-    dt = np.concatenate(([delay], schedule.tr_ms[:-1]))[:, None]
+    dt = _intervals(schedule)[:, None]
     e1 = np.exp(-dt / t1)                      # (N, B)
     e2 = np.exp(-dt / t2)
     g1 = 1.0 - e1
@@ -158,6 +227,8 @@ def simulate_fingerprints(params_list, schedule: SequenceSchedule,
         if i:
             op -= 1
             om += 1
+            if capped.size:  # F-_K of a tissue capped at K takes no F-_K+1
+                b_buf[:, om + capped_rows, capped] = 0.0
             # F+_0 = conj(F-_0) reads a_0 = -conj(b_0) in the pulse frame.
             np.multiply(b_buf[:, om], conj_neg, out=a_buf[:, op])
             w = min(i + 1, kk)

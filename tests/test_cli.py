@@ -5,7 +5,13 @@ import pytest
 
 from conftest import constant_schedule
 from mrfmap.cli import main
-from mrfmap.dictionary import GridSpec, build_dictionary, build_plan, load_dictionary
+from mrfmap.dictionary import (
+    GridSpec,
+    build_dictionary,
+    build_plan,
+    expand_grid,
+    load_dictionary,
+)
 from mrfmap.schedule import default_schedule, save_schedule, schedule_digest
 
 GRID = {"t1_segments": [[300.0, 900.0, 300.0]], "t2_segments": [[40.0, 120.0, 40.0]]}
@@ -33,7 +39,9 @@ def test_build_default_schedule(tmp_path, grid_json, capsys):
     assert loaded.atoms.tobytes() == expected.atoms.tobytes()
     assert loaded.labels == expected.labels
     assert report["atoms"] == 9 and report["n"] == 40
-    assert report["workers"] == build_plan(9)[1]
+    plan = build_plan(expand_grid(GridSpec.from_json_dict(GRID)), schedule)
+    assert report["workers"] == plan.processes
+    assert report["orders_kept"] == plan.orders_kept == 1.0  # T2 >= 40 ms keeps all 40
     assert report["seconds"] > 0
     assert report["atoms_per_s"] == pytest.approx(9 / report["seconds"])
     assert report["schedule_digest"] == schedule_digest(schedule) == loaded.schedule_digest
@@ -49,6 +57,18 @@ def test_build_schedule_file(tmp_path, grid_json, capsys):
     assert report["schedule_digest"] == schedule_digest(schedule)
     expected = build_dictionary(GridSpec.from_json_dict(GRID), schedule)
     np.testing.assert_array_equal(loaded.atoms, expected.atoms)
+
+
+def test_build_reports_orders_kept(tmp_path, capsys):
+    # T2 of 1 and 2 ms keep about 5 and 11 of 100 orders.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"t1_segments": [[300.0, 900.0, 300.0]],
+                                "t2_segments": [[1.0, 2.0, 1.0]]}))
+    report = run_build(capsys, [str(tmp_path / "d"), "--n", "100", "--grid", str(grid)])
+    labels = load_dictionary(tmp_path / "d").labels
+    plan = build_plan(labels, default_schedule(100))
+    assert report["orders_kept"] == plan.orders_kept
+    assert 0.0 < report["orders_kept"] < 0.2
 
 
 def build_error(capsys, argv):
@@ -101,8 +121,10 @@ KEYS = "['t1_segments', 't2_segments']"
     (b'{"t1_segments": [[300, 900, 300]], t2_segments: []}',
      "Expecting property name enclosed in double quotes"),
     (b'{"t1_segments": [[300, 900, 300]]}\xff', "'utf-8' codec can't decode"),
+    ({"t1_segments": [[10, 10, 1]], "t2_segments": [[100, 100, 1]]},
+     "grid expansion produced no valid (T1, T2) pairs"),
 ], ids=["empty", "missing_key", "unknown_key", "not_object", "segments_not_list",
-        "short_segment", "null_value", "bool_value", "not_json", "not_utf8"])
+        "short_segment", "null_value", "bool_value", "not_json", "not_utf8", "no_pairs"])
 def test_malformed_grid_json_rejected(tmp_path, capsys, grid, message):
     """``grid`` is written as JSON, or as it is when given as bytes."""
     path = tmp_path / "grid.json"

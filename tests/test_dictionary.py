@@ -1,3 +1,4 @@
+import itertools
 import json
 import multiprocessing
 import re
@@ -19,7 +20,7 @@ from mrfmap.dictionary import (
     match_batch,
     save_dictionary,
 )
-from mrfmap.epg import simulate_fingerprints
+from mrfmap.epg import TissueParams, order_caps, simulate_fingerprints
 from mrfmap.schedule import default_schedule
 
 
@@ -54,6 +55,26 @@ def numbered_grid(m):
 # holds every pair of the toy grid.
 SPLIT_GRID = GridSpec(t1_segments=((100.0, 4000.0, 100.0),),
                       t2_segments=((25.0, 250.0, 25.0),))
+
+
+# At N=80, T2 of 2 to 14 ms keeps 9 to 69 orders, so caps differ by T2
+# and cap order is not grid order.
+CAPPED_GRID = GridSpec(t1_segments=((200.0, 1000.0, 200.0),),
+                       t2_segments=((2.0, 14.0, 4.0),))
+
+# The dict-build benchmark's grid shape: six T1 and six T2 values, one in
+# each log-stratum of 500-4000 ms and 5-500 ms (paper length N=1750).
+DICT_BUILD_GRID = GridSpec(
+    t1_segments=tuple((t1, t1, 1.0) for t1 in (595.0, 841.0, 1189.0, 1682.0, 2378.0, 3364.0)),
+    t2_segments=tuple((t2, t2, 1.0) for t2 in (7.3, 15.8, 34.1, 73.4, 158.0, 341.0)))
+
+
+def plan_cost(plan, labels, schedule):
+    """Largest modelled batch cost: size times the rows its largest cap sweeps."""
+    n = schedule.n_excitations
+    caps = order_caps(labels, schedule)
+    return max(len(rows) * sum(min(i + 1, int(caps[rows].max()) + 1) for i in range(n))
+               for rows in plan.batches)
 
 
 def brute_force_pairs(t1_segments, t2_segments):
@@ -196,7 +217,9 @@ class TestBuildDictionary:
         d, schedule = toy_dictionary
         monkeypatch.setattr(dictionary, "available_cpus", lambda: 1)
         split = build_dictionary(SPLIT_GRID, schedule)
-        assert dictionary.build_plan(split.n_atoms) == (64, 1)
+        plan = dictionary.build_plan(split.labels, schedule)
+        assert [len(rows) for rows in plan.batches] == [64] * 6 + [8]
+        assert plan.processes == 1
         rows = [split.labels.index(label) for label in d.labels]
         assert split.atoms[rows].tobytes() == d.atoms.tobytes()
 
@@ -219,36 +242,96 @@ class TestBuildDictionary:
         assert built.labels == expand_grid(spec)
         assert pools == ([cpus - 1] if cpus > 1 else [])
 
-    @pytest.mark.parametrize("n_atoms, batch_size, cpus, plan", [
-        (36, 64, 2, (18, 2)),
-        (114_650, 64, 2, (64, 2)),
-        (24, 64, 1, (24, 1)),
-        (5, 64, 4, (2, 3)),
-        (1, 64, 8, (1, 1)),
-    ])
-    def test_build_plan_split_rule(self, monkeypatch, n_atoms, batch_size, cpus, plan):
+    # Ids read atoms-BATCH_SIZE-cpus-plan.
+    @pytest.mark.parametrize("grid, n, cpus, sizes", [
+        # 12 atoms sweep all N orders (the two longest T2, and T2 = 158 ms
+        # with its cap of about 870), 24 at most about 400 orders.
+        (DICT_BUILD_GRID, 1750, 2, [12, 24]),
+        (GridSpec.paper_grid(), 1750, 2, [64] * 1791 + [26]),
+        (None, 80, 1, [24]),  # the toy grid: every atom keeps K = N
+        (GridSpec(((1000.0, 5000.0, 1000.0),), ((50.0, 50.0, 1.0),)), 80, 4, [2, 2, 1]),
+        (GridSpec(((100.0, 100.0, 1.0),), ((50.0, 50.0, 1.0),)), 80, 8, [1]),
+        (DICT_BUILD_GRID, 1750, 1, [36]),
+        (None, 80, 2, [12, 12]),
+    ], ids=["36-64-2-plan0", "114650-64-2-plan1", "24-64-1-plan2", "5-64-4-plan3",
+            "1-64-8-plan4", "36-64-1-plan5", "24-64-2-plan6"])
+    def test_build_plan_split_rule(self, toy_dictionary, monkeypatch, grid, n, cpus, sizes):
         monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
-        assert dictionary.BATCH_SIZE == batch_size
-        assert dictionary.build_plan(n_atoms) == plan
+        assert dictionary.BATCH_SIZE == 64
+        schedule = default_schedule(n)
+        labels = expand_grid(toy_dictionary[0].grid if grid is None else grid)
+        plan = dictionary.build_plan(labels, schedule)
+        assert [len(rows) for rows in plan.batches] == sizes
+        assert plan.processes == min(cpus, len(sizes))
+        rows = np.concatenate(plan.batches)
+        assert sorted(rows.tolist()) == list(range(len(labels)))
+        caps = order_caps(labels, schedule)[rows]
+        assert np.all(np.diff(caps) <= 0)  # descending cap order
 
-    # T1 = 200 ms lies in the first batch, which the calling process
-    # simulates; T1 = 1000 ms lies in the last, which a worker simulates.
-    @pytest.mark.parametrize("bad_t1", [200.0, 1000.0])
+    def test_dict_build_plan_largest_batch(self, monkeypatch):
+        # On 2 CPUs the largest batch holds 12 atoms at K = N, where an
+        # even split would hold 18.
+        monkeypatch.setattr(dictionary, "available_cpus", lambda: 2)
+        schedule = default_schedule(1750)
+        labels = expand_grid(DICT_BUILD_GRID)
+        plan = dictionary.build_plan(labels, schedule)
+        assert plan_cost(plan, labels, schedule) == 12 * 1750 * 1751 // 2
+        assert {labels[j].t2_ms for j in plan.batches[0]} == {158.0, 341.0}
+        assert 0.0 < plan.orders_kept < 0.5
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_build_plan_minimizes_largest_batch(self, toy_dictionary, monkeypatch, cpus):
+        # Exhaustive search over every contiguous split of the cap-sorted
+        # atoms into at most ``cpus`` batches finds no smaller largest cost.
+        _, schedule = toy_dictionary
+        labels = expand_grid(CAPPED_GRID)
+        monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        plan = dictionary.build_plan(labels, schedule)
+        order = np.concatenate(plan.batches)
+        m, best = len(labels), np.inf
+        for k in range(1, cpus + 1):
+            for inner in itertools.combinations(range(1, m), k - 1):
+                cuts = [0, *inner, m]
+                split = dictionary.BuildPlan(
+                    [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])], k, 0.0)
+                best = min(best, plan_cost(split, labels, schedule))
+        assert plan_cost(plan, labels, schedule) == best
+        assert len(plan.batches) == cpus
+
+    def test_paper_grid_orders_kept(self, monkeypatch):
+        # About three quarters of the paper atoms are capped, and the EPG
+        # work they leave is about 0.65 of every atom at K = N.
+        monkeypatch.setattr(dictionary, "available_cpus", lambda: 2)
+        labels = expand_grid(GridSpec.paper_grid())
+        schedule = default_schedule(1750)
+        caps = order_caps(labels, schedule)
+        assert 0.75 < np.mean(caps < 1750) < 0.8
+        assert 0.6 < dictionary.build_plan(labels, schedule).orders_kept < 0.7
+
+    # In cap order the plan's first batch holds the five T2 = 14 ms atoms,
+    # and the calling process simulates it; the last holds the T2 = 2 ms
+    # atoms, which a worker simulates at 2 and 3 CPUs (at 1 CPU the caller
+    # runs both). In grid order these tissues would sit the other way round.
+    @pytest.mark.parametrize("bad", [TissueParams(200.0, 2.0), TissueParams(1000.0, 14.0)],
+                             ids=["200.0", "1000.0"])  # the bad tissue's T1
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_simulation_error_propagates(self, toy_dictionary, monkeypatch,
-                                         cpus, bad_t1):
-        d, schedule = toy_dictionary
+    def test_simulation_error_propagates(self, toy_dictionary, monkeypatch, cpus, bad):
+        _, schedule = toy_dictionary
         real = dictionary.simulate_fingerprints
 
         def failing(params, sched):
-            if any(p.t1_ms == bad_t1 for p in params):
-                raise RuntimeError(f"no signal for T1={bad_t1}")
+            if bad in params:
+                raise RuntimeError(f"no signal for {bad}")
             return real(params, sched)
 
         monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        plan = dictionary.build_plan(expand_grid(CAPPED_GRID), schedule)
+        holder = [i for i, rows in enumerate(plan.batches)
+                  if bad in [expand_grid(CAPPED_GRID)[j] for j in rows]]
+        assert holder == [0 if bad.t2_ms == 14.0 or cpus == 1 else len(plan.batches) - 1]
         monkeypatch.setattr(dictionary, "simulate_fingerprints", failing)
-        with time_limit(60), pytest.raises(RuntimeError, match=f"T1={bad_t1}"):
-            build_dictionary(d.grid, schedule)
+        with time_limit(60), pytest.raises(RuntimeError, match=re.escape(str(bad))):
+            build_dictionary(CAPPED_GRID, schedule)
         assert multiprocessing.active_children() == []
 
 

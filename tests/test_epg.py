@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import constant_schedule
-from mrfmap.epg import TissueParams, isochromat_oracle, simulate_fingerprints
+from mrfmap.epg import (
+    EPSILON,
+    TissueParams,
+    isochromat_oracle,
+    order_caps,
+    simulate_fingerprints,
+)
 from mrfmap.schedule import SequenceSchedule, default_schedule
 
 
@@ -26,9 +32,9 @@ def random_params(rng):
     return TissueParams(t1, t2)
 
 
-def one_tissue(params, schedule, k_max=None):
+def one_tissue(params, schedule):
     """Complex samples of one tissue through ``simulate_fingerprints``."""
-    return simulate_fingerprints([params], schedule, k_max=k_max)[0]
+    return simulate_fingerprints([params], schedule)[0]
 
 
 def pulses(flip_deg, phase_rad=0.0, tr_ms=4.3, inversion_prep=False, **prep):
@@ -47,7 +53,8 @@ def epg_reference(params, schedule, k_max):
     """Complex EPG over orders 0..k_max: rotate, record F+_0, relax, shift.
 
     No inversion pulse and TE = 0. Orders above k_max fall off the top at
-    each shift, which is the truncation ``simulate_fingerprints`` makes.
+    each shift, which is the truncation ``simulate_fingerprints`` makes at
+    a tissue's ``order_caps``.
     """
     fp, fm, z = (np.zeros(k_max + 1, dtype=np.complex128) for _ in range(3))
     z[0] = 1.0
@@ -67,6 +74,21 @@ def epg_reference(params, schedule, k_max):
         fm[-1] = 0.0
         fp[0] = np.conj(fm[0])
     return out
+
+
+def cap_bound(params, schedule, k):
+    """The module docstring's bound on what capping at order k moves a sample."""
+    n = schedule.n_excitations
+    delay = schedule.inversion_delay_ms if schedule.inversion_prep else 0.0
+    dt = np.concatenate(([delay], schedule.tr_ms[:-1]))
+    c = 2.0 + np.sum(1.0 - np.exp(-dt / params.t1_ms))
+    r = np.exp(-schedule.tr_ms[:-1].min() / params.t2_ms)
+    return np.sqrt(2.0) * n * c * r ** (2 * (k + 1))
+
+
+def short_t2_params(rng, t2_values):
+    """One tissue per T2, each with a random T1 of at least T2."""
+    return [TissueParams(float(rng.uniform(max(t2, 100.0), 4000.0)), t2) for t2 in t2_values]
 
 
 # T1 = T2 this large makes every relaxation factor exactly 1.
@@ -225,30 +247,93 @@ class TestSimulateFingerprint:
         assert one_tissue(p, sched).tobytes() == one_tissue(p, sched).tobytes()
 
     def test_batch_equals_single(self):
+        # Short-T2 tissues keep fewer orders than the batch's window, and
+        # each row must still be that tissue run alone (its own window).
         rng = np.random.default_rng(3)
         for zero_phase in (False, True):
             sched = random_schedule(rng, 60, zero_phase=zero_phase)
             params = [random_params(rng) for _ in range(7)]
+            params += short_t2_params(rng, [0.5, 1.0, 2.0, 3.0, 5.0])
+            caps = order_caps(params, sched)
+            assert len(set(caps[7:].tolist())) == 5 and caps[7:].max() < caps.max()
+            batch = simulate_fingerprints(params, sched)
+            for i, p in enumerate(params):
+                assert batch[i].tobytes() == one_tissue(p, sched).tobytes()
+            # And the shortest T2 at the bottom of a batch of long ones.
+            mixed = simulate_fingerprints(params[::-1], sched)
+            assert mixed.tobytes() == batch[::-1].tobytes()
+        # At paper length what lies above a tissue's cap in a wider window
+        # would reach its samples in the last bits; the kernel keeps it out.
+        params = [TissueParams(4000.0, 500.0), TissueParams(4000.0, 100.0),
+                  TissueParams(500.0, 20.0), TissueParams(1000.0, 60.0)]
+        for sched in (default_schedule(1750), random_schedule(rng, 1750)):
+            caps = order_caps(params, sched)
+            assert caps[0] == 1750 and np.all(caps[1:] < 1000)
             batch = simulate_fingerprints(params, sched)
             for i, p in enumerate(params):
                 assert batch[i].tobytes() == one_tissue(p, sched).tobytes()
 
     @pytest.mark.parametrize("zero_phase", [True, False])
     def test_truncated_orders_match_single_step_loop(self, zero_phase):
-        # k_max < N drops orders above K; ``epg_reference`` on K+1 orders
-        # truncates the same way after each shift.
+        # Each tissue keeps orders 0..K of its own cap; ``epg_reference`` on
+        # K+1 orders truncates the same way after each shift.
         rng = np.random.default_rng(17)
         n = 60
         sched = random_schedule(rng, n, zero_phase=zero_phase)
         sched = SequenceSchedule(sched.flip_angles_rad, sched.rf_phases_rad,
                                  sched.tr_ms, te_ms=0.0, inversion_prep=False)
-        params = [random_params(rng) for _ in range(3)]
-        full = simulate_fingerprints(params, sched)
-        for k in (1, 3, 10):
-            got = simulate_fingerprints(params, sched, k_max=k)
-            for row, p in zip(got, params):
-                assert np.max(np.abs(row - epg_reference(p, sched, k))) < 1e-12
-            assert np.max(np.abs(got - full)) > 1e-6  # truncation did bite
+        params = short_t2_params(rng, [0.5, 2.0, 6.0]) + [random_params(rng)]
+        caps = order_caps(params, sched)
+        assert np.all(caps[:3] < n)  # the first three are really capped
+        got = simulate_fingerprints(params, sched)
+        for row, p, k in zip(got, params, caps.tolist()):
+            assert np.max(np.abs(row - epg_reference(p, sched, k))) < 1e-12
+
+    def test_order_caps_smallest_within_epsilon(self):
+        # Each cap is the smallest K whose bound is at most EPSILON, or N;
+        # it is the tissue's alone, whatever else is in the list.
+        rng = np.random.default_rng(19)
+        for zero_phase in (False, True):
+            sched = random_schedule(rng, 300, zero_phase=zero_phase)
+            params = [random_params(rng) for _ in range(20)]
+            params += short_t2_params(rng, [0.01, 0.5, 3.0, 20.0])
+            caps = order_caps(params, sched).tolist()
+            assert caps == [order_caps([p], sched)[0] for p in params]
+            assert min(caps) == 0 and max(caps) == 300 and len(set(caps)) > 3
+            for p, k in zip(params, caps):
+                assert 0 <= k <= 300
+                assert k == 300 or cap_bound(p, sched, k) <= EPSILON
+                assert k == 0 or cap_bound(p, sched, k - 1) > EPSILON
+        # One excitation has no shift: its one order is always kept.
+        assert order_caps(params, pulses([30.0])).tolist() == [1] * len(params)
+
+    def test_cap_error_within_bound(self):
+        # Paper length and the paper grid's extreme T1 (2 and 4000 ms) with
+        # T2 of 1 and 500 ms. Against all N orders, capping a reference run
+        # at k < N moves no sample by more than the module docstring's
+        # bound, at the tissue's own cap and at smaller ones where the bound
+        # is far above rounding; the simulator's normalized magnitudes stay
+        # within 1e-13 of the full reference's.
+        n = 1750
+        paper = default_schedule(n)
+        sched = SequenceSchedule(paper.flip_angles_rad, paper.rf_phases_rad,
+                                 paper.tr_ms, inversion_prep=False)
+        params = [TissueParams(2.0, 1.0), TissueParams(4000.0, 1.0),
+                  TissueParams(4000.0, 500.0)]
+        caps = order_caps(params, sched).tolist()
+        assert caps[0] < n and caps[1] < n and caps[2] == n
+        assert cap_bound(params[0], sched, caps[0]) <= EPSILON
+        assert cap_bound(params[1], sched, caps[1]) <= EPSILON
+        got = simulate_fingerprints(params, sched)
+        for row, p, cap in zip(got, params, caps):
+            full = epg_reference(p, sched, n)
+            for k in sorted({1, 2, cap // 4, cap // 2, cap}):
+                if 0 < k < n:
+                    error = np.max(np.abs(epg_reference(p, sched, k) - full))
+                    assert error <= cap_bound(p, sched, k)
+            unit = np.abs(row) / np.linalg.norm(row)
+            unit_full = np.abs(full) / np.linalg.norm(full)
+            assert np.max(np.abs(unit - unit_full)) <= 1e-13
 
     def test_z0_imag_zero_for_real_phases(self):
         # RF phases of 0 and pi keep every state on the imaginary axis of
