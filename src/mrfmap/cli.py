@@ -11,8 +11,8 @@ schedule digest.
 ``GRID.json`` holds ``{"t1_segments": [[start, stop, step], ...],
 "t2_segments": [...]}`` in ms, as in a dictionary manifest's ``grid``.
 Bad input or an unreadable file prints ``mrfmap: error: ...``, naming the
-schedule or grid file at fault (a grid of no valid (T1, T2) pair
-included), and exits 2.
+schedule or grid file at fault (a grid of no valid (T1, T2) pair, or of
+too many to expand, included), and exits 2.
 """
 
 from __future__ import annotations
@@ -52,14 +52,14 @@ def _build(args) -> dict:
     if args.grid is not None:
         try:  # a JSON or UTF-8 decoding error is a ValueError too
             grid = GridSpec.from_json_dict(json.loads(args.grid.read_text(encoding="utf-8")))
-            expand_grid(grid)  # a grid of no valid pair is the file's fault too
-        except ValueError as err:
+            expand_grid(grid)  # a grid of no pair, or too many, is the file's fault too
+        except (ValueError, MemoryError) as err:
             raise ValueError(f"{args.grid}: {err}") from None
     start = time.perf_counter()
     built = build_dictionary(grid, schedule)
     seconds = time.perf_counter() - start
     save_dictionary(built, args.out)
-    plan = build_plan(built.labels, schedule)
+    plan = build_plan(expand_grid(grid), schedule)
     return {"atoms": built.n_atoms, "n": built.n_samples, "workers": plan.processes,
             "orders_kept": plan.orders_kept, "seconds": seconds,
             "atoms_per_s": built.n_atoms / seconds,

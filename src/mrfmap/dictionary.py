@@ -118,20 +118,19 @@ def _expand_segments(segments) -> np.ndarray:
     return np.unique(merged)
 
 
-def expand_grid(spec: GridSpec) -> list[TissueParams]:
-    """Expand a GridSpec into the lexicographically sorted (T1, T2) pairs.
+def expand_grid(spec: GridSpec) -> np.ndarray:
+    """Expand a GridSpec into the lexicographically sorted (M, 2) array of (T1, T2) in ms.
 
     Zero values are dropped and pairs violating T2 <= T1 are filtered out.
     """
     t1_values = _expand_segments(spec.t1_segments)
     t2_values = _expand_segments(spec.t2_segments)
-    t1_values = t1_values[t1_values > 0.0]
-    t2_values = t2_values[t2_values > 0.0]
-    pairs = [TissueParams(float(t1), float(t2))
-             for t1 in t1_values for t2 in t2_values if t2 <= t1]
-    if not pairs:
+    t1, t2 = np.meshgrid(t1_values[t1_values > 0.0], t2_values[t2_values > 0.0],
+                         indexing="ij")
+    keep = t2 <= t1
+    if not keep.any():
         raise ValueError("grid expansion produced no valid (T1, T2) pairs")
-    return pairs
+    return np.column_stack([t1[keep], t2[keep]])
 
 
 @dataclass
@@ -145,7 +144,7 @@ class Dictionary:
     atoms: np.ndarray          # (M, N) float64, values exactly f32-representable
     schedule_digest: str
     grid: GridSpec
-    labels: list[TissueParams] = field(init=False)  # expand_grid(grid), row by row
+    labels: list[TissueParams] = field(init=False)  # expand_grid(grid)'s (M, 2) rows
     _subspace: tuple | None = field(init=False, default=None, repr=False,
                                     compare=False)  # see ``_subspace``
 
@@ -155,7 +154,7 @@ class Dictionary:
         bad = np.flatnonzero(~np.isfinite(self.atoms).all(axis=1))
         if bad.size:
             raise ValueError(f"NaN or inf atoms in rows {bad.tolist()}")
-        self.labels = expand_grid(self.grid)
+        self.labels = [TissueParams(*row) for row in expand_grid(self.grid).tolist()]
         if self.atoms.shape[0] != len(self.labels):
             raise ValueError(f"{self.atoms.shape[0]} atom rows, but the grid "
                              f"expands to {len(self.labels)} (T1, T2) pairs")
@@ -196,8 +195,8 @@ def _cuts(head: np.ndarray, limit) -> list[int]:
     return cuts
 
 
-def build_plan(labels: list[TissueParams], schedule: SequenceSchedule) -> BuildPlan:
-    """The batches and processes ``build_dictionary`` uses for ``labels``.
+def build_plan(tissues, schedule: SequenceSchedule) -> BuildPlan:
+    """The batches and processes ``build_dictionary`` uses for (M, 2) ``tissues``.
 
     Atoms are taken in descending order of their ``order_caps``. A batch
     costs its size times the rows its largest cap sweeps (``_orders_swept``).
@@ -207,8 +206,8 @@ def build_plan(labels: list[TissueParams], schedule: SequenceSchedule) -> BuildP
     consecutive costs to alternating processes. Without ``fork`` the build
     runs in the calling process alone.
     """
-    n, m, cpus = schedule.n_excitations, len(labels), available_cpus()
-    caps = order_caps(labels, schedule)
+    n, m, cpus = schedule.n_excitations, len(tissues), available_cpus()
+    caps = order_caps(tissues, schedule)
     order = np.argsort(-caps, kind="stable")
     head = _orders_swept(caps[order], n)
     if m <= cpus * BATCH_SIZE:
@@ -227,7 +226,7 @@ def build_plan(labels: list[TissueParams], schedule: SequenceSchedule) -> BuildP
                      float(head.sum() / (m * _orders_swept(n, n))))
 
 
-def _magnitudes(chunk: list[TissueParams], schedule: SequenceSchedule) -> np.ndarray:
+def _magnitudes(chunk: np.ndarray, schedule: SequenceSchedule) -> np.ndarray:
     """float64 magnitude fingerprints of one batch of tissues."""
     return np.abs(simulate_fingerprints(chunk, schedule))
 
@@ -265,17 +264,16 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
 
     64 stays within 7% of the best at both lengths.
     """
-    labels = expand_grid(spec)
-    plan = build_plan(labels, schedule)
-    chunks = [[labels[j] for j in rows.tolist()] for rows in plan.batches]
+    tissues = expand_grid(spec)
+    plan = build_plan(tissues, schedule)
     simulate = partial(_magnitudes, schedule=schedule)
-    atoms = np.empty((len(labels), schedule.n_excitations), dtype=np.float64)
-    for i, mags in fan_out(simulate, chunks, plan.processes):
+    atoms = np.empty((len(tissues), schedule.n_excitations), dtype=np.float64)
+    for i, mags in fan_out(simulate, [tissues[rows] for rows in plan.batches], plan.processes):
         atoms[plan.batches[i]] = mags
     norms = np.linalg.norm(atoms, axis=1, keepdims=True)
     if np.any(norms == 0.0):
-        bad = [labels[i] for i in np.flatnonzero(norms[:, 0] == 0.0)[:5]]
-        raise ValueError(f"zero-signal atoms for {bad}")
+        bad = tissues[np.flatnonzero(norms[:, 0] == 0.0)[:5]].tolist()
+        raise ValueError(f"zero-signal atoms for (T1, T2) {bad}")
     atoms /= norms
     # Quantize to the storage precision so build -> save -> load is identity.
     atoms = atoms.astype(np.float32).astype(np.float64)
@@ -344,8 +342,10 @@ def _subspace(dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray, float, fl
 
 def _match_rows(dictionary: Dictionary,
                 queries: np.ndarray) -> list[tuple[TissueParams, float]]:
-    """Best label and score of every row of a (Q, N) float64 query matrix."""
-    queries = np.ascontiguousarray(queries)
+    """Best label and score of every row of a (Q, N) real query matrix."""
+    if np.iscomplexobj(queries):
+        raise ValueError("complex queries; match their magnitudes (np.abs) instead")
+    queries = np.ascontiguousarray(queries, dtype=np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
     tiny = np.flatnonzero(norms < 2.0 ** -450)
     if tiny.size:
@@ -423,7 +423,7 @@ def match(dictionary: Dictionary, query: np.ndarray) -> tuple[TissueParams, floa
     measured ‖VᵀV − I‖, times the largest atom norm. The best of these, by
     exact score, is the match.
     """
-    query = np.asarray(query, dtype=np.float64)
+    query = np.asarray(query)
     if query.ndim != 1 or query.size != dictionary.n_samples:
         raise ValueError(
             f"query length {query.size} does not match dictionary "
@@ -437,7 +437,8 @@ def match_batch(dictionary: Dictionary,
     """Match many signals at once; output order follows input order.
 
     Invalid rows are rejected up front with an error enumerating every
-    offending query index, so a batch never returns partial results.
+    offending query index, so a batch never returns partial results;
+    complex queries are refused, as their magnitudes are what matches.
     Each row's result is ``match``'s for that row.
 
     The subspace has r = min(``RANK``, M, N) dimensions. A small r leaves
@@ -453,7 +454,7 @@ def match_batch(dictionary: Dictionary,
     Ranks 16 to 48 lie within 6% of each other, about the host's
     run-to-run spread, and 32 is in the middle of that range.
     """
-    queries = np.asarray(queries, dtype=np.float64)
+    queries = np.asarray(queries)
     if queries.ndim != 2 or queries.shape[1] != dictionary.n_samples:
         raise ValueError(
             f"queries must be (Q, {dictionary.n_samples}), got {queries.shape}"

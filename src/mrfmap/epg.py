@@ -53,9 +53,10 @@ shift is F_k -> F_k+1. Let r = exp(-TR_min / T2) and, for s = +1 or -1,
 
 The public surface is ``TissueParams``, ``simulate_fingerprints`` (the one
 simulator, for one tissue or a batch), ``order_caps`` (the K of each tissue,
-for ``EPSILON``) and ``isochromat_oracle``. The oracle returns a
-``Fingerprint``, which holds only its complex ``samples``; it stays because
-``mrfbench`` reads the oracle's ``samples`` attribute.
+for ``EPSILON``) and ``isochromat_oracle``. A batch of tissues is a (B, 2)
+array of (T1, T2) in ms, such as a list of ``TissueParams`` labels, and
+``_relaxation_times`` is its one check. The oracle returns a ``Fingerprint``
+of complex ``samples`` until a change that may edit ``mrfbench`` drops it.
 
 ``simulate_fingerprints`` is one in-place kernel (Weigel 2015, "Extended
 phase graphs: dephasing, RF pulses, and echoes - pure and simple", JMRI):
@@ -86,27 +87,18 @@ phase graphs: dephasing, RF pulses, and echoes - pure and simple", JMRI):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .schedule import SequenceSchedule
 
 
-@dataclass(frozen=True)
-class TissueParams:
-    """A (T1, T2) relaxation-time pair in milliseconds."""
+class TissueParams(NamedTuple):
+    """A (T1, T2) label in milliseconds; a list of them is a (B, 2) batch."""
 
     t1_ms: float
     t2_ms: float
-
-    def __post_init__(self):
-        if not (self.t1_ms > 0.0 and self.t2_ms > 0.0):
-            raise ValueError(f"relaxation times must be positive, got {self}")
-        if self.t2_ms > self.t1_ms:
-            raise ValueError(
-                f"t2_ms={self.t2_ms} exceeds t1_ms={self.t1_ms}; "
-                "no tissue has T2 > T1"
-            )
 
 
 @dataclass(frozen=True)
@@ -127,17 +119,30 @@ class Fingerprint:
 EPSILON = 1e-16
 
 
-def order_caps(params_list, schedule: SequenceSchedule) -> np.ndarray:
+def _relaxation_times(tissues) -> np.ndarray:
+    """``tissues`` as a nonempty (B, 2) float64 array of (T1, T2) in ms; rows
+    not finite with 0 < T2 <= T1 are refused by index."""
+    tissues = np.asarray(tissues, dtype=np.float64)
+    if tissues.ndim != 2 or tissues.shape[1] != 2 or not tissues.shape[0]:
+        raise ValueError(f"tissues must be a nonempty (B, 2) array, got shape {tissues.shape}")
+    t1, t2 = tissues.T
+    bad = np.flatnonzero(~((0.0 < t2) & (t2 <= t1) & (t1 < np.inf)))  # NaN fails too
+    if bad.size:
+        raise ValueError(f"tissue rows {bad.tolist()} are not finite with "
+                         f"0 < T2 <= T1: {tissues[bad].tolist()}")
+    return tissues
+
+
+def order_caps(tissues, schedule: SequenceSchedule) -> np.ndarray:
     """The highest dephasing order K each tissue keeps (see the module docstring).
 
     Each K depends only on its tissue and the schedule, never on the other
-    tissues of the list, and lies in [0, N].
+    rows of the (B, 2) batch, and lies in [0, N].
     """
+    t1, t2 = _relaxation_times(tissues).T
     n = schedule.n_excitations
     if n < 2:  # no spoiler shift, so no order above 0 is ever populated
-        return np.full(len(params_list), n)
-    t1 = np.array([p.t1_ms for p in params_list])
-    t2 = np.array([p.t2_ms for p in params_list])
+        return np.full(t1.size, n)
     # One contiguous row per distinct T1: a row sum does not depend on
     # which other rows share the call.
     t1_values, t1_index = np.unique(t1, return_inverse=True)
@@ -155,30 +160,26 @@ def _intervals(schedule: SequenceSchedule) -> np.ndarray:
     return np.concatenate(([delay], schedule.tr_ms[:-1]))
 
 
-def simulate_fingerprints(params_list, schedule: SequenceSchedule) -> np.ndarray:
-    """Simulate a batch of tissue parameter pairs through one schedule.
+def simulate_fingerprints(tissues, schedule: SequenceSchedule) -> np.ndarray:
+    """Simulate a (B, 2) batch of (T1, T2) tissues in ms through one schedule.
 
-    Returns a complex array of shape (len(params_list), n_excitations).
-    Each tissue keeps the orders ``order_caps`` gives it, which moves no
-    sample by more than ``EPSILON`` from keeping all K = N.
+    Returns a complex (B, n_excitations) array; ``_relaxation_times`` checks
+    the rows. Each tissue keeps the orders ``order_caps`` gives it, which
+    moves no sample by more than ``EPSILON`` from keeping all K = N.
 
     Batching only vectorizes the identical per-pair arithmetic, so each row
     equals the same pair simulated alone, bit for bit, and is independent of
     how a larger batch is split.
     """
-    params_list = list(params_list)
-    if not params_list:
-        raise ValueError("params_list must not be empty")
-    n = schedule.n_excitations
-    caps = order_caps(params_list, schedule)
+    tissues = _relaxation_times(tissues)
+    t1, t2 = tissues.T
+    n, b = schedule.n_excitations, len(tissues)
+    caps = order_caps(tissues, schedule)
     kk = int(caps.max()) + 1
     # Tissues capped below the window, and the F- row each zeroes per shift.
     capped = np.flatnonzero(caps < kk - 1)
     capped_rows = caps[capped]
 
-    b = len(params_list)
-    t1 = np.array([p.t1_ms for p in params_list])
-    t2 = np.array([p.t2_ms for p in params_list])
     phases = schedule.rf_phases_rad
     # Interval i runs from the previous pulse (the phase-0 inversion, or
     # equilibrium with dt = 0) to pulse i. Relaxing over it also carries the
@@ -299,6 +300,7 @@ def isochromat_oracle(params: TissueParams, schedule: SequenceSchedule,
     n_excitations this equals the EPG result exactly (no order aliasing),
     which is what the EPG tests assert.
     """
+    [(t1, t2)] = _relaxation_times([params]).tolist()
     n = schedule.n_excitations
     if n_spins <= n:
         raise ValueError(
@@ -310,9 +312,9 @@ def isochromat_oracle(params: TissueParams, schedule: SequenceSchedule,
 
     m_xy = np.zeros(n_spins, dtype=np.complex128)
     m_z = np.ones(n_spins, dtype=np.float64)
-    e1_tr = np.exp(-schedule.tr_ms / params.t1_ms)
-    e2_tr = np.exp(-schedule.tr_ms / params.t2_ms)
-    te_decay = np.exp(-schedule.te_ms / params.t2_ms)
+    e1_tr = np.exp(-schedule.tr_ms / t1)
+    e2_tr = np.exp(-schedule.tr_ms / t2)
+    te_decay = np.exp(-schedule.te_ms / t2)
 
     def pulse(alpha, phi):
         nonlocal m_xy, m_z
@@ -328,8 +330,8 @@ def isochromat_oracle(params: TissueParams, schedule: SequenceSchedule,
 
     if schedule.inversion_prep:
         pulse(np.pi, 0.0)
-        e1 = np.exp(-schedule.inversion_delay_ms / params.t1_ms)
-        m_xy = m_xy * np.exp(-schedule.inversion_delay_ms / params.t2_ms)
+        e1 = np.exp(-schedule.inversion_delay_ms / t1)
+        m_xy = m_xy * np.exp(-schedule.inversion_delay_ms / t2)
         m_z = e1 * m_z + (1.0 - e1)
 
     samples = np.empty(n, dtype=np.complex128)

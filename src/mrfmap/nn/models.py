@@ -159,8 +159,10 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 
 def _checked_signals(spec: ModelSpec, signals) -> np.ndarray:
-    """``signals`` as a float64 (B, input_len) array; NaN or inf rows are
-    rejected with their indices."""
+    """``signals`` as a float64 (B, input_len) array; complex input, and
+    NaN or inf rows (by index), are rejected."""
+    if np.iscomplexobj(signals):
+        raise ValueError("complex signals; pass their magnitudes (np.abs) instead")
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim != 2 or signals.shape[1] != spec.input_len:
         raise ValueError(
@@ -260,7 +262,7 @@ def predict_single(spec: ModelSpec, params: dict[str, np.ndarray],
     The batch forward at B=1 without the backprop cache, so the result
     equals row 0 of ``forward_batch`` on ``signal[None]`` bit for bit.
     """
-    signal = np.asarray(signal, dtype=np.float64)
+    signal = np.asarray(signal)
     if signal.shape != (spec.input_len,):
         raise ValueError(
             f"signal must have length {spec.input_len}, got {signal.shape}")

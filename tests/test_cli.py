@@ -123,8 +123,12 @@ KEYS = "['t1_segments', 't2_segments']"
     (b'{"t1_segments": [[300, 900, 300]]}\xff', "'utf-8' codec can't decode"),
     ({"t1_segments": [[10, 10, 1]], "t2_segments": [[100, 100, 1]]},
      "grid expansion produced no valid (T1, T2) pairs"),
+    # NumPy refuses the 28.4 PiB of T1 values before allocating any of it.
+    ({"t1_segments": [[1, 4000, 1e-12]], "t2_segments": [[5, 500, 5]]},
+     "Unable to allocate"),
 ], ids=["empty", "missing_key", "unknown_key", "not_object", "segments_not_list",
-        "short_segment", "null_value", "bool_value", "not_json", "not_utf8", "no_pairs"])
+        "short_segment", "null_value", "bool_value", "not_json", "not_utf8", "no_pairs",
+        "too_fine"])
 def test_malformed_grid_json_rejected(tmp_path, capsys, grid, message):
     """``grid`` is written as JSON, or as it is when given as bytes."""
     path = tmp_path / "grid.json"

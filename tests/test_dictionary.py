@@ -108,6 +108,16 @@ def naive_match(dictionary, query):
     return dictionary.labels[best_idx], best_score
 
 
+def grid_labels(spec):
+    """``expand_grid(spec)``'s rows as the ``TissueParams`` a dictionary labels them by."""
+    return [TissueParams(*row) for row in expand_grid(spec).tolist()]
+
+
+def holds(tissues, bad):
+    """Whether a whole row of the (B, 2) ``tissues`` is the pair ``bad``."""
+    return bool((np.asarray(tissues) == bad).all(axis=1).any())
+
+
 def one_call_reference(spec, schedule):
     """Atoms from one simulate_fingerprints call over the whole grid."""
     atoms = np.abs(simulate_fingerprints(expand_grid(spec), schedule))
@@ -119,21 +129,20 @@ class TestExpandGrid:
     def test_small_enumeration(self):
         spec = GridSpec(t1_segments=((100.0, 300.0, 100.0),),
                         t2_segments=((50.0, 100.0, 50.0),))
-        pairs = {(p.t1_ms, p.t2_ms) for p in expand_grid(spec)}
-        assert pairs == {(100, 50), (100, 100), (200, 50), (200, 100),
-                         (300, 50), (300, 100)}
+        grid = expand_grid(spec)
+        assert grid.dtype == np.float64 and grid.shape == (6, 2)
+        assert set(map(tuple, grid.tolist())) == {(100, 50), (100, 100), (200, 50),
+                                                  (200, 100), (300, 50), (300, 100)}
 
     def test_zero_removal_and_filter(self):
         spec = GridSpec(t1_segments=((0.0, 2.0, 2.0),),
                         t2_segments=((0.0, 2.0, 1.0),))
-        pairs = {(p.t1_ms, p.t2_ms) for p in expand_grid(spec)}
-        assert pairs == {(2, 1), (2, 2)}
+        assert set(map(tuple, expand_grid(spec).tolist())) == {(2, 1), (2, 2)}
 
     def test_zero_only_values_dropped(self):
         spec = GridSpec(t1_segments=((0.0, 2.0, 2.0),),
                         t2_segments=((0.0, 1.0, 1.0),))
-        pairs = {(p.t1_ms, p.t2_ms) for p in expand_grid(spec)}
-        assert pairs == {(2, 1)}
+        assert set(map(tuple, expand_grid(spec).tolist())) == {(2, 1)}
 
     def test_paper_grid_matches_enumeration_oracle(self):
         spec = GridSpec.paper_grid()
@@ -142,14 +151,24 @@ class TestExpandGrid:
                for start, stop, step in spec.t1_segments]
         assert raw == [251, 101, 101, 41]
         expected = brute_force_pairs(spec.t1_segments, spec.t2_segments)
-        got = [(p.t1_ms, p.t2_ms) for p in expand_grid(spec)]
+        got = list(map(tuple, expand_grid(spec).tolist()))
         assert got == expected
 
     def test_lexicographic_order(self):
         spec = GridSpec(t1_segments=((100.0, 400.0, 100.0),),
                         t2_segments=((20.0, 60.0, 20.0),))
-        pairs = [(p.t1_ms, p.t2_ms) for p in expand_grid(spec)]
+        pairs = list(map(tuple, expand_grid(spec).tolist()))
         assert pairs == sorted(pairs)
+
+    def test_rows_simulate_like_tissue_params(self):
+        # A list of TissueParams, the same pairs as an (M, 2) array, and
+        # expand_grid's rows give the simulator one batch, bit for bit.
+        schedule = default_schedule(80)
+        pairs = brute_force_pairs(CAPPED_GRID.t1_segments, CAPPED_GRID.t2_segments)
+        from_labels = simulate_fingerprints([TissueParams(*p) for p in pairs], schedule)
+        from_array = simulate_fingerprints(np.array(pairs), schedule)
+        from_grid = simulate_fingerprints(expand_grid(CAPPED_GRID), schedule)
+        assert from_labels.tobytes() == from_array.tobytes() == from_grid.tobytes()
 
     def test_empty_after_filter_is_error(self):
         spec = GridSpec(t1_segments=((0.0, 0.0, 1.0),),
@@ -239,7 +258,7 @@ class TestBuildDictionary:
         built = build_dictionary(spec, schedule)
         expected = one_call_reference(spec, schedule)
         assert built.atoms.tobytes() == expected.tobytes()
-        assert built.labels == expand_grid(spec)
+        assert built.labels == grid_labels(spec)
         assert pools == ([cpus - 1] if cpus > 1 else [])
 
     # Ids read atoms-BATCH_SIZE-cpus-plan.
@@ -273,10 +292,10 @@ class TestBuildDictionary:
         # even split would hold 18.
         monkeypatch.setattr(dictionary, "available_cpus", lambda: 2)
         schedule = default_schedule(1750)
-        labels = expand_grid(DICT_BUILD_GRID)
-        plan = dictionary.build_plan(labels, schedule)
-        assert plan_cost(plan, labels, schedule) == 12 * 1750 * 1751 // 2
-        assert {labels[j].t2_ms for j in plan.batches[0]} == {158.0, 341.0}
+        tissues = expand_grid(DICT_BUILD_GRID)
+        plan = dictionary.build_plan(tissues, schedule)
+        assert plan_cost(plan, tissues, schedule) == 12 * 1750 * 1751 // 2
+        assert set(tissues[plan.batches[0], 1].tolist()) == {158.0, 341.0}
         assert 0.0 < plan.orders_kept < 0.5
 
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -320,14 +339,14 @@ class TestBuildDictionary:
         real = dictionary.simulate_fingerprints
 
         def failing(params, sched):
-            if bad in params:
+            if holds(params, bad):
                 raise RuntimeError(f"no signal for {bad}")
             return real(params, sched)
 
         monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
         plan = dictionary.build_plan(expand_grid(CAPPED_GRID), schedule)
         holder = [i for i, rows in enumerate(plan.batches)
-                  if bad in [expand_grid(CAPPED_GRID)[j] for j in rows]]
+                  if holds(expand_grid(CAPPED_GRID)[rows], bad)]
         assert holder == [0 if bad.t2_ms == 14.0 or cpus == 1 else len(plan.batches) - 1]
         monkeypatch.setattr(dictionary, "simulate_fingerprints", failing)
         with time_limit(60), pytest.raises(RuntimeError, match=re.escape(str(bad))):
@@ -423,6 +442,16 @@ class TestMatchBatch:
         queries[4, 7] = -np.inf
         with pytest.raises(ValueError, match=r"NaN.*\[1, 4\]"):
             match_batch(d, queries)
+
+    @pytest.mark.parametrize("call", [match, match_batch], ids=["match", "match_batch"])
+    def test_complex_queries_rejected(self, toy_dictionary, call):
+        # Simulator output is complex, and a cast to float64 would keep only
+        # its real part, which is 0 at the default schedule's phase 0.
+        d, schedule = toy_dictionary
+        raw = simulate_fingerprints(d.labels[:3], schedule)
+        with pytest.raises(ValueError, match=re.escape("magnitudes (np.abs)")):
+            call(d, raw[0] if call is match else raw)
+        assert match(d, np.abs(raw[0]))[0] == d.labels[0]
 
     def test_overflowing_rows_reported_per_query(self, toy_dictionary):
         # Finite rows whose squared norm overflows are refused like inf rows.
@@ -615,7 +644,7 @@ class TestSerialization:
         dict_path, json_path = save_dictionary(d, tmp_path / "dict_a")
         loaded = load_dictionary(tmp_path / "dict_a")
         np.testing.assert_array_equal(loaded.atoms, d.atoms)
-        assert loaded.labels == d.labels == expand_grid(d.grid)
+        assert loaded.labels == d.labels == grid_labels(d.grid)
         assert loaded.schedule_digest == d.schedule_digest
         assert loaded.grid == d.grid
         p2, _ = save_dictionary(loaded, tmp_path / "dict_b")

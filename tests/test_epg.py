@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,17 +96,47 @@ def short_t2_params(rng, t2_values):
 NO_RELAXATION = TissueParams(1e300, 1e300)
 
 
+# Row 1 of a 3-row batch, spoilt in one column: T1 = 10 ms or T2 = 900 ms
+# puts T2 above T1.
+BAD_ROW_CASES = [(column, value) for column in (0, 1)
+                 for value in (np.nan, np.inf, -np.inf, 0.0, -5.0, (10.0, 900.0)[column])]
+
+
 class TestTissueParams:
+    """``TissueParams`` is a plain label; the simulator checks the values."""
+
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            TissueParams(0.0, 10.0)
-        with pytest.raises(ValueError):
-            TissueParams(1000.0, -1.0)
+        sched = default_schedule(10)
+        for bad in (TissueParams(0.0, 10.0), TissueParams(1000.0, -1.0)):
+            with pytest.raises(ValueError, match=re.escape("rows [1]")):
+                simulate_fingerprints([TissueParams(1000.0, 10.0), bad], sched)
 
     def test_rejects_t2_above_t1(self):
-        with pytest.raises(ValueError):
-            TissueParams(100.0, 200.0)
-        TissueParams(100.0, 100.0)  # equality allowed
+        sched = default_schedule(10)
+        with pytest.raises(ValueError, match=re.escape("rows [0]")):
+            simulate_fingerprints([TissueParams(100.0, 200.0)], sched)
+        simulate_fingerprints([TissueParams(100.0, 100.0)], sched)  # equality allowed
+
+    @pytest.mark.parametrize("column, value", BAD_ROW_CASES)
+    def test_bad_row_named(self, column, value):
+        sched = default_schedule(10)
+        tissues = np.array([[1000.0, 100.0], [800.0, 80.0], [1200.0, 50.0]])
+        tissues[1, column] = value
+        named = re.escape(f"rows [1] are not finite with 0 < T2 <= T1: {tissues[[1]].tolist()}")
+        with pytest.raises(ValueError, match=named):
+            simulate_fingerprints(tissues, sched)
+        with pytest.raises(ValueError, match=named):
+            order_caps(tissues, sched)
+        with pytest.raises(ValueError, match=re.escape("rows [0]")):
+            isochromat_oracle(TissueParams(*tissues[1]), sched, n_spins=11)
+        for good in (0, 2):
+            isochromat_oracle(TissueParams(*tissues[good]), sched, n_spins=11)
+
+    @pytest.mark.parametrize("tissues", [[], [[1000.0, 100.0, 1.0]], [1000.0, 100.0]],
+                             ids=["empty", "three_columns", "one_dimensional"])
+    def test_batch_shape_rejected(self, tissues):
+        with pytest.raises(ValueError, match=re.escape("nonempty (B, 2) array")):
+            simulate_fingerprints(tissues, default_schedule(10))
 
 
 class TestRfRotation:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -367,3 +369,17 @@ class TestNonFiniteInput:
             with pytest.raises(ValueError, match=r"NaN or inf at indices \[0\]"):
                 predict_single(spec, params, signals[row])
         assert np.all(np.isfinite(predict_batch(spec, params, signals[[0, 2]])))
+
+    @pytest.mark.parametrize("kind", list(NONFINITE_SPECS))
+    def test_complex_rejected(self, kind):
+        # A cast to float64 would keep only the real part of each sample.
+        spec = NONFINITE_SPECS[kind]
+        params = init_params(spec, seed=0)
+        signals = np.random.default_rng(7).normal(size=(3, 12)) * np.exp(0.5j)
+        for call in (forward_batch, predict_batch):
+            with pytest.raises(ValueError, match=re.escape("magnitudes (np.abs)")):
+                call(spec, params, signals)
+        with pytest.raises(ValueError, match=re.escape("magnitudes (np.abs)")):
+            loss_and_grads(spec, params, signals, np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=re.escape("magnitudes (np.abs)")):
+            predict_single(spec, params, signals[0])
