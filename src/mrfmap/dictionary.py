@@ -23,9 +23,8 @@ On disk a dictionary is a ``<name>.dict`` binary (magic ``MRFD``, version,
 M, N, then M*N little-endian float32 atoms, row-major) plus a ``<name>.json``
 manifest of two keys, ``grid`` and the generating ``schedule_digest``. Row i
 is labelled by pair i of ``expand_grid(grid)``; the ``labels`` older
-manifests also hold are ignored. Atom values are quantized to float32 at
-build time so the in-memory matrix and the file round-trip bit-exactly;
-match scores are still accumulated in float64.
+manifests also hold are ignored. In memory the atoms are the file's float32
+values; match scores are float64, over the rows the matcher widens to score.
 """
 
 from __future__ import annotations
@@ -34,9 +33,10 @@ import bisect
 import json
 import math
 import numbers
+import os
 import struct
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -133,31 +133,24 @@ def expand_grid(spec: GridSpec) -> np.ndarray:
     return np.column_stack([t1[keep], t2[keep]])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dictionary:
-    """Row-normalized atom matrix and its provenance; labels come from the grid.
+    """What a ``.dict`` and its manifest hold; ``atoms`` of another dtype are rounded to float32."""
 
-    The first match derives the matcher's subspace from ``atoms`` and keeps
-    it; write a new array to ``atoms`` rather than into the old one.
-    """
-
-    atoms: np.ndarray          # (M, N) float64, values exactly f32-representable
+    atoms: np.ndarray  # (M, N) float32
     schedule_digest: str
     grid: GridSpec
-    labels: list[TissueParams] = field(init=False)  # expand_grid(grid)'s (M, 2) rows
-    _subspace: tuple | None = field(init=False, default=None, repr=False,
-                                    compare=False)  # see ``_subspace``
 
     def __post_init__(self):
+        object.__setattr__(self, "atoms", np.asarray(self.atoms, dtype=np.float32))
         if self.atoms.ndim != 2:
             raise ValueError("atoms must be a 2-D matrix")
         bad = np.flatnonzero(~np.isfinite(self.atoms).all(axis=1))
         if bad.size:
             raise ValueError(f"NaN or inf atoms in rows {bad.tolist()}")
-        self.labels = [TissueParams(*row) for row in expand_grid(self.grid).tolist()]
-        if self.atoms.shape[0] != len(self.labels):
+        if self.atoms.shape[0] != len(expand_grid(self.grid)):
             raise ValueError(f"{self.atoms.shape[0]} atom rows, but the grid "
-                             f"expands to {len(self.labels)} (T1, T2) pairs")
+                             f"expands to {len(expand_grid(self.grid))} (T1, T2) pairs")
 
     @property
     def n_atoms(self) -> int:
@@ -166,6 +159,71 @@ class Dictionary:
     @property
     def n_samples(self) -> int:
         return self.atoms.shape[1]
+
+    @cached_property
+    def labels(self) -> list[TissueParams]:
+        """Each atom row's label, from ``expand_grid(grid)``'s rows on first use."""
+        return [TissueParams(*row) for row in expand_grid(self.grid).tolist()]
+
+    @cached_property
+    def _subspace(self) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+        """(V, W, tol, scale, margin) of the certified matcher, derived on first use.
+
+        V (N, r) holds the eigenvectors of AᵀA of the r largest eigenvalues,
+        and W (r + 1, M) the float32 columns [c_j; ρ_j]/scale, where scale is
+        the largest atom norm.
+
+        Rounding, with u = 2⁻⁵³ and δ ≥ ‖VᵀV − I‖ measured here. A query x
+        enters as q = x/n, n its computed norm, so ‖q‖² ≤ 1 + (N + 4)u;
+        z = fl(Vᵀx)/n is off from Vᵀq by η with ‖η‖ ≤ (√r·N + 1)u, and
+        c_j = fl(Vᵀa_j) is off by √r·N·u per unit ‖a_j‖. With e_j = a_j − V c_j
+        exactly,
+
+            ⟨q, a_j⟩ = zᵀc_j + ⟨q − Vz, e_j⟩ − ηᵀc_j + zᵀ(Vᵀa_j − c_j) − zᵀ(VᵀV − I)c_j,
+            ‖q − Vz‖² = ‖q‖² − ‖z‖² + 2ηᵀz + zᵀ(VᵀV − I)z.
+
+        So ‖q − Vz‖² ≤ fl(1 − ‖z‖²) + ((2√r + 1)N + r + 8)u + δ, and ⟨q, a_j⟩
+        exceeds zᵀc_j + ‖q − Vz‖·ρ_j by at most (2√r·N + 1)u + δ per unit
+        ‖a_j‖. The computed ρ_j may fall short of ‖e_j‖ by ((√r + 1)N + 2)u
+        and an exact score fl(⟨x, a_j⟩)/n errs by (N + 1)u, each per unit
+        ‖a_j‖. As r ≤ N, each total is below ((3√r + 4)N + 8)u + δ, and ``tol``
+        is twice that, which leaves room for the second-order terms.
+        ``_match_rows`` adds tol to 1 − ‖z‖² before the square root.
+
+        The bound product runs in float32 (u₃₂ = 2⁻²⁴) on [z, t] and W, whose
+        entries are at most about 1, so nothing overflows. Rounding them to
+        float32 moves a bound by 2u₃₂ and the product by (r + 1)u₃₂, each
+        relative to Σ|z_k c_jk| + tρ_j ≤ 2‖a_j‖/scale, and rounding a score's
+        floor, at most about 1, to float32 moves it by u₃₂. ``margin``, the
+        slack below a score in units of scale, is tol plus twice that sum,
+        4(r + 4)u₃₂. No basis makes the result wrong; one that captures little
+        of the atoms only leaves more atoms to score exactly.
+        """
+        m, n = self.atoms.shape
+        r = min(RANK, m, n)
+        # The float64 work runs over blocks of rows widened one at a time,
+        # so no full-size float64 matrix or temporary is made.
+        blocks = [slice(lo, lo + 1024) for lo in range(0, m, 1024)]
+        gram, norms = np.zeros((n, n)), np.empty(m)
+        for rows in blocks:
+            block = self.atoms[rows].astype(np.float64)
+            gram += block.T @ block
+            norms[rows] = np.linalg.norm(block, axis=1)
+        v = np.ascontiguousarray(np.linalg.eigh(gram)[1][:, n - r:])
+        scale = float(norms.max()) or 1.0
+        w = np.empty((r + 1, m), dtype=np.float32)
+        for rows in blocks:
+            block = self.atoms[rows].astype(np.float64)
+            coords = block @ v
+            w[:r, rows] = coords.T / scale
+            w[r, rows] = np.linalg.norm(block - coords @ v.T, axis=1) / scale
+        u = np.finfo(np.float64).eps / 2
+        # Frobenius norm of the computed Gram error, plus the r·N·u its
+        # computation may hide.
+        delta = np.linalg.norm(v.T @ v - np.eye(r)) + r * n * u
+        tol = 2.0 * (((3.0 * math.sqrt(r) + 4.0) * n + 8.0) * u + delta)
+        margin = tol + 4.0 * (r + 4) * float(np.finfo(np.float32).eps / 2)
+        return v, w, tol, scale, margin
 
 
 class BuildPlan(NamedTuple):
@@ -201,7 +259,8 @@ def build_plan(tissues, schedule: SequenceSchedule) -> BuildPlan:
     Atoms are taken in descending order of their ``order_caps``. A batch
     costs its size times the rows its largest cap sweeps (``_orders_swept``).
     When the grid fits in one batch of at most ``BATCH_SIZE`` atoms per CPU,
-    the cut points minimize the largest batch cost; otherwise batches of
+    the cut points minimize the largest batch cost, or at one CPU the total
+    by at most one cut (none on a tie); otherwise batches of
     ``BATCH_SIZE`` follow each other in cap order, so that ``fan_out`` hands
     consecutive costs to alternating processes. Without ``fork`` the build
     runs in the calling process alone.
@@ -210,7 +269,10 @@ def build_plan(tissues, schedule: SequenceSchedule) -> BuildPlan:
     caps = order_caps(tissues, schedule)
     order = np.argsort(-caps, kind="stable")
     head = _orders_swept(caps[order], n)
-    if m <= cpus * BATCH_SIZE:
+    if cpus == 1 and m <= BATCH_SIZE:
+        k = int(np.argmin(np.arange(m) * head[0] + (m - np.arange(m)) * head))
+        cuts = [0, k, m] if k else [0, m]
+    elif m <= cpus * BATCH_SIZE:
         # The least largest cost is some batch size times some head's cost,
         # and at least the first atom's: the least such limit that the
         # greedy split meets in at most ``cpus`` batches.
@@ -226,9 +288,13 @@ def build_plan(tissues, schedule: SequenceSchedule) -> BuildPlan:
                      float(head.sum() / (m * _orders_swept(n, n))))
 
 
-def _magnitudes(chunk: np.ndarray, schedule: SequenceSchedule) -> np.ndarray:
-    """float64 magnitude fingerprints of one batch of tissues."""
-    return np.abs(simulate_fingerprints(chunk, schedule))
+def _batch_atoms(chunk: np.ndarray, schedule: SequenceSchedule) -> np.ndarray:
+    """Float32 unit rows of one batch's magnitudes; a zero row is refused by (T1, T2)."""
+    mags = np.abs(simulate_fingerprints(chunk, schedule))
+    norms = np.linalg.norm(mags, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError(f"zero-signal atoms for (T1, T2) {chunk[norms[:, 0] == 0.0][:5].tolist()}")
+    return (mags / norms).astype(np.float32)
 
 
 # Most atoms per ``simulate_fingerprints`` call; see the sweep in
@@ -241,15 +307,13 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
 
     Each atom keeps the dephasing orders ``order_caps`` gives it, which
     moves no sample by more than ``EPSILON`` from keeping all K = N.
-    ``build_plan`` sorts the atoms by cap and cuts them into batches: with
-    one batch per CPU it balances the batches' modelled costs, and a larger
-    grid goes in batches of ``BATCH_SIZE`` in cap order. With more than one
-    batch and CPU, the calling process simulates every P-th batch and forked
-    workers the rest; otherwise every batch runs in the calling process.
+    ``build_plan`` sorts the atoms by cap and cuts them into batches, and
+    ``fan_out`` spreads the batches over its processes. The process that
+    simulates a batch also normalizes its rows and rounds them to float32;
+    the caller only writes them into the one (M, N) float32 matrix.
     ``simulate_fingerprints`` gives each atom bit for bit the same samples
     in any batch, so the atoms are identical however the grid is split and
     whichever process simulates it, and rows keep ``expand_grid`` order.
-    Normalization and float32 quantization run in the calling process.
 
     At most ``BATCH_SIZE`` atoms go through ``simulate_fingerprints`` per
     call. Small batches pay the simulator's per-excitation Python overhead
@@ -266,78 +330,16 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
     """
     tissues = expand_grid(spec)
     plan = build_plan(tissues, schedule)
-    simulate = partial(_magnitudes, schedule=schedule)
-    atoms = np.empty((len(tissues), schedule.n_excitations), dtype=np.float64)
-    for i, mags in fan_out(simulate, [tissues[rows] for rows in plan.batches], plan.processes):
-        atoms[plan.batches[i]] = mags
-    norms = np.linalg.norm(atoms, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        bad = tissues[np.flatnonzero(norms[:, 0] == 0.0)[:5]].tolist()
-        raise ValueError(f"zero-signal atoms for (T1, T2) {bad}")
-    atoms /= norms
-    # Quantize to the storage precision so build -> save -> load is identity.
-    atoms = atoms.astype(np.float32).astype(np.float64)
+    simulate = partial(_batch_atoms, schedule=schedule)
+    atoms = np.empty((len(tissues), schedule.n_excitations), dtype=np.float32)
+    for i, batch in fan_out(simulate, [tissues[rows] for rows in plan.batches], plan.processes):
+        atoms[plan.batches[i]] = batch
     return Dictionary(atoms, schedule_digest(schedule), spec)
 
 
 # Dimension of the matcher's subspace; see the sweep in ``match_batch``'s
 # docstring.
 RANK = 32
-
-
-def _subspace(dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """(V, W, tol, scale, margin) of the certified matcher, derived once per atom array.
-
-    V (N, r) holds the eigenvectors of AᵀA of the r largest eigenvalues,
-    and W (r + 1, M) the float32 columns [c_j; ρ_j]/scale, where scale is
-    the largest atom norm.
-
-    Rounding, with u = 2⁻⁵³ and δ ≥ ‖VᵀV − I‖ measured here. A query x
-    enters as q = x/n, n its computed norm, so ‖q‖² ≤ 1 + (N + 4)u;
-    z = fl(Vᵀx)/n is off from Vᵀq by η with ‖η‖ ≤ (√r·N + 1)u, and
-    c_j = fl(Vᵀa_j) is off by √r·N·u per unit ‖a_j‖. With e_j = a_j − V c_j
-    exactly,
-
-        ⟨q, a_j⟩ = zᵀc_j + ⟨q − Vz, e_j⟩ − ηᵀc_j + zᵀ(Vᵀa_j − c_j) − zᵀ(VᵀV − I)c_j,
-        ‖q − Vz‖² = ‖q‖² − ‖z‖² + 2ηᵀz + zᵀ(VᵀV − I)z.
-
-    So ‖q − Vz‖² ≤ fl(1 − ‖z‖²) + ((2√r + 1)N + r + 8)u + δ, and ⟨q, a_j⟩
-    exceeds zᵀc_j + ‖q − Vz‖·ρ_j by at most (2√r·N + 1)u + δ per unit
-    ‖a_j‖. The computed ρ_j may fall short of ‖e_j‖ by ((√r + 1)N + 2)u
-    and an exact score fl(⟨x, a_j⟩)/n errs by (N + 1)u, each per unit
-    ‖a_j‖. As r ≤ N, each total is below ((3√r + 4)N + 8)u + δ, and ``tol``
-    is twice that, which leaves room for the second-order terms.
-    ``_match_rows`` adds tol to 1 − ‖z‖² before the square root.
-
-    The bound product runs in float32 (u₃₂ = 2⁻²⁴) on [z, t] and W, whose
-    entries are at most about 1, so nothing overflows. Rounding them to
-    float32 moves a bound by 2u₃₂ and the product by (r + 1)u₃₂, each
-    relative to Σ|z_k c_jk| + tρ_j ≤ 2‖a_j‖/scale, and rounding a score's
-    floor, at most about 1, to float32 moves it by u₃₂. ``margin``, the
-    slack below a score in units of scale, is tol plus twice that sum,
-    4(r + 4)u₃₂. No basis makes the result wrong; one that captures little
-    of the atoms only leaves more atoms to score exactly.
-    """
-    cached = dictionary._subspace
-    if cached is None or cached[0] is not dictionary.atoms:
-        atoms = dictionary.atoms
-        m, n = atoms.shape
-        r = min(RANK, m, n)
-        v = np.ascontiguousarray(np.linalg.eigh(atoms.T @ atoms)[1][:, n - r:])
-        coords = atoms @ v
-        rho = np.concatenate([
-            np.linalg.norm(atoms[lo:lo + 4096] - coords[lo:lo + 4096] @ v.T, axis=1)
-            for lo in range(0, m, 4096)])
-        u = np.finfo(np.float64).eps / 2
-        # Frobenius norm of the computed Gram error, plus the r·N·u its
-        # computation may hide.
-        delta = np.linalg.norm(v.T @ v - np.eye(r)) + r * n * u
-        tol = 2.0 * (((3.0 * math.sqrt(r) + 4.0) * n + 8.0) * u + delta)
-        scale = float(np.linalg.norm(atoms, axis=1).max()) or 1.0
-        margin = tol + 4.0 * (r + 4) * float(np.finfo(np.float32).eps / 2)
-        w = np.vstack([coords.T, rho]) / scale
-        dictionary._subspace = cached = (atoms, v, w.astype(np.float32), tol, scale, margin)
-    return cached[1:]
 
 
 def _match_rows(dictionary: Dictionary,
@@ -362,7 +364,7 @@ def _match_rows(dictionary: Dictionary,
         raise ValueError(
             f"queries holding NaN, inf or overflowing values at indices {bad.tolist()}"
         )
-    v, w, tol, scale, margin = _subspace(dictionary)
+    v, w, tol, scale, margin = dictionary._subspace
     atoms = dictionary.atoms
     # [Vᵀq, ‖q − VVᵀq‖] per unit query q = x/‖x‖, the norm rounded up as
     # ``_subspace`` derives.
@@ -382,7 +384,7 @@ def _match_rows(dictionary: Dictionary,
         # An exact score is ⟨x, a_j⟩/‖x‖. Both einsum forms run NumPy's own
         # contiguous dot kernel per (query, atom) pair, so its bits do not
         # depend on which other rows or atoms share the call.
-        score = np.einsum("ij,ij->i", x, atoms[first]) / norm
+        score = np.einsum("ij,ij->i", x, atoms[first].astype(np.float64)) / norm
         # A row is open while another atom's bound reaches the floor.
         floor = (score / scale - margin).astype(np.float32)
         bounds[np.arange(first.size), first] = -np.inf
@@ -392,7 +394,7 @@ def _match_rows(dictionary: Dictionary,
             # row, in ascending order. An atom that is not open in a row
             # scores less than that row's first atom, so it cannot win there.
             cols = np.flatnonzero((bounds >= floor[:, None]).any(axis=0))
-            exact = (np.einsum("ij,kj->ik", x[open_rows], atoms[cols])
+            exact = (np.einsum("ij,kj->ik", x[open_rows], atoms[cols].astype(np.float64))
                      / norm[open_rows, None])
             pick = np.argmax(exact, axis=1)  # the lowest index of the best
             top = exact[np.arange(open_rows.size), pick]
@@ -467,12 +469,9 @@ def save_dictionary(dictionary: Dictionary, name: str | Path) -> tuple[Path, Pat
     base = Path(name)
     dict_path = base.with_suffix(".dict")
     json_path = base.with_suffix(".json")
-    m, n = dictionary.atoms.shape
     with open(dict_path, "wb") as fh:
-        fh.write(DICT_MAGIC)
-        fh.write(struct.pack("<I", DICT_VERSION))
-        fh.write(struct.pack("<QQ", m, n))
-        fh.write(np.ascontiguousarray(dictionary.atoms, dtype="<f4").tobytes())
+        fh.write(DICT_MAGIC + struct.pack("<IQQ", DICT_VERSION, *dictionary.atoms.shape))
+        np.ascontiguousarray(dictionary.atoms, dtype="<f4").tofile(fh)
     manifest = {
         "grid": dictionary.grid.to_json_dict(),
         "schedule_digest": dictionary.schedule_digest,
@@ -484,6 +483,7 @@ def save_dictionary(dictionary: Dictionary, name: str | Path) -> tuple[Path, Pat
 def load_dictionary(name: str | Path) -> Dictionary:
     """Read ``<name>.dict`` and ``<name>.json`` as written by ``save_dictionary``.
 
+    The atoms are the file's float32 values, read once into a writable array.
     Rejects a bad header or size, atoms holding NaN or inf (naming the rows),
     a manifest that is not a JSON object holding a valid grid and a string
     ``schedule_digest``, and a row count other than the number of pairs of
@@ -492,18 +492,17 @@ def load_dictionary(name: str | Path) -> Dictionary:
     base = Path(name)
     dict_path = base.with_suffix(".dict")
     json_path = base.with_suffix(".json")
-    blob = dict_path.read_bytes()
-    if blob[:4] != DICT_MAGIC:
-        raise ValueError(f"{dict_path}: bad magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != DICT_VERSION:
-        raise ValueError(f"{dict_path}: unsupported version {version}")
-    m, n = struct.unpack_from("<QQ", blob, 8)
-    expected = 24 + 4 * m * n
-    if len(blob) != expected:
-        raise ValueError(f"{dict_path}: expected {expected} bytes, got {len(blob)}")
-    atoms = np.frombuffer(blob, dtype="<f4", offset=24).reshape(m, n)
-    atoms = atoms.astype(np.float64)
+    with open(dict_path, "rb") as fh:
+        header = fh.read(24).ljust(24, b"\0")  # a shorter file fails the size check
+        if header[:4] != DICT_MAGIC:
+            raise ValueError(f"{dict_path}: bad magic {header[:4]!r}")
+        version, m, n = struct.unpack("<IQQ", header[4:])
+        if version != DICT_VERSION:
+            raise ValueError(f"{dict_path}: unsupported version {version}")
+        expected, size = 24 + 4 * m * n, os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ValueError(f"{dict_path}: expected {expected} bytes, got {size}")
+        atoms = np.fromfile(fh, dtype="<f4", count=m * n).reshape(m, n)
     try:  # a JSON or UTF-8 decoding error is a ValueError too
         manifest = json.loads(json_path.read_text())
         if not isinstance(manifest, dict):

@@ -1,14 +1,16 @@
+import dataclasses
 import itertools
 import json
 import multiprocessing
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import time_limit
+from conftest import constant_schedule, time_limit
 from mrfmap import dictionary
 from mrfmap.dictionary import (
     Dictionary,
@@ -119,10 +121,10 @@ def holds(tissues, bad):
 
 
 def one_call_reference(spec, schedule):
-    """Atoms from one simulate_fingerprints call over the whole grid."""
+    """Float32 atoms from one simulate_fingerprints call over the whole grid."""
     atoms = np.abs(simulate_fingerprints(expand_grid(spec), schedule))
     atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
-    return atoms.astype(np.float32).astype(np.float64)
+    return atoms.astype(np.float32)
 
 
 class TestExpandGrid:
@@ -206,7 +208,7 @@ class TestExpandGrid:
 class TestBuildDictionary:
     def test_rows_normalized(self, toy_dictionary):
         d, _ = toy_dictionary
-        norms = np.linalg.norm(d.atoms, axis=1)
+        norms = np.linalg.norm(d.atoms.astype(np.float64), axis=1)
         assert np.all(np.abs(norms - 1.0) < 1e-6)
 
     def test_labels_physical(self, toy_dictionary):
@@ -267,10 +269,11 @@ class TestBuildDictionary:
         # with its cap of about 870), 24 at most about 400 orders.
         (DICT_BUILD_GRID, 1750, 2, [12, 24]),
         (GridSpec.paper_grid(), 1750, 2, [64] * 1791 + [26]),
-        (None, 80, 1, [24]),  # the toy grid: every atom keeps K = N
+        (None, 80, 1, [24]),  # the toy grid: every atom keeps K = N, so no cut pays
         (GridSpec(((1000.0, 5000.0, 1000.0),), ((50.0, 50.0, 1.0),)), 80, 4, [2, 2, 1]),
         (GridSpec(((100.0, 100.0, 1.0),), ((50.0, 50.0, 1.0),)), 80, 8, [1]),
-        (DICT_BUILD_GRID, 1750, 1, [36]),
+        # One CPU: the cut at 18 models 0.60 of one 36-atom batch at K = N.
+        (DICT_BUILD_GRID, 1750, 1, [18, 18]),
         (None, 80, 2, [12, 12]),
     ], ids=["36-64-2-plan0", "114650-64-2-plan1", "24-64-1-plan2", "5-64-4-plan3",
             "1-64-8-plan4", "36-64-1-plan5", "24-64-2-plan6"])
@@ -317,6 +320,38 @@ class TestBuildDictionary:
         assert plan_cost(plan, labels, schedule) == best
         assert len(plan.batches) == cpus
 
+    def test_one_cpu_plan_cuts_once_at_the_least_total(self, toy_dictionary, monkeypatch):
+        # One process runs the batches one after another, so the plan's
+        # total modelled cost is the least over every split into at most
+        # two batches, and below that of one batch.
+        _, schedule = toy_dictionary
+        labels = expand_grid(CAPPED_GRID)
+        monkeypatch.setattr(dictionary, "available_cpus", lambda: 1)
+        plan = dictionary.build_plan(labels, schedule)
+        order = np.concatenate(plan.batches)
+
+        def total(batches):
+            return sum(plan_cost(dictionary.BuildPlan([rows], 1, 0.0), labels, schedule)
+                       for rows in batches)
+
+        best = min(total([order[:k], order[k:]]) for k in range(1, len(labels)))
+        assert len(plan.batches) == 2 and plan.processes == 1
+        assert total(plan.batches) == best < total([order])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_zero_signal_atoms_refused_by_tissue(self, toy_dictionary, monkeypatch, cpus):
+        # Without a flip, and without the inversion, whose π pulse leaves a
+        # rounding residue, there is no transverse signal: every atom is
+        # zero. The simulating process refuses its batch, and the calling
+        # process simulates the first batch: the toy grid's first rows.
+        d, _ = toy_dictionary
+        monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        pairs = expand_grid(d.grid)[:5].tolist()
+        with time_limit(60), pytest.raises(ValueError, match=re.escape(
+                f"zero-signal atoms for (T1, T2) {pairs}")):
+            build_dictionary(d.grid, constant_schedule(80, 0.0, inversion_prep=False))
+        assert multiprocessing.active_children() == []
+
     def test_paper_grid_orders_kept(self, monkeypatch):
         # About three quarters of the paper atoms are capped, and the EPG
         # work they leave is about 0.65 of every atom at K = N.
@@ -347,7 +382,7 @@ class TestBuildDictionary:
         plan = dictionary.build_plan(expand_grid(CAPPED_GRID), schedule)
         holder = [i for i, rows in enumerate(plan.batches)
                   if holds(expand_grid(CAPPED_GRID)[rows], bad)]
-        assert holder == [0 if bad.t2_ms == 14.0 or cpus == 1 else len(plan.batches) - 1]
+        assert holder == [0 if bad.t2_ms == 14.0 else len(plan.batches) - 1]
         monkeypatch.setattr(dictionary, "simulate_fingerprints", failing)
         with time_limit(60), pytest.raises(RuntimeError, match=re.escape(str(bad))):
             build_dictionary(CAPPED_GRID, schedule)
@@ -364,7 +399,7 @@ class TestMatch:
 
     def test_scale_invariance(self, toy_dictionary):
         d, _ = toy_dictionary
-        q = d.atoms[3] * 1.7 + 0.0
+        q = d.atoms[3].astype(np.float64) * 1.7
         l1, s1 = match(d, q)
         l2, s2 = match(d, 3.7 * q)
         assert l1 == l2
@@ -405,7 +440,7 @@ class TestMatch:
 class TestMatchBatch:
     def test_single_query_equals_match(self, toy_dictionary):
         d, _ = toy_dictionary
-        q = d.atoms[4] + 0.001
+        q = d.atoms[4].astype(np.float64) + 0.001
         (label_b, score_b), = match_batch(d, q[None, :])
         label_s, score_s = match(d, q)
         assert label_b == label_s and score_b == score_s
@@ -456,7 +491,7 @@ class TestMatchBatch:
     def test_overflowing_rows_reported_per_query(self, toy_dictionary):
         # Finite rows whose squared norm overflows are refused like inf rows.
         d, _ = toy_dictionary
-        queries = d.atoms[:5].copy()
+        queries = d.atoms[:5].astype(np.float64)
         queries[2] *= 1e200
         with pytest.raises(ValueError, match=r"overflowing values at indices \[2\]"):
             match_batch(d, queries)
@@ -477,7 +512,7 @@ class TestCertifiedMatch:
         sin = np.sqrt(1.0 - cos ** 2)
         atoms = cos * strong[np.arange(m) % r] + sin * weak[:m]
         d = Dictionary(atoms, "hand-made", numbered_grid(m))
-        w = dictionary._subspace(d)[1]
+        w = d._subspace[1]
         assert w.shape == (r + 1, m)
         np.testing.assert_allclose(w[:, :extra], w[:, r:], atol=1e-6)
         queries = np.vstack([atoms, atoms + 0.05 * weak[:m]])
@@ -552,20 +587,22 @@ class TestCertifiedMatch:
         monkeypatch.setattr(dictionary, "RANK", rank)
         poor = Dictionary(d.atoms, d.schedule_digest, d.grid)
         assert match_batch(poor, queries) == expected
-        assert dictionary._subspace(poor)[0].shape == (d.n_samples, rank)
+        assert poor._subspace[0].shape == (d.n_samples, rank)
 
-    def test_subspace_follows_a_new_atom_array(self, map_dictionary):
+    def test_atoms_cannot_be_reassigned(self, map_dictionary):
+        # A dictionary holds what its files hold, and the subspace derived
+        # from its atoms can never go stale.
         d = map_dictionary
-        copy = Dictionary(d.atoms.copy(), d.schedule_digest, d.grid)
-        match(copy, d.atoms[5])
-        copy.atoms = d.atoms[::-1].copy()
-        assert match(copy, d.atoms[5])[0] == d.labels[d.n_atoms - 6]
+        assert [f.name for f in dataclasses.fields(d)] == ["atoms", "schedule_digest", "grid"]
+        match(d, d.atoms[5])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.atoms = d.atoms[::-1].copy()
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-162, 1e-200, 1e-300])
     def test_tiny_queries_match_like_unit_ones(self, map_dictionary, scale):
         # Squares of these rows underflow, partly or wholly.
         d = map_dictionary
-        query = d.atoms[17] + 0.01
+        query = d.atoms[17].astype(np.float64) + 0.01
         label, score = match(d, query)
         tiny_label, tiny_score = match(d, scale * query)
         assert tiny_label == label
@@ -584,7 +621,7 @@ def probe_queries(d, seed):
     """Exact, scaled and noisy atoms and queries inside the subspace."""
     rng = np.random.default_rng(seed)
     picks = rng.integers(0, d.n_atoms, size=6)
-    v = dictionary._subspace(d)[0]
+    v = d._subspace[0]
     return np.vstack([
         d.atoms[picks],
         d.atoms[picks] * rng.uniform(1e-3, 1e3, size=(6, 1)),
@@ -747,9 +784,52 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(f"{json_path}: {reason}")):
             load_dictionary(tmp_path / "dict_k")
 
+    # Two bytes leave no magic, six no version, twelve no sizes.
+    @pytest.mark.parametrize("size, reason", [
+        (2, "bad magic"), (6, "expected 24 bytes, got 6"), (12, "expected 24 bytes, got 12")])
+    def test_short_header_rejected_naming_file(self, toy_dictionary, tmp_path, size, reason):
+        d, _ = toy_dictionary
+        dict_path, _ = save_dictionary(d, tmp_path / "dict_l")
+        dict_path.write_bytes(dict_path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=re.escape(f"{dict_path}: {reason}")):
+            load_dictionary(tmp_path / "dict_l")
+
     def test_truncated_file_rejected(self, toy_dictionary, tmp_path):
         d, _ = toy_dictionary
         dict_path, _ = save_dictionary(d, tmp_path / "dict_d")
         dict_path.write_bytes(dict_path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="bytes"):
             load_dictionary(tmp_path / "dict_d")
+
+
+def test_build_load_and_first_match_hold_one_float32_matrix(monkeypatch, tmp_path):
+    # Traced peaks in units of the float32 atom matrix, M·N·4 bytes: a
+    # float64 copy of the atoms alone would take two. At one CPU the build
+    # runs in this process, so tracemalloc sees all of it.
+    monkeypatch.setattr(dictionary, "available_cpus", lambda: 1)
+    schedule = default_schedule(64)
+    # First calls import modules (np.unique imports numpy.ma), which are no
+    # part of a dictionary's cost, so a 4-atom grid makes them first.
+    warm = build_dictionary(GridSpec(((100.0, 200.0, 100.0),), ((5.0, 10.0, 5.0),)), schedule)
+    save_dictionary(warm, tmp_path / "warm")
+    match_batch(load_dictionary(tmp_path / "warm"), warm.atoms)
+    grid = GridSpec(((100.0, 4000.0, 10.0),), ((5.0, 500.0, 25.0),))  # 7508 atoms
+
+    def traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            return call(*args), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    built, build_peak = traced_peak(build_dictionary, grid, schedule)
+    unit = built.atoms.size * 4
+    assert built.atoms.dtype == np.float32 and built.atoms.nbytes == unit
+    save_dictionary(built, tmp_path / "d")
+    loaded, load_peak = traced_peak(load_dictionary, tmp_path / "d")
+    assert loaded.atoms.tobytes() == built.atoms.tobytes()
+    queries = loaded.atoms[:64].astype(np.float64) + 0.01
+    _, match_peak = traced_peak(match_batch, loaded, queries)
+    assert build_peak <= 2 * unit
+    assert load_peak <= 1.5 * unit
+    assert match_peak <= 2 * unit
