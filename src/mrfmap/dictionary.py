@@ -145,7 +145,12 @@ class Dictionary:
         object.__setattr__(self, "atoms", np.asarray(self.atoms, dtype=np.float32))
         if self.atoms.ndim != 2:
             raise ValueError("atoms must be a 2-D matrix")
-        bad = np.flatnonzero(~np.isfinite(self.atoms).all(axis=1))
+        # A float64 sum of float32 rows cannot overflow, so it is finite
+        # exactly when its row is, and needs no (M, N) temporary; a row
+        # holding both +inf and -inf sums to NaN.
+        with np.errstate(invalid="ignore"):
+            bad = np.flatnonzero(~np.isfinite(np.sum(self.atoms, axis=1,
+                                                     dtype=np.float64)))
         if bad.size:
             raise ValueError(f"NaN or inf atoms in rows {bad.tolist()}")
         if self.atoms.shape[0] != len(expand_grid(self.grid)):

@@ -22,15 +22,20 @@ sharing the candidate weights.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 N_GATES = {"simple": 1, "gru": 3, "lstm": 4}
 N_STATES = {"simple": 1, "gru": 1, "lstm": 2}
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Glorot-uniform draw of ``shape``, a dense (fan_in, fan_out) matrix or a
+    (c_out, c_in, kernel) filter bank: fan_in + fan_out is the first axis
+    plus the product of the others in both."""
+    limit = np.sqrt(6.0 / (shape[0] + math.prod(shape[1:])))
+    return rng.uniform(-limit, limit, size=shape)
 
 
 def _orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -39,25 +44,22 @@ def _orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def init_cell(cell_kind: str, input_dim: int, hidden_dim: int,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell parameters ``(w, u, b)`` in the layout above: Glorot input
-    weights, orthogonal recurrent blocks and zero biases.
+def init_cell(cell_kind: str, w: np.ndarray, u: np.ndarray, b: np.ndarray,
+              rng: np.random.Generator) -> None:
+    """Fill a cell's zeroed ``w``, ``u`` and ``b`` of the layout above in
+    place: a Glorot block per gate in ``w``, then an orthogonal block per
+    gate in ``u``; the biases stay zero.
 
     The LSTM forget-gate bias starts at +1 so early training does not
     immediately flush the cell state.
     """
-    if cell_kind not in N_GATES:
-        raise ValueError(f"unknown cell kind {cell_kind!r}")
-    n_gates = N_GATES[cell_kind]
-    w = np.concatenate(
-        [_glorot(rng, input_dim, hidden_dim) for _ in range(n_gates)], axis=1)
-    u = np.concatenate(
-        [_orthogonal(rng, hidden_dim) for _ in range(n_gates)], axis=1)
-    b = np.zeros(n_gates * hidden_dim)
+    n = u.shape[0]
+    for gate in range(0, b.size, n):
+        w[:, gate:gate + n] = _glorot(rng, (w.shape[0], n))
+    for gate in range(0, b.size, n):
+        u[:, gate:gate + n] = _orthogonal(rng, n)
     if cell_kind == "lstm":
-        b[hidden_dim:2 * hidden_dim] = 1.0  # [input | forget | output | cell]
-    return w, u, b
+        b[n:2 * n] = 1.0  # [input | forget | output | cell]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

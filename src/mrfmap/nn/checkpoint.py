@@ -2,7 +2,7 @@
 
 A ``.ckpt`` file is a one-line JSON header (model spec, label-scaling
 constants, seed, training metadata), a delimiter line, then every parameter
-array of ``init_params(spec)``, in its order and shapes, flattened to
+array of ``param_layout(spec)``, in its order and shapes, flattened to
 little-endian float32; the ``param_order`` and ``param_shapes`` that older
 headers also hold are ignored. Loading restores float64 parameters whose
 values are exactly the stored f32 ones, so save -> load -> save is
@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import ModelSpec, init_params
+from ..schedule import _naming
+from .models import ModelSpec, param_layout
 
 DELIMITER = b"---PARAMS---\n"
 
@@ -39,51 +40,45 @@ class ModelCheckpoint:
     metadata: dict = field(default_factory=dict)
 
 
-def _layout(spec: ModelSpec) -> dict[str, tuple]:
-    """Name -> shape of every parameter array, in file order."""
-    return {name: arr.shape for name, arr in init_params(spec, seed=0).items()}
-
-
-def _reject_nonfinite(path: Path, params: dict[str, np.ndarray]) -> None:
+def _reject_nonfinite(params: dict[str, np.ndarray]) -> None:
     bad = [name for name, arr in params.items() if not np.all(np.isfinite(arr))]
     if bad:
-        raise ValueError(f"{path}: NaN or inf values in parameters {bad}")
+        raise ValueError(f"NaN or inf values in parameters {bad}")
 
 
-def _check_object(path: Path, key: str, value) -> None:
+def _check_object(key: str, value) -> None:
     if not isinstance(value, dict):
-        raise ValueError(f"{path}: {key} must be a JSON object, "
-                         f"got {type(value).__name__}")
+        raise ValueError(f"{key} must be a JSON object, got {type(value).__name__}")
 
 
-def _check_values(path: Path, t1_max, t2_max, seed, metadata) -> None:
-    """ValueError naming ``path`` unless both label scalings are finite
-    positive numbers, ``seed`` is an integer and ``metadata`` an object."""
+def _check_values(t1_max, t2_max, seed, metadata) -> None:
+    """ValueError unless both label scalings are finite positive numbers,
+    ``seed`` is an integer and ``metadata`` an object."""
     bad = {key: value for key, value in (("t1_max", t1_max), ("t2_max", t2_max))
            if isinstance(value, bool) or not isinstance(value, (int, float))
            or not (math.isfinite(value) and value > 0)}
     if bad:
-        raise ValueError(f"{path}: label scaling must be finite and positive, "
-                         f"got {bad}")
+        raise ValueError(f"label scaling must be finite and positive, got {bad}")
     if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"{path}: seed must be an integer, got {seed!r}")
-    _check_object(path, "metadata", metadata)
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _check_object("metadata", metadata)
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
     path = Path(path)
-    _check_values(path, ckpt.t1_max, ckpt.t2_max, ckpt.seed, ckpt.metadata)
-    layout = _layout(ckpt.spec)
-    given = {name: np.shape(arr) for name, arr in ckpt.params.items()}
-    wrong = {name: (given.get(name), layout.get(name))
-             for name in sorted(given.keys() | layout.keys())
-             if given.get(name) != layout.get(name)}
-    if wrong:
-        raise ValueError(f"{path}: parameters do not fit the {ckpt.spec.kind} spec, "
-                         f"name: (given shape, spec shape): {wrong}")
-    stored = {name: np.ascontiguousarray(ckpt.params[name], dtype="<f4")
-              for name in layout}
-    _reject_nonfinite(path, stored)
+    with _naming(path):
+        _check_values(ckpt.t1_max, ckpt.t2_max, ckpt.seed, ckpt.metadata)
+        layout = param_layout(ckpt.spec)
+        given = {name: np.shape(arr) for name, arr in ckpt.params.items()}
+        wrong = {name: (given.get(name), layout.get(name))
+                 for name in sorted(given.keys() | layout.keys())
+                 if given.get(name) != layout.get(name)}
+        if wrong:
+            raise ValueError(f"parameters do not fit the {ckpt.spec.kind} spec, "
+                             f"name: (given shape, spec shape): {wrong}")
+        stored = {name: np.ascontiguousarray(ckpt.params[name], dtype="<f4")
+                  for name in layout}
+        _reject_nonfinite(stored)
     header = {
         "spec": ckpt.spec.to_json_dict(),
         "label_scaling": {"t1_max": ckpt.t1_max, "t2_max": ckpt.t2_max},
@@ -102,44 +97,42 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
 def load_checkpoint(path: str | Path) -> ModelCheckpoint:
     path = Path(path)
     raw = path.read_bytes()
-    cut = raw.find(DELIMITER)
-    if cut < 0:
-        raise ValueError(f"{path}: missing parameter delimiter")
-    try:
-        header = json.loads(raw[:cut].decode("utf-8"))
-    except ValueError as err:  # also UnicodeDecodeError
-        raise ValueError(f"{path}: header is not JSON: {err}") from None
-    blob = raw[cut + len(DELIMITER):]
-    _check_object(path, "header", header)
-    missing = [key for key in ("spec", "label_scaling", "seed") if key not in header]
-    if missing:
-        raise ValueError(f"{path}: header lacks {missing}")
-    for key in ("spec", "label_scaling"):
-        _check_object(path, key, header[key])
-    scaling = header["label_scaling"]
-    missing = [key for key in ("t1_max", "t2_max") if key not in scaling]
-    if missing:
-        raise ValueError(f"{path}: label_scaling lacks {missing}")
-    _check_values(path, scaling["t1_max"], scaling["t2_max"], header["seed"],
-                  header.get("metadata", {}))
+    with _naming(path):
+        cut = raw.find(DELIMITER)
+        if cut < 0:
+            raise ValueError("missing parameter delimiter")
+        try:
+            header = json.loads(raw[:cut].decode("utf-8"))
+        except ValueError as err:  # also UnicodeDecodeError
+            raise ValueError(f"header is not JSON: {err}") from None
+        blob = raw[cut + len(DELIMITER):]
+        _check_object("header", header)
+        missing = [key for key in ("spec", "label_scaling", "seed") if key not in header]
+        if missing:
+            raise ValueError(f"header lacks {missing}")
+        for key in ("spec", "label_scaling"):
+            _check_object(key, header[key])
+        scaling = header["label_scaling"]
+        missing = [key for key in ("t1_max", "t2_max") if key not in scaling]
+        if missing:
+            raise ValueError(f"label_scaling lacks {missing}")
+        _check_values(scaling["t1_max"], scaling["t2_max"], header["seed"],
+                      header.get("metadata", {}))
 
-    try:
         spec = ModelSpec.from_json_dict(header["spec"])
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    layout = _layout(spec)
-    expected = sum(4 * int(np.prod(shape)) for shape in layout.values())
-    if expected != len(blob):
-        raise ValueError(
-            f"{path}: parameter blob has {len(blob)} bytes, expected {expected}")
-    params: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in layout.items():
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        params[name] = arr.astype(np.float64).reshape(shape)
-        offset += 4 * count
-    _reject_nonfinite(path, params)
+        layout = param_layout(spec)
+        expected = sum(4 * math.prod(shape) for shape in layout.values())
+        if expected != len(blob):
+            raise ValueError(
+                f"parameter blob has {len(blob)} bytes, expected {expected}")
+        params: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in layout.items():
+            count = math.prod(shape)
+            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+            params[name] = arr.astype(np.float64).reshape(shape)
+            offset += 4 * count
+        _reject_nonfinite(params)
 
     return ModelCheckpoint(
         spec=spec,

@@ -1,21 +1,26 @@
-"""Model definitions: recurrent regressors plus ANN and 1-D CNN baselines.
+"""The networks: each model's parameter layout, forward and backward pass,
+and the cache between the two, which no other module reads.
 
 Every model maps one magnitude signal to two scaled outputs (t1_hat,
-t2_hat). Parameters live in an insertion-ordered dict of float64 arrays;
-that declaration order also defines the checkpoint blob layout.
+t2_hat): a ``_forward_<kind>`` makes (B, width) features, to which
+``forward_batch`` applies the one dense head, and ``backward`` hands the
+features' gradient to the matching ``_backward_<kind>``. Parameters are an
+insertion-ordered dict of float64 arrays in ``param_layout``'s order, which
+is also ``init_params``'s draw order and the checkpoint blob's.
 
 The recurrent regressor feeds the signal ``chunk_size`` samples per time
 step (chunk_size=1 reproduces one-sample-per-step reading of the signal;
 larger chunks shorten the unrolled sequence for speed) and regresses from
-the final hidden state through a dense head. The unroll carries one state
-array of ``cells.N_STATES`` blocks of h columns, projects each step's input
-and calls ``cells.step``; the head reads the state's first h columns. For
-the backprop cache it records a tape for ``cells.step_grad``: a tuple of
+the final hidden state. The unroll carries one state array of
+``cells.N_STATES`` blocks of h columns, projects each step's input and
+calls ``cells.step``; its features are the state's first h columns. For
+the backward pass it records a tape for ``cells.step_grad``: a tuple of
 ``(n_steps, B, k)`` arrays, one for every step's previous state and one
 per entry of the step's ``acts``, shaped from the first step's, so this
 module knows no gate or state layout. Step t copies into slot t of each.
 ``predict_batch`` and ``predict_single`` (the batch forward at B=1) record
-no tape.
+no tape. Backpropagation through time walks the slots from the last step
+to the first and hands slot t of each array to ``cells.step_grad``.
 
 A tape of a few whole-sequence arrays, not a list of small per-step ones,
 is what keeps a training step cheap in page faults: per-step arrays kept
@@ -29,6 +34,17 @@ transparent huge pages, so a kernel with THP at ``madvise`` (or
 in the caller and 3k in its worker, and the median call from 1.33 to
 1.03 s. Without the advice (``NUMPY_MADVISE_HUGEPAGE=0``, or THP
 ``never``) about 45k faults per process remain and the call takes 1.14 s.
+
+``_backward_ann`` and ``_backward_cnn`` use the subgradient relu'(0) = 0:
+the mask is ``pre > 0``, so a pre-activation of exactly 0 passes no
+gradient. At such a point the loss has a kink, and a central difference
+averages the two one-sided slopes. The gradchecks therefore find the
+parameter entries whose perturbation by +-delta switches some ReLU on or
+off, and compare those entries only against the second-order one-sided
+difference from the side that keeps the ReLU on/off pattern at theta
+(for a unit at exactly 0, the side on which it stays <= 0). A kink entry
+with no such side fails the check. The finite-difference tests in the
+suite are the authority these derivations are checked against.
 """
 
 from __future__ import annotations
@@ -38,7 +54,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .cells import N_GATES, N_STATES, _glorot, init_cell, step
+from .cells import N_GATES, N_STATES, _glorot, init_cell, step, step_grad
 
 OUTPUT_DIM = 2
 
@@ -115,47 +131,43 @@ class ModelSpec:
         return cls(**d)
 
 
-def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
-    """Deterministic parameter initialization in declaration order."""
-    rng = np.random.default_rng(seed)
-    params: dict[str, np.ndarray] = {}
+def param_layout(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter array, in declaration order, the head
+    last. Nothing is drawn, so this costs nothing however large the spec."""
     if spec.kind == "rnn_regressor":
-        params["cell.w"], params["cell.u"], params["cell.b"] = init_cell(
-            spec.cell_kind, spec.chunk_size, spec.hidden_dim, rng)
-        params["head.w"] = _glorot(rng, spec.hidden_dim, OUTPUT_DIM)
-        params["head.b"] = np.zeros(OUTPUT_DIM)
+        gates = N_GATES[spec.cell_kind] * spec.hidden_dim
+        layout = {"cell.w": (spec.chunk_size, gates),
+                  "cell.u": (spec.hidden_dim, gates), "cell.b": (gates,)}
+        width = spec.hidden_dim
     elif spec.kind == "ann":
-        fan_in = spec.input_len
-        for idx, width in enumerate(spec.ann_hidden, start=1):
-            params[f"fc{idx}.w"] = _glorot(rng, fan_in, width)
-            params[f"fc{idx}.b"] = np.zeros(width)
-            fan_in = width
-        params["head.w"] = _glorot(rng, fan_in, OUTPUT_DIM)
-        params["head.b"] = np.zeros(OUTPUT_DIM)
+        layout, width = {}, spec.input_len
+        for idx, out in enumerate(spec.ann_hidden, start=1):
+            layout[f"fc{idx}.w"], layout[f"fc{idx}.b"] = (width, out), (out,)
+            width = out
     else:
-        c_in = 1
-        for idx, c_out in enumerate(spec.cnn_channels, start=1):
-            fan_in = c_in * spec.cnn_kernel
-            limit = np.sqrt(6.0 / (fan_in + c_out))
-            params[f"conv{idx}.w"] = rng.uniform(
-                -limit, limit, size=(c_out, c_in, spec.cnn_kernel))
-            params[f"conv{idx}.b"] = np.zeros(c_out)
-            c_in = c_out
-        params["head.w"] = _glorot(rng, c_in, OUTPUT_DIM)
-        params["head.b"] = np.zeros(OUTPUT_DIM)
+        layout, width = {}, 1
+        for idx, out in enumerate(spec.cnn_channels, start=1):
+            layout[f"conv{idx}.w"] = (out, width, spec.cnn_kernel)
+            layout[f"conv{idx}.b"] = (out,)
+            width = out
+    layout["head.w"], layout["head.b"] = (width, OUTPUT_DIM), (OUTPUT_DIM,)
+    return layout
+
+
+def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
+    """The arrays of ``param_layout(spec)``, filled in its order from ``seed``.
+
+    Biases are zero; a recurrent cell is filled by ``cells.init_cell`` and
+    every other weight is Glorot-uniform.
+    """
+    rng = np.random.default_rng(seed)
+    params = {name: np.zeros(shape) for name, shape in param_layout(spec).items()}
+    for name, arr in params.items():
+        if name == "cell.w":
+            init_cell(spec.cell_kind, arr, params["cell.u"], params["cell.b"], rng)
+        elif name.endswith(".w"):
+            arr[...] = _glorot(rng, arr.shape)
     return params
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error over every entry of a (B, 2) prediction batch."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    if pred.ndim != 2 or pred.shape[0] < 1:
-        raise ValueError(f"expected a nonempty (B, k) batch, got {pred.shape}")
-    diff = pred - target
-    return float(np.mean(diff * diff))
 
 
 def _checked_signals(spec: ModelSpec, signals) -> np.ndarray:
@@ -177,17 +189,40 @@ def forward_batch(spec: ModelSpec, params: dict[str, np.ndarray],
                   signals: np.ndarray, _cache: bool = True):
     """Forward pass on a (B, input_len) batch; returns (preds, cache).
 
-    The cache holds every activation the matching backward pass needs.
-    Rows holding NaN or inf are rejected with their indices. Inference
-    passes ``_cache=False``, with which the recurrent unroll stores no
-    per-step activations and returns an empty cache.
+    The cache holds every activation ``backward`` needs. Rows holding NaN
+    or inf are rejected with their indices. Inference passes
+    ``_cache=False``, with which the recurrent unroll stores no per-step
+    activations and returns an empty cache.
     """
     signals = _checked_signals(spec, signals)
     if spec.kind == "rnn_regressor":
-        return _forward_rnn(spec, params, signals, _cache)
-    if spec.kind == "ann":
-        return _forward_ann(spec, params, signals)
-    return _forward_cnn(spec, params, signals)
+        features, cache = _forward_rnn(spec, params, signals, _cache)
+    elif spec.kind == "ann":
+        features, cache = _forward_ann(spec, params, signals)
+    else:
+        features, cache = _forward_cnn(spec, params, signals)
+    if cache:
+        cache["features"] = features
+    return features @ params["head.w"] + params["head.b"], cache
+
+
+def backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: dict,
+             d_preds: np.ndarray) -> dict[str, np.ndarray]:
+    """Gradients for every parameter, in declaration order, from the cache of
+    ``forward_batch`` and the loss gradient ``d_preds`` at its predictions."""
+    if not cache:
+        raise ValueError("forward activations unavailable; run forward_batch first")
+    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    grads["head.w"] += cache["features"].T @ d_preds
+    grads["head.b"] += d_preds.sum(axis=0)
+    d_features = d_preds @ params["head.w"].T
+    if spec.kind == "rnn_regressor":
+        _backward_rnn(spec, params, cache, d_features, grads)
+    elif spec.kind == "ann":
+        _backward_ann(spec, params, cache, d_features, grads)
+    else:
+        _backward_cnn(spec, params, cache, d_features, grads)
+    return grads
 
 
 def _forward_rnn(spec, params, signals, keep_cache):
@@ -209,22 +244,40 @@ def _forward_rnn(spec, params, signals, keep_cache):
             for buf, a in zip(tape, (s, *acts)):
                 buf[t] = a
         s = s_t
-
-    preds = s[:, :spec.hidden_dim] @ params["head.w"] + params["head.b"]
-    return preds, ({"xs": xs, "tape": tape, "s": s} if keep_cache else {})
+    return s[:, :spec.hidden_dim], ({"xs": xs, "tape": tape} if keep_cache else {})
 
 
-def _forward_ann(spec, params, signals):
-    acts = [signals]
-    pre_relu = []
-    a = signals
+def _backward_rnn(spec, params, cache, d_features, grads):
+    u, n = params["cell.u"], spec.hidden_dim
+    xs, tape = cache["xs"], cache["tape"]
+    ds = np.zeros_like(tape[0][0])  # shaped like the final state
+    ds[:, :n] = d_features
+    dw, du, db = grads["cell.w"], grads["cell.u"], grads["cell.b"]
+    for t in range(len(xs) - 1, -1, -1):
+        s, *acts = (buf[t] for buf in tape)
+        dxp, du_t, ds = step_grad(spec.cell_kind, u, s, acts, ds)
+        dw += xs[t].T @ dxp
+        du += du_t
+        db += dxp.sum(axis=0)
+
+
+def _forward_ann(spec, params, a):
+    acts, pre_relu = [], []  # every hidden layer's input and pre-activation
     for idx in range(1, len(spec.ann_hidden) + 1):
-        zpre = a @ params[f"fc{idx}.w"] + params[f"fc{idx}.b"]
-        pre_relu.append(zpre)
-        a = np.maximum(zpre, 0.0)
         acts.append(a)
-    preds = a @ params["head.w"] + params["head.b"]
-    return preds, {"acts": acts, "pre_relu": pre_relu}
+        pre_relu.append(a @ params[f"fc{idx}.w"] + params[f"fc{idx}.b"])
+        a = np.maximum(pre_relu[-1], 0.0)
+    return a, {"acts": acts, "pre_relu": pre_relu}
+
+
+def _backward_ann(spec, params, cache, d_features, grads):
+    acts, pre_relu = cache["acts"], cache["pre_relu"]
+    da = d_features
+    for idx in range(len(spec.ann_hidden), 0, -1):
+        dz = da * (pre_relu[idx - 1] > 0.0)
+        grads[f"fc{idx}.w"] += acts[idx - 1].T @ dz
+        grads[f"fc{idx}.b"] += dz.sum(axis=0)
+        da = dz @ params[f"fc{idx}.w"].T
 
 
 def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -234,23 +287,41 @@ def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 
 
 def _forward_cnn(spec, params, signals):
-    x = signals[:, None, :]  # (B, 1, L)
-    xs = [x]
+    xs = [signals[:, None, :]]  # (B, 1, L), then every conv layer's output
     pre_relu = []
     for idx in range(1, len(spec.cnn_channels) + 1):
         win = _conv_windows(xs[-1], spec.cnn_kernel, spec.cnn_stride)
-        zpre = np.einsum("bclk,ock->bol", win, params[f"conv{idx}.w"],
-                         optimize=True) + params[f"conv{idx}.b"][:, None]
-        pre_relu.append(zpre)
-        xs.append(np.maximum(zpre, 0.0))
-    pooled = xs[-1].mean(axis=2)  # global average pool over time
-    preds = pooled @ params["head.w"] + params["head.b"]
-    return preds, {"xs": xs, "pre_relu": pre_relu, "pooled": pooled}
+        pre_relu.append(np.einsum("bclk,ock->bol", win, params[f"conv{idx}.w"],
+                                  optimize=True) + params[f"conv{idx}.b"][:, None])
+        xs.append(np.maximum(pre_relu[-1], 0.0))
+    return xs[-1].mean(axis=2), {"xs": xs, "pre_relu": pre_relu}  # average pool
+
+
+def _backward_cnn(spec, params, cache, d_features, grads):
+    xs, pre_relu = cache["xs"], cache["pre_relu"]
+    # undo the global average pool
+    dx = d_features[:, :, None] / xs[-1].shape[2]
+    dx = np.broadcast_to(dx, xs[-1].shape).copy()
+    k, stride = spec.cnn_kernel, spec.cnn_stride
+    for idx in range(len(spec.cnn_channels), 0, -1):
+        dz = dx * (pre_relu[idx - 1] > 0.0)
+        w = params[f"conv{idx}.w"]
+        win = _conv_windows(xs[idx - 1], k, stride)
+        grads[f"conv{idx}.w"] += np.einsum("bclk,bol->ock", win, dz,
+                                           optimize=True)
+        grads[f"conv{idx}.b"] += dz.sum(axis=(0, 2))
+        dx_prev = np.zeros_like(xs[idx - 1])
+        n_win = dz.shape[2]
+        for tap in range(k):
+            # scatter each kernel tap back onto the input positions it read
+            contrib = np.einsum("bol,oc->bcl", dz, w[:, :, tap], optimize=True)
+            dx_prev[:, :, tap:tap + stride * n_win:stride] += contrib
+        dx = dx_prev
 
 
 def predict_batch(spec: ModelSpec, params: dict[str, np.ndarray],
                   signals: np.ndarray) -> np.ndarray:
-    """(B, 2) outputs for a (B, input_len) batch, without the backprop cache."""
+    """(B, 2) outputs for a (B, input_len) batch, without ``backward``'s cache."""
     preds, _ = forward_batch(spec, params, signals, _cache=False)
     return preds
 
@@ -259,7 +330,7 @@ def predict_single(spec: ModelSpec, params: dict[str, np.ndarray],
                    signal: np.ndarray) -> np.ndarray:
     """(2,) output for one signal of length ``input_len``.
 
-    The batch forward at B=1 without the backprop cache, so the result
+    The batch forward at B=1 without ``backward``'s cache, so the result
     equals row 0 of ``forward_batch`` on ``signal[None]`` bit for bit.
     """
     signal = np.asarray(signal)

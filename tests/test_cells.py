@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mrfmap.nn.cells import init_cell, sigmoid, step
+from mrfmap.nn.cells import sigmoid, step
+from mrfmap.nn.models import ModelSpec, init_params
 
 BIG = 30.0  # saturates a sigmoid to within ~1e-13 of 0/1
 
@@ -81,7 +82,11 @@ def lstm_step_reference(cell, x, h_prev, c_prev):
 
 
 def make_cell(kind, input_dim, hidden_dim, seed=0):
-    return init_cell(kind, input_dim, hidden_dim, np.random.default_rng(seed))
+    """``(w, u, b)`` as ``init_params`` fills them for a one-step regressor."""
+    spec = ModelSpec("rnn_regressor", input_len=input_dim, cell_kind=kind,
+                     hidden_dim=hidden_dim, chunk_size=input_dim)
+    params = init_params(spec, seed)
+    return params["cell.w"], params["cell.u"], params["cell.b"]
 
 
 def cell_step(kind, cell, x, h_prev, c_prev=None):

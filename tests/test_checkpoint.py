@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import time_limit
 from mrfmap.nn.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from mrfmap.nn.models import ModelSpec, init_params
 from test_gradients import TOY_SPECS
@@ -161,6 +162,18 @@ def test_header_with_old_layout_keys_loads_the_same(tmp_path, name):
     assert list(old.params) == list(fresh.params) == list(params)
     for k in params:
         assert old.params[k].tobytes() == fresh.params[k].tobytes()
+
+
+@pytest.mark.parametrize("hidden_dim", [3200, 10**6])
+def test_huge_spec_refused_before_any_parameter_is_made(tmp_path, hidden_dim):
+    # A 4-unit GRU's blob under a header claiming a far larger cell: the
+    # size check reads the layout without drawing it, so neither the QR
+    # decompositions of orthogonal blocks nor a terabyte array come first.
+    path = saved_gru(tmp_path)
+    rewrite_header(path, lambda meta: meta["spec"].update(hidden_dim=hidden_dim))
+    with time_limit(3), pytest.raises(ValueError, match=re.escape(
+            f"{path}: parameter blob has")):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("key", ["spec", "label_scaling", "seed"])

@@ -14,8 +14,8 @@ import pytest
 
 from conftest import time_limit
 from mrfmap.nn import backprop
-from mrfmap.nn.backprop import MIN_SLAB_ROWS, backward, loss_and_grads
-from mrfmap.nn.models import ModelSpec, forward_batch, init_params, mse_loss
+from mrfmap.nn.backprop import MIN_SLAB_ROWS, loss_and_grads, mse_loss
+from mrfmap.nn.models import ModelSpec, backward, forward_batch, init_params
 
 SPECS = {
     "simple": ModelSpec("rnn_regressor", input_len=12, cell_kind="simple",
@@ -112,6 +112,39 @@ def test_target_shape_checked(kind, shape):
     spec, params, signals, _ = case(kind, 5)
     with pytest.raises(ValueError, match=r"targets must be \(5, 2\)"):
         loss_and_grads(spec, params, signals, np.zeros(shape))
+
+
+@pytest.mark.parametrize("kind", ["gru", "ann"])
+def test_complex_targets_refused(kind):
+    # A cast to float64 would keep only the real part of each target.
+    spec, params, signals, targets = case(kind, 5)
+    with pytest.raises(ValueError, match="complex targets"):
+        loss_and_grads(spec, params, signals, targets + 1j)
+    with pytest.raises(ValueError, match="complex targets"):
+        mse_loss(targets, targets + 1j)
+    with pytest.raises(ValueError, match="complex predictions"):
+        mse_loss(targets + 1j, targets)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_caller_slab_calls_through_module_globals(monkeypatch, cpus):
+    # A profiler wraps ``backprop.forward_batch`` and ``backprop.backward``,
+    # so a slab must look both up there when it runs. The caller's slab is
+    # the first, and its calls are the ones this process sees.
+    monkeypatch.setattr(backprop, "available_cpus", lambda: cpus)
+    spec, params, signals, targets = case("gru", 2 * MIN_SLAB_ROWS)
+    expected = loss_and_grads(spec, params, signals, targets)
+    calls = []
+    for name in ("forward_batch", "backward"):
+        def wrapper(*args, real=getattr(backprop, name), name=name):
+            calls.append((name, len(args[-1])))  # the signals, then d_preds
+            return real(*args)
+        monkeypatch.setattr(backprop, name, wrapper)
+    with time_limit(60):
+        got = loss_and_grads(spec, params, signals, targets)
+    rows = 2 * MIN_SLAB_ROWS // cpus
+    assert calls == [("forward_batch", rows), ("backward", rows)]
+    assert_same_bits(got, expected)
 
 
 # Row 0 lies in the caller's slab, the last row in a worker's.

@@ -703,8 +703,10 @@ class TestSerialization:
         atoms = d.atoms.astype("<f4")
         atoms[2, 5] = bad
         atoms[9, 0] = bad
+        # Both infinities in one row: its sum is NaN, with no warning.
+        atoms[6, 1], atoms[6, 3] = np.inf, -np.inf
         dict_path.write_bytes(dict_path.read_bytes()[:24] + atoms.tobytes())
-        with pytest.raises(ValueError, match=r"rows \[2, 9\]"):
+        with pytest.raises(ValueError, match=r"rows \[2, 6, 9\]"):
             load_dictionary(tmp_path / "dict_e")
 
     def test_manifest_holds_grid_and_digest_only(self, toy_dictionary, tmp_path):
@@ -831,5 +833,5 @@ def test_build_load_and_first_match_hold_one_float32_matrix(monkeypatch, tmp_pat
     queries = loaded.atoms[:64].astype(np.float64) + 0.01
     _, match_peak = traced_peak(match_batch, loaded, queries)
     assert build_peak <= 2 * unit
-    assert load_peak <= 1.5 * unit
+    assert load_peak <= 1.25 * unit
     assert match_peak <= 2 * unit

@@ -7,10 +7,10 @@ kernel-level check compares ``cells.step_grad`` with ``cells.step`` alone.
 import numpy as np
 import pytest
 
-from mrfmap.nn import backprop
-from mrfmap.nn.backprop import backward, loss_and_grads
+from mrfmap.nn import models
+from mrfmap.nn.backprop import loss_and_grads, mse_loss
 from mrfmap.nn.cells import N_GATES, N_STATES, step, step_grad
-from mrfmap.nn.models import ModelSpec, forward_batch, init_params, mse_loss
+from mrfmap.nn.models import ModelSpec, backward, forward_batch, init_params
 
 DELTA = 1e-6
 
@@ -176,14 +176,13 @@ def test_gradcheck_three_seeds(kind):
 def test_gradcheck_catches_wrong_gradient_at_kink(monkeypatch):
     # relu'(0) = 1 would move the conv2.b kink entries by O(0.1); an error
     # of 1e-4 on one kink entry alone must already fail.
-    exact = backprop._backward_cnn
+    exact = models._backward_cnn
 
-    def off_at_kink(*args):
-        grads = exact(*args)
+    def off_at_kink(spec, params, cache, d_features, grads):
+        exact(spec, params, cache, d_features, grads)
         grads["conv2.b"][0] += 1e-4
-        return grads
 
-    monkeypatch.setattr(backprop, "_backward_cnn", off_at_kink)
+    monkeypatch.setattr(models, "_backward_cnn", off_at_kink)
     spec = TOY_SPECS["cnn1d"]
     with pytest.raises(AssertionError):
         check_gradients(spec, *random_case(spec, 2))

@@ -3,13 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from mrfmap.nn.backprop import backward, loss_and_grads
+from mrfmap.nn.backprop import loss_and_grads, mse_loss
 from mrfmap.nn.cells import N_STATES, step, step_grad
 from mrfmap.nn.models import (
     ModelSpec,
+    backward,
     forward_batch,
     init_params,
-    mse_loss,
     predict_batch,
     predict_single,
 )
@@ -252,7 +252,7 @@ class TestPredictSingle:
         ss, rs, zs, cands = tape
         for arr in tape:
             assert arr.shape == (spec.n_steps, 1, spec.hidden_dim)
-        hs = np.concatenate([ss, cache["s"][None]])
+        hs = np.concatenate([ss, cache["features"][None]])
         assert np.all(np.abs(hs) <= 1.0)
         assert np.all((rs >= 0.0) & (rs <= 1.0))
         assert np.all((zs >= 0.0) & (zs <= 1.0))
