@@ -53,7 +53,7 @@ def _build(args) -> dict:
         try:  # a JSON or UTF-8 decoding error is a ValueError too
             grid = GridSpec.from_json_dict(json.loads(args.grid.read_text(encoding="utf-8")))
             expand_grid(grid)  # a grid of no pair, or too many, is the file's fault too
-        except (ValueError, MemoryError) as err:
+        except ValueError as err:
             raise ValueError(f"{args.grid}: {err}") from None
     start = time.perf_counter()
     built = build_dictionary(grid, schedule)

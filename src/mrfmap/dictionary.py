@@ -121,16 +121,21 @@ def _expand_segments(segments) -> np.ndarray:
 def expand_grid(spec: GridSpec) -> np.ndarray:
     """Expand a GridSpec into the lexicographically sorted (M, 2) array of (T1, T2) in ms.
 
-    Zero values are dropped and pairs violating T2 <= T1 are filtered out.
+    Zero values are dropped and pairs violating T2 <= T1 are filtered out. A
+    grid of no valid pair, or too fine to expand in memory, raises ValueError.
     """
-    t1_values = _expand_segments(spec.t1_segments)
-    t2_values = _expand_segments(spec.t2_segments)
-    t1, t2 = np.meshgrid(t1_values[t1_values > 0.0], t2_values[t2_values > 0.0],
-                         indexing="ij")
-    keep = t2 <= t1
-    if not keep.any():
+    try:  # NumPy refuses an array larger than memory before allocating any
+        t1_values = _expand_segments(spec.t1_segments)
+        t2_values = _expand_segments(spec.t2_segments)
+        t1, t2 = np.meshgrid(t1_values[t1_values > 0.0], t2_values[t2_values > 0.0],
+                             indexing="ij")
+        keep = t2 <= t1
+        pairs = np.column_stack([t1[keep], t2[keep]])
+    except MemoryError as err:
+        raise ValueError(f"grid too fine to expand: {err}") from None
+    if not len(pairs):
         raise ValueError("grid expansion produced no valid (T1, T2) pairs")
-    return np.column_stack([t1[keep], t2[keep]])
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -153,9 +158,10 @@ class Dictionary:
                                                      dtype=np.float64)))
         if bad.size:
             raise ValueError(f"NaN or inf atoms in rows {bad.tolist()}")
-        if self.atoms.shape[0] != len(expand_grid(self.grid)):
+        n_pairs = len(expand_grid(self.grid))
+        if self.atoms.shape[0] != n_pairs:
             raise ValueError(f"{self.atoms.shape[0]} atom rows, but the grid "
-                             f"expands to {len(expand_grid(self.grid))} (T1, T2) pairs")
+                             f"expands to {n_pairs} (T1, T2) pairs")
 
     @property
     def n_atoms(self) -> int:
@@ -491,8 +497,9 @@ def load_dictionary(name: str | Path) -> Dictionary:
     The atoms are the file's float32 values, read once into a writable array.
     Rejects a bad header or size, atoms holding NaN or inf (naming the rows),
     a manifest that is not a JSON object holding a valid grid and a string
-    ``schedule_digest``, and a row count other than the number of pairs of
-    the manifest's grid, each with a ValueError naming the file.
+    ``schedule_digest``, a manifest grid too fine to expand, and a row count
+    other than the number of pairs of that grid, each with a ValueError
+    naming the file.
     """
     base = Path(name)
     dict_path = base.with_suffix(".dict")

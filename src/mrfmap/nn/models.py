@@ -6,7 +6,8 @@ t2_hat): a ``_forward_<kind>`` makes (B, width) features, to which
 ``forward_batch`` applies the one dense head, and ``backward`` hands the
 features' gradient to the matching ``_backward_<kind>``. Parameters are an
 insertion-ordered dict of float64 arrays in ``param_layout``'s order, which
-is also ``init_params``'s draw order and the checkpoint blob's.
+is also ``init_params``'s draw order and the checkpoint blob's. A cache
+holds layer outputs only, and inference keeps none.
 
 The recurrent regressor feeds the signal ``chunk_size`` samples per time
 step (chunk_size=1 reproduces one-sample-per-step reading of the signal;
@@ -18,9 +19,8 @@ the backward pass it records a tape for ``cells.step_grad``: a tuple of
 ``(n_steps, B, k)`` arrays, one for every step's previous state and one
 per entry of the step's ``acts``, shaped from the first step's, so this
 module knows no gate or state layout. Step t copies into slot t of each.
-``predict_batch`` and ``predict_single`` (the batch forward at B=1) record
-no tape. Backpropagation through time walks the slots from the last step
-to the first and hands slot t of each array to ``cells.step_grad``.
+Backpropagation through time walks the slots from the last step to the
+first and hands slot t of each array to ``cells.step_grad``.
 
 A tape of a few whole-sequence arrays, not a list of small per-step ones,
 is what keeps a training step cheap in page faults: per-step arrays kept
@@ -36,15 +36,15 @@ in the caller and 3k in its worker, and the median call from 1.33 to
 ``never``) about 45k faults per process remain and the call takes 1.14 s.
 
 ``_backward_ann`` and ``_backward_cnn`` use the subgradient relu'(0) = 0:
-the mask is ``pre > 0``, so a pre-activation of exactly 0 passes no
-gradient. At such a point the loss has a kink, and a central difference
-averages the two one-sided slopes. The gradchecks therefore find the
-parameter entries whose perturbation by +-delta switches some ReLU on or
-off, and compare those entries only against the second-order one-sided
-difference from the side that keeps the ReLU on/off pattern at theta
-(for a unit at exactly 0, the side on which it stays <= 0). A kink entry
-with no such side fails the check. The finite-difference tests in the
-suite are the authority these derivations are checked against.
+the mask is ``out > 0`` on the ReLU output, so a pre-activation of exactly
+0 passes no gradient. At such a point the loss has a kink, and a central
+difference averages the two one-sided slopes. The gradchecks therefore find
+the parameter entries whose perturbation by +-delta switches some ReLU on
+or off, and compare those entries only against the second-order one-sided
+difference from the side that keeps the ReLU on/off pattern at theta (for a
+unit at exactly 0, the side on which it stays <= 0). A kink entry with no
+such side fails the check. The finite-difference tests in the suite are the
+authority these derivations are checked against.
 """
 
 from __future__ import annotations
@@ -191,16 +191,16 @@ def forward_batch(spec: ModelSpec, params: dict[str, np.ndarray],
 
     The cache holds every activation ``backward`` needs. Rows holding NaN
     or inf are rejected with their indices. Inference passes
-    ``_cache=False``, with which the recurrent unroll stores no per-step
-    activations and returns an empty cache.
+    ``_cache=False``, with which every kind keeps no earlier layer or step
+    and returns an empty cache.
     """
     signals = _checked_signals(spec, signals)
     if spec.kind == "rnn_regressor":
         features, cache = _forward_rnn(spec, params, signals, _cache)
     elif spec.kind == "ann":
-        features, cache = _forward_ann(spec, params, signals)
+        features, cache = _forward_ann(spec, params, signals, _cache)
     else:
-        features, cache = _forward_cnn(spec, params, signals)
+        features, cache = _forward_cnn(spec, params, signals, _cache)
     if cache:
         cache["features"] = features
     return features @ params["head.w"] + params["head.b"], cache
@@ -225,12 +225,12 @@ def backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: dict,
     return grads
 
 
-def _forward_rnn(spec, params, signals, keep_cache):
+def _forward_rnn(spec, params, x, keep_cache):
     w, u, b = params["cell.w"], params["cell.u"], params["cell.b"]
-    n_rows, n_steps = signals.shape[0], spec.n_steps
+    n_rows, n_steps = x.shape[0], spec.n_steps
     # (B, input_len) -> (n_steps, B, chunk_size), time-major for the unroll
     xs = np.ascontiguousarray(
-        signals.reshape(n_rows, n_steps, spec.chunk_size).transpose(1, 0, 2))
+        x.reshape(n_rows, n_steps, spec.chunk_size).transpose(1, 0, 2))
     s = np.zeros((n_rows, N_STATES[spec.cell_kind] * spec.hidden_dim))
     tape = ()
     for t, x_t in enumerate(xs):
@@ -261,21 +261,21 @@ def _backward_rnn(spec, params, cache, d_features, grads):
         db += dxp.sum(axis=0)
 
 
-def _forward_ann(spec, params, a):
-    acts, pre_relu = [], []  # every hidden layer's input and pre-activation
+def _forward_ann(spec, params, x, keep_cache):
+    xs = [x]  # the input, then every hidden layer's ReLU output
     for idx in range(1, len(spec.ann_hidden) + 1):
-        acts.append(a)
-        pre_relu.append(a @ params[f"fc{idx}.w"] + params[f"fc{idx}.b"])
-        a = np.maximum(pre_relu[-1], 0.0)
-    return a, {"acts": acts, "pre_relu": pre_relu}
+        z = xs[-1] @ params[f"fc{idx}.w"] + params[f"fc{idx}.b"]
+        xs.append(np.maximum(z, 0.0, out=z))
+        if not keep_cache:
+            del xs[0]
+    return xs[-1], ({"xs": xs} if keep_cache else {})
 
 
 def _backward_ann(spec, params, cache, d_features, grads):
-    acts, pre_relu = cache["acts"], cache["pre_relu"]
-    da = d_features
+    xs, da = cache["xs"], d_features
     for idx in range(len(spec.ann_hidden), 0, -1):
-        dz = da * (pre_relu[idx - 1] > 0.0)
-        grads[f"fc{idx}.w"] += acts[idx - 1].T @ dz
+        dz = da * (xs[idx] > 0.0)
+        grads[f"fc{idx}.w"] += xs[idx - 1].T @ dz
         grads[f"fc{idx}.b"] += dz.sum(axis=0)
         da = dz @ params[f"fc{idx}.w"].T
 
@@ -286,25 +286,25 @@ def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return win[:, :, ::stride]
 
 
-def _forward_cnn(spec, params, signals):
-    xs = [signals[:, None, :]]  # (B, 1, L), then every conv layer's output
-    pre_relu = []
+def _forward_cnn(spec, params, x, keep_cache):
+    xs = [x[:, None, :]]  # (B, 1, L), then every conv layer's ReLU output
     for idx in range(1, len(spec.cnn_channels) + 1):
         win = _conv_windows(xs[-1], spec.cnn_kernel, spec.cnn_stride)
-        pre_relu.append(np.einsum("bclk,ock->bol", win, params[f"conv{idx}.w"],
-                                  optimize=True) + params[f"conv{idx}.b"][:, None])
-        xs.append(np.maximum(pre_relu[-1], 0.0))
-    return xs[-1].mean(axis=2), {"xs": xs, "pre_relu": pre_relu}  # average pool
+        z = np.einsum("bclk,ock->bol", win, params[f"conv{idx}.w"], optimize=True)
+        z += params[f"conv{idx}.b"][:, None]
+        xs.append(np.maximum(z, 0.0, out=z))
+        if not keep_cache:
+            del xs[0]
+    return xs[-1].mean(axis=2), ({"xs": xs} if keep_cache else {})  # average pool
 
 
 def _backward_cnn(spec, params, cache, d_features, grads):
-    xs, pre_relu = cache["xs"], cache["pre_relu"]
-    # undo the global average pool
+    xs = cache["xs"]
+    # undo the global average pool; the first mask broadcasts it over length
     dx = d_features[:, :, None] / xs[-1].shape[2]
-    dx = np.broadcast_to(dx, xs[-1].shape).copy()
     k, stride = spec.cnn_kernel, spec.cnn_stride
     for idx in range(len(spec.cnn_channels), 0, -1):
-        dz = dx * (pre_relu[idx - 1] > 0.0)
+        dz = dx * (xs[idx] > 0.0)
         w = params[f"conv{idx}.w"]
         win = _conv_windows(xs[idx - 1], k, stride)
         grads[f"conv{idx}.w"] += np.einsum("bclk,bol->ock", win, dz,

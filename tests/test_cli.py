@@ -125,7 +125,7 @@ KEYS = "['t1_segments', 't2_segments']"
      "grid expansion produced no valid (T1, T2) pairs"),
     # NumPy refuses the 28.4 PiB of T1 values before allocating any of it.
     ({"t1_segments": [[1, 4000, 1e-12]], "t2_segments": [[5, 500, 5]]},
-     "Unable to allocate"),
+     "grid too fine to expand: Unable to allocate"),
 ], ids=["empty", "missing_key", "unknown_key", "not_object", "segments_not_list",
         "short_segment", "null_value", "bool_value", "not_json", "not_utf8", "no_pairs",
         "too_fine"])

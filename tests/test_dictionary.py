@@ -739,6 +739,18 @@ class TestSerialization:
                 f"pairs (grid of {json_path})")):
             load_dictionary(tmp_path / "dict_g")
 
+    def test_grid_too_fine_to_expand_rejected(self, toy_dictionary, tmp_path):
+        # 4e15 T1 values: NumPy refuses their 28.4 PiB before allocating any.
+        d, _ = toy_dictionary
+        dict_path, json_path = save_dictionary(d, tmp_path / "dict_m")
+        manifest = json.loads(json_path.read_text())
+        manifest["grid"]["t1_segments"] = [[1.0, 4000.0, 1e-12]]
+        json_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{dict_path}: grid too fine to expand: Unable to allocate")) as err:
+            load_dictionary(tmp_path / "dict_m")
+        assert str(err.value).endswith(f"(grid of {json_path})")
+
     def test_constructor_rejects_rows_disagreeing_with_grid(self, toy_dictionary):
         d, _ = toy_dictionary
         with pytest.raises(ValueError, match=re.escape(

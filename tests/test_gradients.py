@@ -28,10 +28,15 @@ TOY_SPECS = {
 
 
 def _loss_and_relu_pattern(spec, params, signals, targets):
-    """MSE loss and the on/off state (pre > 0) of every ReLU, flattened."""
+    """MSE loss and the on/off state (out > 0) of every ReLU, flattened.
+
+    An ANN or CNN cache's ``xs`` is the input, then each layer's ReLU
+    output; a recurrent regressor has no ReLU.
+    """
     preds, cache = forward_batch(spec, params, signals)
-    pre = [p.ravel() for p in cache.get("pre_relu", ())]
-    return mse_loss(preds, targets), np.concatenate(pre or [np.zeros(0)]) > 0.0
+    outs = cache["xs"][1:] if spec.kind != "rnn_regressor" else []
+    pattern = np.concatenate([o.ravel() for o in outs] or [np.zeros(0)]) > 0.0
+    return mse_loss(preds, targets), pattern
 
 
 def finite_difference_grads(spec, params, signals, targets, delta=DELTA):
@@ -213,11 +218,16 @@ def test_zero_gradient_at_loss_minimum():
         np.testing.assert_array_equal(arr, np.zeros_like(arr))
 
 
-def test_backward_requires_cache():
-    spec = TOY_SPECS["gru"]
+@pytest.mark.parametrize("kind", list(TOY_SPECS))
+def test_backward_requires_cache(kind):
+    # Inference keeps no layer or step for any kind, so backward has none.
+    spec = TOY_SPECS[kind]
     params = init_params(spec, seed=0)
-    with pytest.raises(ValueError):
-        backward(spec, params, {}, np.zeros((1, 2)))
+    _, cache = forward_batch(spec, params, np.ones((1, spec.input_len)),
+                             _cache=False)
+    assert cache == {}
+    with pytest.raises(ValueError, match="forward activations unavailable"):
+        backward(spec, params, cache, np.zeros((1, 2)))
 
 
 def test_no_nans_through_full_pass():

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,28 @@ class TestBaselines:
                                  np.random.default_rng(0).normal(size=(2, 100)))
         assert preds.shape == (2, 2)
         assert np.all(np.isfinite(preds))
+
+    def test_cnn_forward_holds_layer_outputs_only(self):
+        # Traced peaks in units of one conv1 output, B·16·123·8 bytes. A
+        # cache that also kept each pre-activation peaked at 8.51 in both
+        # calls. Inference holds at most conv1's output, einsum's copy of
+        # the windows conv2 reads (2.44) and conv2's output: 4.42. The
+        # training forward keeps every layer's output: 5.62.
+        spec = ModelSpec("cnn1d", input_len=250)
+        params = init_params(spec, seed=0)
+        signals = np.random.default_rng(0).random((256, 250))
+        unit = 256 * 16 * spec.conv_lengths()[1] * 8
+
+        def traced_peak(call, *args):
+            tracemalloc.start()
+            try:
+                call(*args)
+                return tracemalloc.get_traced_memory()[1] / unit
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(predict_batch, spec, params, signals) < 5.0
+        assert traced_peak(forward_batch, spec, params, signals) < 6.5
 
     def test_cnn_length_arithmetic(self):
         spec = ModelSpec("cnn1d", input_len=1750)
