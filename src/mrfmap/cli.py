@@ -24,6 +24,7 @@ import time
 from pathlib import Path
 
 from .dictionary import GridSpec, build_dictionary, build_plan, expand_grid, save_dictionary
+from .files import naming, read_json
 from .schedule import DEFAULT_N_EXCITATIONS, default_schedule, load_schedule
 
 
@@ -50,11 +51,9 @@ def _build(args) -> dict:
                 else default_schedule(args.n))
     grid = GridSpec.paper_grid()
     if args.grid is not None:
-        try:  # a JSON or UTF-8 decoding error is a ValueError too
-            grid = GridSpec.from_json_dict(json.loads(args.grid.read_text(encoding="utf-8")))
+        with naming(args.grid):
+            grid = GridSpec.from_json_dict(read_json(args.grid))
             expand_grid(grid)  # a grid of no pair, or too many, is the file's fault too
-        except ValueError as err:
-            raise ValueError(f"{args.grid}: {err}") from None
     start = time.perf_counter()
     built = build_dictionary(grid, schedule)
     seconds = time.perf_counter() - start

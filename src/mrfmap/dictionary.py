@@ -32,7 +32,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .epg import TissueParams, order_caps, simulate_fingerprints
+from .files import json_object, naming, number, read_json
 from .parallel import available_cpus, fan_out
 from .schedule import SequenceSchedule, schedule_digest
 
@@ -67,16 +67,12 @@ class GridSpec:
     def __post_init__(self):
         for name in ("t1_segments", "t2_segments"):
             segments = getattr(self, name)
-            # A bool is an int to Python, but JSON's true is no time in ms.
             if not (isinstance(segments, (list, tuple)) and all(
-                    isinstance(seg, (list, tuple)) and len(seg) == 3
-                    and all(isinstance(x, numbers.Real) and not isinstance(x, bool)
-                            for x in seg)
-                    for seg in segments)):
+                    isinstance(seg, (list, tuple)) and len(seg) == 3 for seg in segments)):
                 raise ValueError(f"grid {name} must be a list of [start, stop, step] "
                                  f"lists of numbers, got {segments!r}")
-            object.__setattr__(self, name, tuple(tuple(map(float, seg))
-                                                 for seg in segments))
+            object.__setattr__(self, name, tuple(
+                tuple(number(f"grid {name} value", x) for x in seg) for seg in segments))
         for seg in self.t1_segments + self.t2_segments:
             # NaN fails every comparison below and inf would overflow the
             # expansion, so both are refused here.
@@ -97,11 +93,7 @@ class GridSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "GridSpec":
         """The grid ``to_json_dict`` wrote; anything else raises ValueError."""
-        keys = ["t1_segments", "t2_segments"]
-        if not isinstance(d, dict):
-            raise ValueError(f"grid must be a JSON object, got {type(d).__name__}")
-        if sorted(d) != keys:
-            raise ValueError(f"grid keys must be {keys}, got {sorted(d)}")
+        d = json_object("grid", d, ("t1_segments", "t2_segments"), allowed=())
         return cls(d["t1_segments"], d["t2_segments"])
 
 
@@ -475,11 +467,14 @@ def match_batch(dictionary: Dictionary,
     return _match_rows(dictionary, queries)
 
 
+def _paths(name: str | Path) -> tuple[Path, Path]:
+    """``<name>.dict`` and ``<name>.json``: a dot in ``name`` is part of the name."""
+    return Path(f"{name}.dict"), Path(f"{name}.json")
+
+
 def save_dictionary(dictionary: Dictionary, name: str | Path) -> tuple[Path, Path]:
     """Write ``<name>.dict`` and ``<name>.json``; returns both paths."""
-    base = Path(name)
-    dict_path = base.with_suffix(".dict")
-    json_path = base.with_suffix(".json")
+    dict_path, json_path = _paths(name)
     with open(dict_path, "wb") as fh:
         fh.write(DICT_MAGIC + struct.pack("<IQQ", DICT_VERSION, *dictionary.atoms.shape))
         np.ascontiguousarray(dictionary.atoms, dtype="<f4").tofile(fh)
@@ -501,34 +496,24 @@ def load_dictionary(name: str | Path) -> Dictionary:
     other than the number of pairs of that grid, each with a ValueError
     naming the file.
     """
-    base = Path(name)
-    dict_path = base.with_suffix(".dict")
-    json_path = base.with_suffix(".json")
-    with open(dict_path, "rb") as fh:
+    dict_path, json_path = _paths(name)
+    with open(dict_path, "rb") as fh, naming(dict_path):
         header = fh.read(24).ljust(24, b"\0")  # a shorter file fails the size check
         if header[:4] != DICT_MAGIC:
-            raise ValueError(f"{dict_path}: bad magic {header[:4]!r}")
+            raise ValueError(f"bad magic {header[:4]!r}")
         version, m, n = struct.unpack("<IQQ", header[4:])
         if version != DICT_VERSION:
-            raise ValueError(f"{dict_path}: unsupported version {version}")
+            raise ValueError(f"unsupported version {version}")
         expected, size = 24 + 4 * m * n, os.fstat(fh.fileno()).st_size
         if size != expected:
-            raise ValueError(f"{dict_path}: expected {expected} bytes, got {size}")
+            raise ValueError(f"expected {expected} bytes, got {size}")
         atoms = np.fromfile(fh, dtype="<f4", count=m * n).reshape(m, n)
-    try:  # a JSON or UTF-8 decoding error is a ValueError too
-        manifest = json.loads(json_path.read_text())
-        if not isinstance(manifest, dict):
-            raise ValueError("manifest must be a JSON object, "
-                             f"got {type(manifest).__name__}")
-        missing = [key for key in ("grid", "schedule_digest") if key not in manifest]
-        if missing:
-            raise ValueError(f"manifest lacks {missing}")
+    with naming(json_path):
+        manifest = json_object("manifest", read_json(json_path), ("grid", "schedule_digest"))
         if not isinstance(manifest["schedule_digest"], str):
             raise ValueError("schedule_digest must be a string, "
                              f"got {manifest['schedule_digest']!r}")
         grid = GridSpec.from_json_dict(manifest["grid"])
-    except ValueError as err:
-        raise ValueError(f"{json_path}: {err}") from None
     try:
         return Dictionary(atoms, manifest["schedule_digest"], grid)
     except ValueError as err:

@@ -6,25 +6,26 @@ array of ``param_layout(spec)``, in its order and shapes, flattened to
 little-endian float32; the ``param_order`` and ``param_shapes`` that older
 headers also hold are ignored. Loading restores float64 parameters whose
 values are exactly the stored f32 ones, so save -> load -> save is
-byte-identical. Saving refuses parameters off that layout; saving and loading
-refuse NaN or inf parameters, label scaling that is not a finite positive
-number, a ``seed`` that is not an integer and ``metadata`` that is not an
-object. Loading also rejects a header that lacks a key, holds an unknown spec
-key or a spec value ``ModelSpec`` refuses, or a ``spec`` or ``label_scaling``
-that is not a JSON object, and a blob whose size disagrees with the layout;
-each with a ValueError that names the file.
+byte-identical. Saving refuses parameters off that layout and a header JSON
+cannot hold; saving and loading refuse NaN or inf parameters, label scaling
+that is not a finite positive number, a ``seed`` that is not an integer and
+``metadata`` that is not an object. Loading also rejects a header that
+lacks a key, holds an unknown spec key or a spec value ``ModelSpec``
+refuses, or a ``spec`` or ``label_scaling`` that is not a JSON object, and a
+blob whose size disagrees with the layout; each with a ValueError that
+names the file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..schedule import _naming
+from ..files import json_object, naming, number
 from .models import ModelSpec, param_layout
 
 DELIMITER = b"---PARAMS---\n"
@@ -46,28 +47,24 @@ def _reject_nonfinite(params: dict[str, np.ndarray]) -> None:
         raise ValueError(f"NaN or inf values in parameters {bad}")
 
 
-def _check_object(key: str, value) -> None:
-    if not isinstance(value, dict):
-        raise ValueError(f"{key} must be a JSON object, got {type(value).__name__}")
-
-
-def _check_values(t1_max, t2_max, seed, metadata) -> None:
-    """ValueError unless both label scalings are finite positive numbers,
-    ``seed`` is an integer and ``metadata`` an object."""
-    bad = {key: value for key, value in (("t1_max", t1_max), ("t2_max", t2_max))
-           if isinstance(value, bool) or not isinstance(value, (int, float))
-           or not (math.isfinite(value) and value > 0)}
+def _checked(ckpt: ModelCheckpoint) -> ModelCheckpoint:
+    """``ckpt`` holding Python numbers; ValueError unless both label scalings
+    are finite positive numbers, ``seed`` is an integer and ``metadata`` an
+    object."""
+    scaling = {key: number(key, getattr(ckpt, key)) for key in ("t1_max", "t2_max")}
+    bad = {key: value for key, value in scaling.items()
+           if not (math.isfinite(value) and value > 0)}
     if bad:
         raise ValueError(f"label scaling must be finite and positive, got {bad}")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    _check_object("metadata", metadata)
+    return replace(ckpt, **scaling, seed=number("seed", ckpt.seed, integral=True),
+                   metadata=json_object("metadata", ckpt.metadata))
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
+    """Write ``ckpt`` to ``path``; a refused checkpoint leaves the file as it was."""
     path = Path(path)
-    with _naming(path):
-        _check_values(ckpt.t1_max, ckpt.t2_max, ckpt.seed, ckpt.metadata)
+    with naming(path):
+        ckpt = _checked(ckpt)
         layout = param_layout(ckpt.spec)
         given = {name: np.shape(arr) for name, arr in ckpt.params.items()}
         wrong = {name: (given.get(name), layout.get(name))
@@ -79,15 +76,19 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
         stored = {name: np.ascontiguousarray(ckpt.params[name], dtype="<f4")
                   for name in layout}
         _reject_nonfinite(stored)
-    header = {
-        "spec": ckpt.spec.to_json_dict(),
-        "label_scaling": {"t1_max": ckpt.t1_max, "t2_max": ckpt.t2_max},
-        "seed": ckpt.seed,
-        "metadata": ckpt.metadata,
-    }
+        header = {
+            "spec": ckpt.spec.to_json_dict(),
+            "label_scaling": {"t1_max": ckpt.t1_max, "t2_max": ckpt.t2_max},
+            "seed": ckpt.seed,
+            "metadata": ckpt.metadata,
+        }
+        try:
+            text = json.dumps(header, sort_keys=True)
+        except TypeError as err:  # a value JSON has no form for
+            raise ValueError(f"header is not JSON: {err}") from None
     blob = b"".join(arr.tobytes() for arr in stored.values())
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        fh.write(text.encode("utf-8"))
         fh.write(b"\n")
         fh.write(DELIMITER)
         fh.write(blob)
@@ -97,7 +98,7 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
 def load_checkpoint(path: str | Path) -> ModelCheckpoint:
     path = Path(path)
     raw = path.read_bytes()
-    with _naming(path):
+    with naming(path):
         cut = raw.find(DELIMITER)
         if cut < 0:
             raise ValueError("missing parameter delimiter")
@@ -106,19 +107,8 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         except ValueError as err:  # also UnicodeDecodeError
             raise ValueError(f"header is not JSON: {err}") from None
         blob = raw[cut + len(DELIMITER):]
-        _check_object("header", header)
-        missing = [key for key in ("spec", "label_scaling", "seed") if key not in header]
-        if missing:
-            raise ValueError(f"header lacks {missing}")
-        for key in ("spec", "label_scaling"):
-            _check_object(key, header[key])
-        scaling = header["label_scaling"]
-        missing = [key for key in ("t1_max", "t2_max") if key not in scaling]
-        if missing:
-            raise ValueError(f"label_scaling lacks {missing}")
-        _check_values(scaling["t1_max"], scaling["t2_max"], header["seed"],
-                      header.get("metadata", {}))
-
+        header = json_object("header", header, ("spec", "label_scaling", "seed"))
+        scaling = json_object("label_scaling", header["label_scaling"], ("t1_max", "t2_max"))
         spec = ModelSpec.from_json_dict(header["spec"])
         layout = param_layout(spec)
         expected = sum(4 * math.prod(shape) for shape in layout.values())
@@ -133,12 +123,5 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
             params[name] = arr.astype(np.float64).reshape(shape)
             offset += 4 * count
         _reject_nonfinite(params)
-
-    return ModelCheckpoint(
-        spec=spec,
-        params=params,
-        t1_max=float(scaling["t1_max"]),
-        t2_max=float(scaling["t2_max"]),
-        seed=header["seed"],
-        metadata=header.get("metadata", {}),
-    )
+        return _checked(ModelCheckpoint(spec, params, scaling["t1_max"], scaling["t2_max"],
+                                        header["seed"], header.get("metadata", {})))

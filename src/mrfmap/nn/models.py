@@ -49,11 +49,11 @@ authority these derivations are checked against.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ..files import json_object, number
 from .cells import N_GATES, N_STATES, _glorot, init_cell, step, step_grad
 
 OUTPUT_DIM = 2
@@ -61,9 +61,11 @@ OUTPUT_DIM = 2
 MODEL_KINDS = ("rnn_regressor", "ann", "cnn1d")
 
 
-def _positive_int(value) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 1)
+def _positive_int(name: str, value) -> int:
+    value = number(name, value, integral=True)
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -83,17 +85,15 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         for name in ("input_len", "hidden_dim", "chunk_size", "cnn_kernel",
                      "cnn_stride"):
-            if not _positive_int(getattr(self, name)):
-                raise ValueError(f"{name} must be a positive integer, "
-                                 f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
         for name in ("ann_hidden", "cnn_channels"):
             value = getattr(self, name)
-            if (not isinstance(value, (list, tuple))
-                    or not all(map(_positive_int, value))):
+            if not isinstance(value, (list, tuple)):
                 raise ValueError(f"{name} must be a sequence of positive "
                                  f"integers, got {value!r}")
+            object.__setattr__(self, name, tuple(_positive_int(name, v) for v in value))
         if self.kind == "rnn_regressor":
-            if self.cell_kind not in N_GATES:
+            if self.cell_kind not in tuple(N_GATES):
                 raise ValueError(f"unknown cell kind {self.cell_kind!r}")
             if self.input_len % self.chunk_size != 0:
                 raise ValueError(
@@ -102,8 +102,6 @@ class ModelSpec:
                 )
         if self.kind == "cnn1d" and self.conv_lengths()[-1] < 1:
             raise ValueError("input_len too short for the conv stack")
-        object.__setattr__(self, "ann_hidden", tuple(self.ann_hidden))
-        object.__setattr__(self, "cnn_channels", tuple(self.cnn_channels))
 
     @property
     def n_steps(self) -> int:
@@ -123,12 +121,7 @@ class ModelSpec:
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelSpec":
         """The spec ``to_json_dict`` wrote; unknown keys raise ValueError."""
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown model spec keys {unknown}")
-        if "kind" not in d:
-            raise ValueError("model spec lacks 'kind'")
-        return cls(**d)
+        return cls(**json_object("spec", d, ("kind",), {f.name for f in fields(cls)}))
 
 
 def param_layout(spec: ModelSpec) -> dict[str, tuple[int, ...]]:

@@ -15,11 +15,12 @@ import hashlib
 import io
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from .files import json_object, naming, number, read_json
 
 SCHEDULE_CSV_HEADER = ["index", "flip_rad", "phase_rad", "tr_ms"]
 
@@ -39,20 +40,16 @@ class SequenceSchedule:
     inversion_delay_ms: float = 0.0
 
     def __post_init__(self):
-        flip = np.ascontiguousarray(np.asarray(self.flip_angles_rad, dtype=np.float64))
-        phase = np.ascontiguousarray(np.asarray(self.rf_phases_rad, dtype=np.float64))
-        tr = np.ascontiguousarray(np.asarray(self.tr_ms, dtype=np.float64))
+        flip, phase, tr = (np.require(values, np.float64, "C") for values in
+                           (self.flip_angles_rad, self.rf_phases_rad, self.tr_ms))
         object.__setattr__(self, "flip_angles_rad", flip)
         object.__setattr__(self, "rf_phases_rad", phase)
         object.__setattr__(self, "tr_ms", tr)
-        n = flip.size
-        if n < 1:
+        if flip.ndim != 1 or not flip.shape == phase.shape == tr.shape:
+            raise ValueError(f"schedule arrays must be 1-D of one length, got shapes "
+                             f"flip={flip.shape}, phase={phase.shape}, tr={tr.shape}")
+        if flip.size < 1:
             raise ValueError("schedule must contain at least one excitation")
-        if phase.size != n or tr.size != n:
-            raise ValueError(
-                f"schedule arrays must share one length, got "
-                f"flip={n}, phase={phase.size}, tr={tr.size}"
-            )
         # Comparisons with NaN are false, so non-finite values would pass the
         # range checks below and turn every later simulated sample into NaN.
         for name, values in (("flip angles", flip), ("RF phases", phase),
@@ -141,15 +138,6 @@ def save_schedule(schedule: SequenceSchedule, csv_path: str | Path) -> None:
     sidecar.write_bytes(prep_sidecar_bytes(schedule))
 
 
-@contextmanager
-def _naming(path: Path):
-    """Start the message of a ValueError raised in the block with ``path``."""
-    try:
-        yield
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-
-
 def load_schedule(csv_path: str | Path) -> SequenceSchedule:
     """Load a schedule CSV; preparation settings come from the sidecar if present.
 
@@ -162,47 +150,35 @@ def load_schedule(csv_path: str | Path) -> SequenceSchedule:
     shortest TR included).
     """
     csv_path = Path(csv_path)
-    with _naming(csv_path):  # a UTF-8 decoding error is a ValueError too
-        text = csv_path.read_text(encoding="utf-8")
-    values = []
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, [])
-    if [c.strip() for c in header] != SCHEDULE_CSV_HEADER:
-        raise ValueError(
-            f"{csv_path}: expected header {','.join(SCHEDULE_CSV_HEADER)}, "
-            f"got {','.join(header)}"
-        )
-    for row in filter(None, reader):
-        where = f"{csv_path}, line {reader.line_num}"
-        try:
-            index, *fields = map(float, row)
-        except ValueError:
-            raise ValueError(f"{where}: non-numeric field in {row}") from None
-        if len(fields) != 3 or index != len(values):
-            raise ValueError(
-                f"{where}: expected index {len(values)} and 3 values, got {row}")
-        values.append(fields)
-    if not values:
-        raise ValueError(f"{csv_path}: schedule has no excitations")
-    flip, phase, tr = np.array(values).T
-    with _naming(csv_path):
-        schedule = SequenceSchedule(flip, phase, tr)
+    with naming(csv_path):  # a UTF-8 decoding error is a ValueError too
+        reader = csv.reader(io.StringIO(csv_path.read_text(encoding="utf-8")))
+        header = next(reader, [])
+        if [c.strip() for c in header] != SCHEDULE_CSV_HEADER:
+            raise ValueError(f"expected header {','.join(SCHEDULE_CSV_HEADER)}, "
+                             f"got {','.join(header)}")
+        values = []
+        for row in filter(None, reader):
+            try:
+                index, *fields = map(float, row)
+            except ValueError:
+                raise ValueError(f"line {reader.line_num}: non-numeric field in {row}") from None
+            if len(fields) != 3 or index != len(values):
+                raise ValueError(f"line {reader.line_num}: expected index {len(values)} "
+                                 f"and 3 values, got {row}")
+            values.append(fields)
+        if not values:
+            raise ValueError("schedule has no excitations")
+        schedule = SequenceSchedule(*np.array(values).T)
 
     sidecar = csv_path.with_suffix(".prep.json")
     if not sidecar.exists():
         return schedule
-    with _naming(sidecar):  # so is a JSON decoding error
-        prep = json.loads(sidecar.read_text(encoding="utf-8"))
-        if not isinstance(prep, dict):
-            raise ValueError(f"expected a JSON object, got {type(prep).__name__}")
-        unknown = sorted(set(prep) - {"inversion_prep", "inversion_delay_ms", "te_ms"})
-        if unknown:
-            raise ValueError(f"unknown preparation keys {unknown}")
-        for key, value in prep.items():
-            flag = key == "inversion_prep"
-            if (type(value) is bool) != flag or not isinstance(value, (int, float)):
-                raise ValueError(f"{key} must be a JSON "
-                                 f"{'boolean' if flag else 'number'}, got {value!r}")
-        return replace(schedule, **{
-            key: value if key == "inversion_prep" else float(value)
-            for key, value in prep.items()})
+    with naming(sidecar):
+        prep = json_object("preparation", read_json(sidecar),
+                           allowed=("inversion_prep", "inversion_delay_ms", "te_ms"))
+        prep = {key: value if key == "inversion_prep" else number(key, value)
+                for key, value in prep.items()}
+        if type(prep.get("inversion_prep", True)) is not bool:
+            raise ValueError(f"inversion_prep must be a JSON boolean, "
+                             f"got {prep['inversion_prep']!r}")
+        return replace(schedule, **prep)

@@ -198,7 +198,7 @@ def test_unknown_spec_key_rejected(tmp_path):
     path = saved_gru(tmp_path)
     rewrite_header(path, lambda meta: meta["spec"].update(hidden_dimm=8))
     with pytest.raises(ValueError, match=re.escape(
-            f"{path}: unknown model spec keys ['hidden_dimm']")):
+            f"{path}: unknown spec keys ['hidden_dimm']")):
         load_checkpoint(path)
 
 
@@ -235,6 +235,13 @@ def test_spec_value_of_wrong_type_or_range_rejected(tmp_path, key, value):
         load_checkpoint(path)
 
 
+def scaling_error(key, value):
+    """The start of the refusal of ``value`` as label scaling ``key``."""
+    if value is None or isinstance(value, (bool, str)):
+        return f"{key} must be a number, got {value!r}"
+    return f"label scaling must be finite and positive, got {{'{key}': "
+
+
 BAD_SCALING = [None, float("nan"), float("inf"), -4000.0, 0.0, "4000", True]
 
 
@@ -243,8 +250,7 @@ BAD_SCALING = [None, float("nan"), float("inf"), -4000.0, 0.0, "4000", True]
 def test_label_scaling_not_finite_positive_rejected(tmp_path, key, value):
     path = saved_gru(tmp_path)
     rewrite_header(path, lambda meta: meta["label_scaling"].update({key: value}))
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: label scaling must be finite and positive, got {{'{key}': ")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {scaling_error(key, value)}")):
         load_checkpoint(path)
 
 
@@ -254,10 +260,52 @@ def test_save_refuses_scaling_not_finite_positive(tmp_path, key, value):
     ckpt = gru_checkpoint()
     setattr(ckpt, key, value)
     path = tmp_path / "m.ckpt"
-    with pytest.raises(ValueError, match=re.escape(
-            f"{path}: label scaling must be finite and positive, got {{'{key}': ")):
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {scaling_error(key, value)}")):
         save_checkpoint(ckpt, path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["t1_max", "t2_max"])
+def test_label_scaling_too_large_for_a_float_rejected(tmp_path, key):
+    # JSON reads 10**400 as an int, which float() cannot hold.
+    path = saved_gru(tmp_path)
+    rewrite_header(path, lambda meta: meta["label_scaling"].update({key: 10**400}))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {key} is too large for a float")):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_numpy_numbers_save_as_python_numbers(tmp_path, name):
+    # NumPy scalars used to pass ModelSpec and then make the save raise
+    # TypeError, after it had truncated the file.
+    plain = SPECS[name]
+    spec = ModelSpec(**{
+        key: [np.int64(x) for x in value] if isinstance(value, list)
+        else np.int32(value) if isinstance(value, int) else value
+        for key, value in plain.to_json_dict().items()})
+    params = init_params(plain, seed=1)
+    as_numpy = ModelCheckpoint(spec, params, np.float32(4000.0), np.float32(437.5),
+                               np.int64(7), {"steps": 3})
+    as_python = ModelCheckpoint(plain, params, 4000.0, 437.5, 7, {"steps": 3})
+    first = save_checkpoint(as_numpy, tmp_path / "numpy.ckpt")
+    assert first.read_bytes() == save_checkpoint(as_python, tmp_path / "python.ckpt").read_bytes()
+    assert all(type(x) is int for x in (spec.input_len, *spec.ann_hidden, *spec.cnn_channels))
+    loaded = load_checkpoint(first)
+    assert loaded.spec == spec == plain
+    assert (loaded.t1_max, loaded.t2_max, loaded.seed, loaded.metadata) == (
+        4000.0, 437.5, 7, {"steps": 3})
+    assert (type(loaded.t1_max), type(loaded.seed)) == (float, int)
+
+
+def test_failed_save_leaves_the_file_as_it_was(tmp_path):
+    path = saved_gru(tmp_path)
+    before = path.read_bytes()
+    ckpt = gru_checkpoint()
+    ckpt.metadata = {"loss": np.float32(0.5)}
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: header is not JSON: Object of type float32")):
+        save_checkpoint(ckpt, path)
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize("value", [1.7, 1.0, "1", None, True])

@@ -185,7 +185,7 @@ class TestExpandGrid:
             GridSpec(t1_segments=((0.0, 10.0, 0.0),), t2_segments=((1, 2, 1),))
 
     def test_bool_rejected_numpy_float_accepted(self):
-        with pytest.raises(ValueError, match="t1_segments must be a list of"):
+        with pytest.raises(ValueError, match="t1_segments value must be a number, got True"):
             GridSpec(t1_segments=((True, 900.0, 300.0),), t2_segments=((1, 2, 1),))
         spec = GridSpec(t1_segments=((np.float64(300.0), np.float32(900.0), 300),),
                         t2_segments=((1, 2, 1),))
@@ -488,6 +488,13 @@ class TestMatchBatch:
             call(d, raw[0] if call is match else raw)
         assert match(d, np.abs(raw[0]))[0] == d.labels[0]
 
+    def test_wrong_shape_rejected(self, toy_dictionary):
+        d, _ = toy_dictionary
+        for queries in (d.atoms[0], d.atoms[:2, :-1]):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"queries must be (Q, {d.n_samples}), got {queries.shape}")):
+                match_batch(d, queries)
+
     def test_overflowing_rows_reported_per_query(self, toy_dictionary):
         # Finite rows whose squared norm overflows are refused like inf rows.
         d, _ = toy_dictionary
@@ -696,6 +703,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match="magic"):
             load_dictionary(tmp_path / "dict_c")
 
+    def test_unsupported_version_rejected_naming_file(self, toy_dictionary, tmp_path):
+        d, _ = toy_dictionary
+        dict_path, _ = save_dictionary(d, tmp_path / "dict_v")
+        blob = bytearray(dict_path.read_bytes())
+        blob[4:8] = (2).to_bytes(4, "little")
+        dict_path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(f"{dict_path}: unsupported version 2")):
+            load_dictionary(tmp_path / "dict_v")
+
+    def test_dotted_names_keep_their_dots(self, toy_dictionary, tmp_path):
+        # "d.250" and "d.1750" used to both write d.dict and d.json.
+        d, _ = toy_dictionary
+        short = Dictionary(d.atoms[:, :40], d.schedule_digest, d.grid)
+        save_dictionary(d, tmp_path / "d.250")
+        save_dictionary(short, tmp_path / "d.1750")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "d.1750.dict", "d.1750.json", "d.250.dict", "d.250.json"]
+        assert load_dictionary(tmp_path / "d.250").atoms.tobytes() == d.atoms.tobytes()
+        assert load_dictionary(tmp_path / "d.1750").atoms.tobytes() == short.atoms.tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_atoms_rejected_with_rows(self, toy_dictionary, tmp_path, bad):
         d, _ = toy_dictionary
@@ -757,6 +784,11 @@ class TestSerialization:
                 "23 atom rows, but the grid expands to 24 (T1, T2) pairs")):
             Dictionary(d.atoms[:-1], d.schedule_digest, d.grid)
 
+    def test_constructor_rejects_atoms_that_are_not_2d(self, toy_dictionary):
+        d, _ = toy_dictionary
+        with pytest.raises(ValueError, match="atoms must be a 2-D matrix"):
+            Dictionary(d.atoms.ravel(), d.schedule_digest, d.grid)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructor_rejects_nonfinite_atoms_with_rows(self, toy_dictionary, bad):
         d, _ = toy_dictionary
@@ -789,6 +821,10 @@ class TestSerialization:
         ('{"grid": %s, "schedule_digest": null}' % TOY_GRID_JSON,
          "schedule_digest must be a string, got None"),
         ('{"grid": [], "schedule_digest": "ab"}', "grid must be a JSON object, got list"),
+        # JSON reads this as an int, which float() cannot hold.
+        pytest.param('{"grid": {"t1_segments": [[200, 1%s, 200]], "t2_segments": '
+                     '[[50, 250, 50]]}, "schedule_digest": "ab"}' % ("0" * 399),
+                     "grid t1_segments value is too large for a float", id="huge_grid_value"),
     ])
     def test_corrupt_manifest_rejected_naming_file(self, toy_dictionary, tmp_path,
                                                    text, reason):

@@ -106,6 +106,11 @@ class TestMseLoss:
         with pytest.raises(ValueError):
             mse_loss(np.zeros((2, 2)), np.zeros((3, 2)))
 
+    def test_empty_batch(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "expected a nonempty (B, k) batch, got (0, 2)")):
+            mse_loss(np.zeros((0, 2)), np.zeros((0, 2)))
+
 
 class TestForwardSequence:
     """One signal forwarded through ``predict_single``."""
@@ -184,6 +189,14 @@ class TestForwardSequence:
         with pytest.raises(ValueError):
             predict_single(spec, params, np.zeros(11))
 
+    @pytest.mark.parametrize("kind", ["rnn_regressor", "ann", "cnn1d"])
+    def test_forward_batch_width_mismatch(self, kind):
+        spec = ModelSpec(kind, input_len=20, hidden_dim=3, ann_hidden=(4,),
+                         cnn_channels=(2,), cnn_kernel=3)
+        params = init_params(spec, seed=0)
+        with pytest.raises(ValueError, match=re.escape("signals must be (B, 20), got (2, 21)")):
+            forward_batch(spec, params, np.zeros((2, 21)))
+
     def test_deterministic(self):
         spec = ModelSpec("rnn_regressor", input_len=30, cell_kind="lstm",
                          hidden_dim=6, chunk_size=2)
@@ -242,6 +255,16 @@ class TestBaselines:
     def test_chunk_must_divide(self):
         with pytest.raises(ValueError):
             ModelSpec("rnn_regressor", input_len=10, chunk_size=3)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ModelSpec("transformer"), "unknown model kind 'transformer'"),
+        # A list is unhashable, so it used to raise TypeError.
+        (lambda: ModelSpec("rnn_regressor", cell_kind=["gru"]), "unknown cell kind ['gru']"),
+        (lambda: ModelSpec.from_json_dict({"input_len": 30}), "spec lacks ['kind']"),
+    ], ids=["kind", "cell_kind", "no_kind"])
+    def test_spec_refusals(self, make, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            make()
 
 
 SINGLE_SPECS = {

@@ -22,6 +22,18 @@ def schedule_kwargs(n=5):
                 tr_ms=np.full(n, 4.3), te_ms=1.0, inversion_delay_ms=2.0)
 
 
+@pytest.mark.parametrize("shapes", [(5, 5, 4), (5, 6, 5), ((2, 3), (2, 3), (2, 3)), ((), (), ())],
+                         ids=["tr_short", "phase_long", "two_d", "zero_d"])
+def test_arrays_not_1d_of_one_length_rejected(shapes):
+    # (2, 3) arrays used to pass and fail later inside the simulator.
+    kwargs = schedule_kwargs()
+    for field, shape in zip(("flip_angles_rad", "rf_phases_rad", "tr_ms"), shapes):
+        kwargs[field] = np.full(shape, kwargs[field].flat[0])
+    with pytest.raises(ValueError, match=re.escape(
+            "schedule arrays must be 1-D of one length, got shapes flip=")):
+        SequenceSchedule(**kwargs)
+
+
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("field", ["flip_angles_rad", "rf_phases_rad", "tr_ms"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -61,7 +73,7 @@ class TestMalformedRows:
         return path
 
     def assert_rejected(self, path, line, message):
-        with pytest.raises(ValueError, match=f"{re.escape(str(path))}, line {line}: "
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line {line}: "
                                              f"{message}"):
             load_schedule(path)
 
@@ -69,6 +81,11 @@ class TestMalformedRows:
         path = tmp_path / "sched.csv"
         path.write_text("")
         with pytest.raises(ValueError, match="expected header"):
+            load_schedule(path)
+
+    def test_header_only(self, tmp_path):
+        path = self.load_rows(tmp_path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: schedule has no excitations")):
             load_schedule(path)
 
     @pytest.mark.parametrize("short_or_long", ["1,0.5,0.0", "1,0.5,0.0,4.3,9"])
@@ -178,12 +195,14 @@ class TestPrepSidecar:
          "unknown preparation keys ['delay', 'inversion']"),
         ({"inversion_prep": "false"}, "inversion_prep must be a JSON boolean, got 'false'"),
         ({"inversion_prep": 0}, "inversion_prep must be a JSON boolean, got 0"),
-        ({"te_ms": None}, "te_ms must be a JSON number, got None"),
-        ({"inversion_delay_ms": "2.0"}, "inversion_delay_ms must be a JSON number, got '2.0'"),
-        ({"te_ms": True}, "te_ms must be a JSON number, got True"),
-        ([], "expected a JSON object, got list"),
+        ({"te_ms": None}, "te_ms must be a number, got None"),
+        ({"inversion_delay_ms": "2.0"}, "inversion_delay_ms must be a number, got '2.0'"),
+        ({"te_ms": True}, "te_ms must be a number, got True"),
+        ([], "preparation must be a JSON object, got list"),
+        # JSON reads this as an int, which float() cannot hold.
+        ({"te_ms": 10**400}, "te_ms is too large for a float"),
     ], ids=["misspelled", "several_unknown", "string_bool", "int_bool", "null_time",
-            "string_time", "bool_time", "not_object"])
+            "string_time", "bool_time", "not_object", "huge_time"])
     def test_malformed_sidecar_rejected(self, tmp_path, sidecar, message):
         path = self.saved(tmp_path, sidecar)
         with pytest.raises(ValueError, match=re.escape(
