@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .epg import TissueParams, order_caps, simulate_fingerprints
-from .files import json_object, naming, number, read_json
+from .files import json_object, naming, number, read_json, real_rows
 from .parallel import available_cpus, fan_out
 from .schedule import SequenceSchedule, schedule_digest
 
@@ -139,17 +139,7 @@ class Dictionary:
     grid: GridSpec
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", np.asarray(self.atoms, dtype=np.float32))
-        if self.atoms.ndim != 2:
-            raise ValueError("atoms must be a 2-D matrix")
-        # A float64 sum of float32 rows cannot overflow, so it is finite
-        # exactly when its row is, and needs no (M, N) temporary; a row
-        # holding both +inf and -inf sums to NaN.
-        with np.errstate(invalid="ignore"):
-            bad = np.flatnonzero(~np.isfinite(np.sum(self.atoms, axis=1,
-                                                     dtype=np.float64)))
-        if bad.size:
-            raise ValueError(f"NaN or inf atoms in rows {bad.tolist()}")
+        object.__setattr__(self, "atoms", real_rows("atoms", self.atoms, dtype=np.float32))
         n_pairs = len(expand_grid(self.grid))
         if self.atoms.shape[0] != n_pairs:
             raise ValueError(f"{self.atoms.shape[0]} atom rows, but the grid "
@@ -348,25 +338,20 @@ RANK = 32
 def _match_rows(dictionary: Dictionary,
                 queries: np.ndarray) -> list[tuple[TissueParams, float]]:
     """Best label and score of every row of a (Q, N) real query matrix."""
-    if np.iscomplexobj(queries):
-        raise ValueError("complex queries; match their magnitudes (np.abs) instead")
-    queries = np.ascontiguousarray(queries, dtype=np.float64)
+    queries = real_rows("queries", queries, dictionary.n_samples)
     norms = np.sqrt(np.einsum("ij,ij->i", queries, queries))
-    tiny = np.flatnonzero(norms < 2.0 ** -450)
-    if tiny.size:
-        # Squares this small lose bits or vanish in underflow, so these rows
-        # are scaled to a largest magnitude of 1 first.
+    # Squares this small lose bits or vanish in underflow, and the squared
+    # norm of a finite row can overflow, so these rows are scaled to a
+    # largest magnitude of 1 first.
+    rescale = np.flatnonzero((norms < 2.0 ** -450) | (norms == np.inf))
+    if rescale.size:
         queries = queries.copy()
-        queries[tiny] /= np.maximum(np.abs(queries[tiny]).max(axis=1), 2.0 ** -1074)[:, None]
-        norms[tiny] = np.linalg.norm(queries[tiny], axis=1)
+        queries[rescale] /= np.maximum(np.abs(queries[rescale]).max(axis=1),
+                                       2.0 ** -1074)[:, None]
+        norms[rescale] = np.linalg.norm(queries[rescale], axis=1)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
-        raise ValueError(f"all-zero queries at indices {bad.tolist()}")
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if bad.size:
-        raise ValueError(
-            f"queries holding NaN, inf or overflowing values at indices {bad.tolist()}"
-        )
+        raise ValueError(f"all-zero queries at rows {bad.tolist()}")
     v, w, tol, scale, margin = dictionary._subspace
     atoms = dictionary.atoms
     # [Vᵀq, ‖q − VVᵀq‖] per unit query q = x/‖x‖, the norm rounded up as
@@ -459,11 +444,6 @@ def match_batch(dictionary: Dictionary,
     Ranks 16 to 48 lie within 6% of each other, about the host's
     run-to-run spread, and 32 is in the middle of that range.
     """
-    queries = np.asarray(queries)
-    if queries.ndim != 2 or queries.shape[1] != dictionary.n_samples:
-        raise ValueError(
-            f"queries must be (Q, {dictionary.n_samples}), got {queries.shape}"
-        )
     return _match_rows(dictionary, queries)
 
 
@@ -490,11 +470,11 @@ def load_dictionary(name: str | Path) -> Dictionary:
     """Read ``<name>.dict`` and ``<name>.json`` as written by ``save_dictionary``.
 
     The atoms are the file's float32 values, read once into a writable array.
-    Rejects a bad header or size, atoms holding NaN or inf (naming the rows),
-    a manifest that is not a JSON object holding a valid grid and a string
-    ``schedule_digest``, a manifest grid too fine to expand, and a row count
-    other than the number of pairs of that grid, each with a ValueError
-    naming the file.
+    Rejects a bad header or size, atoms of no samples or holding NaN or inf
+    (naming the rows), a manifest that is not a JSON object holding a valid
+    grid and a string ``schedule_digest``, a manifest grid too fine to
+    expand, and a row count other than the number of pairs of that grid,
+    each with a ValueError naming the file.
     """
     dict_path, json_path = _paths(name)
     with open(dict_path, "rb") as fh, naming(dict_path):

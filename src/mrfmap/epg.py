@@ -91,6 +91,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .files import real_rows
 from .schedule import SequenceSchedule
 
 
@@ -120,15 +121,15 @@ EPSILON = 1e-16
 
 
 def _relaxation_times(tissues) -> np.ndarray:
-    """``tissues`` as a nonempty (B, 2) float64 array of (T1, T2) in ms; rows
-    not finite with 0 < T2 <= T1 are refused by index."""
-    tissues = np.asarray(tissues, dtype=np.float64)
-    if tissues.ndim != 2 or tissues.shape[1] != 2 or not tissues.shape[0]:
-        raise ValueError(f"tissues must be a nonempty (B, 2) array, got shape {tissues.shape}")
+    """``tissues`` as a nonempty (B, 2) float64 array of (T1, T2) in ms
+    (``files.real_rows``); rows without 0 < T2 <= T1 are refused by index."""
+    tissues = real_rows("tissues", tissues, 2)
+    if not len(tissues):
+        raise ValueError(f"tissues must be (B, 2) with B >= 1, got {tissues.shape}")
     t1, t2 = tissues.T
-    bad = np.flatnonzero(~((0.0 < t2) & (t2 <= t1) & (t1 < np.inf)))  # NaN fails too
+    bad = np.flatnonzero(~((0.0 < t2) & (t2 <= t1)))
     if bad.size:
-        raise ValueError(f"tissue rows {bad.tolist()} are not finite with "
+        raise ValueError(f"tissue rows {bad.tolist()} do not have "
                          f"0 < T2 <= T1: {tissues[bad].tolist()}")
     return tissues
 

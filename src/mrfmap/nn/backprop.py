@@ -32,22 +32,18 @@ from functools import partial
 
 import numpy as np
 
+from ..files import real_rows
 from ..parallel import available_cpus, fan_out
-from .models import OUTPUT_DIM, ModelSpec, _checked_signals, backward, forward_batch
-
-
-def _real(name: str, values) -> np.ndarray:
-    if np.iscomplexobj(values):  # a float64 cast would keep the real part only
-        raise ValueError(f"complex {name}; the (T1, T2) regression is real")
-    return np.asarray(values, dtype=np.float64)
+from .models import OUTPUT_DIM, ModelSpec, backward, forward_batch
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean squared error over every entry of a (B, 2) prediction batch."""
-    pred, target = _real("predictions", pred), _real("targets", target)
+    """Mean squared error over every entry of a (B, 2) prediction batch; a
+    NaN or inf row of either batch is refused by index."""
+    pred, target = real_rows("predictions", pred), real_rows("targets", target)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    if pred.ndim != 2 or pred.shape[0] < 1:
+    if not len(pred):
         raise ValueError(f"expected a nonempty (B, k) batch, got {pred.shape}")
     diff = pred - target
     return float(np.mean(diff * diff))
@@ -63,9 +59,9 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
     """MSE loss, its gradient for every parameter, and the (B, 2) predictions.
 
     NaN or inf signal rows, complex targets, targets of a shape other than
-    (B, 2) and NaN or inf target rows are rejected, naming whole-batch row
-    indices. A recurrent regressor's rows are split over processes as the
-    module docstring describes.
+    (B, 2) and NaN or inf target or prediction rows are rejected, naming
+    whole-batch row indices. A recurrent regressor's rows are split over
+    processes as the module docstring describes.
 
     Every slab pays the unroll's per-step Python cost, and a split pays
     10-20 ms to start the pool, so a small batch runs faster whole. Median
@@ -81,15 +77,12 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
     batch. The B=16 and B=32 columns split into slabs of 8 and 16 rows:
     those of 16 were faster in every row, those of 8 only at N=1750 (1).
     """
-    signals = _checked_signals(spec, signals)
-    targets = _real("targets", targets)
+    signals = real_rows("signals", signals, spec.input_len)
     n_rows = signals.shape[0]
-    if targets.shape != (n_rows, OUTPUT_DIM):
+    if np.shape(targets) != (n_rows, OUTPUT_DIM):
         raise ValueError(
-            f"targets must be ({n_rows}, {OUTPUT_DIM}), got {targets.shape}")
-    bad = np.flatnonzero(~np.isfinite(targets).all(axis=1))
-    if bad.size:
-        raise ValueError(f"targets holding NaN or inf at indices {bad.tolist()}")
+            f"targets must be ({n_rows}, {OUTPUT_DIM}), got {np.shape(targets)}")
+    targets = real_rows("targets", targets, OUTPUT_DIM)
     slabs = (max(1, min(available_cpus(), n_rows // MIN_SLAB_ROWS))
              if spec.kind == "rnn_regressor" else 1)
     edges = [n_rows * i // slabs for i in range(slabs + 1)]

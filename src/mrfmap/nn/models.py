@@ -53,7 +53,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ..files import json_object, number
+from ..files import json_object, number, real_rows
 from .cells import N_GATES, N_STATES, _glorot, init_cell, step, step_grad
 
 OUTPUT_DIM = 2
@@ -163,21 +163,6 @@ def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def _checked_signals(spec: ModelSpec, signals) -> np.ndarray:
-    """``signals`` as a float64 (B, input_len) array; complex input, and
-    NaN or inf rows (by index), are rejected."""
-    if np.iscomplexobj(signals):
-        raise ValueError("complex signals; pass their magnitudes (np.abs) instead")
-    signals = np.asarray(signals, dtype=np.float64)
-    if signals.ndim != 2 or signals.shape[1] != spec.input_len:
-        raise ValueError(
-            f"signals must be (B, {spec.input_len}), got {signals.shape}")
-    bad = np.flatnonzero(~np.isfinite(signals).all(axis=1))
-    if bad.size:
-        raise ValueError(f"signals holding NaN or inf at indices {bad.tolist()}")
-    return signals
-
-
 def forward_batch(spec: ModelSpec, params: dict[str, np.ndarray],
                   signals: np.ndarray, _cache: bool = True):
     """Forward pass on a (B, input_len) batch; returns (preds, cache).
@@ -187,7 +172,7 @@ def forward_batch(spec: ModelSpec, params: dict[str, np.ndarray],
     ``_cache=False``, with which every kind keeps no earlier layer or step
     and returns an empty cache.
     """
-    signals = _checked_signals(spec, signals)
+    signals = real_rows("signals", signals, spec.input_len)
     if spec.kind == "rnn_regressor":
         features, cache = _forward_rnn(spec, params, signals, _cache)
     elif spec.kind == "ann":

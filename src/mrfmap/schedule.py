@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .files import json_object, naming, number, read_json
+from .files import json_object, naming, number, read_json, real_rows
 
 SCHEDULE_CSV_HEADER = ["index", "flip_rad", "phase_rad", "tr_ms"]
 
@@ -40,23 +40,23 @@ class SequenceSchedule:
     inversion_delay_ms: float = 0.0
 
     def __post_init__(self):
-        flip, phase, tr = (np.require(values, np.float64, "C") for values in
-                           (self.flip_angles_rad, self.rf_phases_rad, self.tr_ms))
+        columns = (self.flip_angles_rad, self.rf_phases_rad, self.tr_ms)
+        flip, phase, tr = map(np.shape, columns)
+        if len(flip) != 1 or not flip == phase == tr:
+            raise ValueError(f"schedule arrays must be 1-D of one length, got shapes "
+                             f"flip={flip}, phase={phase}, tr={tr}")
+        # One (N, 3) table, so that a NaN or inf names its excitation.
+        # Comparisons with NaN are false, so non-finite values would pass the
+        # range checks below and turn every later simulated sample into NaN.
+        table = real_rows("schedule excitations", np.column_stack(columns), 3)
+        if not len(table):
+            raise ValueError("schedule must contain at least one excitation")
+        flip, phase, tr = map(np.ascontiguousarray, table.T)
         object.__setattr__(self, "flip_angles_rad", flip)
         object.__setattr__(self, "rf_phases_rad", phase)
         object.__setattr__(self, "tr_ms", tr)
-        if flip.ndim != 1 or not flip.shape == phase.shape == tr.shape:
-            raise ValueError(f"schedule arrays must be 1-D of one length, got shapes "
-                             f"flip={flip.shape}, phase={phase.shape}, tr={tr.shape}")
-        if flip.size < 1:
-            raise ValueError("schedule must contain at least one excitation")
-        # Comparisons with NaN are false, so non-finite values would pass the
-        # range checks below and turn every later simulated sample into NaN.
-        for name, values in (("flip angles", flip), ("RF phases", phase),
-                             ("repetition times", tr),
-                             ("te_ms", self.te_ms),
-                             ("inversion_delay_ms", self.inversion_delay_ms)):
-            if not np.all(np.isfinite(values)):
+        for name in ("te_ms", "inversion_delay_ms"):
+            if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if np.any(flip < 0.0) or np.any(flip > math.pi):
             raise ValueError("flip angles must lie in [0, pi] radians")

@@ -96,12 +96,12 @@ def test_nonfinite_rows_named_by_whole_batch_index(monkeypatch, pools, cpus):
     last = SPLIT_ROWS - 1
     signals[[1, last], 0] = (np.nan, np.inf)
     with pytest.raises(ValueError,
-                       match=rf"signals holding NaN or inf at indices \[1, {last}\]"):
+                       match=rf"signals holding NaN or inf at rows \[1, {last}\]"):
         loss_and_grads(spec, params, signals, targets)
     signals[[1, last], 0] = 0.0
     targets[[2, last], 1] = (-np.inf, np.nan)
     with pytest.raises(ValueError,
-                       match=rf"targets holding NaN or inf at indices \[2, {last}\]"):
+                       match=rf"targets holding NaN or inf at rows \[2, {last}\]"):
         loss_and_grads(spec, params, signals, targets)
     assert pools == []
 

@@ -492,16 +492,23 @@ class TestMatchBatch:
         d, _ = toy_dictionary
         for queries in (d.atoms[0], d.atoms[:2, :-1]):
             with pytest.raises(ValueError, match=re.escape(
-                    f"queries must be (Q, {d.n_samples}), got {queries.shape}")):
+                    f"queries must be (B, {d.n_samples}), got {queries.shape}")):
                 match_batch(d, queries)
 
-    def test_overflowing_rows_reported_per_query(self, toy_dictionary):
-        # Finite rows whose squared norm overflows are refused like inf rows.
+    def test_huge_and_tiny_rows_match_like_the_unscaled_row(self, toy_dictionary):
+        # A finite row whose squared norm overflows or underflows is scaled
+        # to a largest magnitude of 1 first, so matching stays invariant to
+        # positive rescaling at both ends of the float64 range.
         d, _ = toy_dictionary
-        queries = d.atoms[:5].astype(np.float64)
-        queries[2] *= 1e200
-        with pytest.raises(ValueError, match=r"overflowing values at indices \[2\]"):
-            match_batch(d, queries)
+        queries = d.atoms[[2, 2, 2, 7]].astype(np.float64)
+        queries[1] *= 1e200
+        queries[2] *= 1e-300
+        (label, score), *scaled, other = match_batch(d, queries)
+        assert other[0] == d.labels[7]
+        for got_label, got_score in scaled:
+            assert got_label == label == d.labels[2]
+            assert abs(got_score - score) <= 1e-12
+        assert match(d, queries[1]) == scaled[0] and match(d, queries[2]) == scaled[1]
 
 
 class TestCertifiedMatch:
@@ -786,8 +793,29 @@ class TestSerialization:
 
     def test_constructor_rejects_atoms_that_are_not_2d(self, toy_dictionary):
         d, _ = toy_dictionary
-        with pytest.raises(ValueError, match="atoms must be a 2-D matrix"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"atoms must be (B, N) with N >= 1, got ({d.atoms.size},)")):
             Dictionary(d.atoms.ravel(), d.schedule_digest, d.grid)
+
+    def test_constructor_rejects_complex_atoms(self, toy_dictionary):
+        # A float32 cast would keep the real part of each atom.
+        d, _ = toy_dictionary
+        with pytest.raises(ValueError, match="complex atoms"):
+            Dictionary(d.atoms * np.exp(0.5j), d.schedule_digest, d.grid)
+
+    def test_atoms_of_no_samples_rejected(self, toy_dictionary, tmp_path):
+        # Both used to be accepted, and the first match then failed inside
+        # NumPy on a zero-size reduction.
+        d, _ = toy_dictionary
+        refusal = f"atoms must be (B, N) with N >= 1, got ({d.n_atoms}, 0)"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            Dictionary(np.zeros((d.n_atoms, 0)), d.schedule_digest, d.grid)
+        dict_path, _ = save_dictionary(d, tmp_path / "dict_z")
+        blob = bytearray(dict_path.read_bytes()[:24])
+        blob[16:24] = (0).to_bytes(8, "little")  # N = 0: the header alone is the file
+        dict_path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=re.escape(f"{dict_path}: {refusal}")):
+            load_dictionary(tmp_path / "dict_z")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructor_rejects_nonfinite_atoms_with_rows(self, toy_dictionary, bad):
@@ -795,7 +823,7 @@ class TestSerialization:
         atoms = d.atoms.copy()
         atoms[4, 3] = bad
         atoms[20, 0] = bad
-        with pytest.raises(ValueError, match=re.escape("NaN or inf atoms in rows [4, 20]")):
+        with pytest.raises(ValueError, match=re.escape("atoms holding NaN or inf at rows [4, 20]")):
             Dictionary(atoms, d.schedule_digest, d.grid)
 
     @pytest.mark.parametrize("key", ["grid", "schedule_digest"])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_schedule
+from mrfmap.dictionary import build_plan
 from mrfmap.epg import (
     EPSILON,
     TissueParams,
@@ -122,7 +123,8 @@ class TestTissueParams:
         sched = default_schedule(10)
         tissues = np.array([[1000.0, 100.0], [800.0, 80.0], [1200.0, 50.0]])
         tissues[1, column] = value
-        named = re.escape(f"rows [1] are not finite with 0 < T2 <= T1: {tissues[[1]].tolist()}")
+        named = re.escape("tissues holding NaN or inf at rows [1]" if not np.isfinite(value)
+                          else f"rows [1] do not have 0 < T2 <= T1: {tissues[[1]].tolist()}")
         with pytest.raises(ValueError, match=named):
             simulate_fingerprints(tissues, sched)
         with pytest.raises(ValueError, match=named):
@@ -132,10 +134,20 @@ class TestTissueParams:
         for good in (0, 2):
             isochromat_oracle(TissueParams(*tissues[good]), sched, n_spins=11)
 
-    @pytest.mark.parametrize("tissues", [[], [[1000.0, 100.0, 1.0]], [1000.0, 100.0]],
-                             ids=["empty", "three_columns", "one_dimensional"])
+    def test_complex_rows_refused(self):
+        # A float64 cast would keep the real part: this simulated T1 = 1000.
+        sched = default_schedule(10)
+        for call in (simulate_fingerprints, order_caps, build_plan):
+            with pytest.raises(ValueError, match="complex tissues"):
+                call(np.array([[1000.0 + 5j, 50.0]]), sched)
+        with pytest.raises(ValueError, match="complex tissues"):
+            isochromat_oracle(TissueParams(1000.0 + 5j, 50.0), sched, n_spins=11)
+
+    @pytest.mark.parametrize("tissues", [[], [[1000.0, 100.0, 1.0]], [1000.0, 100.0],
+                                         np.empty((0, 2))],
+                             ids=["empty", "three_columns", "one_dimensional", "no_rows"])
     def test_batch_shape_rejected(self, tissues):
-        with pytest.raises(ValueError, match=re.escape("nonempty (B, 2) array")):
+        with pytest.raises(ValueError, match=re.escape("tissues must be (B, 2)")):
             simulate_fingerprints(tissues, default_schedule(10))
 
 
@@ -181,9 +193,9 @@ class TestRfRotation:
     def test_rejects_nonfinite(self):
         # A pulse reaches the simulator only through a schedule, which
         # refuses non-finite values; finite extremes give finite samples.
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape("NaN or inf at rows [1]")):
             pulses([30.0, np.nan])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape("NaN or inf at rows [1]")):
             pulses([30.0, 40.0], [0.0, np.inf])
         sched = pulses([180.0, 0.0, 90.0, 1e-300], [1e6, -1e6, 0.0, np.pi],
                        tr_ms=[1e-6, 1e4, 1e-6, 1e4], inversion_prep=True,

@@ -106,6 +106,14 @@ class TestMseLoss:
         with pytest.raises(ValueError):
             mse_loss(np.zeros((2, 2)), np.zeros((3, 2)))
 
+    def test_nonfinite_rows_refused(self):
+        # Such a row used to give a NaN or inf loss.
+        pred = np.zeros((4, 2))
+        pred[1, 0], pred[3, 1] = np.nan, -np.inf
+        with pytest.raises(ValueError, match=re.escape(
+                "predictions holding NaN or inf at rows [1, 3]")):
+            mse_loss(pred, np.zeros((4, 2)))
+
     def test_empty_batch(self):
         with pytest.raises(ValueError, match=re.escape(
                 "expected a nonempty (B, k) batch, got (0, 2)")):
@@ -407,12 +415,12 @@ class TestNonFiniteInput:
         signals[4, 11] = -np.inf
         for call in (forward_batch, predict_batch):
             with pytest.raises(ValueError,
-                               match=r"NaN or inf at indices \[1, 3, 4\]"):
+                               match=r"signals holding NaN or inf at rows \[1, 3, 4\]"):
                 call(spec, params, signals)
-        with pytest.raises(ValueError, match=r"indices \[1, 3, 4\]"):
+        with pytest.raises(ValueError, match=r"rows \[1, 3, 4\]"):
             loss_and_grads(spec, params, signals, np.zeros((5, 2)))
         for row in (1, 3, 4):
-            with pytest.raises(ValueError, match=r"NaN or inf at indices \[0\]"):
+            with pytest.raises(ValueError, match=r"signals holding NaN or inf at rows \[0\]"):
                 predict_single(spec, params, signals[row])
         assert np.all(np.isfinite(predict_batch(spec, params, signals[[0, 2]])))
 

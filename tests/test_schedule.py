@@ -41,7 +41,16 @@ class TestNonFiniteRejected:
         kwargs = schedule_kwargs()
         kwargs[field] = kwargs[field].copy()
         kwargs[field][2] = bad
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                "schedule excitations holding NaN or inf at rows [2]")):
+            SequenceSchedule(**kwargs)
+
+    @pytest.mark.parametrize("field", ["flip_angles_rad", "rf_phases_rad", "tr_ms"])
+    def test_complex_array_fields(self, field):
+        # A float64 cast would keep the real part: a 0.1+0.2j flip became 0.1.
+        kwargs = schedule_kwargs()
+        kwargs[field] = kwargs[field] + 0.2j
+        with pytest.raises(ValueError, match="complex schedule excitations"):
             SequenceSchedule(**kwargs)
 
     @pytest.mark.parametrize("field", ["te_ms", "inversion_delay_ms"])
@@ -60,7 +69,8 @@ class TestNonFiniteRejected:
         fields[3] = "nan"
         lines[2] = ",".join(fields)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="repetition times must be finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: schedule excitations holding NaN or inf at rows [1]")):
             load_schedule(path)
 
 
@@ -143,7 +153,7 @@ ROWS = b"0,0.5,0.0,4.3\n1,0.5,0.0,4.3\n"
 @pytest.mark.parametrize("csv_bytes, sidecar, at_fault, message", [
     (HEADER + b"0,0.5,0.0,4.3\xff\n", None, "csv", "'utf-8' codec can't decode"),
     (HEADER + b"0,0.5,0.0,4.3\n1,nan,0.0,4.3\n", None, "csv",
-     "flip angles must be finite"),
+     "schedule excitations holding NaN or inf at rows [1]"),
     (HEADER + b"0,4.0,0.0,4.3\n", None, "csv", "flip angles must lie in [0, pi] radians"),
     (HEADER + b"0,0.5,0.0,-1\n", None, "csv", "repetition times must be positive"),
     (HEADER + ROWS, b"{te_ms: 1.0}", "sidecar", "Expecting property name"),
