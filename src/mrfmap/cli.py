@@ -53,7 +53,6 @@ def _build(args) -> dict:
     if args.grid is not None:
         with naming(args.grid):
             grid = GridSpec.from_json_dict(read_json(args.grid))
-            expand_grid(grid)  # a grid of no pair, or too many, is the file's fault too
     start = time.perf_counter()
     built = build_dictionary(grid, schedule)
     seconds = time.perf_counter() - start

@@ -59,7 +59,8 @@ PAPER_T2_SEGMENTS = [(0.0, 100.0, 1.0), (100.0, 500.0, 2.0)]
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Piecewise-linear T1/T2 grids as (start_ms, stop_ms, step_ms) segments."""
+    """Piecewise-linear T1/T2 grids as (start_ms, stop_ms, step_ms) segments;
+    a grid that ``expand_grid`` would refuse cannot be made."""
 
     t1_segments: tuple
     t2_segments: tuple
@@ -81,6 +82,7 @@ class GridSpec:
             start, stop, step = seg
             if step <= 0 or stop < start:
                 raise ValueError(f"invalid segment {seg}")
+        expand_grid(self)
 
     @classmethod
     def paper_grid(cls) -> "GridSpec":
@@ -132,13 +134,19 @@ def expand_grid(spec: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """What a ``.dict`` and its manifest hold; ``atoms`` of another dtype are rounded to float32."""
+    """What a ``.dict`` and its manifest hold; ``atoms`` of another dtype are rounded to float32.
+
+    Construction refuses atoms that are not finite real (M, N) rows, M the
+    grid's number of pairs, and a ``schedule_digest`` that is not a string.
+    """
 
     atoms: np.ndarray  # (M, N) float32
     schedule_digest: str
     grid: GridSpec
 
     def __post_init__(self):
+        if not isinstance(self.schedule_digest, str):
+            raise ValueError(f"schedule_digest must be a string, got {self.schedule_digest!r}")
         object.__setattr__(self, "atoms", real_rows("atoms", self.atoms, dtype=np.float32))
         n_pairs = len(expand_grid(self.grid))
         if self.atoms.shape[0] != n_pairs:
@@ -363,8 +371,9 @@ def _match_rows(dictionary: Dictionary,
     best = np.empty(queries.shape[0], dtype=np.intp)
     scores = np.empty(queries.shape[0])
     # Query blocks whose (rows, M) float32 bounds, about 0.5 MB, stay in
-    # the L2 cache.
+    # the L2 cache, and atom tiles whose float64 copy is about 1 MB.
     block = max(1, 131_072 // dictionary.n_atoms)
+    tile = max(1, 131_072 // dictionary.n_samples)
     for lo in range(0, queries.shape[0], block):
         x, norm = queries[lo:lo + block], norms[lo:lo + block]
         bounds = zt[lo:lo + block] @ w
@@ -377,18 +386,22 @@ def _match_rows(dictionary: Dictionary,
         floor = (score / scale - margin).astype(np.float32)
         bounds[np.arange(first.size), first] = -np.inf
         open_rows = np.flatnonzero(bounds.max(axis=1) >= floor)
-        if open_rows.size:
-            # Score each open row exactly against every atom open in any
-            # row, in ascending order. An atom that is not open in a row
-            # scores less than that row's first atom, so it cannot win there.
-            cols = np.flatnonzero((bounds >= floor[:, None]).any(axis=0))
-            exact = (np.einsum("ij,kj->ik", x[open_rows], atoms[cols].astype(np.float64))
-                     / norm[open_rows, None])
+        # Score each open row exactly against every atom open in any open
+        # row, one tile at a time in ascending order, so that ties still go
+        # to the lowest row and memory does not grow with the open share.
+        # An atom that is not open in a row scores less than that row's
+        # first atom, so it cannot win there.
+        x_open, norm_open = x[open_rows], norm[open_rows, None]
+        cols = np.flatnonzero((bounds[open_rows] >= floor[open_rows, None]).any(axis=0))
+        for at in range(0, cols.size, tile):
+            tile_cols = cols[at:at + tile]
+            exact = (np.einsum("ij,kj->ik", x_open, atoms[tile_cols].astype(np.float64))
+                     / norm_open)
             pick = np.argmax(exact, axis=1)  # the lowest index of the best
             top = exact[np.arange(open_rows.size), pick]
             beats = ((top > score[open_rows])
-                     | ((top == score[open_rows]) & (cols[pick] < first[open_rows])))
-            first[open_rows[beats]] = cols[pick[beats]]
+                     | ((top == score[open_rows]) & (tile_cols[pick] < first[open_rows])))
+            first[open_rows[beats]] = tile_cols[pick[beats]]
             score[open_rows[beats]] = top[beats]
         best[lo:lo + block] = first
         scores[lo:lo + block] = score

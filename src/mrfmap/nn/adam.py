@@ -16,9 +16,12 @@ peaks before it settles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ..files import number
 
 DEFAULT_LR = 1e-4
 BETA1 = 0.9
@@ -47,9 +50,12 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
     """One Adam step; parameters are updated in place and returned.
 
     ``grads`` must hold exactly the keys of ``params``, each with its
-    parameter's shape; otherwise ValueError is raised before anything
-    changes.
+    parameter's shape, and the learning rate must be a finite positive
+    number; otherwise ValueError is raised before anything changes.
     """
+    lr = number("learning_rate", state.learning_rate)
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning_rate must be finite and positive, got {lr}")
     missing = [key for key in params if key not in grads]
     extra = [key for key in grads if key not in params]
     if missing or extra:
@@ -71,5 +77,5 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * g * g
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
     return params

@@ -6,21 +6,22 @@ array of ``param_layout(spec)``, in its order and shapes, flattened to
 little-endian float32; the ``param_order`` and ``param_shapes`` that older
 headers also hold are ignored. Loading restores float64 parameters whose
 values are exactly the stored f32 ones, so save -> load -> save is
-byte-identical. Saving refuses parameters off that layout and a header JSON
-cannot hold; saving and loading refuse NaN or inf parameters, label scaling
-that is not a finite positive number, a ``seed`` that is not an integer and
-``metadata`` that is not an object. Loading also rejects a header that
-lacks a key, holds an unknown spec key or a spec value ``ModelSpec``
-refuses, or a ``spec`` or ``label_scaling`` that is not a JSON object, and a
-blob whose size disagrees with the layout; each with a ValueError that
-names the file.
+byte-identical. On construction a ``ModelCheckpoint`` refuses label
+scaling that is not a finite positive number, a ``seed`` that is not an
+integer and ``metadata`` that is not an object. In the file (arrays and
+metadata can change after construction), saving refuses parameters off the
+layout and a header JSON cannot hold; both refuse NaN or inf parameters.
+Loading also rejects a header that lacks a key, holds an unknown spec key or
+a spec value ``ModelSpec`` refuses, a ``spec`` or ``label_scaling`` that is
+not a JSON object, and a blob whose size disagrees with the layout; each
+with a ValueError that names the file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from .models import ModelSpec, param_layout
 DELIMITER = b"---PARAMS---\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelCheckpoint:
     spec: ModelSpec
     params: dict[str, np.ndarray]
@@ -40,6 +41,16 @@ class ModelCheckpoint:
     seed: int
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        scaling = {key: number(key, getattr(self, key)) for key in ("t1_max", "t2_max")}
+        bad = {key: value for key, value in scaling.items()
+               if not (math.isfinite(value) and value > 0)}
+        if bad:
+            raise ValueError(f"label scaling must be finite and positive, got {bad}")
+        for key, value in {**scaling, "seed": number("seed", self.seed, integral=True)}.items():
+            object.__setattr__(self, key, value)
+        json_object("metadata", self.metadata)
+
 
 def _reject_nonfinite(params: dict[str, np.ndarray]) -> None:
     bad = [name for name, arr in params.items() if not np.all(np.isfinite(arr))]
@@ -47,24 +58,10 @@ def _reject_nonfinite(params: dict[str, np.ndarray]) -> None:
         raise ValueError(f"NaN or inf values in parameters {bad}")
 
 
-def _checked(ckpt: ModelCheckpoint) -> ModelCheckpoint:
-    """``ckpt`` holding Python numbers; ValueError unless both label scalings
-    are finite positive numbers, ``seed`` is an integer and ``metadata`` an
-    object."""
-    scaling = {key: number(key, getattr(ckpt, key)) for key in ("t1_max", "t2_max")}
-    bad = {key: value for key, value in scaling.items()
-           if not (math.isfinite(value) and value > 0)}
-    if bad:
-        raise ValueError(f"label scaling must be finite and positive, got {bad}")
-    return replace(ckpt, **scaling, seed=number("seed", ckpt.seed, integral=True),
-                   metadata=json_object("metadata", ckpt.metadata))
-
-
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
     """Write ``ckpt`` to ``path``; a refused checkpoint leaves the file as it was."""
     path = Path(path)
     with naming(path):
-        ckpt = _checked(ckpt)
         layout = param_layout(ckpt.spec)
         given = {name: np.shape(arr) for name, arr in ckpt.params.items()}
         wrong = {name: (given.get(name), layout.get(name))
@@ -106,22 +103,17 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
             header = json.loads(raw[:cut].decode("utf-8"))
         except ValueError as err:  # also UnicodeDecodeError
             raise ValueError(f"header is not JSON: {err}") from None
-        blob = raw[cut + len(DELIMITER):]
         header = json_object("header", header, ("spec", "label_scaling", "seed"))
         scaling = json_object("label_scaling", header["label_scaling"], ("t1_max", "t2_max"))
         spec = ModelSpec.from_json_dict(header["spec"])
         layout = param_layout(spec)
-        expected = sum(4 * math.prod(shape) for shape in layout.values())
-        if expected != len(blob):
-            raise ValueError(
-                f"parameter blob has {len(blob)} bytes, expected {expected}")
-        params: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in layout.items():
-            count = math.prod(shape)
-            arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-            params[name] = arr.astype(np.float64).reshape(shape)
-            offset += 4 * count
+        sizes = [math.prod(shape) for shape in layout.values()]
+        blob = memoryview(raw)[cut + len(DELIMITER):]
+        if 4 * sum(sizes) != len(blob):
+            raise ValueError(f"parameter blob has {len(blob)} bytes, expected {4 * sum(sizes)}")
+        flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+        params = {name: part.reshape(shape) for (name, shape), part
+                  in zip(layout.items(), np.split(flat, np.cumsum(sizes)[:-1]))}
         _reject_nonfinite(params)
-        return _checked(ModelCheckpoint(spec, params, scaling["t1_max"], scaling["t2_max"],
-                                        header["seed"], header.get("metadata", {})))
+        return ModelCheckpoint(spec, params, scaling["t1_max"], scaling["t2_max"],
+                               header["seed"], header.get("metadata", {}))

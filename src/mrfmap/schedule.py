@@ -5,7 +5,8 @@ repetition times, plus the preparation settings (inversion pulse, inversion
 delay, echo time). Schedules are persisted as a CSV file, angles in radians,
 with an optional JSON sidecar holding the preparation settings; the SHA-256
 digest of the canonical serialization identifies a schedule in
-dictionary/dataset manifests.
+dictionary/dataset manifests. ``SequenceSchedule`` owns every rule of a
+schedule; ``load_schedule`` only parses and names the file at fault.
 """
 
 from __future__ import annotations
@@ -30,7 +31,12 @@ DEFAULT_TR_MS = 4.3
 
 @dataclass(frozen=True)
 class SequenceSchedule:
-    """Per-excitation RF/timing parameters driving the simulator."""
+    """Per-excitation RF/timing parameters driving the simulator.
+
+    ``te_ms`` and ``inversion_delay_ms`` must be finite nonnegative numbers,
+    not bools, with TE below the shortest TR, and are stored as floats;
+    ``inversion_prep`` must be a bool. Any other value is a ValueError.
+    """
 
     flip_angles_rad: np.ndarray
     rf_phases_rad: np.ndarray
@@ -50,37 +56,36 @@ class SequenceSchedule:
         # range checks below and turn every later simulated sample into NaN.
         table = real_rows("schedule excitations", np.column_stack(columns), 3)
         if not len(table):
-            raise ValueError("schedule must contain at least one excitation")
+            raise ValueError("schedule has no excitations")
         flip, phase, tr = map(np.ascontiguousarray, table.T)
         object.__setattr__(self, "flip_angles_rad", flip)
         object.__setattr__(self, "rf_phases_rad", phase)
         object.__setattr__(self, "tr_ms", tr)
         for name in ("te_ms", "inversion_delay_ms"):
-            if not np.isfinite(getattr(self, name)):
+            value = number(name, getattr(self, name))
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            if value < 0.0:
+                raise ValueError(f"{name} must be nonnegative")
+            object.__setattr__(self, name, value)
+        if not isinstance(self.inversion_prep, bool):
+            raise ValueError(f"inversion_prep must be a bool, got {self.inversion_prep!r}")
         if np.any(flip < 0.0) or np.any(flip > math.pi):
             raise ValueError("flip angles must lie in [0, pi] radians")
         if np.any(tr <= 0.0):
             raise ValueError("repetition times must be positive")
-        if self.te_ms < 0.0:
-            raise ValueError("te_ms must be nonnegative")
         if self.te_ms >= float(tr.min()):
             raise ValueError(
                 f"te_ms={self.te_ms} must be below the shortest TR ({tr.min()})"
             )
-        if self.inversion_delay_ms < 0.0:
-            raise ValueError("inversion_delay_ms must be nonnegative")
 
     @property
     def n_excitations(self) -> int:
         return self.flip_angles_rad.size
 
     def prep_settings(self) -> dict:
-        return {
-            "inversion_prep": bool(self.inversion_prep),
-            "inversion_delay_ms": float(self.inversion_delay_ms),
-            "te_ms": float(self.te_ms),
-        }
+        return {"inversion_prep": self.inversion_prep,
+                "inversion_delay_ms": self.inversion_delay_ms, "te_ms": self.te_ms}
 
 
 def default_schedule(n_excitations: int = DEFAULT_N_EXCITATIONS) -> SequenceSchedule:
@@ -141,10 +146,10 @@ def save_schedule(schedule: SequenceSchedule, csv_path: str | Path) -> None:
 def load_schedule(csv_path: str | Path) -> SequenceSchedule:
     """Load a schedule CSV; preparation settings come from the sidecar if present.
 
-    A row must hold its index (0, 1, 2, ... in order) and three numbers. A
-    setting the sidecar omits keeps its ``SequenceSchedule`` default; an
-    unknown key, an ``inversion_prep`` other than a JSON boolean and a time
-    other than a JSON number are refused. Every ValueError starts with the
+    A row must hold its index (0, 1, 2, ... in order) and three numbers. The
+    sidecar is a JSON object of ``prep_settings`` keys; a setting it omits
+    keeps its ``SequenceSchedule`` default, and an unknown key is refused.
+    Every other rule is the constructor's. Every ValueError starts with the
     path of the file at fault: the CSV for its text and the values it holds,
     the sidecar for its text and its settings (a TE not below the CSV's
     shortest TR included).
@@ -166,19 +171,11 @@ def load_schedule(csv_path: str | Path) -> SequenceSchedule:
                 raise ValueError(f"line {reader.line_num}: expected index {len(values)} "
                                  f"and 3 values, got {row}")
             values.append(fields)
-        if not values:
-            raise ValueError("schedule has no excitations")
-        schedule = SequenceSchedule(*np.array(values).T)
+        schedule = SequenceSchedule(*np.reshape(values, (-1, 3)).T)
 
     sidecar = csv_path.with_suffix(".prep.json")
     if not sidecar.exists():
         return schedule
     with naming(sidecar):
-        prep = json_object("preparation", read_json(sidecar),
-                           allowed=("inversion_prep", "inversion_delay_ms", "te_ms"))
-        prep = {key: value if key == "inversion_prep" else number(key, value)
-                for key, value in prep.items()}
-        if type(prep.get("inversion_prep", True)) is not bool:
-            raise ValueError(f"inversion_prep must be a JSON boolean, "
-                             f"got {prep['inversion_prep']!r}")
-        return replace(schedule, **prep)
+        return replace(schedule, **json_object("preparation", read_json(sidecar),
+                                               allowed=schedule.prep_settings()))

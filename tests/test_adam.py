@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,25 @@ def test_shape_mismatch_changes_nothing():
     state = AdamState.for_params(params)
     with pytest.raises(ValueError, match=r"for 'b'"):
         adam_update(state, params, {"w": np.ones(3), "b": np.ones(2)})
+    assert state.step == 0
+    np.testing.assert_array_equal(params["w"], np.ones(3))
+    np.testing.assert_array_equal(state.m["w"], np.zeros(3))
+
+
+@pytest.mark.parametrize("lr, message", [
+    (float("nan"), "learning_rate must be finite and positive, got nan"),
+    (float("inf"), "learning_rate must be finite and positive, got inf"),
+    (0.0, "learning_rate must be finite and positive, got 0.0"),
+    (-1e-4, "learning_rate must be finite and positive, got -0.0001"),
+    ("1e-4", "learning_rate must be a number, got '1e-4'"),
+    (True, "learning_rate must be a number, got True"),
+])
+def test_learning_rate_not_finite_positive_changes_nothing(lr, message):
+    # A NaN rate used to turn every parameter NaN with no error.
+    params = {"w": np.ones(3)}
+    state = AdamState.for_params(params, learning_rate=lr)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        adam_update(state, params, {"w": np.ones(3)})
     assert state.step == 0
     np.testing.assert_array_equal(params["w"], np.ones(3))
     np.testing.assert_array_equal(state.m["w"], np.zeros(3))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tempfile
@@ -257,11 +258,11 @@ def test_label_scaling_not_finite_positive_rejected(tmp_path, key, value):
 @pytest.mark.parametrize("key", ["t1_max", "t2_max"])
 @pytest.mark.parametrize("value", BAD_SCALING)
 def test_save_refuses_scaling_not_finite_positive(tmp_path, key, value):
-    ckpt = gru_checkpoint()
-    setattr(ckpt, key, value)
-    path = tmp_path / "m.ckpt"
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {scaling_error(key, value)}")):
-        save_checkpoint(ckpt, path)
+    # Such a checkpoint cannot be made, so no save starts.
+    with pytest.raises(ValueError) as err:
+        save_checkpoint(dataclasses.replace(gru_checkpoint(), **{key: value}),
+                        tmp_path / "m.ckpt")
+    assert str(err.value).startswith(scaling_error(key, value))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -300,8 +301,7 @@ def test_numpy_numbers_save_as_python_numbers(tmp_path, name):
 def test_failed_save_leaves_the_file_as_it_was(tmp_path):
     path = saved_gru(tmp_path)
     before = path.read_bytes()
-    ckpt = gru_checkpoint()
-    ckpt.metadata = {"loss": np.float32(0.5)}
+    ckpt = dataclasses.replace(gru_checkpoint(), metadata={"loss": np.float32(0.5)})
     with pytest.raises(ValueError, match=re.escape(
             f"{path}: header is not JSON: Object of type float32")):
         save_checkpoint(ckpt, path)
@@ -322,12 +322,33 @@ def test_seed_that_is_no_integer_rejected(tmp_path, value):
     ("seed", 1.7, "seed must be an integer, got 1.7"),
     ("metadata", [1], "metadata must be a JSON object, got list")])
 def test_save_refuses_a_header_load_would_reject(tmp_path, field, value, message):
-    ckpt = gru_checkpoint()
-    setattr(ckpt, field, value)
-    path = tmp_path / "m.ckpt"
-    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
-        save_checkpoint(ckpt, path)
+    # Such a checkpoint cannot be made, so no save starts.
+    with pytest.raises(ValueError) as err:
+        save_checkpoint(dataclasses.replace(gru_checkpoint(), **{field: value}),
+                        tmp_path / "m.ckpt")
+    assert str(err.value).startswith(message)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", 1.7, "seed must be an integer, got 1.7"),
+    ("metadata", [1], "metadata must be a JSON object, got list"),
+    ("t1_max", float("nan"), "label scaling must be finite and positive, got {'t1_max': nan}"),
+])
+def test_constructor_refuses_what_load_refuses(field, value, message):
+    # Each used to be made, and only a save or a load refused it.
+    fields = {"spec": SPECS["gru"], "params": init_params(SPECS["gru"], seed=1),
+              "t1_max": 4000.0, "t2_max": 500.0, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModelCheckpoint(**fields)
+
+
+def test_checkpoint_fields_cannot_be_reassigned():
+    # What the constructor checked stays checked, so a save need not check
+    # it again.
+    ckpt = gru_checkpoint()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ckpt.seed = 1.7
 
 
 ALL_SPECS = {

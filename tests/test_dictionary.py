@@ -173,10 +173,20 @@ class TestExpandGrid:
         assert from_labels.tobytes() == from_array.tobytes() == from_grid.tobytes()
 
     def test_empty_after_filter_is_error(self):
-        spec = GridSpec(t1_segments=((0.0, 0.0, 1.0),),
-                        t2_segments=((10.0, 20.0, 10.0),))
-        with pytest.raises(ValueError):
-            expand_grid(spec)
+        with pytest.raises(ValueError, match="no valid"):
+            GridSpec(t1_segments=((0.0, 0.0, 1.0),), t2_segments=((10.0, 20.0, 10.0),))
+
+    @pytest.mark.parametrize("t1_segments, t2_segments, message", [
+        (((10.0, 10.0, 1.0),), ((100.0, 100.0, 1.0),),
+         "grid expansion produced no valid (T1, T2) pairs"),
+        # NumPy refuses the 28.4 PiB of T1 values before allocating any.
+        (((1.0, 4000.0, 1e-12),), ((5.0, 500.0, 5.0),),
+         "grid too fine to expand: Unable to allocate"),
+    ], ids=["no_pairs", "too_fine"])
+    def test_constructor_refuses_what_load_refuses(self, t1_segments, t2_segments, message):
+        # Both used to be made, and only expand_grid refused them.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            GridSpec(t1_segments, t2_segments)
 
     def test_invalid_segment_rejected(self):
         with pytest.raises(ValueError):
@@ -612,6 +622,33 @@ class TestCertifiedMatch:
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.atoms = d.atoms[::-1].copy()
 
+    def test_exact_stage_memory_is_bounded_on_noisy_queries(self):
+        # At low SNR the bounds rule out few atoms; near a subspace of twice
+        # RANK dimensions they rule out none. The exact stage used to widen
+        # every open atom to float64 at once, 8 MiB of these 1024 atoms of
+        # 1024 samples, and peaked at 12.8 MiB; it now widens tiles of
+        # about 1 MiB.
+        d = random_dictionary(1024, 1024, seed=7, rank=2 * dictionary.RANK)
+        rng = np.random.default_rng(8)
+        atoms = d.atoms[rng.integers(0, d.n_atoms, size=64)].astype(np.float64)
+        # Circular Gaussian noise at a per-sample SNR of 1.2.
+        sigma = np.linalg.norm(atoms, axis=1, keepdims=True) / np.sqrt(2 * d.n_samples) / 1.2
+        queries = np.abs(atoms + sigma * (rng.standard_normal(atoms.shape)
+                                          + 1j * rng.standard_normal(atoms.shape)))
+        d._subspace  # derived once per dictionary, before the traced call
+        tracemalloc.start()
+        try:
+            result = match_batch(d, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
+        dense = (d.atoms.astype(np.float64)
+                 @ (queries / np.linalg.norm(queries, axis=1, keepdims=True)).T)
+        assert [label for label, _ in result] == [d.labels[i] for i in dense.argmax(axis=0)]
+        np.testing.assert_allclose([score for _, score in result], dense.max(axis=0),
+                                   rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("scale", [1e-150, 1e-162, 1e-200, 1e-300])
     def test_tiny_queries_match_like_unit_ones(self, map_dictionary, scale):
         # Squares of these rows underflow, partly or wholly.
@@ -781,15 +818,23 @@ class TestSerialization:
         manifest["grid"]["t1_segments"] = [[1.0, 4000.0, 1e-12]]
         json_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=re.escape(
-                f"{dict_path}: grid too fine to expand: Unable to allocate")) as err:
+                f"{json_path}: grid too fine to expand: Unable to allocate")):
             load_dictionary(tmp_path / "dict_m")
-        assert str(err.value).endswith(f"(grid of {json_path})")
 
     def test_constructor_rejects_rows_disagreeing_with_grid(self, toy_dictionary):
         d, _ = toy_dictionary
         with pytest.raises(ValueError, match=re.escape(
                 "23 atom rows, but the grid expands to 24 (T1, T2) pairs")):
             Dictionary(d.atoms[:-1], d.schedule_digest, d.grid)
+
+    @pytest.mark.parametrize("digest", [5, None, b"ab"])
+    def test_constructor_rejects_a_digest_that_is_no_string(self, toy_dictionary, digest):
+        # A digest of 5 used to be made and saved, and only its manifest's
+        # load refused it.
+        d, _ = toy_dictionary
+        with pytest.raises(ValueError, match=re.escape(
+                f"schedule_digest must be a string, got {digest!r}")):
+            Dictionary(d.atoms, digest, d.grid)
 
     def test_constructor_rejects_atoms_that_are_not_2d(self, toy_dictionary):
         d, _ = toy_dictionary

@@ -34,6 +34,33 @@ def test_arrays_not_1d_of_one_length_rejected(shapes):
         SequenceSchedule(**kwargs)
 
 
+@pytest.mark.parametrize("field, bad, message", [
+    ("te_ms", 1 + 1j, "te_ms must be a number, got (1+1j)"),
+    ("te_ms", "1.0", "te_ms must be a number, got '1.0'"),
+    ("te_ms", None, "te_ms must be a number, got None"),
+    ("te_ms", True, "te_ms must be a number, got True"),
+    ("inversion_prep", "no", "inversion_prep must be a bool, got 'no'"),
+    ("inversion_prep", 0, "inversion_prep must be a bool, got 0"),
+    ("inversion_prep", None, "inversion_prep must be a bool, got None"),
+])
+def test_constructor_refuses_what_load_refuses(field, bad, message):
+    # The first three used to raise a bare TypeError; the others were made,
+    # and only the .prep.json reader refused them.
+    kwargs = schedule_kwargs()
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SequenceSchedule(**kwargs)
+
+
+def test_scalar_settings_are_stored_as_floats():
+    kwargs = schedule_kwargs()
+    kwargs.update(te_ms=np.float32(1.5), inversion_delay_ms=2)
+    schedule = SequenceSchedule(**kwargs)
+    assert (type(schedule.te_ms), type(schedule.inversion_delay_ms)) == (float, float)
+    assert schedule.prep_settings() == {"inversion_prep": True,
+                                        "inversion_delay_ms": 2.0, "te_ms": 1.5}
+
+
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("field", ["flip_angles_rad", "rf_phases_rad", "tr_ms"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -203,8 +230,8 @@ class TestPrepSidecar:
         ({"te": 2.0}, "unknown preparation keys ['te']"),
         ({"te_ms": 1.0, "inversion": False, "delay": 3.0},
          "unknown preparation keys ['delay', 'inversion']"),
-        ({"inversion_prep": "false"}, "inversion_prep must be a JSON boolean, got 'false'"),
-        ({"inversion_prep": 0}, "inversion_prep must be a JSON boolean, got 0"),
+        ({"inversion_prep": "false"}, "inversion_prep must be a bool, got 'false'"),
+        ({"inversion_prep": 0}, "inversion_prep must be a bool, got 0"),
         ({"te_ms": None}, "te_ms must be a number, got None"),
         ({"inversion_delay_ms": "2.0"}, "inversion_delay_ms must be a number, got '2.0'"),
         ({"te_ms": True}, "te_ms must be a number, got True"),
