@@ -41,6 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import epg
 from .epg import TissueParams, order_caps, simulate_fingerprints
 from .files import json_object, naming, number, read_json, real_rows
 from .parallel import available_cpus, fan_out
@@ -235,14 +236,8 @@ class BuildPlan(NamedTuple):
     orders_kept: float  # modelled EPG work, as a share of every atom at K = N
 
 
-def _orders_swept(caps, n: int) -> np.ndarray:
-    """Σ_i min(i + 1, K + 1) over N steps: the state rows a run capped at K updates."""
-    w = np.minimum(np.asarray(caps, dtype=np.int64) + 1, n)
-    return w * (w + 1) // 2 + (n - w) * w
-
-
 def _cuts(head: np.ndarray, limit) -> list[int]:
-    """Greedy cut points of batches of at most ``BATCH_SIZE`` atoms costing at most ``limit``.
+    """Greedy cut points of batches of at most ``epg.BATCH_SIZE`` atoms costing at most ``limit``.
 
     A batch that starts at atom lo costs its size times ``head[lo]``, which
     descends with lo and is at most ``limit``.
@@ -250,43 +245,40 @@ def _cuts(head: np.ndarray, limit) -> list[int]:
     cuts = [0]
     while cuts[-1] < head.size:
         lo = cuts[-1]
-        cuts.append(min(head.size, lo + min(BATCH_SIZE, int(limit // head[lo]))))
+        cuts.append(min(head.size, lo + min(epg.BATCH_SIZE, int(limit // head[lo]))))
     return cuts
 
 
 def build_plan(tissues, schedule: SequenceSchedule) -> BuildPlan:
     """The batches and processes ``build_dictionary`` uses for (M, 2) ``tissues``.
 
-    Atoms are taken in descending order of their ``order_caps``. A batch
-    costs its size times the rows its largest cap sweeps (``_orders_swept``).
-    When the grid fits in one batch of at most ``BATCH_SIZE`` atoms per CPU,
-    the cut points minimize the largest batch cost, or at one CPU the total
-    by at most one cut (none on a tie); otherwise batches of
-    ``BATCH_SIZE`` follow each other in cap order, so that ``fan_out`` hands
-    consecutive costs to alternating processes. Without ``fork`` the build
-    runs in the calling process alone.
+    Atoms are taken in descending order of their ``order_caps``
+    (``epg._by_cap``). A batch costs its size times the rows its largest
+    cap sweeps. When the grid fits in one batch of at most
+    ``epg.BATCH_SIZE`` atoms per CPU, the cut points minimize the largest
+    batch cost, so one CPU takes the grid as one batch; otherwise batches
+    of ``epg.BATCH_SIZE`` follow each other in cap order, so that
+    ``fan_out`` hands consecutive costs to alternating processes. Within a
+    batch ``simulate_fingerprints`` makes its own cuts. Without ``fork``
+    the build runs in the calling process alone.
     """
     n, m, cpus = schedule.n_excitations, len(tissues), available_cpus()
-    caps = order_caps(tissues, schedule)
-    order = np.argsort(-caps, kind="stable")
-    head = _orders_swept(caps[order], n)
-    if cpus == 1 and m <= BATCH_SIZE:
-        k = int(np.argmin(np.arange(m) * head[0] + (m - np.arange(m)) * head))
-        cuts = [0, k, m] if k else [0, m]
-    elif m <= cpus * BATCH_SIZE:
+    order, head = epg._by_cap(order_caps(tissues, schedule), n)
+    if m <= cpus * epg.BATCH_SIZE:
         # The least largest cost is some batch size times some head's cost,
         # and at least the first atom's: the least such limit that the
         # greedy split meets in at most ``cpus`` batches.
-        limits = np.unique(np.arange(1, min(BATCH_SIZE, m) + 1)[:, None] * head)
+        limits = np.unique(np.arange(1, min(epg.BATCH_SIZE, m) + 1)[:, None] * head)
         limits = limits[limits >= head[0]]
         least = bisect.bisect_left(limits, True,
                                    key=lambda limit: len(_cuts(head, limit)) <= cpus + 1)
         cuts = _cuts(head, limits[least])
     else:
-        cuts = [*range(0, m, BATCH_SIZE), m]
+        cuts = [*range(0, m, epg.BATCH_SIZE), m]
     batches = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    # Every atom at K = N sweeps N(N + 1)/2 rows.
     return BuildPlan(batches, min(cpus, len(batches)),
-                     float(head.sum() / (m * _orders_swept(n, n))))
+                     float(head.sum() / (m * n * (n + 1) / 2)))
 
 
 def _batch_atoms(chunk: np.ndarray, schedule: SequenceSchedule) -> np.ndarray:
@@ -298,36 +290,20 @@ def _batch_atoms(chunk: np.ndarray, schedule: SequenceSchedule) -> np.ndarray:
     return (mags / norms).astype(np.float32)
 
 
-# Most atoms per ``simulate_fingerprints`` call; see the sweep in
-# ``build_dictionary``'s docstring.
-BATCH_SIZE = 64
-
-
 def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
     """Simulate every grid pair and assemble the normalized atom matrix.
 
     Each atom keeps the dephasing orders ``order_caps`` gives it, which
     moves no sample by more than ``EPSILON`` from keeping all K = N.
-    ``build_plan`` sorts the atoms by cap and cuts them into batches, and
-    ``fan_out`` spreads the batches over its processes. The process that
-    simulates a batch also normalizes its rows and rounds them to float32;
-    the caller only writes them into the one (M, N) float32 matrix.
-    ``simulate_fingerprints`` gives each atom bit for bit the same samples
-    in any batch, so the atoms are identical however the grid is split and
-    whichever process simulates it, and rows keep ``expand_grid`` order.
-
-    At most ``BATCH_SIZE`` atoms go through ``simulate_fingerprints`` per
-    call. Small batches pay the simulator's per-excitation Python overhead
-    on few atoms; large ones push its (orders x batch) state out of the
-    core's cache. Atoms/s of evenly spaced paper-grid atoms (2048 at N=250,
-    best of 3; 512 at N=1750, best of 2) in cap order, default schedule, on
-    one core of a 2-core Xeon with 2 MB L2 per core:
-
-        batch     16    32    64   128   256   512  2048
-        N=250   1665  2716  3999  4239  4108  3301  3115
-        N=1750   111   115   107    95    84    70    68
-
-    64 stays within 7% of the best at both lengths.
+    ``build_plan`` sorts the atoms by cap and cuts them into batches, one
+    ``simulate_fingerprints`` call each, which groups its batch for the
+    kernel itself; ``fan_out`` spreads the batches over its processes. The
+    process that simulates a batch also normalizes its rows and rounds them
+    to float32; the caller only writes them into the one (M, N) float32
+    matrix. ``simulate_fingerprints`` gives each atom bit for bit the same
+    samples in any batch, so the atoms are identical however the grid is
+    split and whichever process simulates it, and rows keep
+    ``expand_grid`` order.
     """
     tissues = expand_grid(spec)
     plan = build_plan(tissues, schedule)

@@ -77,11 +77,34 @@ phase graphs: dephasing, RF pulses, and echoes - pure and simple", JMRI):
 * Layout. States are (planes, orders, batch) arrays, so the active window of
   orders is contiguous. The spoiler shift copies nothing: F+ and F- live in
   buffers of N+K rows whose base offsets move down and up by one per TR.
-* Mixed caps. The window is the batch's largest K. After each shift the
+* Mixed caps. The window is the group's largest K. After each shift the
   kernel writes +0 into F-_K of every tissue whose own K is smaller, which
   is what that tissue reads there when simulated alone. Its orders <= K
   then see exactly the arithmetic of that lone run, and the orders above,
   which RF never mixes into lower ones, feed nothing back.
+
+Planning. Every tissue in a kernel call sweeps the window of the call's
+largest cap, so ``simulate_fingerprints`` first cuts its batch, sorted by
+cap, into runs of at most ``BATCH_SIZE`` tissues, one kernel call each.
+The work model prices a run at ``GROUP_ROWS`` state rows per excitation, for
+the kernel's per-excitation Python overhead, plus its size times the rows
+its largest cap sweeps (``_orders_swept``). ``_groups`` finds the runs of
+least total cost. On one core of a 2-core Xeon at N=1750 the overhead
+measured 14-19 us per excitation and a state row 5.6-6.8 ns, so a call
+costs about 2,000-3,500 rows per excitation; the train benchmark's set-up
+call timed the same at 3,000 to 6,000, and ``GROUP_ROWS`` is 4,000.
+Seconds of one ``simulate_fingerprints`` call at N=1750, default schedule,
+planned and as one kernel call over the batch's largest cap, in two runs
+(the median of 3 calls per train seed, the best of 2 for 238 tissues):
+
+    batch                                    one window   planned   groups
+    32 stratified off-grid tissues (train)   0.36-0.49    0.21-0.28  2
+    238 off-grid tissues, 14 x 17 strata     3.4-3.7      1.2-1.4    5
+
+The first row is the train benchmark's set-up call for seeds 61-66, the
+second ``mrfbench``'s ``stratified_tissues`` over the train ranges at
+seed 7. Planning took about 16 us for a batch of 64 that one call suits,
+0.1 ms for the train call and 1.7 ms for the 238 tissues.
 """
 
 from __future__ import annotations
@@ -168,14 +191,91 @@ def simulate_fingerprints(tissues, schedule: SequenceSchedule) -> np.ndarray:
     the rows. Each tissue keeps the orders ``order_caps`` gives it, which
     moves no sample by more than ``EPSILON`` from keeping all K = N.
 
-    Batching only vectorizes the identical per-pair arithmetic, so each row
-    equals the same pair simulated alone, bit for bit, and is independent of
-    how a larger batch is split.
+    ``_groups`` cuts the batch, in cap order, into groups of at most
+    ``BATCH_SIZE`` tissues where the work model of the module docstring is
+    least, and the kernel runs once per group. Batching only vectorizes the
+    identical per-pair arithmetic, so each row equals the same pair
+    simulated alone, bit for bit, however a batch is grouped or split, and
+    rows come back in input order.
+
+    Small groups pay the kernel's per-excitation Python overhead on few
+    tissues; large ones push its (orders x batch) state out of the core's
+    cache. Atoms/s of evenly spaced paper-grid atoms (2048 at N=250, best
+    of 3; 512 at N=1750, best of 2) in cap order, default schedule, on one
+    core of a 2-core Xeon with 2 MB L2 per core, by most tissues per kernel
+    call:
+
+        batch     16    32    64   128   256   512  2048
+        N=250   1665  2716  3999  4239  4108  3301  3115
+        N=1750   111   115   107    95    84    70    68
+
+    ``BATCH_SIZE`` = 64 stays within 7% of the best at both lengths.
     """
     tissues = _relaxation_times(tissues)
+    caps = order_caps(tissues, schedule)
+    signal = np.empty((len(tissues), schedule.n_excitations), dtype=np.complex128)
+    for rows in _groups(caps, schedule.n_excitations):
+        _kernel(tissues[rows], caps[rows], schedule, signal, rows)
+    return signal
+
+
+# Most tissues per kernel call; see the sweep in ``simulate_fingerprints``'s
+# docstring.
+BATCH_SIZE = 64
+
+# Modelled cost of one kernel call per excitation, in state rows; see
+# "Planning" in the module docstring.
+GROUP_ROWS = 4000
+
+
+def _orders_swept(caps, n: int) -> np.ndarray:
+    """Σ_i min(i + 1, K + 1) over N steps: the state rows a run capped at K updates."""
+    w = np.minimum(np.asarray(caps, dtype=np.int64) + 1, n)
+    return w * (w + 1) // 2 + (n - w) * w
+
+
+def _by_cap(caps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tissue indices in descending order of ``caps`` (ties in input order),
+    and the state rows each sweeps alone (``_orders_swept``) in that order."""
+    order = np.argsort(-caps, kind="stable")
+    return order, _orders_swept(caps[order], n)
+
+
+def _groups(caps: np.ndarray, n: int) -> list[np.ndarray]:
+    """Tissue indices of each kernel call: runs of ``_by_cap`` order of at
+    most ``BATCH_SIZE`` tissues whose total modelled cost is least.
+
+    A run costs ``GROUP_ROWS`` per excitation plus its size times the rows
+    its first, largest cap sweeps. ``least[j]`` is the least cost of the
+    first j tissues and ``start[j]`` where the last run of that plan starts.
+    """
+    order, swept = _by_cap(caps, n)
+    fixed = GROUP_ROWS * n
+    # A cut adds a fixed cost and saves at most what one window sweeps
+    # beyond each tissue's own rows.
+    if order.size <= BATCH_SIZE and order.size * swept[0] - swept.sum() <= fixed:
+        return [order]
+    swept = swept.tolist()
+    least, start = [0], [0]
+    for j in range(1, len(swept) + 1):
+        at = min(range(max(0, j - BATCH_SIZE), j),
+                 key=lambda s: least[s] + (j - s) * swept[s])
+        least.append(least[at] + (j - at) * swept[at] + fixed)
+        start.append(at)
+    cuts = [len(swept)]
+    while cuts[-1]:
+        cuts.append(start[cuts[-1]])
+    cuts.reverse()
+    return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _kernel(tissues: np.ndarray, caps: np.ndarray, schedule: SequenceSchedule,
+            out: np.ndarray, rows: np.ndarray) -> None:
+    """Write the complex samples of checked ``tissues``, kept at their
+    ``caps``, into ``out[rows]``: one pass over the schedule (see the module
+    docstring)."""
     t1, t2 = tissues.T
     n, b = schedule.n_excitations, len(tissues)
-    caps = order_caps(tissues, schedule)
     kk = int(caps.max()) + 1
     # Tissues capped below the window, and the F- row each zeroes per shift.
     capped = np.flatnonzero(caps < kk - 1)
@@ -242,10 +342,8 @@ def simulate_fingerprints(tissues, schedule: SequenceSchedule) -> np.ndarray:
     a0 *= np.exp(-schedule.te_ms / t2)
     x, y = a0
     sin_p, cos_p = np.sin(phases)[:, None], np.cos(phases)[:, None]
-    signal = np.empty((b, n), dtype=np.complex128)
-    signal.real = (-x * sin_p - y * cos_p).T
-    signal.imag = (x * cos_p - y * sin_p).T
-    return signal
+    out.real[rows] = (-x * sin_p - y * cos_p).T
+    out.imag[rows] = (x * cos_p - y * sin_p).T
 
 
 def _turn(x, p, q, scratch) -> None:

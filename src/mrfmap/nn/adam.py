@@ -70,12 +70,22 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     for key, p in params.items():
-        g = grads[key]
-        m = state.m[key]
-        v = state.v[key]
+        g, m, v = grads[key], state.m[key], state.v[key]
+        # In place on two scratch arrays, in the documented order; a product
+        # or sum with its operands swapped has the same bits.
+        s, t = np.empty_like(p), np.empty_like(p)
         m *= BETA1
-        m += (1.0 - BETA1) * g
+        np.multiply(g, 1.0 - BETA1, out=s)
+        m += s
         v *= BETA2
-        v += (1.0 - BETA2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        np.multiply(g, 1.0 - BETA2, out=s)
+        s *= g
+        v += s
+        np.divide(m, bc1, out=s)
+        s *= lr
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += EPS
+        s /= t
+        p -= s
     return params

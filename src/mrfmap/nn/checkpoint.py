@@ -6,11 +6,13 @@ array of ``param_layout(spec)``, in its order and shapes, flattened to
 little-endian float32; the ``param_order`` and ``param_shapes`` that older
 headers also hold are ignored. Loading restores float64 parameters whose
 values are exactly the stored f32 ones, so save -> load -> save is
-byte-identical. On construction a ``ModelCheckpoint`` refuses label
-scaling that is not a finite positive number, a ``seed`` that is not an
-integer and ``metadata`` that is not an object. In the file (arrays and
-metadata can change after construction), saving refuses parameters off the
-layout and a header JSON cannot hold; both refuse NaN or inf parameters.
+byte-identical. On construction a ``ModelCheckpoint`` refuses a ``spec``
+that is not a ``ModelSpec``, ``params`` that are not a dict of arrays by
+name, label scaling that is not a finite positive number, a ``seed`` that
+is not an integer and ``metadata`` that is not an object. In the file
+(arrays and metadata can change after construction), saving refuses
+parameters off the layout and a header JSON cannot hold; both refuse NaN
+or inf parameters.
 Loading also rejects a header that lacks a key, holds an unknown spec key or
 a spec value ``ModelSpec`` refuses, a ``spec`` or ``label_scaling`` that is
 not a JSON object, and a blob whose size disagrees with the layout; each
@@ -42,6 +44,14 @@ class ModelCheckpoint:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.spec, ModelSpec):
+            raise ValueError(f"spec must be a ModelSpec, got {type(self.spec).__name__}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be a dict of arrays, got {type(self.params).__name__}")
+        bad = {key: type(value).__name__ for key, value in self.params.items()
+               if not (isinstance(key, str) and isinstance(value, np.ndarray))}
+        if bad:
+            raise ValueError(f"params must be a dict of arrays by name, got {bad}")
         scaling = {key: number(key, getattr(self, key)) for key in ("t1_max", "t2_max")}
         bad = {key: value for key, value in scaling.items()
                if not (math.isfinite(value) and value > 0)}

@@ -129,3 +129,29 @@ def test_update_is_in_place():
     out = adam_update(state, params, {"w": np.ones(2)})
     assert out is params
     assert not np.array_equal(params["w"], np.ones(2))
+
+
+def test_in_place_step_equals_the_documented_expression():
+    # Parameters of several shapes through 5 steps, against the update
+    # written out as the module docstring states it, bit for bit.
+    rng = np.random.default_rng(11)
+    shapes = {"w": (7, 5), "b": (5,), "k": (2, 3, 4)}
+    params = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+    expected = {k: p.copy() for k, p in params.items()}
+    state = AdamState.for_params(params, learning_rate=1e-2)
+    m = {k: np.zeros(shape) for k, shape in shapes.items()}
+    v = {k: np.zeros(shape) for k, shape in shapes.items()}
+    for t in range(1, 6):
+        grads = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+        adam_update(state, params, grads)
+        for k, g in grads.items():
+            m[k] = 0.9 * m[k]
+            m[k] += (1.0 - 0.9) * g
+            v[k] = 0.999 * v[k]
+            v[k] += (1.0 - 0.999) * g * g
+            expected[k] -= 1e-2 * (m[k] / (1.0 - 0.9 ** t)) / (
+                np.sqrt(v[k] / (1.0 - 0.999 ** t)) + 1e-8)
+    for k in shapes:
+        assert params[k].tobytes() == expected[k].tobytes()
+        assert state.m[k].tobytes() == m[k].tobytes()
+        assert state.v[k].tobytes() == v[k].tobytes()

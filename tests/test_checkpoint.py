@@ -343,6 +343,27 @@ def test_constructor_refuses_what_load_refuses(field, value, message):
         ModelCheckpoint(**fields)
 
 
+@pytest.mark.parametrize("spec, message", [
+    (None, "spec must be a ModelSpec, got NoneType"),
+    (SPECS["gru"].to_json_dict(), "spec must be a ModelSpec, got dict")], ids=["none", "json"])
+def test_constructor_refuses_a_spec_of_another_type(spec, message):
+    # None used to be made, and the save then raised AttributeError.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModelCheckpoint(spec, init_params(SPECS["gru"], seed=1), 1.0, 1.0, 0)
+
+
+@pytest.mark.parametrize("params, message", [
+    (None, "params must be a dict of arrays, got NoneType"),
+    ([np.zeros(3)], "params must be a dict of arrays, got list"),
+    ({"cell.w": [1.0]}, "params must be a dict of arrays by name, got {'cell.w': 'list'}"),
+    ({0: np.zeros(3)}, "params must be a dict of arrays by name, got {0: 'ndarray'}")],
+    ids=["none", "list", "list_value", "int_key"])
+def test_constructor_refuses_params_that_are_no_dict_of_arrays(params, message):
+    # None used to be made, and the save then raised AttributeError.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ModelCheckpoint(SPECS["gru"], params, 1.0, 1.0, 0)
+
+
 def test_checkpoint_fields_cannot_be_reassigned():
     # What the constructor checked stays checked, so a save need not check
     # it again.

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_schedule, time_limit
-from mrfmap import dictionary
+from mrfmap import dictionary, epg
 from mrfmap.dictionary import (
     Dictionary,
     GridSpec,
@@ -266,7 +266,7 @@ class TestBuildDictionary:
         d, schedule = toy_dictionary
         spec = d.grid if grid is None else grid
         monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
-        monkeypatch.setattr(dictionary, "BATCH_SIZE", batch_size)
+        monkeypatch.setattr(epg, "BATCH_SIZE", batch_size)
         built = build_dictionary(spec, schedule)
         expected = one_call_reference(spec, schedule)
         assert built.atoms.tobytes() == expected.tobytes()
@@ -279,17 +279,17 @@ class TestBuildDictionary:
         # with its cap of about 870), 24 at most about 400 orders.
         (DICT_BUILD_GRID, 1750, 2, [12, 24]),
         (GridSpec.paper_grid(), 1750, 2, [64] * 1791 + [26]),
-        (None, 80, 1, [24]),  # the toy grid: every atom keeps K = N, so no cut pays
+        (None, 80, 1, [24]),  # the toy grid
         (GridSpec(((1000.0, 5000.0, 1000.0),), ((50.0, 50.0, 1.0),)), 80, 4, [2, 2, 1]),
         (GridSpec(((100.0, 100.0, 1.0),), ((50.0, 50.0, 1.0),)), 80, 8, [1]),
-        # One CPU: the cut at 18 models 0.60 of one 36-atom batch at K = N.
-        (DICT_BUILD_GRID, 1750, 1, [18, 18]),
+        # One CPU: one batch, which simulate_fingerprints cuts itself.
+        (DICT_BUILD_GRID, 1750, 1, [36]),
         (None, 80, 2, [12, 12]),
     ], ids=["36-64-2-plan0", "114650-64-2-plan1", "24-64-1-plan2", "5-64-4-plan3",
             "1-64-8-plan4", "36-64-1-plan5", "24-64-2-plan6"])
     def test_build_plan_split_rule(self, toy_dictionary, monkeypatch, grid, n, cpus, sizes):
         monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
-        assert dictionary.BATCH_SIZE == 64
+        assert epg.BATCH_SIZE == 64
         schedule = default_schedule(n)
         labels = expand_grid(toy_dictionary[0].grid if grid is None else grid)
         plan = dictionary.build_plan(labels, schedule)
@@ -330,23 +330,43 @@ class TestBuildDictionary:
         assert plan_cost(plan, labels, schedule) == best
         assert len(plan.batches) == cpus
 
-    def test_one_cpu_plan_cuts_once_at_the_least_total(self, toy_dictionary, monkeypatch):
-        # One process runs the batches one after another, so the plan's
-        # total modelled cost is the least over every split into at most
-        # two batches, and below that of one batch.
-        _, schedule = toy_dictionary
-        labels = expand_grid(CAPPED_GRID)
+    def test_one_cpu_plan_leaves_the_cut_to_the_simulator(self, monkeypatch):
+        # One process runs the whole dict-build grid as one batch; the
+        # simulator cuts it where the work model is least, below the cost
+        # of one kernel call over the batch's largest cap.
         monkeypatch.setattr(dictionary, "available_cpus", lambda: 1)
-        plan = dictionary.build_plan(labels, schedule)
-        order = np.concatenate(plan.batches)
+        schedule = default_schedule(1750)
+        tissues = expand_grid(DICT_BUILD_GRID)
+        [batch] = dictionary.build_plan(tissues, schedule).batches
+        caps = order_caps(tissues[batch], schedule)
+        groups = epg._groups(caps, 1750)
+        swept = epg._orders_swept(caps, 1750)
 
-        def total(batches):
-            return sum(plan_cost(dictionary.BuildPlan([rows], 1, 0.0), labels, schedule)
-                       for rows in batches)
+        def cost(groups):
+            return sum(epg.GROUP_ROWS * 1750 + len(g) * swept[g].max() for g in groups)
 
-        best = min(total([order[:k], order[k:]]) for k in range(1, len(labels)))
-        assert len(plan.batches) == 2 and plan.processes == 1
-        assert total(plan.batches) == best < total([order])
+        assert len(groups) > 1
+        assert cost(groups) < cost([np.arange(len(batch))])
+
+    @pytest.mark.parametrize("grid, n", [(None, 80), (MAP_GRID, 250), (DICT_BUILD_GRID, 1750)],
+                             ids=["toy", "map", "dict-build"])
+    def test_batches_where_no_cut_pays_run_as_one_kernel_call(
+            self, toy_dictionary, monkeypatch, grid, n):
+        # Each batch these grids are built in at 2 CPUs is one kernel call.
+        monkeypatch.setattr(dictionary, "available_cpus", lambda: 2)
+        schedule = default_schedule(n)
+        tissues = expand_grid(toy_dictionary[0].grid if grid is None else grid)
+        plan = dictionary.build_plan(tissues, schedule)
+        calls, real = [], epg._kernel
+
+        def counted(tissues, caps, schedule, out, rows):
+            calls.append(len(rows))
+            real(tissues, caps, schedule, out, rows)
+
+        monkeypatch.setattr(epg, "_kernel", counted)
+        for rows in plan.batches:
+            simulate_fingerprints(tissues[rows], schedule)
+        assert calls == [len(rows) for rows in plan.batches]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_zero_signal_atoms_refused_by_tissue(self, toy_dictionary, monkeypatch, cpus):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_schedule
+from mrfmap import epg
 from mrfmap.dictionary import build_plan
 from mrfmap.epg import (
     EPSILON,
@@ -409,6 +411,94 @@ class TestSimulateFingerprint:
         sched = default_schedule(150)
         batch = simulate_fingerprints([TissueParams(500.0, 60.0)], sched)
         assert np.all(np.abs(batch) <= 1.0 + 1e-12)
+
+
+def rows_swept(k, n):
+    """State rows a run capped at order k updates over n excitations."""
+    return sum(min(i + 1, k + 1) for i in range(n))
+
+
+def modelled_cost(groups, caps, n):
+    """``GROUP_ROWS`` per excitation per group, plus each group's size times
+    the rows its largest cap sweeps."""
+    return sum(epg.GROUP_ROWS * n + len(g) * rows_swept(int(caps[g].max()), n)
+               for g in groups)
+
+
+def least_cost(caps, n):
+    """The least modelled cost over every split of the cap-sorted batch into
+    runs of at most ``BATCH_SIZE``, by trying each set of cut points."""
+    order = np.argsort(-caps, kind="stable")
+    best = math.inf
+    for mask in itertools.product((False, True), repeat=len(caps) - 1):
+        cuts = [0, *(i + 1 for i, cut in enumerate(mask) if cut), len(caps)]
+        if all(hi - lo <= epg.BATCH_SIZE for lo, hi in zip(cuts, cuts[1:])):
+            best = min(best, modelled_cost(
+                [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])], caps, n))
+    return best
+
+
+class TestPlanning:
+    @pytest.mark.parametrize("zero_phase", [True, False])
+    def test_groups_return_rows_in_input_order(self, monkeypatch, zero_phase):
+        # Groups of at most 4 and a fixed cost of 1 row per excitation cut
+        # this shuffled 15-tissue batch into several kernel calls; each row
+        # is still its tissue simulated alone.
+        rng = np.random.default_rng(29)
+        sched = random_schedule(rng, 60, zero_phase=zero_phase)
+        params = [random_params(rng) for _ in range(7)]
+        params += short_t2_params(rng, [0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 0.5])
+        params = [params[i] for i in rng.permutation(len(params))]
+        alone = [one_tissue(p, sched) for p in params]
+        monkeypatch.setattr(epg, "BATCH_SIZE", 4)
+        monkeypatch.setattr(epg, "GROUP_ROWS", 1)
+        calls, real = [], epg._kernel
+
+        def counted(tissues, caps, schedule, out, rows):
+            calls.append(len(rows))
+            real(tissues, caps, schedule, out, rows)
+
+        monkeypatch.setattr(epg, "_kernel", counted)
+        got = simulate_fingerprints(params, sched)
+        assert len(calls) >= 4 and sum(calls) == len(params)
+        for row, expected in zip(got, alone):
+            np.testing.assert_array_equal(row, expected)
+
+    @pytest.mark.parametrize("batch_size, group_rows", [(3, 0), (4, 2), (5, 20), (64, 4000)])
+    def test_groups_are_cap_runs_of_least_cost(self, monkeypatch, batch_size, group_rows):
+        # Random caps with ties, in batches of 1 to 10 tissues: the groups
+        # are runs of descending caps of at most BATCH_SIZE that cover each
+        # row once, and cost what the best of every split costs, which is
+        # never more than one window over the batch's largest cap.
+        monkeypatch.setattr(epg, "BATCH_SIZE", batch_size)
+        monkeypatch.setattr(epg, "GROUP_ROWS", group_rows)
+        rng = np.random.default_rng(batch_size)
+        n = 40
+        for b in [*range(1, 11)] * 3:
+            caps = rng.choice(rng.integers(0, n + 1, 4), b)
+            groups = epg._groups(caps, n)
+            rows = np.concatenate(groups)
+            assert sorted(rows.tolist()) == list(range(b))
+            assert np.all(np.diff(caps[rows]) <= 0)
+            assert all(1 <= len(g) <= batch_size for g in groups)
+            cost = modelled_cost(groups, caps, n)
+            assert cost == least_cost(caps, n)
+            if b <= batch_size:
+                assert cost <= modelled_cost([np.arange(b)], caps, n)
+
+    def test_train_setup_batch_is_cut(self):
+        # 32 off-grid tissues of the train benchmark's ranges at paper
+        # length, caps 27 to 1750: cutting pays, and the cost falls below
+        # one kernel call over the largest cap.
+        rng = np.random.default_rng(61)
+        u1 = (np.arange(4)[:, None] + rng.random((4, 8))) / 4
+        u2 = (np.arange(8)[None, :] + rng.random((4, 8))) / 8
+        tissues = np.column_stack([(500.0 * 8.0 ** u1).ravel(), (5.0 * 100.0 ** u2).ravel()])
+        caps = order_caps(tissues, default_schedule(1750))
+        assert caps.min() < 100 and caps.max() == 1750
+        groups = epg._groups(caps, 1750)
+        assert len(groups) > 1
+        assert modelled_cost(groups, caps, 1750) < modelled_cost([np.arange(32)], caps, 1750)
 
 
 class TestIsochromatOracle:
