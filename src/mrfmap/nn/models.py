@@ -35,6 +35,42 @@ in the caller and 3k in its worker, and the median call from 1.33 to
 1.03 s. Without the advice (``NUMPY_MADVISE_HUGEPAGE=0``, or THP
 ``never``) about 45k faults per process remain and the call takes 1.14 s.
 
+A cnn1d inference forward runs its conv stack on blocks of rows. Each
+layer's ``np.einsum(..., optimize=True)`` copies every window it reads, an
+im2col copy about K/stride = 2.5 times the layer's input, so the whole
+batch at once held 490 MiB at N=1750, B=1024. A row's bytes are the most
+it holds at once in any layer: the layer's input, its window copy and its
+output, each channels x length x 8 bytes, read from ``conv_lengths`` and
+``cnn_channels``. A block has as many rows as ``CNN_BLOCK_BUDGET`` holds at
+that size, rounded down to a multiple of 16 and at least 16
+(``_cnn_block_rows``). Each block writes its pooled features into one
+(B, channels[-1]) array, and the head runs once on all of them. The
+training forward makes one block of the whole batch, so its cache holds
+every layer of every row.
+
+The rounding keeps the bits. OpenBLAS (0.3.31, Haswell kernels) computes
+the last (columns mod 8) columns of a product by other code than the rest,
+so a block whose products have a ragged column count changes the last bits
+of its last rows. With blocks of a multiple of 16 rows, every batch of a
+multiple of 16 rows gets the bits of the one-block forward. In other
+batches a short last block may differ in the last bit, as the rows of two
+batches of different sizes already did.
+
+The budget comes from a sweep of ``predict_batch`` on the default cnn1d
+(B=1024, one BLAS thread, 2-core Xeon, budgets interleaved, median ms of 15
+runs at N=250 and 7 at N=1750, tracemalloc peak in MiB):
+
+    budget (MiB)        2      4      8     16     32     64   whole
+    N=250   rows       16     48    112    240    480    960    1024
+            ms        124     95     84     79     91    106     113
+            peak      2.1    4.2    8.4   16.9   32.8   64.6    68.9
+    N=1750  rows       16     16     16     32     64    128    1024
+            ms        586    586    600    575    603    853    1343
+            peak      8.7    8.7    8.7   16.3   31.6   62.2   490.8
+
+16 MiB was the fastest budget at both lengths; at N=1750 no row count
+under 16 was tried, as that would break the rounding above.
+
 ``_backward_ann`` and ``_backward_cnn`` use the subgradient relu'(0) = 0:
 the mask is ``out > 0`` on the ReLU output, so a pre-activation of exactly
 0 passes no gradient. At such a point the loss has a kink, and a central
@@ -59,6 +95,10 @@ from .cells import N_GATES, N_STATES, _glorot, init_cell, step, step_grad
 OUTPUT_DIM = 2
 
 MODEL_KINDS = ("rnn_regressor", "ann", "cnn1d")
+
+# Bytes of layer outputs and window copies one block of a cnn1d inference
+# forward may hold; the module docstring gives the sweep that set it.
+CNN_BLOCK_BUDGET = 16 * 2**20
 
 
 def _positive_int(name: str, value) -> int:
@@ -170,7 +210,7 @@ def forward_batch(spec: ModelSpec, params: dict[str, np.ndarray],
     The cache holds every activation ``backward`` needs. Rows holding NaN
     or inf are rejected with their indices. Inference passes
     ``_cache=False``, with which every kind keeps no earlier layer or step
-    and returns an empty cache.
+    and returns an empty cache, and a cnn1d convolves blocks of rows.
     """
     signals = real_rows("signals", signals, spec.input_len)
     if spec.kind == "rnn_regressor":
@@ -255,7 +295,8 @@ def _backward_ann(spec, params, cache, d_features, grads):
         dz = da * (xs[idx] > 0.0)
         grads[f"fc{idx}.w"] += xs[idx - 1].T @ dz
         grads[f"fc{idx}.b"] += dz.sum(axis=0)
-        da = dz @ params[f"fc{idx}.w"].T
+        if idx > 1:  # nothing reads the gradient of the signal itself
+            da = dz @ params[f"fc{idx}.w"].T
 
 
 def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
@@ -264,16 +305,38 @@ def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return win[:, :, ::stride]
 
 
+def _cnn_block_rows(spec: ModelSpec) -> int:
+    """Rows per block of a cnn1d inference forward: as many as
+    ``CNN_BLOCK_BUDGET`` holds, rounded down to a multiple of 16, at least 16.
+
+    A row costs the most it holds at once in any layer: the layer's input,
+    einsum's copy of the windows it reads and its output.
+    """
+    widths, lengths = (1, *spec.cnn_channels), spec.conv_lengths()
+    row_bytes = 8 * max(c_in * (l_in + spec.cnn_kernel * l_out) + c_out * l_out
+                        for c_in, c_out, l_in, l_out
+                        in zip(widths, widths[1:], lengths, lengths[1:]))
+    return max(16, CNN_BLOCK_BUDGET // row_bytes // 16 * 16)
+
+
 def _forward_cnn(spec, params, x, keep_cache):
-    xs = [x[:, None, :]]  # (B, 1, L), then every conv layer's ReLU output
-    for idx in range(1, len(spec.cnn_channels) + 1):
-        win = _conv_windows(xs[-1], spec.cnn_kernel, spec.cnn_stride)
-        z = np.einsum("bclk,ock->bol", win, params[f"conv{idx}.w"], optimize=True)
-        z += params[f"conv{idx}.b"][:, None]
-        xs.append(np.maximum(z, 0.0, out=z))
-        if not keep_cache:
-            del xs[0]
-    return xs[-1].mean(axis=2), ({"xs": xs} if keep_cache else {})  # average pool
+    n_rows = x.shape[0]
+    # Training convolves the whole batch as one block and caches its layers.
+    rows = max(1, n_rows) if keep_cache else _cnn_block_rows(spec)
+    # channel-major like the pool of einsum's output, so the head's product
+    # sees the layout, and gives the bits, of an unblocked forward
+    features = np.empty((n_rows, spec.cnn_channels[-1]), order="F")
+    for lo in range(0, max(n_rows, 1), rows):  # an empty batch is one empty block
+        xs = [x[lo:lo + rows, None, :]]  # (rows, 1, L), then every ReLU output
+        for idx in range(1, len(spec.cnn_channels) + 1):
+            win = _conv_windows(xs[-1], spec.cnn_kernel, spec.cnn_stride)
+            z = np.einsum("bclk,ock->bol", win, params[f"conv{idx}.w"], optimize=True)
+            z += params[f"conv{idx}.b"][:, None]
+            xs.append(np.maximum(z, 0.0, out=z))
+            if not keep_cache:
+                del xs[0]
+        xs[-1].mean(axis=2, out=features[lo:lo + rows])  # average pool
+    return features, ({"xs": xs} if keep_cache else {})
 
 
 def _backward_cnn(spec, params, cache, d_features, grads):
@@ -288,13 +351,14 @@ def _backward_cnn(spec, params, cache, d_features, grads):
         grads[f"conv{idx}.w"] += np.einsum("bclk,bol->ock", win, dz,
                                            optimize=True)
         grads[f"conv{idx}.b"] += dz.sum(axis=(0, 2))
-        dx_prev = np.zeros_like(xs[idx - 1])
+        if idx == 1:  # nothing reads the gradient of the signal itself
+            break
+        dx = np.zeros_like(xs[idx - 1])
         n_win = dz.shape[2]
         for tap in range(k):
             # scatter each kernel tap back onto the input positions it read
             contrib = np.einsum("bol,oc->bcl", dz, w[:, :, tap], optimize=True)
-            dx_prev[:, :, tap:tap + stride * n_win:stride] += contrib
-        dx = dx_prev
+            dx[:, :, tap:tap + stride * n_win:stride] += contrib
 
 
 def predict_batch(spec: ModelSpec, params: dict[str, np.ndarray],

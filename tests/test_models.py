@@ -6,7 +6,9 @@ import pytest
 
 from mrfmap.nn.backprop import loss_and_grads, mse_loss
 from mrfmap.nn.cells import N_STATES, step, step_grad
+from mrfmap.nn import models
 from mrfmap.nn.models import (
+    CNN_BLOCK_BUDGET,
     ModelSpec,
     backward,
     forward_batch,
@@ -233,9 +235,11 @@ class TestBaselines:
     def test_cnn_forward_holds_layer_outputs_only(self):
         # Traced peaks in units of one conv1 output, B·16·123·8 bytes. A
         # cache that also kept each pre-activation peaked at 8.51 in both
-        # calls. Inference holds at most conv1's output, einsum's copy of
-        # the windows conv2 reads (2.44) and conv2's output: 4.42. The
-        # training forward keeps every layer's output: 5.62.
+        # calls. Inference holds one block of 240 rows: its conv1 output,
+        # einsum's copy of the windows conv2 reads (2.44 per 256 rows) and
+        # conv2's output, 4.13, beside the (256, 128) features: 4.21; an
+        # unblocked forward holds 4.42. The training forward keeps every
+        # layer's output: 5.68.
         spec = ModelSpec("cnn1d", input_len=250)
         params = init_params(spec, seed=0)
         signals = np.random.default_rng(0).random((256, 250))
@@ -245,12 +249,46 @@ class TestBaselines:
             tracemalloc.start()
             try:
                 call(*args)
-                return tracemalloc.get_traced_memory()[1] / unit
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert traced_peak(predict_batch, spec, params, signals) < 5.0
-        assert traced_peak(forward_batch, spec, params, signals) < 6.5
+        assert traced_peak(predict_batch, spec, params, signals) / unit < 4.3
+        assert traced_peak(forward_batch, spec, params, signals) / unit < 6.5
+        # Eight full blocks and a partial one: the blocks stay within the
+        # budget, and the (2048, 128) features add 2 MiB. An unblocked
+        # forward holds 135.8 MiB.
+        big = np.random.default_rng(1).random((2048, 250))
+        assert traced_peak(predict_batch, spec, params, big) < 1.25 * CNN_BLOCK_BUDGET
+
+    def test_cnn_inference_blocks_equal_one_block(self, monkeypatch):
+        # Three full blocks and a partial one of 64 rows, a multiple of 16 as
+        # the module docstring requires for bit identity.
+        spec = ModelSpec("cnn1d", input_len=250)
+        params = init_params(spec, seed=5)
+        rows = models._cnn_block_rows(spec)
+        signals = np.random.default_rng(5).normal(size=(3 * rows + 64, 250))
+        block_rows = []
+        conv_windows = models._conv_windows
+
+        def counting(x, kernel, stride):
+            block_rows.append(x.shape[0])
+            return conv_windows(x, kernel, stride)
+
+        monkeypatch.setattr(models, "_conv_windows", counting)
+        got = predict_batch(spec, params, signals)
+        n_layers = len(spec.cnn_channels)
+        assert block_rows == [n for n in (rows, rows, rows, 64) for _ in range(n_layers)]
+        block_rows.clear()
+        whole, _ = forward_batch(spec, params, signals)
+        assert block_rows == [len(signals)] * n_layers
+        assert got.tobytes() == whole.tobytes()
+        # A lone signal runs the products at other sizes, so its last bits
+        # may differ from its row's in any batch.
+        for row in (3 * rows, 3 * rows + 37, len(signals) - 1):
+            np.testing.assert_allclose(predict_single(spec, params, signals[row]),
+                                       got[row], rtol=1e-12, atol=0)
+        assert predict_batch(spec, params, np.empty((0, 250))).shape == (0, 2)
 
     def test_cnn_length_arithmetic(self):
         spec = ModelSpec("cnn1d", input_len=1750)
