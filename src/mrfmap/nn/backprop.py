@@ -1,22 +1,45 @@
 """The training step: the MSE loss, its gradient for every parameter, and
-the split of a recurrent minibatch over processes.
+the split of a minibatch over processes.
 
 ``loss_and_grads`` checks the batch and runs ``models.forward_batch`` and
 ``models.backward`` on each slab (``_slab``), with the whole batch's MSE
 derivative ``2 * (preds - targets) / targets.size``; it reads no cache.
 
-Data-parallel BPTT. Every row's forward and backward pass is independent
-until the gradients are summed, so ``loss_and_grads`` splits a recurrent
-regressor's minibatch of B rows into P = ``max(1, min(available_cpus(),
-B // MIN_SLAB_ROWS))`` contiguous slabs of near-equal size. The caller
-runs the first slab and P - 1 forked workers the others (``fan_out``,
-which starts no pool at P = 1); each runs forward and backward over its
-rows with the whole batch's MSE gradient, and the caller sums the slab
-gradients in slab order. Neither an ANN nor a CNN minibatch splits. An
-ANN's ~616k parameters are pickled to the worker and its gradients back,
-so at B=64, N=1750 two slabs took 63-71 ms against 8-10 ms whole (default
-specs, medians of 7 calls in each of 3 runs, one BLAS thread, 2-core Xeon).
-The default CNN took 118-203 ms in two slabs against 161-180 ms whole.
+Data-parallel training. Every row's forward and backward pass is
+independent until the gradients are summed, so ``loss_and_grads`` splits a
+minibatch of B rows of any kind into P = ``max(1, min(available_cpus(),
+B * spec.n_steps // MIN_SLAB_STEPS))`` contiguous slabs of near-equal size.
+``ModelSpec.n_steps`` is the recurrent unroll's length, and 1 for the ANN
+and the CNN. The caller runs the first slab and P - 1 forked workers the
+others (``fan_out``, which starts no pool at P = 1); each runs forward and
+backward over its rows with the whole batch's MSE gradient, and the caller
+sums the slab gradients in slab order.
+
+The rule counts work, not rows, because each unrolled step has a fixed
+cost whatever its rows, which every slab pays again, and a split also
+pickles the parameters to each worker and their gradients back and starts
+a pool. Milliseconds of ``loss_and_grads`` whole against forced into two
+slabs, alternating calls (one BLAS thread, 2-core Xeon): the median over 8
+to 24 runs of each run's median of 9 to 25 calls per side, and the runs in
+which the split was faster:
+
+    network, N (chunk), h, B      row-steps  2 slabs  1 slab  split faster  rule
+    GRU, 100 (10), 64, 64               640     13.0     5.2        0 of 9  whole
+    GRU, 250 (10), 100, 64            1,600     26.8    21.7        0 of 9  whole
+    GRU, 1750 (25), 100, 64           4,480     54.4    63.5      15 of 24  split
+    GRU, 1750 (10), 100, 32           5,600     72.8    75.2      14 of 24  split
+    GRU, 250 (1), 100, 32             8,000     91.7   107.4      18 of 20  split
+    GRU, 1750 (1), 100, 64          112,000    733.0  1166.7        9 of 9  split
+    ANN (300, 300), 1750, 64             64     65.0     7.8        0 of 8  whole
+    CNN (16, ..., 128), 1750, 64         64    116.2   176.6        8 of 8  whole
+
+The GRU rows cross over between 1,600 and 4,480 row-steps, so
+``MIN_SLAB_STEPS`` is 2,000 and two slabs start at 4,000. From 4,480 to
+8,000 the split saves under a fifth, and which side is faster moves with
+the host's load. An ANN's ~616k parameters cost more to pickle than its
+slab saves. The CNN row is the one the rule gets wrong: one step per row
+undercounts a conv stack, so a CNN minibatch stays whole until its rows
+are priced by their work.
 
 With one slab the loss, the gradients and the predictions are bit for bit
 those of one forward and one backward over the whole batch. A split
@@ -49,9 +72,9 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(diff * diff))
 
 
-# Fewest rows in a slab of a split recurrent minibatch; see the table in
-# ``loss_and_grads``'s docstring.
-MIN_SLAB_ROWS = 32
+# Fewest rows x unrolled steps of work in each slab of a split minibatch;
+# see the table in the module docstring.
+MIN_SLAB_STEPS = 2000
 
 
 def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
@@ -60,22 +83,8 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
 
     NaN or inf signal rows, complex targets, targets of a shape other than
     (B, 2) and NaN or inf target or prediction rows are rejected, naming
-    whole-batch row indices. A recurrent regressor's rows are split over
-    processes as the module docstring describes.
-
-    Every slab pays the unroll's per-step Python cost, and a split pays
-    10-20 ms to start the pool, so a small batch runs faster whole. Median
-    ms of 7 alternating runs for one process against two slabs (GRU,
-    h=100, one BLAS thread, 2-core Xeon):
-
-        N (chunk_size)    B=16       B=32       B=64       B=128
-        1750 (1)        677/547  1010/770   1784/1092  3402/1761
-        250 (1)           87/87    148/137    248/183    448/281
-        1750 (10)         73/72    112/95     183/149    349/211
-
-    With ``MIN_SLAB_ROWS`` = 32 no measured split is slower than the whole
-    batch. The B=16 and B=32 columns split into slabs of 8 and 16 rows:
-    those of 16 were faster in every row, those of 8 only at N=1750 (1).
+    whole-batch row indices. The rows are split over processes by the rule
+    and the table of the module docstring.
     """
     signals = real_rows("signals", signals, spec.input_len)
     n_rows = signals.shape[0]
@@ -83,8 +92,7 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
         raise ValueError(
             f"targets must be ({n_rows}, {OUTPUT_DIM}), got {np.shape(targets)}")
     targets = real_rows("targets", targets, OUTPUT_DIM)
-    slabs = (max(1, min(available_cpus(), n_rows // MIN_SLAB_ROWS))
-             if spec.kind == "rnn_regressor" else 1)
+    slabs = max(1, min(available_cpus(), n_rows * spec.n_steps // MIN_SLAB_STEPS))
     edges = [n_rows * i // slabs for i in range(slabs + 1)]
     chunks = [(signals[lo:hi], targets[lo:hi]) for lo, hi in zip(edges, edges[1:])]
     done = dict(fan_out(partial(_slab, spec, params, targets.size), chunks, slabs))

@@ -89,13 +89,14 @@ def step(kind: str, u: np.ndarray, xp_t: np.ndarray, s: np.ndarray):
         cand = np.tanh(xp_t[..., 2 * n:] + (r * s) @ u[:, 2 * n:])
         return z * s + (1.0 - z) * cand, (r, z, cand)
     if kind == "lstm":
-        h, c = s[..., :n], s[..., n:]
-        pre = xp_t + h @ u
+        pre = xp_t + s[..., :n] @ u
         gates = sigmoid(pre[..., :3 * n])
         i, f, o = gates[..., :n], gates[..., n:2 * n], gates[..., 2 * n:]
         g = np.tanh(pre[..., 3 * n:])
-        c_t = f * c + i * g
-        return np.concatenate([o * np.tanh(c_t), c_t], axis=-1), (i, f, o, g, c_t)
+        s_t = np.empty_like(s)  # [h_t | c_t], each half written in place
+        c_t = np.add(f * s[..., n:], i * g, out=s_t[..., n:])
+        np.multiply(o, np.tanh(c_t), out=s_t[..., :n])
+        return s_t, (i, f, o, g, c_t)
     raise ValueError(f"unknown cell kind {kind!r}")
 
 
@@ -127,5 +128,8 @@ def step_grad(kind: str, u: np.ndarray, s: np.ndarray, acts, ds: np.ndarray):
         dxp = np.concatenate([dc * g * i * (1.0 - i), dc * c * f * (1.0 - f),
                               dh * tc * o * (1.0 - o), dc * i * (1.0 - g ** 2)],
                              axis=1)
-        return dxp, h.T @ dxp, np.concatenate([dxp @ u.T, dc * f], axis=1)
+        ds_prev = np.empty_like(ds)
+        np.matmul(dxp, u.T, out=ds_prev[:, :n])
+        np.multiply(dc, f, out=ds_prev[:, n:])
+        return dxp, h.T @ dxp, ds_prev
     raise ValueError(f"unknown cell kind {kind!r}")

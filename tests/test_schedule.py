@@ -173,6 +173,24 @@ class TestRoundTrip:
         assert schedule_digest(loaded) == schedule_digest(schedule)
 
 
+PHASED = SequenceSchedule(
+    flip_angles_rad=np.linspace(0.1, 1.2, 7), rf_phases_rad=np.pi * np.arange(7) / 3,
+    tr_ms=np.array([4.3, 5.0, 6.25, 4.3, 12.0, 7.5, 4.3]), te_ms=1.5,
+    inversion_prep=False, inversion_delay_ms=20.0)
+
+
+# A digest names every dictionary built on its schedule, so its bytes may not
+# change: these are the digests the csv.writer serialization gave.
+@pytest.mark.parametrize("schedule, digest", [
+    (default_schedule(1), "a426f8435aa0605b42a964333142d1358214ad4e3d969b7c2ed52df13200eea8"),
+    (default_schedule(250), "190b1e7549b38a29c493c70c990c5cf3d41e5b1127dd66ba295721aff301cb6a"),
+    (default_schedule(1750), "b968008fea5783045756b1f273ed65fed1bdbc0230e68e42d82aeb550790a48a"),
+    (PHASED, "7740712a3e6e04c8e42a25d4ff2a6ddf718be68167a3e2f48795b7d988ffbf08"),
+], ids=["default_1", "default_250", "default_1750", "phased_no_prep"])
+def test_schedule_digest_pinned(schedule, digest):
+    assert schedule_digest(schedule) == digest
+
+
 HEADER = b"index,flip_rad,phase_rad,tr_ms\n"
 ROWS = b"0,0.5,0.0,4.3\n1,0.5,0.0,4.3\n"
 
