@@ -254,27 +254,27 @@ def build_plan(tissues, schedule: SequenceSchedule) -> BuildPlan:
 
     Atoms are taken in descending order of their ``order_caps``
     (``epg._by_cap``). A batch costs its size times the rows its largest
-    cap sweeps. When the grid fits in one batch of at most
-    ``epg.BATCH_SIZE`` atoms per CPU, the cut points minimize the largest
-    batch cost, so one CPU takes the grid as one batch; otherwise batches
-    of ``epg.BATCH_SIZE`` follow each other in cap order, so that
-    ``fan_out`` hands consecutive costs to alternating processes. Within a
-    batch ``simulate_fingerprints`` makes its own cuts. Without ``fork``
-    the build runs in the calling process alone.
+    cap sweeps. The cut points split them into at most
+    ``count = cpus * ceil(M / (cpus * epg.BATCH_SIZE))`` batches of at most
+    ``epg.BATCH_SIZE`` atoms each, where the largest batch cost is least;
+    ``fan_out`` gives every process about count / cpus of them. For M up
+    to cpus × ``epg.BATCH_SIZE`` count is cpus, so one CPU takes such a
+    grid as one batch. Above it, cuts every ``epg.BATCH_SIZE`` atoms are
+    one split into at most count batches, so the plan's largest cost is
+    never above theirs; on 2 CPUs the map benchmark's grid and the paper
+    grid get exactly those cuts. Within a batch ``simulate_fingerprints``
+    makes its own cuts. Without ``fork`` the build runs in the calling
+    process alone.
     """
     n, m, cpus = schedule.n_excitations, len(tissues), available_cpus()
     order, head = epg._by_cap(order_caps(tissues, schedule), n)
-    if m <= cpus * epg.BATCH_SIZE:
-        # The least largest cost is some batch size times some head's cost,
-        # and at least the first atom's: the least such limit that the
-        # greedy split meets in at most ``cpus`` batches.
-        limits = np.unique(np.arange(1, min(epg.BATCH_SIZE, m) + 1)[:, None] * head)
-        limits = limits[limits >= head[0]]
-        least = bisect.bisect_left(limits, True,
-                                   key=lambda limit: len(_cuts(head, limit)) <= cpus + 1)
-        cuts = _cuts(head, limits[least])
-    else:
-        cuts = [*range(0, m, epg.BATCH_SIZE), m]
+    count = cpus * -(-m // (cpus * epg.BATCH_SIZE))
+    # The least largest cost lies between the first atom's and a full batch
+    # of it, which the greedy split meets in ceil(M / BATCH_SIZE) batches:
+    # bisect for the least limit it meets in at most count.
+    limits = range(head[0], min(epg.BATCH_SIZE, m) * head[0] + 1)
+    cuts = _cuts(head, limits[bisect.bisect_left(
+        limits, True, key=lambda limit: len(_cuts(head, limit)) <= count + 1)])
     batches = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     # Every atom at K = N sweeps N(N + 1)/2 rows.
     return BuildPlan(batches, min(cpus, len(batches)),
@@ -295,7 +295,8 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
 
     Each atom keeps the dephasing orders ``order_caps`` gives it, which
     moves no sample by more than ``EPSILON`` from keeping all K = N.
-    ``build_plan`` sorts the atoms by cap and cuts them into batches, one
+    ``build_plan`` sorts the atoms by cap and cuts them, by one rule for
+    every grid size, into batches whose largest cost is least, one
     ``simulate_fingerprints`` call each, which groups its batch for the
     kernel itself; ``fan_out`` spreads the batches over its processes. The
     process that simulates a batch also normalizes its rows and rounds them
@@ -398,9 +399,9 @@ def match(dictionary: Dictionary, query: np.ndarray) -> tuple[TissueParams, floa
     ⟨Vᵀq, c_j⟩ + ‖q − VVᵀq‖·ρ_j. Second, the atom of the largest bound is
     scored exactly, in float64 against its full N samples, and so is every
     atom whose bound reaches that score minus a slack that covers all
-    rounding: 4(r + 4)·2⁻²⁴ + ((3√r + 4)N + 8)·2⁻⁵² plus twice the
-    measured ‖VᵀV − I‖, times the largest atom norm. The best of these, by
-    exact score, is the match.
+    rounding: ``margin`` times the largest atom norm, with ``margin`` and
+    its derivation in ``Dictionary._subspace``. The best of these, by exact
+    score, is the match.
     """
     query = np.asarray(query)
     if query.ndim != 1 or query.size != dictionary.n_samples:

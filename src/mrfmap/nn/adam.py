@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..files import number
+from ..files import number, real_rows
 
 DEFAULT_LR = 1e-4
 BETA1 = 0.9
@@ -49,9 +49,10 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
                 grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """One Adam step; parameters are updated in place and returned.
 
-    ``grads`` must hold exactly the keys of ``params``, each with its
-    parameter's shape, and the learning rate must be a finite positive
-    number; otherwise ValueError is raised before anything changes.
+    ``grads`` must hold exactly the keys of ``params``, each a real, finite
+    array (or nested list) of its parameter's shape, and the learning rate
+    must be a finite positive number; otherwise ValueError is raised before
+    anything changes.
     """
     lr = number("learning_rate", state.learning_rate)
     if not (math.isfinite(lr) and lr > 0):
@@ -61,19 +62,23 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
     if missing or extra:
         raise ValueError(f"gradient keys differ from the parameters: "
                          f"missing {missing}, extra {extra}")
+    checked = {}
     for key, p in params.items():
-        if grads[key].shape != p.shape:
-            raise ValueError(f"gradient shape {grads[key].shape} != param shape "
-                             f"{p.shape} for {key!r}")
+        shape = np.shape(grads[key])
+        if shape != p.shape:
+            raise ValueError(f"gradient shape {shape} != param shape {p.shape} for {key!r}")
+        # One row, so that a bad gradient's message stays one line long.
+        checked[key] = real_rows(f"gradient {key!r}", np.reshape(grads[key], (1, -1)),
+                                 dtype=p.dtype).reshape(p.shape)
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     for key, p in params.items():
-        g, m, v = grads[key], state.m[key], state.v[key]
+        g, m, v = checked[key], state.m[key], state.v[key]
         # In place on two scratch arrays, in the documented order; a product
         # or sum with its operands swapped has the same bits.
-        s, t = np.empty_like(p), np.empty_like(p)
+        s, root = np.empty_like(p), np.empty_like(p)
         m *= BETA1
         np.multiply(g, 1.0 - BETA1, out=s)
         m += s
@@ -83,9 +88,9 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
         v += s
         np.divide(m, bc1, out=s)
         s *= lr
-        np.divide(v, bc2, out=t)
-        np.sqrt(t, out=t)
-        t += EPS
-        s /= t
+        np.divide(v, bc2, out=root)
+        np.sqrt(root, out=root)
+        root += EPS
+        s /= root
         p -= s
     return params

@@ -90,6 +90,34 @@ def test_shape_mismatch_changes_nothing():
     np.testing.assert_array_equal(state.m["w"], np.zeros(3))
 
 
+@pytest.mark.parametrize("bad, message", [
+    (np.array([1.0 + 1.0j]), r"complex gradient 'b'"),
+    ([1.0, 2.0], re.escape("gradient shape (2,) != param shape (1,) for 'b'")),
+    (np.array([np.nan]), re.escape("gradient 'b' holding NaN or inf at rows [0]")),
+], ids=["complex", "list", "nan"])
+def test_bad_gradient_changes_nothing(bad, message):
+    # The bad gradient follows a good one in declaration order, and the
+    # step count, both moments and every parameter stay as they were.
+    params = {"w": np.ones(3), "b": np.ones(1)}
+    state = AdamState.for_params(params)
+    with pytest.raises(ValueError, match=message):
+        adam_update(state, params, {"w": np.ones(3), "b": bad})
+    assert state.step == 0
+    for key, p in params.items():
+        np.testing.assert_array_equal(p, np.ones(p.shape))
+        np.testing.assert_array_equal(state.m[key], np.zeros(p.shape))
+        np.testing.assert_array_equal(state.v[key], np.zeros(p.shape))
+
+
+def test_list_gradient_of_the_parameter_shape_is_an_array():
+    lists = {"w": np.ones((2, 3))}
+    arrays = {"w": np.ones((2, 3))}
+    g = [[0.5, -1.0, 2.0], [0.0, 3.0, -0.25]]
+    adam_update(AdamState.for_params(lists), lists, {"w": g})
+    adam_update(AdamState.for_params(arrays), arrays, {"w": np.array(g)})
+    assert lists["w"].tobytes() == arrays["w"].tobytes()
+
+
 @pytest.mark.parametrize("lr, message", [
     (float("nan"), "learning_rate must be finite and positive, got nan"),
     (float("inf"), "learning_rate must be finite and positive, got inf"),

@@ -52,9 +52,9 @@ def numbered_grid(m):
     return GridSpec(t1_segments=((1.0, float(m), 1.0),), t2_segments=((1.0, 1.0, 1.0),))
 
 
-# 392 atoms: 7 batches of BATCH_SIZE = 64, the last one short (8 atoms), so
-# at 1, 2 and 3 CPUs every process simulates several batches. The grid
-# holds every pair of the toy grid.
+# 392 atoms: more than BATCH_SIZE = 64 per CPU at 1, 2 and 3 CPUs, so every
+# process simulates several batches (7 of 56 atoms at 1 CPU). The grid holds
+# every pair of the toy grid.
 SPLIT_GRID = GridSpec(t1_segments=((100.0, 4000.0, 100.0),),
                       t2_segments=((25.0, 250.0, 25.0),))
 
@@ -63,6 +63,10 @@ SPLIT_GRID = GridSpec(t1_segments=((100.0, 4000.0, 100.0),),
 # and cap order is not grid order.
 CAPPED_GRID = GridSpec(t1_segments=((200.0, 1000.0, 200.0),),
                        t2_segments=((2.0, 14.0, 4.0),))
+
+# 520 atoms at N=80 (orders_kept about 0.9): the grid the CI builds on one
+# CPU and on all, more than BATCH_SIZE = 64 per CPU on 2 CPUs.
+CI_GRID = GridSpec(t1_segments=((100.0, 4000.0, 100.0),), t2_segments=((2.0, 50.0, 4.0),))
 
 # The dict-build benchmark's grid shape: six T1 and six T2 values, one in
 # each log-stratum of 500-4000 ms and 5-500 ms (paper length N=1750).
@@ -249,7 +253,7 @@ class TestBuildDictionary:
         monkeypatch.setattr(dictionary, "available_cpus", lambda: 1)
         split = build_dictionary(SPLIT_GRID, schedule)
         plan = dictionary.build_plan(split.labels, schedule)
-        assert [len(rows) for rows in plan.batches] == [64] * 6 + [8]
+        assert [len(rows) for rows in plan.batches] == [56] * 7
         assert plan.processes == 1
         rows = [split.labels.index(label) for label in d.labels]
         assert split.atoms[rows].tobytes() == d.atoms.tobytes()
@@ -285,8 +289,14 @@ class TestBuildDictionary:
         # One CPU: one batch, which simulate_fingerprints cuts itself.
         (DICT_BUILD_GRID, 1750, 1, [36]),
         (None, 80, 2, [12, 12]),
+        # Above BATCH_SIZE atoms per CPU: at 2 CPUs the map grid's least
+        # largest cost is that of 64-atom cuts, at 3 it takes 18 batches.
+        (MAP_GRID, 250, 2, [64] * 15 + [60]),
+        (MAP_GRID, 250, 3, [55] * 13 + [56, 60, 64, 64, 61]),
+        (CI_GRID, 80, 2, [50] * 8 + [57, 63]),
     ], ids=["36-64-2-plan0", "114650-64-2-plan1", "24-64-1-plan2", "5-64-4-plan3",
-            "1-64-8-plan4", "36-64-1-plan5", "24-64-2-plan6"])
+            "1-64-8-plan4", "36-64-1-plan5", "24-64-2-plan6", "1020-64-2-plan7",
+            "1020-64-3-plan8", "520-64-2-plan9"])
     def test_build_plan_split_rule(self, toy_dictionary, monkeypatch, grid, n, cpus, sizes):
         monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
         assert epg.BATCH_SIZE == 64
@@ -311,24 +321,38 @@ class TestBuildDictionary:
         assert set(tissues[plan.batches[0], 1].tolist()) == {158.0, 341.0}
         assert 0.0 < plan.orders_kept < 0.5
 
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_build_plan_minimizes_largest_batch(self, toy_dictionary, monkeypatch, cpus):
+    # At BATCH_SIZE 4 the 20 atoms are more than one batch per CPU: count
+    # is 6 at 2 and 3 CPUs, and fixed 4-atom cuts cost 12,740 rows.
+    @pytest.mark.parametrize("cpus, batch_size, sizes", [
+        pytest.param(2, 64, [9, 11], id="2"), pytest.param(3, 64, [5, 6, 9], id="3"),
+        pytest.param(2, 4, [3, 3, 3, 3, 4, 4], id="2-batch4"),
+        pytest.param(3, 4, [3, 3, 3, 3, 4, 4], id="3-batch4"),
+    ])
+    def test_build_plan_minimizes_largest_batch(self, toy_dictionary, monkeypatch,
+                                                cpus, batch_size, sizes):
         # Exhaustive search over every contiguous split of the cap-sorted
-        # atoms into at most ``cpus`` batches finds no smaller largest cost.
+        # atoms into at most ``count`` batches of at most BATCH_SIZE atoms
+        # finds no smaller largest cost.
         _, schedule = toy_dictionary
         labels = expand_grid(CAPPED_GRID)
         monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(epg, "BATCH_SIZE", batch_size)
         plan = dictionary.build_plan(labels, schedule)
         order = np.concatenate(plan.batches)
         m, best = len(labels), np.inf
-        for k in range(1, cpus + 1):
+        count = cpus * -(-m // (cpus * batch_size))
+
+        def split(cuts):
+            return dictionary.BuildPlan([order[lo:hi] for lo, hi in zip(cuts, cuts[1:])], 1, 0.0)
+
+        for k in range(1, count + 1):
             for inner in itertools.combinations(range(1, m), k - 1):
                 cuts = [0, *inner, m]
-                split = dictionary.BuildPlan(
-                    [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])], k, 0.0)
-                best = min(best, plan_cost(split, labels, schedule))
+                if max(np.diff(cuts)) <= batch_size:
+                    best = min(best, plan_cost(split(cuts), labels, schedule))
         assert plan_cost(plan, labels, schedule) == best
-        assert len(plan.batches) == cpus
+        assert best <= plan_cost(split([*range(0, m, batch_size), m]), labels, schedule)
+        assert [len(rows) for rows in plan.batches] == sizes
 
     def test_one_cpu_plan_leaves_the_cut_to_the_simulator(self, monkeypatch):
         # One process runs the whole dict-build grid as one batch; the
