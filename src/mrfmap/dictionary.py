@@ -139,6 +139,9 @@ class Dictionary:
 
     Construction refuses atoms that are not finite real (M, N) rows, M the
     grid's number of pairs, and a ``schedule_digest`` that is not a string.
+    ``atoms`` is the dictionary's own view of the checked array: it can be
+    written until the first match derives ``_subspace`` from it, and is
+    read-only from then on, so no write through it can leave the matcher stale.
     """
 
     atoms: np.ndarray  # (M, N) float32
@@ -148,7 +151,7 @@ class Dictionary:
     def __post_init__(self):
         if not isinstance(self.schedule_digest, str):
             raise ValueError(f"schedule_digest must be a string, got {self.schedule_digest!r}")
-        object.__setattr__(self, "atoms", real_rows("atoms", self.atoms, dtype=np.float32))
+        object.__setattr__(self, "atoms", real_rows("atoms", self.atoms, dtype=np.float32).view())
         n_pairs = len(expand_grid(self.grid))
         if self.atoms.shape[0] != n_pairs:
             raise ValueError(f"{self.atoms.shape[0]} atom rows, but the grid "
@@ -201,6 +204,8 @@ class Dictionary:
         4(r + 4)u₃₂. No basis makes the result wrong; one that captures little
         of the atoms only leaves more atoms to score exactly.
         """
+        # V and W stand for these atoms, so they can no longer be written.
+        self.atoms.flags.writeable = False
         m, n = self.atoms.shape
         r = min(RANK, m, n)
         # The float64 work runs over blocks of rows widened one at a time,
@@ -459,7 +464,8 @@ def save_dictionary(dictionary: Dictionary, name: str | Path) -> tuple[Path, Pat
 def load_dictionary(name: str | Path) -> Dictionary:
     """Read ``<name>.dict`` and ``<name>.json`` as written by ``save_dictionary``.
 
-    The atoms are the file's float32 values, read once into a writable array.
+    The atoms are the file's float32 values, read once into an array that
+    is writable until the first match (see ``Dictionary``).
     Rejects a bad header or size, atoms of no samples or holding NaN or inf
     (naming the rows), a manifest that is not a JSON object holding a valid
     grid and a string ``schedule_digest``, a manifest grid too fine to

@@ -109,7 +109,6 @@ seed 7. Planning took about 16 us for a batch of 64 that one call suits,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -125,17 +124,10 @@ class TissueParams(NamedTuple):
     t2_ms: float
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Complex signal evolution sampled at each excitation (the oracle's result)."""
 
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "samples",
-            np.ascontiguousarray(np.asarray(self.samples, dtype=np.complex128)),
-        )
+    samples: np.ndarray  # (N,) complex128
 
 
 # Largest change of a sample (samples are bounded by 1) that dropping the

@@ -6,29 +6,32 @@ array of ``param_layout(spec)``, in its order and shapes, flattened to
 little-endian float32; the ``param_order`` and ``param_shapes`` that older
 headers also hold are ignored. Loading restores float64 parameters whose
 values are exactly the stored f32 ones, so save -> load -> save is
-byte-identical. On construction a ``ModelCheckpoint`` refuses a ``spec``
-that is not a ``ModelSpec``, ``params`` that are not a dict of arrays by
-name, label scaling that is not a finite positive number, a ``seed`` that
-is not an integer and ``metadata`` that is not an object. In the file
-(arrays and metadata can change after construction), saving refuses
-parameters off the layout and a header JSON cannot hold; both refuse NaN
-or inf parameters.
-Loading also rejects a header that lacks a key, holds an unknown spec key or
-a spec value ``ModelSpec`` refuses, a ``spec`` or ``label_scaling`` that is
-not a JSON object, and a blob whose size disagrees with the layout; each
-with a ValueError that names the file.
+byte-identical.
+
+A ``ModelCheckpoint`` holds every rule on what a checkpoint may be. Its
+constructor refuses a ``spec`` that is not a ``ModelSpec``, ``params`` that
+are not a dict of arrays by name or do not fit ``param_layout(spec)``, any
+parameter that ``files.real_rows`` refuses as float32 (complex, NaN or inf,
+or beyond float32; one error names every such array), label scaling that is
+not a finite positive number, a ``seed`` that is not an integer and
+``metadata`` that is not a JSON object ``json.dumps`` can write. The arrays
+and metadata can change after construction, so saving constructs the
+checkpoint again before it writes anything; then it only formats. Loading
+only parses the delimiter, the header JSON and the blob size, and
+constructs. ``ModelSpec`` refuses a bad spec. Each refusal in a save or a
+load is a ValueError that names the file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from ..files import json_object, naming, number
+from ..files import json_object, naming, number, real_rows
 from .models import ModelSpec, param_layout
 
 DELIMITER = b"---PARAMS---\n"
@@ -52,6 +55,21 @@ class ModelCheckpoint:
                if not (isinstance(key, str) and isinstance(value, np.ndarray))}
         if bad:
             raise ValueError(f"params must be a dict of arrays by name, got {bad}")
+        given = {k: v.shape for k, v in self.params.items()}
+        layout = param_layout(self.spec)
+        bad = {k: (given.get(k), layout.get(k)) for k in sorted(given.keys() | layout.keys())
+               if given.get(k) != layout.get(k)}
+        if bad:
+            raise ValueError(f"parameters do not fit the {self.spec.kind} spec, "
+                             f"name: (given shape, spec shape): {bad}")
+        bad = {}
+        for name, arr in self.params.items():
+            try:  # one row, so that each message stays one line long
+                real_rows(name, arr.reshape(1, -1), dtype=np.float32)
+            except ValueError as err:
+                bad[name] = str(err)
+        if bad:
+            raise ValueError(f"parameters {list(bad)} refused: {'; '.join(bad.values())}")
         scaling = {key: number(key, getattr(self, key)) for key in ("t1_max", "t2_max")}
         bad = {key: value for key, value in scaling.items()
                if not (math.isfinite(value) and value > 0)}
@@ -60,45 +78,23 @@ class ModelCheckpoint:
         for key, value in {**scaling, "seed": number("seed", self.seed, integral=True)}.items():
             object.__setattr__(self, key, value)
         json_object("metadata", self.metadata)
-
-
-def _reject_nonfinite(params: dict[str, np.ndarray]) -> None:
-    bad = [name for name, arr in params.items() if not np.all(np.isfinite(arr))]
-    if bad:
-        raise ValueError(f"NaN or inf values in parameters {bad}")
+        try:
+            json.dumps(self.metadata, sort_keys=True)
+        except TypeError as err:  # a value JSON has no form for
+            raise ValueError(f"metadata is not JSON: {err}") from None
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
     """Write ``ckpt`` to ``path``; a refused checkpoint leaves the file as it was."""
     path = Path(path)
     with naming(path):
-        layout = param_layout(ckpt.spec)
-        given = {name: np.shape(arr) for name, arr in ckpt.params.items()}
-        wrong = {name: (given.get(name), layout.get(name))
-                 for name in sorted(given.keys() | layout.keys())
-                 if given.get(name) != layout.get(name)}
-        if wrong:
-            raise ValueError(f"parameters do not fit the {ckpt.spec.kind} spec, "
-                             f"name: (given shape, spec shape): {wrong}")
-        stored = {name: np.ascontiguousarray(ckpt.params[name], dtype="<f4")
-                  for name in layout}
-        _reject_nonfinite(stored)
-        header = {
-            "spec": ckpt.spec.to_json_dict(),
-            "label_scaling": {"t1_max": ckpt.t1_max, "t2_max": ckpt.t2_max},
-            "seed": ckpt.seed,
-            "metadata": ckpt.metadata,
-        }
-        try:
-            text = json.dumps(header, sort_keys=True)
-        except TypeError as err:  # a value JSON has no form for
-            raise ValueError(f"header is not JSON: {err}") from None
-    blob = b"".join(arr.tobytes() for arr in stored.values())
+        ckpt = replace(ckpt)  # the arrays and metadata may have changed since construction
+    header = {"spec": ckpt.spec.to_json_dict(), "seed": ckpt.seed, "metadata": ckpt.metadata,
+              "label_scaling": {"t1_max": ckpt.t1_max, "t2_max": ckpt.t2_max}}
+    blob = b"".join(np.ascontiguousarray(ckpt.params[name], dtype="<f4").tobytes()
+                    for name in param_layout(ckpt.spec))
     with open(path, "wb") as fh:
-        fh.write(text.encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(DELIMITER)
-        fh.write(blob)
+        fh.writelines([json.dumps(header, sort_keys=True).encode("utf-8"), b"\n", DELIMITER, blob])
     return path
 
 
@@ -124,6 +120,5 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
         params = {name: part.reshape(shape) for (name, shape), part
                   in zip(layout.items(), np.split(flat, np.cumsum(sizes)[:-1]))}
-        _reject_nonfinite(params)
         return ModelCheckpoint(spec, params, scaling["t1_max"], scaling["t2_max"],
                                header["seed"], header.get("metadata", {}))

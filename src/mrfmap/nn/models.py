@@ -140,6 +140,8 @@ class ModelSpec:
                     f"chunk_size {self.chunk_size} must divide "
                     f"input_len {self.input_len}"
                 )
+        if self.kind == "cnn1d" and not self.cnn_channels:
+            raise ValueError("cnn_channels must be at least one conv layer for a cnn1d, got ()")
         if self.kind == "cnn1d" and self.conv_lengths()[-1] < 1:
             raise ValueError("input_len too short for the conv stack")
 

@@ -109,10 +109,14 @@ def test_blob_one_float_short_or_long_rejected(tmp_path, delta):
 
 
 def refused_save(tmp_path, params):
-    """The error ``save_checkpoint`` raises for these GRU parameters; no file is left."""
+    """The error ``save_checkpoint`` raises for a GRU checkpoint whose
+    parameters became ``params`` after construction; no file is left."""
+    ckpt = gru_checkpoint()
+    ckpt.params.clear()
+    ckpt.params.update(params)
     path = tmp_path / "m.ckpt"
     with pytest.raises(ValueError) as err:
-        save_checkpoint(ModelCheckpoint(SPECS["gru"], params, 4000.0, 500.0, 0), path)
+        save_checkpoint(ckpt, path)
     assert list(tmp_path.iterdir()) == []
     return str(err.value).removeprefix(f"{path}: parameters do not fit the "
                                        "rnn_regressor spec, name: (given shape, spec shape): ")
@@ -301,11 +305,33 @@ def test_numpy_numbers_save_as_python_numbers(tmp_path, name):
 def test_failed_save_leaves_the_file_as_it_was(tmp_path):
     path = saved_gru(tmp_path)
     before = path.read_bytes()
-    ckpt = dataclasses.replace(gru_checkpoint(), metadata={"loss": np.float32(0.5)})
+    ckpt = gru_checkpoint()
+    ckpt.metadata["loss"] = np.float32(0.5)
     with pytest.raises(ValueError, match=re.escape(
-            f"{path}: header is not JSON: Object of type float32")):
+            f"{path}: metadata is not JSON: Object of type float32")):
         save_checkpoint(ckpt, path)
     assert path.read_bytes() == before
+
+
+def test_save_refuses_a_tensor_made_complex(tmp_path):
+    # Saving used to keep the real part only, with a ComplexWarning, and the
+    # file loaded back.
+    ckpt = gru_checkpoint()
+    ckpt.params["head.b"] = ckpt.params["head.b"] + 1j
+    path = tmp_path / "m.ckpt"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: parameters ['head.b'] refused: complex head.b")):
+        save_checkpoint(ckpt, path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cnn_with_no_conv_layer_rejected(tmp_path):
+    path = save_checkpoint(ModelCheckpoint(SPECS["cnn1d"], init_params(SPECS["cnn1d"], seed=1),
+                                           4000.0, 500.0, 0), tmp_path / "m.ckpt")
+    rewrite_header(path, lambda meta: meta["spec"].update(cnn_channels=[]))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: cnn_channels must be at least one conv layer for a cnn1d")):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("value", [1.7, 1.0, "1", None, True])
@@ -330,10 +356,28 @@ def test_save_refuses_a_header_load_would_reject(tmp_path, field, value, message
     assert list(tmp_path.iterdir()) == []
 
 
+def gru_params(changes):
+    """The GRU parameters of ``gru_checkpoint`` with the arrays of ``changes`` put in."""
+    return {**init_params(SPECS["gru"], seed=1), **changes}
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("seed", 1.7, "seed must be an integer, got 1.7"),
     ("metadata", [1], "metadata must be a JSON object, got list"),
     ("t1_max", float("nan"), "label scaling must be finite and positive, got {'t1_max': nan}"),
+    ("params", gru_params({"extra": np.zeros(3)}),
+     "parameters do not fit the rnn_regressor spec, name: (given shape, spec shape): "
+     "{'extra': ((3,), None)}"),
+    ("params", gru_params({"cell.w": np.full((3, 12), np.nan), "head.b": np.array([0, np.inf])}),
+     "parameters ['cell.w', 'head.b'] refused: cell.w holding NaN or inf at rows [0]; "
+     "head.b holding NaN or inf at rows [0]"),
+    ("params", gru_params({"head.b": np.array([1.0, 1j])}),
+     "parameters ['head.b'] refused: complex head.b; mrfmap takes real values"),
+    # 1e39 is a finite float64 that float32 cannot hold.
+    ("params", gru_params({"head.b": np.array([0.0, 1e39])}),
+     "parameters ['head.b'] refused: head.b holding NaN or inf at rows [0]"),
+    ("metadata", {"loss": np.float32(0.5)},
+     "metadata is not JSON: Object of type float32 is not JSON serializable"),
 ])
 def test_constructor_refuses_what_load_refuses(field, value, message):
     # Each used to be made, and only a save or a load refused it.

@@ -666,6 +666,23 @@ class TestCertifiedMatch:
         with pytest.raises(dataclasses.FrozenInstanceError):
             d.atoms = d.atoms[::-1].copy()
 
+    def test_atoms_freeze_at_the_first_match(self):
+        # A write after the first match used to be taken while V and W kept
+        # the old atoms, so an atom overwritten with the query's direction
+        # lost to the old best row.
+        atoms = np.abs(np.random.default_rng(5).standard_normal((110, 60))).astype(np.float32)
+        atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
+        d = Dictionary(atoms, "hand-made", numbered_grid(110))
+        d.atoms[0] = d.atoms[1]  # a write before the first match is taken
+        query = d.atoms[40] + np.float32(0.01)
+        label, score = match(d, query)
+        assert label == naive_match(d, query)[0]
+        with pytest.raises(ValueError, match="read-only"):
+            d.atoms[-1] = query / np.linalg.norm(query)
+        assert match(d, query) == (label, score)
+        # The dictionary's view froze, not the array the caller handed in.
+        assert atoms.flags.writeable and not d.atoms.flags.writeable
+
     def test_exact_stage_memory_is_bounded_on_noisy_queries(self):
         # At low SNR the bounds rule out few atoms; near a subspace of twice
         # RANK dimensions they rule out none. The exact stage used to widen

@@ -307,7 +307,10 @@ class TestBaselines:
         # A list is unhashable, so it used to raise TypeError.
         (lambda: ModelSpec("rnn_regressor", cell_kind=["gru"]), "unknown cell kind ['gru']"),
         (lambda: ModelSpec.from_json_dict({"input_len": 30}), "spec lacks ['kind']"),
-    ], ids=["kind", "cell_kind", "no_kind"])
+        # Used to be made; its forward passes then raised ValueError or IndexError.
+        (lambda: ModelSpec("cnn1d", input_len=20, cnn_channels=()),
+         "cnn_channels must be at least one conv layer for a cnn1d, got ()"),
+    ], ids=["kind", "cell_kind", "no_kind", "no_conv"])
     def test_spec_refusals(self, make, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             make()
