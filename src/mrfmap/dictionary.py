@@ -73,16 +73,14 @@ class GridSpec:
                     isinstance(seg, (list, tuple)) and len(seg) == 3 for seg in segments)):
                 raise ValueError(f"grid {name} must be a list of [start, stop, step] "
                                  f"lists of numbers, got {segments!r}")
-            object.__setattr__(self, name, tuple(
-                tuple(number(f"grid {name} value", x) for x in seg) for seg in segments))
-        for seg in self.t1_segments + self.t2_segments:
-            # NaN fails every comparison below and inf would overflow the
-            # expansion, so both are refused here.
-            if not all(math.isfinite(x) for x in seg):
-                raise ValueError(f"segment values must be finite, got {seg}")
-            start, stop, step = seg
-            if step <= 0 or stop < start:
-                raise ValueError(f"invalid segment {seg}")
+            checked = []
+            for seg in segments:
+                where = f"grid {name} value in segment {tuple(seg)}"
+                start, stop, step = checked_seg = tuple(number(where, x) for x in seg)
+                if step <= 0 or stop < start:
+                    raise ValueError(f"invalid segment {checked_seg}")
+                checked.append(checked_seg)
+            object.__setattr__(self, name, tuple(checked))
         expand_grid(self)
 
     @classmethod
@@ -139,9 +137,11 @@ class Dictionary:
 
     Construction refuses atoms that are not finite real (M, N) rows, M the
     grid's number of pairs, and a ``schedule_digest`` that is not a string.
-    ``atoms`` is the dictionary's own view of the checked array: it can be
-    written until the first match derives ``_subspace`` from it, and is
-    read-only from then on, so no write through it can leave the matcher stale.
+    ``atoms`` is the checked array itself, the caller's own when it is
+    already C-contiguous float32: it can be written until the first match
+    derives ``_subspace`` from it, and is read-only from then on, so no write
+    through it can leave the matcher stale. A view into a larger array can
+    still be written through that larger array.
     """
 
     atoms: np.ndarray  # (M, N) float32
@@ -151,7 +151,7 @@ class Dictionary:
     def __post_init__(self):
         if not isinstance(self.schedule_digest, str):
             raise ValueError(f"schedule_digest must be a string, got {self.schedule_digest!r}")
-        object.__setattr__(self, "atoms", real_rows("atoms", self.atoms, dtype=np.float32).view())
+        object.__setattr__(self, "atoms", real_rows("atoms", self.atoms, dtype=np.float32))
         n_pairs = len(expand_grid(self.grid))
         if self.atoms.shape[0] != n_pairs:
             raise ValueError(f"{self.atoms.shape[0]} atom rows, but the grid "

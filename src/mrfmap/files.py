@@ -4,13 +4,16 @@ A reader runs its checks inside ``naming(path)``, so that every ValueError
 starts with the path of the file at fault. JSON is read as UTF-8, and its
 objects and numbers are checked here, for files and constructors alike.
 
-Every array a caller hands the pipeline passes one gate, ``real_rows``,
-which refuses complex values, the wrong shape and NaN or inf rows.
+What a caller hands the pipeline passes one of three gates: every array
+``real_rows``, which refuses complex values, the wrong shape and NaN or inf
+rows; every scalar ``number``, which refuses NaN and inf too; and every dict
+of named arrays ``fits``, which refuses names or shapes other than a layout's.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from contextlib import contextmanager
 from pathlib import Path
@@ -47,19 +50,41 @@ def json_object(name: str, value, required=(), allowed=None) -> dict:
 
 
 def number(name: str, value, integral: bool = False) -> int | float:
-    """``value`` as a Python int if ``integral``, else as a float.
+    """``value`` as a Python int if ``integral``, else as a finite float.
 
     A bool is refused: Python counts it an int, but JSON's true is no
-    number. So is a real too large for a float.
+    number. So are a real too large for a float, NaN and inf.
     """
     if isinstance(value, bool) or not isinstance(
             value, numbers.Integral if integral else numbers.Real):
         raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, "
                          f"got {value!r}")
+    if integral:
+        return int(value)
     try:
-        return int(value) if integral else float(value)
+        value = float(value)
     except OverflowError:
         raise ValueError(f"{name} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def fits(name: str, arrays: dict, layout: dict) -> None:
+    """Refuse ``arrays`` unless it holds exactly the names of ``layout``, each
+    of its shape.
+
+    One error names every difference as name: (given shape, expected
+    shape), None standing for a missing name's given shape or an extra
+    one's expected shape. Shapes are read with ``np.shape``, so a nested
+    list of the right shape fits.
+    """
+    given = {key: np.shape(value) for key, value in arrays.items()}
+    bad = {key: (given.get(key), layout.get(key))
+           for key in sorted(given.keys() | layout.keys(), key=str)
+           if given.get(key) != layout.get(key)}
+    if bad:
+        raise ValueError(f"{name} do not fit, name: (given shape, expected shape): {bad}")
 
 
 def real_rows(name: str, values, width: int | None = None,
@@ -69,15 +94,15 @@ def real_rows(name: str, values, width: int | None = None,
     Complex values are refused, as a cast would keep their real part only.
     An array already C-contiguous in ``dtype`` is returned, not copied. The
     width must be ``width``, or any width of at least 1 if that is None;
-    B may be 0. Rows holding NaN or inf are refused by index, and so are
-    rows that overflow in the cast to ``dtype``.
+    B may be 0. Rows holding NaN or inf are refused by index, and so are,
+    as beyond ``dtype``, rows that overflow in the cast to it.
     """
-    values = np.asanyarray(values)
-    if np.iscomplexobj(values):
+    given = np.asanyarray(values)
+    if np.iscomplexobj(given):
         raise ValueError(f"complex {name}; mrfmap takes real values, "
                          f"such as a signal's magnitudes (np.abs)")
     with np.errstate(over="ignore"):  # an overflowing cast gives an inf row
-        values = np.require(values, dtype, "C")
+        values = np.require(given, dtype, "C")
     if values.ndim != 2 or values.shape[1] < 1 or width not in (None, values.shape[1]):
         expected = f"(B, {width})" if width else "(B, N) with N >= 1"
         raise ValueError(f"{name} must be {expected}, got {values.shape}")
@@ -88,5 +113,9 @@ def real_rows(name: str, values, width: int | None = None,
         suspect = np.flatnonzero(~np.isfinite(values.sum(axis=1, dtype=np.float64)))
     bad = suspect[~np.isfinite(values[suspect]).all(axis=1)]
     if bad.size:
-        raise ValueError(f"{name} holding NaN or inf at rows {bad.tolist()}")
+        # A row that is finite as given overflowed in the cast.
+        over = np.isfinite(given[bad].astype(np.float64)).all(axis=1)
+        faults = [f"{fault} at rows {rows.tolist()}" for fault, rows in (
+            ("holding NaN or inf", bad[~over]), (f"beyond {values.dtype}", bad[over])) if rows.size]
+        raise ValueError(f"{name} {' and '.join(faults)}")
     return values

@@ -16,12 +16,11 @@ peaks before it settles.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..files import number, real_rows
+from ..files import fits, number, real_rows
 
 DEFAULT_LR = 1e-4
 BETA1 = 0.9
@@ -49,27 +48,20 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
                 grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """One Adam step; parameters are updated in place and returned.
 
-    ``grads`` must hold exactly the keys of ``params``, each a real, finite
-    array (or nested list) of its parameter's shape, and the learning rate
-    must be a finite positive number; otherwise ValueError is raised before
-    anything changes.
+    The learning rate must be a finite positive number (``files.number``).
+    ``grads`` and both moments must fit the parameters' names and shapes
+    (``files.fits``), and each gradient must be a real, finite array (or
+    nested list); otherwise ValueError is raised before anything changes.
     """
     lr = number("learning_rate", state.learning_rate)
-    if not (math.isfinite(lr) and lr > 0):
+    if lr <= 0:
         raise ValueError(f"learning_rate must be finite and positive, got {lr}")
-    missing = [key for key in params if key not in grads]
-    extra = [key for key in grads if key not in params]
-    if missing or extra:
-        raise ValueError(f"gradient keys differ from the parameters: "
-                         f"missing {missing}, extra {extra}")
-    checked = {}
-    for key, p in params.items():
-        shape = np.shape(grads[key])
-        if shape != p.shape:
-            raise ValueError(f"gradient shape {shape} != param shape {p.shape} for {key!r}")
-        # One row, so that a bad gradient's message stays one line long.
-        checked[key] = real_rows(f"gradient {key!r}", np.reshape(grads[key], (1, -1)),
-                                 dtype=p.dtype).reshape(p.shape)
+    shapes = {key: p.shape for key, p in params.items()}
+    for name, arrays in (("gradients", grads), ("moments m", state.m), ("moments v", state.v)):
+        fits(name, arrays, shapes)
+    # One row, so that a bad gradient's message stays one line long.
+    checked = {key: real_rows(f"gradient {key!r}", np.reshape(grads[key], (1, -1)),
+                              dtype=p.dtype).reshape(p.shape) for key, p in params.items()}
     state.step += 1
     t = state.step
     bc1 = 1.0 - BETA1 ** t

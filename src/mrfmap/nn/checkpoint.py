@@ -10,10 +10,11 @@ byte-identical.
 
 A ``ModelCheckpoint`` holds every rule on what a checkpoint may be. Its
 constructor refuses a ``spec`` that is not a ``ModelSpec``, ``params`` that
-are not a dict of arrays by name or do not fit ``param_layout(spec)``, any
-parameter that ``files.real_rows`` refuses as float32 (complex, NaN or inf,
-or beyond float32; one error names every such array), label scaling that is
-not a finite positive number, a ``seed`` that is not an integer and
+are not a dict of arrays by name or that ``files.fits`` refuses against
+``param_layout(spec)``, any parameter that ``files.real_rows`` refuses as
+float32 (complex, NaN or inf, or beyond float32; one error names every such
+array), label scaling that ``files.number`` refuses (not a finite number)
+or that is not positive, a ``seed`` that is not an integer and
 ``metadata`` that is not a JSON object ``json.dumps`` can write. The arrays
 and metadata can change after construction, so saving constructs the
 checkpoint again before it writes anything; then it only formats. Loading
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..files import json_object, naming, number, real_rows
+from ..files import fits, json_object, naming, number, real_rows
 from .models import ModelSpec, param_layout
 
 DELIMITER = b"---PARAMS---\n"
@@ -55,13 +56,7 @@ class ModelCheckpoint:
                if not (isinstance(key, str) and isinstance(value, np.ndarray))}
         if bad:
             raise ValueError(f"params must be a dict of arrays by name, got {bad}")
-        given = {k: v.shape for k, v in self.params.items()}
-        layout = param_layout(self.spec)
-        bad = {k: (given.get(k), layout.get(k)) for k in sorted(given.keys() | layout.keys())
-               if given.get(k) != layout.get(k)}
-        if bad:
-            raise ValueError(f"parameters do not fit the {self.spec.kind} spec, "
-                             f"name: (given shape, spec shape): {bad}")
+        fits("parameters", self.params, param_layout(self.spec))
         bad = {}
         for name, arr in self.params.items():
             try:  # one row, so that each message stays one line long
@@ -71,8 +66,7 @@ class ModelCheckpoint:
         if bad:
             raise ValueError(f"parameters {list(bad)} refused: {'; '.join(bad.values())}")
         scaling = {key: number(key, getattr(self, key)) for key in ("t1_max", "t2_max")}
-        bad = {key: value for key, value in scaling.items()
-               if not (math.isfinite(value) and value > 0)}
+        bad = {key: value for key, value in scaling.items() if value <= 0}
         if bad:
             raise ValueError(f"label scaling must be finite and positive, got {bad}")
         for key, value in {**scaling, "seed": number("seed", self.seed, integral=True)}.items():

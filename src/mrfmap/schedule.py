@@ -33,8 +33,9 @@ DEFAULT_TR_MS = 4.3
 class SequenceSchedule:
     """Per-excitation RF/timing parameters driving the simulator.
 
-    ``te_ms`` and ``inversion_delay_ms`` must be finite nonnegative numbers,
-    not bools, with TE below the shortest TR, and are stored as floats;
+    ``te_ms`` and ``inversion_delay_ms`` must be numbers that
+    ``files.number`` takes (finite, not bools) and nonnegative, with TE
+    below the shortest TR, and are stored as floats;
     ``inversion_prep`` must be a bool. Any other value is a ValueError.
     """
 
@@ -63,8 +64,6 @@ class SequenceSchedule:
         object.__setattr__(self, "tr_ms", tr)
         for name in ("te_ms", "inversion_delay_ms"):
             value = number(name, getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
             if value < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
             object.__setattr__(self, name, value)

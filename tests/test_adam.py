@@ -83,16 +83,33 @@ def test_shape_mismatch_changes_nothing():
     # The bad gradient comes after a good one in declaration order.
     params = {"w": np.ones(3), "b": np.ones(1)}
     state = AdamState.for_params(params)
-    with pytest.raises(ValueError, match=r"for 'b'"):
+    with pytest.raises(ValueError, match=re.escape("{'b': ((2,), (1,))}")):
         adam_update(state, params, {"w": np.ones(3), "b": np.ones(2)})
     assert state.step == 0
     np.testing.assert_array_equal(params["w"], np.ones(3))
     np.testing.assert_array_equal(state.m["w"], np.zeros(3))
 
 
+def zeros(*shapes):
+    """Moments named w and b, of these shapes in that order, all zero."""
+    return {key: np.zeros(shape) for key, shape in zip("wb", shapes)}
+
+
+def assert_nothing_changed(state, params, m, v):
+    """The step count is 0, every parameter is all ones, and the moments are ``m`` and ``v``."""
+    assert state.step == 0
+    for key, p in params.items():
+        np.testing.assert_array_equal(p, np.ones(p.shape))
+    for moments, expected in ((state.m, m), (state.v, v)):
+        assert moments.keys() == expected.keys()
+        for key, moment in moments.items():
+            np.testing.assert_array_equal(moment, expected[key])
+
+
 @pytest.mark.parametrize("bad, message", [
     (np.array([1.0 + 1.0j]), r"complex gradient 'b'"),
-    ([1.0, 2.0], re.escape("gradient shape (2,) != param shape (1,) for 'b'")),
+    ([1.0, 2.0], re.escape("gradients do not fit, name: (given shape, expected shape): "
+                           "{'b': ((2,), (1,))}")),
     (np.array([np.nan]), re.escape("gradient 'b' holding NaN or inf at rows [0]")),
 ], ids=["complex", "list", "nan"])
 def test_bad_gradient_changes_nothing(bad, message):
@@ -102,11 +119,28 @@ def test_bad_gradient_changes_nothing(bad, message):
     state = AdamState.for_params(params)
     with pytest.raises(ValueError, match=message):
         adam_update(state, params, {"w": np.ones(3), "b": bad})
-    assert state.step == 0
-    for key, p in params.items():
-        np.testing.assert_array_equal(p, np.ones(p.shape))
-        np.testing.assert_array_equal(state.m[key], np.zeros(p.shape))
-        np.testing.assert_array_equal(state.v[key], np.zeros(p.shape))
+    assert_nothing_changed(state, params, zeros(3, 1), zeros(3, 1))
+
+
+@pytest.mark.parametrize("m, v, message", [
+    ({}, {}, "moments m do not fit, name: (given shape, expected shape): "
+             "{'b': (None, (1,)), 'w': (None, (3,))}"),
+    (zeros(3, 1), zeros(3, 2), "moments v do not fit, name: (given shape, expected shape): "
+                               "{'b': ((2,), (1,))}"),
+    (zeros(3), zeros(3, 1), "moments m do not fit, name: (given shape, expected shape): "
+                            "{'b': (None, (1,))}"),
+    ({**zeros(3, 1), "c": np.zeros(2)}, zeros(3, 1),
+     "moments m do not fit, name: (given shape, expected shape): {'c': ((2,), None)}"),
+], ids=["fresh_state", "wrong_shape", "missing_key", "extra_key"])
+def test_moments_that_do_not_fit_change_nothing(m, v, message):
+    # Such a state used to move the step count to 1 before a KeyError or a
+    # broadcast error.
+    params = {"w": np.ones(3), "b": np.ones(1)}
+    state = AdamState(m=m, v=v)
+    kept = ({k: a.copy() for k, a in m.items()}, {k: a.copy() for k, a in v.items()})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        adam_update(state, params, {"w": np.ones(3), "b": np.ones(1)})
+    assert_nothing_changed(state, params, *kept)
 
 
 def test_list_gradient_of_the_parameter_shape_is_an_array():
@@ -119,8 +153,9 @@ def test_list_gradient_of_the_parameter_shape_is_an_array():
 
 
 @pytest.mark.parametrize("lr, message", [
-    (float("nan"), "learning_rate must be finite and positive, got nan"),
-    (float("inf"), "learning_rate must be finite and positive, got inf"),
+    (float("nan"), "learning_rate must be finite, got nan"),
+    (float("inf"), "learning_rate must be finite, got inf"),
+    (float("-inf"), "learning_rate must be finite, got -inf"),
     (0.0, "learning_rate must be finite and positive, got 0.0"),
     (-1e-4, "learning_rate must be finite and positive, got -0.0001"),
     ("1e-4", "learning_rate must be a number, got '1e-4'"),
@@ -138,10 +173,12 @@ def test_learning_rate_not_finite_positive_changes_nothing(lr, message):
 
 
 @pytest.mark.parametrize("grads, message", [
-    ({"w": np.zeros(3)}, r"missing \['b'\], extra \[\]"),
+    ({"w": np.zeros(3)}, re.escape("gradients do not fit, name: (given shape, expected shape): "
+                                   "{'b': (None, (1,))}")),
     ({"w": np.zeros(3), "b": np.zeros(1), "head.b": np.zeros(2)},
-     r"missing \[\], extra \['head.b'\]"),
-])
+     re.escape("gradients do not fit, name: (given shape, expected shape): "
+               "{'head.b': ((2,), None)}")),
+], ids=["missing", "extra"])
 def test_gradient_keys_must_match_params(grads, message):
     params = {"w": np.ones(3), "b": np.ones(1)}
     state = AdamState.for_params(params)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -118,8 +119,8 @@ def refused_save(tmp_path, params):
     with pytest.raises(ValueError) as err:
         save_checkpoint(ckpt, path)
     assert list(tmp_path.iterdir()) == []
-    return str(err.value).removeprefix(f"{path}: parameters do not fit the "
-                                       "rnn_regressor spec, name: (given shape, spec shape): ")
+    return str(err.value).removeprefix(f"{path}: parameters do not fit, "
+                                       "name: (given shape, expected shape): ")
 
 
 def test_shape_disagreeing_with_spec_rejected(tmp_path):
@@ -244,10 +245,12 @@ def scaling_error(key, value):
     """The start of the refusal of ``value`` as label scaling ``key``."""
     if value is None or isinstance(value, (bool, str)):
         return f"{key} must be a number, got {value!r}"
+    if not math.isfinite(value):
+        return f"{key} must be finite, got {value}"
     return f"label scaling must be finite and positive, got {{'{key}': "
 
 
-BAD_SCALING = [None, float("nan"), float("inf"), -4000.0, 0.0, "4000", True]
+BAD_SCALING = [None, float("nan"), float("inf"), float("-inf"), -4000.0, 0.0, "4000", True]
 
 
 @pytest.mark.parametrize("key", ["t1_max", "t2_max"])
@@ -364,10 +367,9 @@ def gru_params(changes):
 @pytest.mark.parametrize("field, value, message", [
     ("seed", 1.7, "seed must be an integer, got 1.7"),
     ("metadata", [1], "metadata must be a JSON object, got list"),
-    ("t1_max", float("nan"), "label scaling must be finite and positive, got {'t1_max': nan}"),
+    ("t1_max", float("nan"), "t1_max must be finite, got nan"),
     ("params", gru_params({"extra": np.zeros(3)}),
-     "parameters do not fit the rnn_regressor spec, name: (given shape, spec shape): "
-     "{'extra': ((3,), None)}"),
+     "parameters do not fit, name: (given shape, expected shape): {'extra': ((3,), None)}"),
     ("params", gru_params({"cell.w": np.full((3, 12), np.nan), "head.b": np.array([0, np.inf])}),
      "parameters ['cell.w', 'head.b'] refused: cell.w holding NaN or inf at rows [0]; "
      "head.b holding NaN or inf at rows [0]"),
@@ -375,7 +377,7 @@ def gru_params(changes):
      "parameters ['head.b'] refused: complex head.b; mrfmap takes real values"),
     # 1e39 is a finite float64 that float32 cannot hold.
     ("params", gru_params({"head.b": np.array([0.0, 1e39])}),
-     "parameters ['head.b'] refused: head.b holding NaN or inf at rows [0]"),
+     "parameters ['head.b'] refused: head.b beyond float32 at rows [0]"),
     ("metadata", {"loss": np.float32(0.5)},
      "metadata is not JSON: Object of type float32 is not JSON serializable"),
 ])

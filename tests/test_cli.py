@@ -90,7 +90,7 @@ def test_n_and_schedule_are_exclusive(tmp_path, capsys):
     assert "not allowed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("position", [0, 1, 2])
 def test_nonfinite_grid_rejected(tmp_path, capsys, position, bad):
     segment = [300.0, 900.0, 300.0]
@@ -98,8 +98,7 @@ def test_nonfinite_grid_rejected(tmp_path, capsys, position, bad):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({**GRID, "t1_segments": [segment]}))
     error = build_error(capsys, [str(tmp_path / "d"), "--n", "40", "--grid", str(grid)])
-    assert "segment values must be finite" in error
-    assert str(tuple(segment)) in error
+    assert f"grid t1_segments value in segment {tuple(segment)} must be finite, got {bad}" in error
     assert not (tmp_path / "d.dict").exists()
 
 
@@ -112,9 +111,9 @@ def test_nonfinite_grid_rejected(tmp_path, capsys, position, bad):
                                  "lists of numbers, got 5"),
     ({**GRID, "t2_segments": [[40.0, 120.0]]}, "grid t2_segments must be a list of"),
     ({**GRID, "t1_segments": [[None, 900.0, 300.0]]},
-     "grid t1_segments value must be a number, got None"),
+     "grid t1_segments value in segment (None, 900.0, 300.0) must be a number, got None"),
     ({**GRID, "t1_segments": [[True, 900.0, 300.0]]},
-     "grid t1_segments value must be a number, got True"),
+     "grid t1_segments value in segment (True, 900.0, 300.0) must be a number, got True"),
     (b'{"t1_segments": [[300, 900, 300]], t2_segments: []}',
      "Expecting property name enclosed in double quotes"),
     (b'{"t1_segments": [[300, 900, 300]]}\xff', "'utf-8' codec can't decode"),
@@ -125,7 +124,7 @@ def test_nonfinite_grid_rejected(tmp_path, capsys, position, bad):
      "grid too fine to expand: Unable to allocate"),
     # JSON reads this as an int, which float() cannot hold.
     ({**GRID, "t2_segments": [[40, 10**400, 40]]},
-     "grid t2_segments value is too large for a float"),
+     f"grid t2_segments value in segment (40, {10**400}, 40) is too large for a float"),
 ], ids=["empty", "missing_key", "unknown_key", "not_object", "segments_not_list",
         "short_segment", "null_value", "bool_value", "not_json", "not_utf8", "no_pairs",
         "too_fine", "huge_value"])

@@ -199,14 +199,16 @@ class TestExpandGrid:
             GridSpec(t1_segments=((0.0, 10.0, 0.0),), t2_segments=((1, 2, 1),))
 
     def test_bool_rejected_numpy_float_accepted(self):
-        with pytest.raises(ValueError, match="t1_segments value must be a number, got True"):
+        with pytest.raises(ValueError, match=re.escape(
+                "grid t1_segments value in segment (True, 900.0, 300.0) must be a number, "
+                "got True")):
             GridSpec(t1_segments=((True, 900.0, 300.0),), t2_segments=((1, 2, 1),))
         spec = GridSpec(t1_segments=((np.float64(300.0), np.float32(900.0), 300),),
                         t2_segments=((1, 2, 1),))
         assert spec.t1_segments == ((300.0, 900.0, 300.0),)
         assert all(type(x) is float for seg in spec.t1_segments for x in seg)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("position", [0, 1, 2])
     @pytest.mark.parametrize("axis", ["t1_segments", "t2_segments"])
     def test_nonfinite_segment_rejected(self, axis, position, bad):
@@ -215,7 +217,8 @@ class TestExpandGrid:
         valid = ((10.0, 50.0, 10.0),)
         segments = {"t1_segments": valid, "t2_segments": valid}
         segments[axis] = valid + (tuple(segment),)
-        with pytest.raises(ValueError, match=re.escape(f"finite, got {tuple(segment)}")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"grid {axis} value in segment {tuple(segment)} must be finite, got {bad}")):
             GridSpec(**segments)
 
 
@@ -680,8 +683,26 @@ class TestCertifiedMatch:
         with pytest.raises(ValueError, match="read-only"):
             d.atoms[-1] = query / np.linalg.norm(query)
         assert match(d, query) == (label, score)
-        # The dictionary's view froze, not the array the caller handed in.
-        assert atoms.flags.writeable and not d.atoms.flags.writeable
+        # The dictionary holds the caller's own C-contiguous float32 array,
+        # so that array froze too.
+        assert d.atoms is atoms and not atoms.flags.writeable
+
+    def test_the_callers_array_cannot_leave_the_matcher_stale(self):
+        # The dictionary used to freeze only its own view, so the caller's
+        # array took a write after the first match: with row -1 overwritten
+        # by the query's direction, which scores 1.0, match kept its old
+        # label at 0.78.
+        grid = GridSpec(((100.0, 1000.0, 100.0),), ((10.0, 100.0, 10.0),))
+        rng = np.random.default_rng(3)
+        atoms = np.abs(rng.standard_normal((100, 60))).astype(np.float32)
+        atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
+        d = Dictionary(atoms, "hand-made", grid)
+        query = np.abs(rng.standard_normal(60))
+        label, score = match(d, query)
+        with pytest.raises(ValueError, match="read-only"):
+            atoms[-1] = query / np.linalg.norm(query)
+        assert match(d, query) == (label, score)
+        assert label == naive_match(d, query)[0]
 
     def test_exact_stage_memory_is_bounded_on_noisy_queries(self):
         # At low SNR the bounds rule out few atoms; near a subspace of twice
@@ -958,7 +979,8 @@ class TestSerialization:
         # JSON reads this as an int, which float() cannot hold.
         pytest.param('{"grid": {"t1_segments": [[200, 1%s, 200]], "t2_segments": '
                      '[[50, 250, 50]]}, "schedule_digest": "ab"}' % ("0" * 399),
-                     "grid t1_segments value is too large for a float", id="huge_grid_value"),
+                     "grid t1_segments value in segment (200, 1%s, 200) is too large for a float"
+                     % ("0" * 399), id="huge_grid_value"),
     ])
     def test_corrupt_manifest_rejected_naming_file(self, toy_dictionary, tmp_path,
                                                    text, reason):

@@ -25,9 +25,15 @@ GATE_CASES = {
                    "x must be (B, N) with N >= 1, got (2, 0)"),
     "nonfinite_rows": (nonfinite_rows(), 3, np.float64,
                        "x holding NaN or inf at rows [1, 3, 4, 5]"),
-    # The cast to float32 overflows to inf, with no RuntimeWarning first.
+    # The cast to float32 overflows to inf, with no RuntimeWarning first;
+    # the row was finite, so it is named as beyond float32.
     "float32_overflow": (np.array([[1.0], [1e39]]), 1, np.float32,
-                         "x holding NaN or inf at rows [1]"),
+                         "x beyond float32 at rows [1]"),
+    "nonfinite_and_overflow": (np.array([[1e39, 1.0], [np.nan, 1e39], [1.0, 1.0]]), 2,
+                               np.float32,
+                               "x holding NaN or inf at rows [1] and beyond float32 at rows [0]"),
+    # A Python int beyond int64 makes an object array.
+    "int_overflow": ([[1], [10**39]], 1, np.float32, "x beyond float32 at rows [1]"),
     # Its float64 row sum overflows, but the row is finite.
     "huge_finite": (np.array([[1e308, 1e308]]), 2, np.float64, None),
     "c_contiguous": (np.arange(6.0).reshape(2, 3), None, np.float64, None),

@@ -81,11 +81,11 @@ class TestNonFiniteRejected:
             SequenceSchedule(**kwargs)
 
     @pytest.mark.parametrize("field", ["te_ms", "inversion_delay_ms"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_scalar_fields(self, field, bad):
         kwargs = schedule_kwargs()
         kwargs[field] = bad
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be finite, got {bad}")):
             SequenceSchedule(**kwargs)
 
     def test_load_rejects_nan_tr(self, tmp_path):
