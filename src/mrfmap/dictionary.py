@@ -115,7 +115,8 @@ def expand_grid(spec: GridSpec) -> np.ndarray:
     """Expand a GridSpec into the lexicographically sorted (M, 2) array of (T1, T2) in ms.
 
     Zero values are dropped and pairs violating T2 <= T1 are filtered out. A
-    grid of no valid pair, or too fine to expand in memory, raises ValueError.
+    grid of no valid pair, or too fine to expand, raises ValueError: a
+    segment's step count may pass what memory holds or be no finite number.
     """
     try:  # NumPy refuses an array larger than memory before allocating any
         t1_values = _expand_segments(spec.t1_segments)
@@ -124,7 +125,7 @@ def expand_grid(spec: GridSpec) -> np.ndarray:
                              indexing="ij")
         keep = t2 <= t1
         pairs = np.column_stack([t1[keep], t2[keep]])
-    except MemoryError as err:
+    except (MemoryError, OverflowError) as err:
         raise ValueError(f"grid too fine to expand: {err}") from None
     if not len(pairs):
         raise ValueError("grid expansion produced no valid (T1, T2) pairs")

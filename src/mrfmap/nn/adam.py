@@ -50,8 +50,10 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
 
     The learning rate must be a finite positive number (``files.number``).
     ``grads`` and both moments must fit the parameters' names and shapes
-    (``files.fits``), and each gradient must be a real, finite array (or
-    nested list); otherwise ValueError is raised before anything changes.
+    (``files.fits``), each moment must be a writeable array of its
+    parameter's dtype, as the step writes it in place, and each gradient
+    must be a real, finite array (or nested list); otherwise ValueError is
+    raised before anything changes.
     """
     lr = number("learning_rate", state.learning_rate)
     if lr <= 0:
@@ -59,6 +61,13 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
     shapes = {key: p.shape for key, p in params.items()}
     for name, arrays in (("gradients", grads), ("moments m", state.m), ("moments v", state.v)):
         fits(name, arrays, shapes)
+    bad = [f"{name}[{key!r}]" for name, moments in (("m", state.m), ("v", state.v))
+           for key, p in params.items()
+           if not (isinstance(moments[key], np.ndarray) and moments[key].dtype == p.dtype
+                   and moments[key].flags.writeable)]
+    if bad:
+        raise ValueError("moments that are not writeable arrays of their parameters' "
+                         f"dtypes: {', '.join(bad)}")
     # One row, so that a bad gradient's message stays one line long.
     checked = {key: real_rows(f"gradient {key!r}", np.reshape(grads[key], (1, -1)),
                               dtype=p.dtype).reshape(p.shape) for key, p in params.items()}

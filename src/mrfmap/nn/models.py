@@ -12,13 +12,13 @@ holds layer outputs only, and inference keeps none.
 The recurrent regressor feeds the signal ``chunk_size`` samples per time
 step (chunk_size=1 reproduces one-sample-per-step reading of the signal;
 larger chunks shorten the unrolled sequence for speed) and regresses from
-the final hidden state. The unroll carries one state array of
-``cells.N_STATES`` blocks of h columns, projects each step's input and
-calls ``cells.step``; its features are the state's first h columns. For
-the backward pass it records a tape for ``cells.step_grad``: a tuple of
-``(n_steps, B, k)`` arrays, one for every step's previous state and one
-per entry of the step's ``acts``, shaped from the first step's, so this
-module knows no gate or state layout. Step t copies into slot t of each.
+the final hidden state. The unroll carries the cell's state, which is its
+(B, h) hidden output, projects each step's input and calls ``cells.step``;
+its features are the final state. For the backward pass it records a tape
+for ``cells.step_grad``: a tuple of ``(n_steps, B, h)`` arrays, one for
+every step's previous state and one per entry of the step's ``acts``,
+shaped from the first step's, so this module knows no gate layout. Step t
+copies into slot t of each.
 Backpropagation through time walks the slots from the last step to the
 first and hands slot t of each array to ``cells.step_grad``.
 
@@ -90,7 +90,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ..files import json_object, number, real_rows
-from .cells import N_GATES, N_STATES, _glorot, init_cell, step, step_grad
+from .cells import N_GATES, _glorot, init_cell, step, step_grad
 
 OUTPUT_DIM = 2
 
@@ -112,7 +112,7 @@ def _positive_int(name: str, value) -> int:
 class ModelSpec:
     kind: str
     input_len: int = 1750
-    cell_kind: str = "gru"
+    cell_kind: str = "gru"  # the only cell; .ckpt headers still record it
     hidden_dim: int = 100
     chunk_size: int = 1
     ann_hidden: tuple = (300, 300)
@@ -132,14 +132,11 @@ class ModelSpec:
                 raise ValueError(f"{name} must be a sequence of positive "
                                  f"integers, got {value!r}")
             object.__setattr__(self, name, tuple(_positive_int(name, v) for v in value))
-        if self.kind == "rnn_regressor":
-            if self.cell_kind not in tuple(N_GATES):
-                raise ValueError(f"unknown cell kind {self.cell_kind!r}")
-            if self.input_len % self.chunk_size != 0:
-                raise ValueError(
-                    f"chunk_size {self.chunk_size} must divide "
-                    f"input_len {self.input_len}"
-                )
+        if self.cell_kind != "gru":
+            raise ValueError(f"unknown cell kind {self.cell_kind!r}; the only cell is 'gru'")
+        if self.kind == "rnn_regressor" and self.input_len % self.chunk_size != 0:
+            raise ValueError(
+                f"chunk_size {self.chunk_size} must divide input_len {self.input_len}")
         if self.kind == "cnn1d" and not self.cnn_channels:
             raise ValueError("cnn_channels must be at least one conv layer for a cnn1d, got ()")
         if self.kind == "cnn1d" and self.conv_lengths()[-1] < 1:
@@ -172,7 +169,7 @@ def param_layout(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter array, in declaration order, the head
     last. Nothing is drawn, so this costs nothing however large the spec."""
     if spec.kind == "rnn_regressor":
-        gates = N_GATES[spec.cell_kind] * spec.hidden_dim
+        gates = N_GATES * spec.hidden_dim
         layout = {"cell.w": (spec.chunk_size, gates),
                   "cell.u": (spec.hidden_dim, gates), "cell.b": (gates,)}
         width = spec.hidden_dim
@@ -201,7 +198,7 @@ def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
     params = {name: np.zeros(shape) for name, shape in param_layout(spec).items()}
     for name, arr in params.items():
         if name == "cell.w":
-            init_cell(spec.cell_kind, arr, params["cell.u"], params["cell.b"], rng)
+            init_cell(arr, params["cell.u"], params["cell.b"], rng)
         elif name.endswith(".w"):
             arr[...] = _glorot(rng, arr.shape)
     return params
@@ -253,12 +250,12 @@ def _forward_rnn(spec, params, x, keep_cache):
     # (B, input_len) -> (n_steps, B, chunk_size), time-major for the unroll
     xs = np.ascontiguousarray(
         x.reshape(n_rows, n_steps, spec.chunk_size).transpose(1, 0, 2))
-    s = np.zeros((n_rows, N_STATES[spec.cell_kind] * spec.hidden_dim))
+    s = np.zeros((n_rows, spec.hidden_dim))
     tape = ()
     for t, x_t in enumerate(xs):
         # np.dot, not @: at chunk_size 1 NumPy's matmul takes about twice
         # as long on this (B, 1) @ (1, gates * h) product, for the same bits.
-        s_t, acts = step(spec.cell_kind, u, np.dot(x_t, w) + b, s)
+        s_t, acts = step(u, np.dot(x_t, w) + b, s)
         if keep_cache:
             if not tape:
                 tape = tuple(np.empty((n_steps, *a.shape), dtype=a.dtype)
@@ -266,18 +263,16 @@ def _forward_rnn(spec, params, x, keep_cache):
             for buf, a in zip(tape, (s, *acts)):
                 buf[t] = a
         s = s_t
-    return s[:, :spec.hidden_dim], ({"xs": xs, "tape": tape} if keep_cache else {})
+    return s, ({"xs": xs, "tape": tape} if keep_cache else {})
 
 
 def _backward_rnn(spec, params, cache, d_features, grads):
-    u, n = params["cell.u"], spec.hidden_dim
-    xs, tape = cache["xs"], cache["tape"]
-    ds = np.zeros_like(tape[0][0])  # shaped like the final state
-    ds[:, :n] = d_features
+    u, xs, tape = params["cell.u"], cache["xs"], cache["tape"]
+    ds = d_features  # the state is the features, so BPTT starts from theirs
     dw, du, db = grads["cell.w"], grads["cell.u"], grads["cell.b"]
     for t in range(len(xs) - 1, -1, -1):
         s, *acts = (buf[t] for buf in tape)
-        dxp, du_t, ds = step_grad(spec.cell_kind, u, s, acts, ds)
+        dxp, du_t, ds = step_grad(u, s, acts, ds)
         dw += xs[t].T @ dxp
         du += du_t
         db += dxp.sum(axis=0)

@@ -143,6 +143,29 @@ def test_moments_that_do_not_fit_change_nothing(m, v, message):
     assert_nothing_changed(state, params, *kept)
 
 
+def read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@pytest.mark.parametrize("which", ["m", "v"])
+@pytest.mark.parametrize("moment", [
+    [0.0], np.zeros(1, dtype=np.int64), read_only(np.zeros(1))], ids=["list", "int64", "read_only"])
+def test_moment_adam_cannot_write_changes_nothing(which, moment):
+    # The step writes each moment in place as float64. Such a moment used to
+    # raise TypeError, UFuncTypeError or "output array is read-only" only
+    # after the step count had moved to 1 and w to 0.9999.
+    params = {"w": np.ones(3), "b": np.ones(1)}
+    m, v = zeros(3, 1), zeros(3, 1)
+    (m if which == "m" else v)["b"] = moment
+    kept = ({k: np.copy(a) for k, a in m.items()}, {k: np.copy(a) for k, a in v.items()})
+    state = AdamState(m=m, v=v)
+    with pytest.raises(ValueError, match=re.escape(
+            f"moments that are not writeable arrays of their parameters' dtypes: {which}['b']")):
+        adam_update(state, params, {"w": np.ones(3), "b": np.ones(1)})
+    assert_nothing_changed(state, params, *kept)
+
+
 def test_list_gradient_of_the_parameter_shape_is_an_array():
     lists = {"w": np.ones((2, 3))}
     arrays = {"w": np.ones((2, 3))}

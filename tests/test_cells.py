@@ -10,6 +10,7 @@ from mrfmap.nn.cells import sigmoid, step
 from mrfmap.nn.models import ModelSpec, init_params
 
 BIG = 30.0  # saturates a sigmoid to within ~1e-13 of 0/1
+CELL_KINDS = ["gru"]  # every cell_kind a ModelSpec admits
 
 
 def scalar_sigmoid(x):
@@ -63,40 +64,19 @@ def gru_step_reference(cell, x, h_prev):
     return out
 
 
-def lstm_step_reference(cell, x, h_prev, c_prev):
-    """Scalar-loop LSTM step; the blocks are [input | forget | output | cell]."""
-    h = cell[1].shape[0]
-    gates = {}
-    for name, w, u, b in zip("ifog", *(blocks(a, 4) for a in cell)):
-        vals = np.zeros(h)
-        for j in range(h):
-            acc = b[j]
-            for i in range(w.shape[0]):
-                acc += x[i] * w[i, j]
-            for i in range(h):
-                acc += h_prev[i] * u[i, j]
-            vals[j] = math.tanh(acc) if name == "g" else scalar_sigmoid(acc)
-        gates[name] = vals
-    c = gates["f"] * c_prev + gates["i"] * gates["g"]
-    return gates["o"] * np.tanh(c), c
-
-
-def make_cell(kind, input_dim, hidden_dim, seed=0):
+def make_cell(input_dim, hidden_dim, seed=0):
     """``(w, u, b)`` as ``init_params`` fills them for a one-step regressor."""
-    spec = ModelSpec("rnn_regressor", input_len=input_dim, cell_kind=kind,
-                     hidden_dim=hidden_dim, chunk_size=input_dim)
+    spec = ModelSpec("rnn_regressor", input_len=input_dim, hidden_dim=hidden_dim,
+                     chunk_size=input_dim)
     params = init_params(spec, seed)
     return params["cell.w"], params["cell.u"], params["cell.b"]
 
 
-def cell_step(kind, cell, x, h_prev, c_prev=None):
-    """``step`` of ``cell`` from the raw input and the state ``[h_prev | c_prev]``
-    (``c_prev`` for the LSTM only): (h_t, c_t), c_t empty but for the LSTM."""
+def cell_step(cell, x, h_prev):
+    """The state ``step`` of ``cell`` makes from the raw input and ``h_prev``."""
     w, u, b = cell
-    s = np.concatenate([h_prev] if c_prev is None else [h_prev, c_prev], axis=-1)
-    s_t, _ = step(kind, u, x @ w + b, s)
-    n = h_prev.shape[-1]
-    return s_t[..., :n], s_t[..., n:]
+    s_t, _ = step(u, x @ w + b, h_prev)
+    return s_t
 
 
 class TestSigmoid:
@@ -118,87 +98,12 @@ class TestSigmoid:
         assert np.all((out >= 0.0) & (out <= 1.0))
 
 
-class TestSimpleRnnStep:
-    def test_zero_params_give_zero(self):
-        cell = make_cell("simple", 3, 4)
-        for arr in cell:
-            arr[:] = 0.0
-        out, _ = cell_step("simple", cell, np.ones(3), np.ones(4))
-        np.testing.assert_array_equal(out, np.zeros(4))
-
-    def test_identity_recurrence(self):
-        w, u, b = cell = make_cell("simple", 2, 4)
-        w[:] = 0.0
-        u[:] = np.eye(4)
-        b[:] = 0.0
-        h_prev = np.array([0.1, -0.2, 0.05, 0.0])
-        out, _ = cell_step("simple", cell, np.zeros(2), h_prev)
-        np.testing.assert_allclose(out, np.tanh(h_prev), rtol=0, atol=1e-15)
-
-    def test_matches_scalar_reference(self):
-        rng = np.random.default_rng(5)
-        for seed in range(5):
-            cell = make_cell("simple", 3, 6, seed)
-            x = rng.normal(size=3)
-            h_prev = rng.normal(size=6) * 0.5
-            got, _ = cell_step("simple", cell, x, h_prev)
-            np.testing.assert_allclose(got, simple_step_reference(cell, x, h_prev),
-                                       rtol=0, atol=1e-12)
-
-    def test_batched_matches_loop(self):
-        cell = make_cell("simple", 2, 3, seed=1)
-        rng = np.random.default_rng(0)
-        xs = rng.normal(size=(4, 2))
-        hs = rng.normal(size=(4, 3)) * 0.3
-        batched, _ = cell_step("simple", cell, xs, hs)
-        for b in range(4):
-            np.testing.assert_allclose(
-                batched[b], cell_step("simple", cell, xs[b], hs[b])[0], atol=1e-15)
-
-
-class TestLstmStep:
-    def test_closed_gates_clear_cell(self):
-        w, u, b = cell = make_cell("lstm", 2, 4, seed=3)
-        b_i, b_f, _, _ = blocks(b, 4)
-        b_f[:] = -BIG
-        b_i[:] = -BIG
-        w[:] = 0.0
-        u[:] = 0.0
-        h, c = cell_step("lstm", cell, np.zeros(2), np.zeros(4), np.ones(4) * 0.7)
-        assert np.all(np.abs(c) < 1e-12)
-
-    def test_open_forget_gate_preserves_cell(self):
-        w, u, b = cell = make_cell("lstm", 2, 4, seed=4)
-        w[:] = 0.0
-        u[:] = 0.0
-        b_i, b_f, b_o, _ = blocks(b, 4)
-        b_f[:] = BIG
-        b_i[:] = -BIG
-        b_o[:] = BIG
-        c_prev = np.array([0.3, -0.4, 0.1, 0.6])
-        h, c = cell_step("lstm", cell, np.zeros(2), np.zeros(4), c_prev)
-        np.testing.assert_allclose(c, c_prev, atol=1e-6)
-        np.testing.assert_allclose(h, np.tanh(c_prev), atol=1e-6)
-
-    def test_matches_scalar_reference(self):
-        rng = np.random.default_rng(9)
-        for seed in range(5):
-            cell = make_cell("lstm", 3, 5, seed)
-            x = rng.normal(size=3)
-            h_prev = rng.normal(size=5) * 0.5
-            c_prev = rng.normal(size=5) * 0.5
-            h, c = cell_step("lstm", cell, x, h_prev, c_prev)
-            h_ref, c_ref = lstm_step_reference(cell, x, h_prev, c_prev)
-            np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(c, c_ref, rtol=0, atol=1e-12)
-
-
 class TestGruStep:
     def test_reduces_to_simple_rnn(self):
         # Saturated reset (1) and update (0) gates: the GRU must equal the
         # plain tanh cell sharing the candidate weights.
         rng = np.random.default_rng(17)
-        gru = make_cell("gru", 3, 5, seed=8)
+        gru = make_cell(3, 5, seed=8)
         (w_r, w_z, w_h), (u_r, u_z, u_h), (b_r, b_z, b_h) = (blocks(a, 3) for a in gru)
         for arr in (w_r, u_r, w_z, u_z):
             arr[:] = 0.0
@@ -209,46 +114,39 @@ class TestGruStep:
             x = rng.normal(size=3)
             h_prev = rng.normal(size=5) * 0.8
             np.testing.assert_allclose(
-                cell_step("gru", gru, x, h_prev)[0],
-                cell_step("simple", simple, x, h_prev)[0], rtol=0, atol=1e-6)
+                cell_step(gru, x, h_prev),
+                simple_step_reference(simple, x, h_prev), rtol=0, atol=1e-6)
 
     def test_full_memory_when_update_saturated(self):
-        gru = make_cell("gru", 2, 4, seed=2)
+        gru = make_cell(2, 4, seed=2)
         (_, w_z, _), (_, u_z, _), (_, b_z, _) = (blocks(a, 3) for a in gru)
         w_z[:] = 0.0
         u_z[:] = 0.0
         b_z[:] = BIG    # z -> 1
         h_prev = np.array([0.2, -0.5, 0.9, 0.0])
-        out, _ = cell_step("gru", gru, np.ones(2), h_prev)
+        out = cell_step(gru, np.ones(2), h_prev)
         np.testing.assert_allclose(out, h_prev, atol=1e-6)
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(31)
         for seed in range(5):
-            cell = make_cell("gru", 3, 5, seed)
+            cell = make_cell(3, 5, seed)
             x = rng.normal(size=3)
             h_prev = rng.normal(size=5) * 0.5
-            got, _ = cell_step("gru", cell, x, h_prev)
+            got = cell_step(cell, x, h_prev)
             np.testing.assert_allclose(got, gru_step_reference(cell, x, h_prev),
                                        rtol=0, atol=1e-12)
 
 
 class TestCellParams:
     def test_param_counts(self):
-        # simple: h(i+h)+h, gru: 3x, lstm: 4x
-        for kind, factor in (("simple", 1), ("gru", 3), ("lstm", 4)):
-            w, u, b = make_cell(kind, 1, 100)
-            assert w.shape == (1, factor * 100)
-            assert u.shape == (100, factor * 100)
-            assert b.shape == (factor * 100,)
-            assert w.size + u.size + b.size == factor * (100 * 101 + 100)
-
-    def test_lstm_forget_bias_one(self):
-        _, _, b = make_cell("lstm", 1, 8)
-        b_i, b_f, b_o, b_g = blocks(b, 4)
-        np.testing.assert_array_equal(b_f, np.ones(8))
-        np.testing.assert_array_equal(np.concatenate([b_i, b_o, b_g]), np.zeros(24))
+        # three gates of h(i+h)+h each
+        w, u, b = make_cell(1, 100)
+        assert w.shape == (1, 300)
+        assert u.shape == (100, 300)
+        assert b.shape == (300,)
+        assert w.size + u.size + b.size == 3 * (100 * 101 + 100)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="elman"):
-            make_cell("elman", 1, 2)
+            ModelSpec("rnn_regressor", input_len=1, cell_kind="elman", hidden_dim=2)

@@ -17,12 +17,8 @@ from test_gradients import TOY_SPECS
 from test_models import NONFINITE_SPECS, SINGLE_SPECS
 
 SPECS = {
-    "simple": ModelSpec("rnn_regressor", input_len=12, cell_kind="simple",
-                        hidden_dim=4, chunk_size=3),
     "gru": ModelSpec("rnn_regressor", input_len=12, cell_kind="gru",
                      hidden_dim=4, chunk_size=3),
-    "lstm": ModelSpec("rnn_regressor", input_len=12, cell_kind="lstm",
-                      hidden_dim=4, chunk_size=3),
     "ann": ModelSpec("ann", input_len=12, ann_hidden=(5, 3)),
     "cnn1d": ModelSpec("cnn1d", input_len=40, cnn_channels=(2, 3), cnn_kernel=3),
 }
@@ -179,6 +175,21 @@ def test_huge_spec_refused_before_any_parameter_is_made(tmp_path, hidden_dim):
     rewrite_header(path, lambda meta: meta["spec"].update(hidden_dim=hidden_dim))
     with time_limit(3), pytest.raises(ValueError, match=re.escape(
             f"{path}: parameter blob has")):
+        load_checkpoint(path)
+
+
+def test_lstm_checkpoint_refused_naming_file(tmp_path):
+    # An LSTM header over a blob of that cell's layout: four gates of
+    # (3 + 4) x 4 weights and 4 biases, then the head. Such a file used to
+    # load as an LSTM.
+    path = saved_gru(tmp_path)
+    rewrite_header(path, lambda meta: meta["spec"].update(cell_kind="lstm"))
+    header, sep, _ = path.read_bytes().partition(b"\n---PARAMS---\n")
+    lstm_floats = 4 * ((3 + 4) * 4 + 4) + 4 * 2 + 2
+    blob = np.random.default_rng(0).standard_normal(lstm_floats).astype("<f4").tobytes()
+    path.write_bytes(header + sep + blob)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}: unknown cell kind 'lstm'; the only cell is 'gru'")):
         load_checkpoint(path)
 
 

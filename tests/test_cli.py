@@ -122,12 +122,15 @@ def test_nonfinite_grid_rejected(tmp_path, capsys, position, bad):
     # NumPy refuses the 28.4 PiB of T1 values before allocating any of it.
     ({"t1_segments": [[1, 4000, 1e-12]], "t2_segments": [[5, 500, 5]]},
      "grid too fine to expand: Unable to allocate"),
+    # Its step count is inf, which no integer holds.
+    ({"t1_segments": [[0, 1e308, 1e-300]], "t2_segments": [[1, 1, 1]]},
+     "grid too fine to expand: cannot convert float infinity to integer"),
     # JSON reads this as an int, which float() cannot hold.
     ({**GRID, "t2_segments": [[40, 10**400, 40]]},
      f"grid t2_segments value in segment (40, {10**400}, 40) is too large for a float"),
 ], ids=["empty", "missing_key", "unknown_key", "not_object", "segments_not_list",
         "short_segment", "null_value", "bool_value", "not_json", "not_utf8", "no_pairs",
-        "too_fine", "huge_value"])
+        "too_fine", "inf_steps", "huge_value"])
 def test_malformed_grid_json_rejected(tmp_path, capsys, grid, message):
     """``grid`` is written as JSON, or as it is when given as bytes."""
     path = tmp_path / "grid.json"

@@ -19,14 +19,10 @@ from mrfmap.nn.backprop import MIN_SLAB_STEPS, loss_and_grads, mse_loss
 from mrfmap.nn.models import (ModelSpec, backward, forward_batch, init_params,
                               param_layout)
 
-# Every recurrent spec unrolls 60 steps; a feed-forward row is one step.
+# The recurrent spec unrolls 60 steps; a feed-forward row is one step.
 SPECS = {
-    "simple": ModelSpec("rnn_regressor", input_len=60, cell_kind="simple",
-                        hidden_dim=4),
     "gru": ModelSpec("rnn_regressor", input_len=180, cell_kind="gru",
                      hidden_dim=4, chunk_size=3),
-    "lstm": ModelSpec("rnn_regressor", input_len=120, cell_kind="lstm",
-                      hidden_dim=4, chunk_size=2),
     "ann": ModelSpec("ann", input_len=12, ann_hidden=(6,)),
     "cnn1d": ModelSpec("cnn1d", input_len=12, cnn_channels=(3,), cnn_kernel=3),
 }
@@ -156,7 +152,7 @@ def test_caller_slab_calls_through_module_globals(monkeypatch, cpus):
 @pytest.mark.parametrize("bad_row", [0, SPLIT_ROWS - 1])
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_slab_error_reaches_caller(monkeypatch, cpus, bad_row):
-    spec, params, signals, targets = case("lstm", SPLIT_ROWS)
+    spec, params, signals, targets = case("gru", SPLIT_ROWS)
     signals[bad_row, 0] = 1234.5
     real = backprop.forward_batch
 

@@ -981,6 +981,10 @@ class TestSerialization:
                      '[[50, 250, 50]]}, "schedule_digest": "ab"}' % ("0" * 399),
                      "grid t1_segments value in segment (200, 1%s, 200) is too large for a float"
                      % ("0" * 399), id="huge_grid_value"),
+        pytest.param('{"grid": {"t1_segments": [[0, 1e308, 1e-300]], "t2_segments": '
+                     '[[1, 1, 1]]}, "schedule_digest": "ab"}',
+                     "grid too fine to expand: cannot convert float infinity to integer",
+                     id="inf_grid_steps"),
     ])
     def test_corrupt_manifest_rejected_naming_file(self, toy_dictionary, tmp_path,
                                                    text, reason):

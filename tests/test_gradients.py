@@ -9,18 +9,14 @@ import pytest
 
 from mrfmap.nn import models
 from mrfmap.nn.backprop import loss_and_grads, mse_loss
-from mrfmap.nn.cells import N_GATES, N_STATES, step, step_grad
+from mrfmap.nn.cells import N_GATES, step, step_grad
 from mrfmap.nn.models import ModelSpec, backward, forward_batch, init_params
 
 DELTA = 1e-6
 
 TOY_SPECS = {
-    "simple": ModelSpec("rnn_regressor", input_len=5, cell_kind="simple",
-                        hidden_dim=3),
     "gru": ModelSpec("rnn_regressor", input_len=5, cell_kind="gru",
                      hidden_dim=3),
-    "lstm": ModelSpec("rnn_regressor", input_len=5, cell_kind="lstm",
-                      hidden_dim=3),
     "ann": ModelSpec("ann", input_len=9, ann_hidden=(6, 4)),
     "cnn1d": ModelSpec("cnn1d", input_len=24, cnn_channels=(3, 4),
                        cnn_kernel=3, cnn_stride=2),
@@ -129,25 +125,22 @@ def check_gradients(spec, params, signals, targets):
     return {name: idx for name, idx in kinks.items() if idx}
 
 
-@pytest.mark.parametrize("kind", ["simple", "gru", "lstm"])
-def test_step_grad_matches_central_differences(kind):
-    # One cell step with the loss sum(a * s_t) over the whole state, the
-    # LSTM's c half included, differentiated with respect to each input of
-    # step, the whole previous state among them.
+def test_step_grad_matches_central_differences():
+    # One cell step with the loss sum(a * s_t), differentiated with respect
+    # to each input of step, the previous state among them.
     rng = np.random.default_rng(0)
     batch, n = 2, 3
-    width, states = N_GATES[kind] * n, N_STATES[kind] * n
-    inputs = {"xp_t": rng.normal(size=(batch, width)),
-              "u": 0.5 * rng.normal(size=(n, width)),
-              "s": 0.5 * rng.normal(size=(batch, states))}
-    a = rng.normal(size=(batch, states))
+    inputs = {"xp_t": rng.normal(size=(batch, N_GATES * n)),
+              "u": 0.5 * rng.normal(size=(n, N_GATES * n)),
+              "s": 0.5 * rng.normal(size=(batch, n))}
+    a = rng.normal(size=(batch, n))
 
     def loss():
-        s_t, _ = step(kind, inputs["u"], inputs["xp_t"], inputs["s"])
+        s_t, _ = step(inputs["u"], inputs["xp_t"], inputs["s"])
         return np.sum(a * s_t)
 
-    _, acts = step(kind, inputs["u"], inputs["xp_t"], inputs["s"])
-    dxp, du, ds_prev = step_grad(kind, inputs["u"], inputs["s"], acts, a)
+    _, acts = step(inputs["u"], inputs["xp_t"], inputs["s"])
+    dxp, du, ds_prev = step_grad(inputs["u"], inputs["s"], acts, a)
     analytic = {"xp_t": dxp, "u": du, "s": ds_prev}
     for name, arr in inputs.items():
         numeric = np.zeros_like(arr)
@@ -161,7 +154,7 @@ def test_step_grad_matches_central_differences(kind):
             numeric.flat[i] = (up - down) / (2.0 * DELTA)
         assert analytic[name].shape == arr.shape
         assert_gradients_agree(analytic[name].ravel(), numeric.ravel(),
-                               f"{kind} d/d{name}")
+                               f"d/d{name}")
 
 
 # At seed 2 four conv2 pre-activations are exactly 0.0: each reads a window
@@ -231,7 +224,7 @@ def test_backward_requires_cache(kind):
 
 
 def test_no_nans_through_full_pass():
-    spec = ModelSpec("rnn_regressor", input_len=50, cell_kind="lstm",
+    spec = ModelSpec("rnn_regressor", input_len=50, cell_kind="gru",
                      hidden_dim=12, chunk_size=2)
     params = init_params(spec, seed=5)
     rng = np.random.default_rng(5)

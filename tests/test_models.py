@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mrfmap.nn.backprop import loss_and_grads, mse_loss
-from mrfmap.nn.cells import N_STATES, step, step_grad
+from mrfmap.nn.cells import step, step_grad
 from mrfmap.nn import models
 from mrfmap.nn.models import (
     CNN_BLOCK_BUDGET,
@@ -16,12 +16,7 @@ from mrfmap.nn.models import (
     predict_batch,
     predict_single,
 )
-from test_cells import (
-    blocks,
-    gru_step_reference,
-    lstm_step_reference,
-    simple_step_reference,
-)
+from test_cells import CELL_KINDS, blocks, gru_step_reference
 
 
 def param_count(spec):
@@ -33,8 +28,7 @@ def closed_form_count(spec):
     """Parameter total written out from the layer sizes, head included."""
     if spec.kind == "rnn_regressor":
         h, i = spec.hidden_dim, spec.chunk_size
-        gates = {"simple": 1, "gru": 3, "lstm": 4}[spec.cell_kind]
-        return gates * (h * (i + h) + h) + h * 2 + 2
+        return 3 * (h * (i + h) + h) + h * 2 + 2
     if spec.kind == "ann":
         sizes, kernel = [spec.input_len, *spec.ann_hidden], 1
     else:
@@ -49,25 +43,6 @@ class TestParamCount:
                          hidden_dim=100)
         assert param_count(spec) == 3 * (100 * 101 + 100) + 202 == 30802
 
-    def test_lstm_canonical(self):
-        spec = ModelSpec("rnn_regressor", input_len=1750, cell_kind="lstm",
-                         hidden_dim=100)
-        assert param_count(spec) == 4 * (100 * 101 + 100) + 202 == 41002
-
-    def test_simple_canonical(self):
-        spec = ModelSpec("rnn_regressor", input_len=1750, cell_kind="simple",
-                         hidden_dim=100)
-        assert param_count(spec) == 10200 + 202 == 10402
-
-    def test_gru_fewer_than_lstm_across_dims(self):
-        for h in (1, 7, 100, 301):
-            for chunk in (1, 5):
-                gru = ModelSpec("rnn_regressor", input_len=chunk * 10,
-                                cell_kind="gru", hidden_dim=h, chunk_size=chunk)
-                lstm = ModelSpec("rnn_regressor", input_len=chunk * 10,
-                                 cell_kind="lstm", hidden_dim=h, chunk_size=chunk)
-                assert param_count(gru) < param_count(lstm)
-
     def test_ann_closed_form(self):
         spec = ModelSpec("ann", input_len=1750)
         # 1750*300+300 + 300*300+300 + 300*2+2
@@ -77,7 +52,7 @@ class TestParamCount:
         specs = [
             ModelSpec("rnn_regressor", input_len=20, cell_kind=k, hidden_dim=6,
                       chunk_size=4)
-            for k in ("simple", "gru", "lstm")
+            for k in CELL_KINDS
         ] + [
             ModelSpec("ann", input_len=40, ann_hidden=(13, 7)),
             ModelSpec("cnn1d", input_len=80, cnn_channels=(4, 8)),
@@ -149,10 +124,10 @@ class TestForwardSequence:
         out = predict_single(spec, params, np.full(10, 0.4))
         np.testing.assert_allclose(out, [0.7, 0.1], atol=1e-5)
 
-    @pytest.mark.parametrize("cell_kind", ["simple", "gru", "lstm"])
+    @pytest.mark.parametrize("cell_kind", CELL_KINDS)
     def test_matches_stepwise_composition(self, cell_kind):
-        # The reference is the scalar per-step loops of test_cells, which
-        # share no arithmetic with the cells.step kernel.
+        # The reference is the scalar per-step loop of test_cells, which
+        # shares no arithmetic with the cells.step kernel.
         spec = ModelSpec("rnn_regressor", input_len=7, cell_kind=cell_kind,
                          hidden_dim=4)
         params = init_params(spec, seed=7)
@@ -160,20 +135,13 @@ class TestForwardSequence:
         signal = rng.normal(size=7)
         cell = (params["cell.w"], params["cell.u"], params["cell.b"])
         h = np.zeros(4)
-        c = np.zeros(4)
         for t in range(7):
-            x_t = signal[t:t + 1]
-            if cell_kind == "simple":
-                h = simple_step_reference(cell, x_t, h)
-            elif cell_kind == "gru":
-                h = gru_step_reference(cell, x_t, h)
-            else:
-                h, c = lstm_step_reference(cell, x_t, h, c)
+            h = gru_step_reference(cell, signal[t:t + 1], h)
         expected = h @ params["head.w"] + params["head.b"]
         got = predict_single(spec, params, signal)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("cell_kind", ["simple", "gru", "lstm"])
+    @pytest.mark.parametrize("cell_kind", CELL_KINDS)
     @pytest.mark.parametrize("chunk_size", [1, 3])
     def test_input_projection_matches_matmul_unroll(self, cell_kind, chunk_size):
         # The unroll projects each input chunk with np.dot; an unroll that
@@ -185,10 +153,10 @@ class TestForwardSequence:
         w, u, b = params["cell.w"], params["cell.u"], params["cell.b"]
         xs = np.ascontiguousarray(
             signals.reshape(6, spec.n_steps, chunk_size).transpose(1, 0, 2))
-        s = np.zeros((6, N_STATES[cell_kind] * 5))
+        s = np.zeros((6, 5))
         for x_t in xs:
-            s, _ = step(cell_kind, u, x_t @ w + b, s)
-        expected = s[:, :5] @ params["head.w"] + params["head.b"]
+            s, _ = step(u, x_t @ w + b, s)
+        expected = s @ params["head.w"] + params["head.b"]
         assert predict_batch(spec, params, signals).tobytes() == expected.tobytes()
         preds, _ = forward_batch(spec, params, signals)
         assert preds.tobytes() == expected.tobytes()
@@ -208,7 +176,7 @@ class TestForwardSequence:
             forward_batch(spec, params, np.zeros((2, 21)))
 
     def test_deterministic(self):
-        spec = ModelSpec("rnn_regressor", input_len=30, cell_kind="lstm",
+        spec = ModelSpec("rnn_regressor", input_len=30, cell_kind="gru",
                          hidden_dim=6, chunk_size=2)
         params = init_params(spec, seed=3)
         sig = np.random.default_rng(1).normal(size=30)
@@ -306,11 +274,16 @@ class TestBaselines:
         (lambda: ModelSpec("transformer"), "unknown model kind 'transformer'"),
         # A list is unhashable, so it used to raise TypeError.
         (lambda: ModelSpec("rnn_regressor", cell_kind=["gru"]), "unknown cell kind ['gru']"),
+        # Cells an older checkpoint may name.
+        (lambda: ModelSpec("rnn_regressor", cell_kind="lstm"),
+         "unknown cell kind 'lstm'; the only cell is 'gru'"),
+        (lambda: ModelSpec("rnn_regressor", cell_kind="simple"),
+         "unknown cell kind 'simple'; the only cell is 'gru'"),
         (lambda: ModelSpec.from_json_dict({"input_len": 30}), "spec lacks ['kind']"),
         # Used to be made; its forward passes then raised ValueError or IndexError.
         (lambda: ModelSpec("cnn1d", input_len=20, cnn_channels=()),
          "cnn_channels must be at least one conv layer for a cnn1d, got ()"),
-    ], ids=["kind", "cell_kind", "no_kind", "no_conv"])
+    ], ids=["kind", "cell_kind", "lstm_cell", "simple_cell", "no_kind", "no_conv"])
     def test_spec_refusals(self, make, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             make()
@@ -320,7 +293,7 @@ SINGLE_SPECS = {
     **{f"{cell_kind}-{chunk}": ModelSpec("rnn_regressor", input_len=60,
                                          cell_kind=cell_kind, hidden_dim=9,
                                          chunk_size=chunk)
-       for cell_kind in ("simple", "gru", "lstm") for chunk in (1, 3)},
+       for cell_kind in CELL_KINDS for chunk in (1, 3)},
     "ann": ModelSpec("ann", input_len=60, ann_hidden=(13, 7)),
     "cnn1d": ModelSpec("cnn1d", input_len=60, cnn_channels=(4, 8)),
 }
@@ -369,21 +342,20 @@ def list_tape_reference(spec, params, signals, d_preds):
     n_rows, n = signals.shape[0], spec.hidden_dim
     xs = np.ascontiguousarray(
         signals.reshape(n_rows, spec.n_steps, spec.chunk_size).transpose(1, 0, 2))
-    s = np.zeros((n_rows, N_STATES[spec.cell_kind] * n))
+    s = np.zeros((n_rows, n))
     tape = []
     for x_t in xs:
-        s_t, acts = step(spec.cell_kind, u, np.dot(x_t, w) + b, s)
+        s_t, acts = step(u, np.dot(x_t, w) + b, s)
         tape.append((s, acts))
         s = s_t
-    preds = s[:, :n] @ params["head.w"] + params["head.b"]
+    preds = s @ params["head.w"] + params["head.b"]
 
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    grads["head.w"] += s[:, :n].T @ d_preds
+    grads["head.w"] += s.T @ d_preds
     grads["head.b"] += d_preds.sum(axis=0)
-    ds = np.zeros_like(s)
-    ds[:, :n] = d_preds @ params["head.w"].T
+    ds = d_preds @ params["head.w"].T
     for x_t, (s, acts) in zip(xs[::-1], tape[::-1]):
-        dxp, du_t, ds = step_grad(spec.cell_kind, u, s, acts, ds)
+        dxp, du_t, ds = step_grad(u, s, acts, ds)
         grads["cell.w"] += x_t.T @ dxp
         grads["cell.u"] += du_t
         grads["cell.b"] += dxp.sum(axis=0)
@@ -402,7 +374,7 @@ def cache_arrays(obj):
 class TestTape:
     @pytest.mark.parametrize("rows", [1, 5])
     @pytest.mark.parametrize("chunk_size", [1, 3])
-    @pytest.mark.parametrize("cell_kind", ["simple", "gru", "lstm"])
+    @pytest.mark.parametrize("cell_kind", CELL_KINDS)
     def test_matches_list_tape_bitwise(self, cell_kind, chunk_size, rows):
         spec = ModelSpec("rnn_regressor", input_len=24, cell_kind=cell_kind,
                          hidden_dim=6, chunk_size=chunk_size)
@@ -418,7 +390,7 @@ class TestTape:
         for name in grads:
             np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
 
-    @pytest.mark.parametrize("cell_kind", ["simple", "gru", "lstm"])
+    @pytest.mark.parametrize("cell_kind", CELL_KINDS)
     def test_array_count_independent_of_length(self, cell_kind):
         # One array per taped quantity, however long the unroll: a per-step
         # list would grow with n_steps.
@@ -430,8 +402,8 @@ class TestTape:
                                      np.ones((2, n_steps)))
             tape = cache["tape"]
             # The previous state, then one array per entry of the step's acts.
-            assert len(tape) == {"simple": 2, "gru": 4, "lstm": 6}[cell_kind]
-            assert tape[0].shape == (n_steps, 2, N_STATES[cell_kind] * 3)
+            assert len(tape) == 4
+            assert tape[0].shape == (n_steps, 2, 3)
             assert all(len(arr) == n_steps for arr in tape)
             counts.append(cache_arrays(cache))
         assert counts[0] == counts[1]
