@@ -116,16 +116,19 @@ def expand_grid(spec: GridSpec) -> np.ndarray:
 
     Zero values are dropped and pairs violating T2 <= T1 are filtered out. A
     grid of no valid pair, or too fine to expand, raises ValueError: a
-    segment's step count may pass what memory holds or be no finite number.
+    segment's step count may pass what memory or NumPy's index type holds,
+    or be no finite number.
     """
-    try:  # NumPy refuses an array larger than memory before allocating any
+    # NumPy refuses an array larger than memory (MemoryError) or than its
+    # index type (ValueError) before allocating any.
+    try:
         t1_values = _expand_segments(spec.t1_segments)
         t2_values = _expand_segments(spec.t2_segments)
         t1, t2 = np.meshgrid(t1_values[t1_values > 0.0], t2_values[t2_values > 0.0],
                              indexing="ij")
         keep = t2 <= t1
         pairs = np.column_stack([t1[keep], t2[keep]])
-    except (MemoryError, OverflowError) as err:
+    except (MemoryError, OverflowError, ValueError) as err:
         raise ValueError(f"grid too fine to expand: {err}") from None
     if not len(pairs):
         raise ValueError("grid expansion produced no valid (T1, T2) pairs")

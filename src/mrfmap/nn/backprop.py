@@ -2,18 +2,25 @@
 the split of a minibatch over processes.
 
 ``loss_and_grads`` checks the batch and runs ``models.forward_batch`` and
-``models.backward`` on each slab (``_slab``), with the whole batch's MSE
-derivative ``2 * (preds - targets) / targets.size``; it reads no cache.
+``models.backward`` on each chunk of it (``_chunk``), with the whole batch's
+MSE derivative ``2 * (preds - targets) / targets.size``; it reads no cache.
 
 Data-parallel training. Every row's forward and backward pass is
 independent until the gradients are summed, so ``loss_and_grads`` splits a
 minibatch of B rows of any kind into P = ``max(1, min(available_cpus(),
 B * spec.n_steps // MIN_SLAB_STEPS))`` contiguous slabs of near-equal size.
 ``ModelSpec.n_steps`` is the recurrent unroll's length, and 1 for the ANN
-and the CNN. The caller runs the first slab and P - 1 forked workers the
-others (``fan_out``, which starts no pool at P = 1); each runs forward and
-backward over its rows with the whole batch's MSE gradient, and the caller
-sums the slab gradients in slab order.
+and the CNN. Each slab is cut into chunks, the blocks of
+``models.row_blocks``: one chunk per slab for the GRU and the ANN, and
+chunks of ``_cnn_block_rows`` rows from the slab's start for the CNN, so
+that its training copy of every window stays within one block's (traced
+peak of the default CNN at N=1750, one BLAS thread: 31.4 MiB at B=64 and
+31.8 MiB at B=256, where one chunk of the whole batch held 61.5 and
+244.8 MiB). ``fan_out`` runs the chunks on P processes, the caller taking
+every P-th from the first and P - 1 forked workers the others (no pool at
+P = 1); each chunk runs forward and backward over its rows with the whole
+batch's MSE gradient, and the caller sums the chunk gradients in chunk
+order as they come in.
 
 The rule counts work, not rows, because each unrolled step has a fixed
 cost whatever its rows, which every slab pays again, and a split also
@@ -38,15 +45,17 @@ The GRU rows cross over between 1,600 and 4,480 row-steps, so
 8,000 the split saves under a fifth, and which side is faster moves with
 the host's load. An ANN's ~616k parameters cost more to pickle than its
 slab saves. The CNN row is the one the rule gets wrong: one step per row
-undercounts a conv stack, so a CNN minibatch stays whole until its rows
-are priced by their work.
+undercounts a conv stack, so a CNN minibatch stays one process, its chunks
+run in turn, until its rows are priced by their work. (The CNN row was
+measured when the whole minibatch was one chunk.)
 
-With one slab the loss, the gradients and the predictions are bit for bit
-those of one forward and one backward over the whole batch. A split
-changes the order in which per-row contributions are summed into each
+With one chunk the loss, the gradients and the predictions are bit for bit
+those of one forward and one backward over the whole batch. More chunks
+change the order in which per-row contributions are summed into each
 gradient, which moves it by rounding only (within 1e-12 of its largest
 entry in the tests); the predictions, and so the loss, are unchanged
-wherever BLAS rounds a row alike in a smaller batch.
+wherever BLAS rounds a row alike in a smaller batch, as the models
+docstring says it does for CNN blocks of a multiple of 16 rows.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ import numpy as np
 
 from ..files import real_rows
 from ..parallel import available_cpus, fan_out
-from .models import OUTPUT_DIM, ModelSpec, backward, forward_batch
+from .models import OUTPUT_DIM, ModelSpec, backward, forward_batch, row_blocks
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -84,7 +93,8 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
     NaN or inf signal rows, complex targets, targets of a shape other than
     (B, 2) and NaN or inf target or prediction rows are rejected, naming
     whole-batch row indices. The rows are split over processes by the rule
-    and the table of the module docstring.
+    and the table of the module docstring, and into chunks by
+    ``models.row_blocks``.
     """
     signals = real_rows("signals", signals, spec.input_len)
     n_rows = signals.shape[0]
@@ -94,27 +104,36 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
     targets = real_rows("targets", targets, OUTPUT_DIM)
     slabs = max(1, min(available_cpus(), n_rows * spec.n_steps // MIN_SLAB_STEPS))
     edges = [n_rows * i // slabs for i in range(slabs + 1)]
-    chunks = [(signals[lo:hi], targets[lo:hi]) for lo, hi in zip(edges, edges[1:])]
-    done = dict(fan_out(partial(_slab, spec, params, targets.size), chunks, slabs))
-    preds = np.concatenate([done[i][0] for i in range(slabs)])
-    grads = done[0][1]
-    for i in range(1, slabs):
-        for name, grad in done[i][1].items():
-            grads[name] += grad
+    chunks = [(signals[a:b], targets[a:b]) for lo, hi in zip(edges, edges[1:])
+              for a, b in row_blocks(spec, lo, hi)]
+    preds, grads, done = [], None, {}
+    for i, result in fan_out(partial(_chunk, spec, params, targets.size), chunks, slabs):
+        done[i] = result
+        # Sum in chunk order, each chunk once those before it are in, so
+        # that the caller holds few chunks' gradients at a time.
+        while len(preds) in done:
+            chunk_preds, chunk_grads = done.pop(len(preds))
+            preds.append(chunk_preds)
+            if grads is None:
+                grads = chunk_grads
+            else:
+                for name, grad in chunk_grads.items():
+                    grads[name] += grad
+    preds = np.concatenate(preds)
     return mse_loss(preds, targets), grads, preds
 
 
-def _slab(spec, params, n_entries, rows):
-    """Predictions and gradients of one slab of a minibatch of ``n_entries``
+def _chunk(spec, params, n_entries, rows):
+    """Predictions and gradients of one chunk of a minibatch of ``n_entries``
     targets.
 
     The caller and the forked workers run this same function. It reaches
     ``forward_batch`` and ``backward`` through this module's globals, so a
-    wrapper installed there sees the caller's slab.
+    wrapper installed there sees the caller's chunks.
     """
     signals, targets = rows
     preds, cache = forward_batch(spec, params, signals)
-    # d(mse)/d(preds) of the whole batch, restricted to this slab's rows.
+    # d(mse)/d(preds) of the whole batch, restricted to this chunk's rows.
     d_preds = 2.0 * (preds - targets) / n_entries
     return preds, backward(spec, params, cache, d_preds)
 

@@ -3,7 +3,7 @@ and the cache between the two, which no other module reads.
 
 Every model maps one magnitude signal to two scaled outputs (t1_hat,
 t2_hat): a ``_forward_<kind>`` makes (B, width) features, to which
-``forward_batch`` applies the one dense head, and ``backward`` hands the
+``_forward`` applies the one dense head, and ``backward`` hands the
 features' gradient to the matching ``_backward_<kind>``. Parameters are an
 insertion-ordered dict of float64 arrays in ``param_layout``'s order, which
 is also ``init_params``'s draw order and the checkpoint blob's. A cache
@@ -35,26 +35,32 @@ in the caller and 3k in its worker, and the median call from 1.33 to
 1.03 s. Without the advice (``NUMPY_MADVISE_HUGEPAGE=0``, or THP
 ``never``) about 45k faults per process remain and the call takes 1.14 s.
 
-A cnn1d inference forward runs its conv stack on blocks of rows. Each
-layer's ``np.einsum(..., optimize=True)`` copies every window it reads, an
-im2col copy about K/stride = 2.5 times the layer's input, so the whole
-batch at once held 490 MiB at N=1750, B=1024. A row's bytes are the most
-it holds at once in any layer: the layer's input, its window copy and its
-output, each channels x length x 8 bytes, read from ``conv_lengths`` and
-``cnn_channels``. A block has as many rows as ``CNN_BLOCK_BUDGET`` holds at
-that size, rounded down to a multiple of 16 and at least 16
-(``_cnn_block_rows``). Each block writes its pooled features into one
-(B, channels[-1]) array, and the head runs once on all of them. The
-training forward makes one block of the whole batch, so its cache holds
-every layer of every row.
+One rule, ``row_blocks``, cuts rows into the blocks that one forward
+runs at once, and two callers apply it: ``predict_batch`` runs each block
+of its batch without a cache, and ``backprop.loss_and_grads`` runs
+``forward_batch`` and ``backward`` on each block of each slab. The GRU and
+the ANN run all their rows as one block. A cnn1d runs blocks of rows,
+because each layer's ``np.einsum(..., optimize=True)`` copies every window
+it reads, an im2col copy about K/stride = 2.5 times the layer's input: the
+whole batch at once held 490 MiB for inference at N=1750, B=1024, and for
+training, whose cache also keeps every layer, 245 MiB at B=256. A row's
+bytes are the most it holds at once in any layer: the layer's input, its
+window copy and its output, each channels x length x 8 bytes, read from
+``conv_lengths`` and ``cnn_channels``. A block has as many rows as
+``CNN_BLOCK_BUDGET`` holds at that size, rounded down to a multiple of 16
+and at least 16 (``_cnn_block_rows``), and ``_forward_cnn`` itself runs
+whatever rows it is handed as one block.
 
 The rounding keeps the bits. OpenBLAS (0.3.31, Haswell kernels) computes
 the last (columns mod 8) columns of a product by other code than the rest,
 so a block whose products have a ragged column count changes the last bits
 of its last rows. With blocks of a multiple of 16 rows, every batch of a
-multiple of 16 rows gets the bits of the one-block forward. In other
-batches a short last block may differ in the last bit, as the rows of two
-batches of different sizes already did.
+multiple of 16 rows gets the predictions of the one-block forward, in
+inference and in training, where a block starts every ``_cnn_block_rows``
+rows from the start of its slab. In other batches a short last block may
+differ in the last bit, as the rows of two batches of different sizes
+already did. The gradients of several blocks are summed block by block,
+which moves them by rounding only.
 
 The budget comes from a sweep of ``predict_batch`` on the default cnn1d
 (B=1024, one BLAS thread, 2-core Xeon, budgets interleaved, median ms of 15
@@ -97,7 +103,8 @@ OUTPUT_DIM = 2
 MODEL_KINDS = ("rnn_regressor", "ann", "cnn1d")
 
 # Bytes of layer outputs and window copies one block of a cnn1d inference
-# forward may hold; the module docstring gives the sweep that set it.
+# forward may hold, which also sizes its training blocks; the module
+# docstring gives the sweep that set it.
 CNN_BLOCK_BUDGET = 16 * 2**20
 
 
@@ -204,22 +211,33 @@ def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
+def row_blocks(spec: ModelSpec, lo: int, hi: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block that rows ``lo`` to ``hi`` run in, one
+    forward each: for a cnn1d every ``_cnn_block_rows`` rows from ``lo``,
+    the last block short, and for the GRU and the ANN all of them. No rows
+    are one empty block."""
+    rows = _cnn_block_rows(spec) if spec.kind == "cnn1d" else max(hi - lo, 1)
+    return [(a, min(a + rows, hi)) for a in range(lo, hi, rows)] or [(lo, hi)]
+
+
 def forward_batch(spec: ModelSpec, params: dict[str, np.ndarray],
-                  signals: np.ndarray, _cache: bool = True):
-    """Forward pass on a (B, input_len) batch; returns (preds, cache).
+                  signals: np.ndarray):
+    """The training forward on a (B, input_len) batch, all its rows one
+    block; returns (preds, cache).
 
     The cache holds every activation ``backward`` needs. Rows holding NaN
-    or inf are rejected with their indices. Inference passes
-    ``_cache=False``, with which every kind keeps no earlier layer or step
-    and returns an empty cache, and a cnn1d convolves blocks of rows.
+    or inf are rejected with their indices. ``backprop.loss_and_grads``
+    calls this once per block of ``row_blocks``.
     """
-    signals = real_rows("signals", signals, spec.input_len)
-    if spec.kind == "rnn_regressor":
-        features, cache = _forward_rnn(spec, params, signals, _cache)
-    elif spec.kind == "ann":
-        features, cache = _forward_ann(spec, params, signals, _cache)
-    else:
-        features, cache = _forward_cnn(spec, params, signals, _cache)
+    return _forward(spec, params, real_rows("signals", signals, spec.input_len), True)
+
+
+def _forward(spec, params, x, keep_cache):
+    """Predictions and cache of the checked rows ``x``: the kind's forward,
+    then the head. Without ``keep_cache`` no kind keeps an earlier layer or
+    step, and the cache is empty."""
+    forward_of = {"rnn_regressor": _forward_rnn, "ann": _forward_ann, "cnn1d": _forward_cnn}
+    features, cache = forward_of[spec.kind](spec, params, x, keep_cache)
     if cache:
         cache["features"] = features
     return features @ params["head.w"] + params["head.b"], cache
@@ -235,12 +253,8 @@ def backward(spec: ModelSpec, params: dict[str, np.ndarray], cache: dict,
     grads["head.w"] += cache["features"].T @ d_preds
     grads["head.b"] += d_preds.sum(axis=0)
     d_features = d_preds @ params["head.w"].T
-    if spec.kind == "rnn_regressor":
-        _backward_rnn(spec, params, cache, d_features, grads)
-    elif spec.kind == "ann":
-        _backward_ann(spec, params, cache, d_features, grads)
-    else:
-        _backward_cnn(spec, params, cache, d_features, grads)
+    backward_of = {"rnn_regressor": _backward_rnn, "ann": _backward_ann, "cnn1d": _backward_cnn}
+    backward_of[spec.kind](spec, params, cache, d_features, grads)
     return grads
 
 
@@ -305,7 +319,7 @@ def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
 
 
 def _cnn_block_rows(spec: ModelSpec) -> int:
-    """Rows per block of a cnn1d inference forward: as many as
+    """Rows per block of a cnn1d forward: as many as
     ``CNN_BLOCK_BUDGET`` holds, rounded down to a multiple of 16, at least 16.
 
     A row costs the most it holds at once in any layer: the layer's input,
@@ -319,23 +333,15 @@ def _cnn_block_rows(spec: ModelSpec) -> int:
 
 
 def _forward_cnn(spec, params, x, keep_cache):
-    n_rows = x.shape[0]
-    # Training convolves the whole batch as one block and caches its layers.
-    rows = max(1, n_rows) if keep_cache else _cnn_block_rows(spec)
-    # channel-major like the pool of einsum's output, so the head's product
-    # sees the layout, and gives the bits, of an unblocked forward
-    features = np.empty((n_rows, spec.cnn_channels[-1]), order="F")
-    for lo in range(0, max(n_rows, 1), rows):  # an empty batch is one empty block
-        xs = [x[lo:lo + rows, None, :]]  # (rows, 1, L), then every ReLU output
-        for idx in range(1, len(spec.cnn_channels) + 1):
-            win = _conv_windows(xs[-1], spec.cnn_kernel, spec.cnn_stride)
-            z = np.einsum("bclk,ock->bol", win, params[f"conv{idx}.w"], optimize=True)
-            z += params[f"conv{idx}.b"][:, None]
-            xs.append(np.maximum(z, 0.0, out=z))
-            if not keep_cache:
-                del xs[0]
-        xs[-1].mean(axis=2, out=features[lo:lo + rows])  # average pool
-    return features, ({"xs": xs} if keep_cache else {})
+    xs = [x[:, None, :]]  # (B, 1, L), then every ReLU output
+    for idx in range(1, len(spec.cnn_channels) + 1):
+        win = _conv_windows(xs[-1], spec.cnn_kernel, spec.cnn_stride)
+        z = np.einsum("bclk,ock->bol", win, params[f"conv{idx}.w"], optimize=True)
+        z += params[f"conv{idx}.b"][:, None]
+        xs.append(np.maximum(z, 0.0, out=z))
+        if not keep_cache:
+            del xs[0]
+    return xs[-1].mean(axis=2), ({"xs": xs} if keep_cache else {})  # average pool
 
 
 def _backward_cnn(spec, params, cache, d_features, grads):
@@ -362,21 +368,28 @@ def _backward_cnn(spec, params, cache, d_features, grads):
 
 def predict_batch(spec: ModelSpec, params: dict[str, np.ndarray],
                   signals: np.ndarray) -> np.ndarray:
-    """(B, 2) outputs for a (B, input_len) batch, without ``backward``'s cache."""
-    preds, _ = forward_batch(spec, params, signals, _cache=False)
-    return preds
+    """(B, 2) outputs for a (B, input_len) batch.
+
+    Rows holding NaN or inf are rejected with their indices. Each block of
+    ``row_blocks`` runs without ``backward``'s cache, so a cnn1d holds one
+    block's layers at a time.
+    """
+    signals = real_rows("signals", signals, spec.input_len)
+    return np.concatenate([_forward(spec, params, signals[lo:hi], False)[0]
+                           for lo, hi in row_blocks(spec, 0, len(signals))])
 
 
 def predict_single(spec: ModelSpec, params: dict[str, np.ndarray],
                    signal: np.ndarray) -> np.ndarray:
     """(2,) output for one signal of length ``input_len``.
 
-    The batch forward at B=1 without ``backward``'s cache, so the result
-    equals row 0 of ``forward_batch`` on ``signal[None]`` bit for bit.
+    ``predict_batch`` at B=1, one block for every kind, so the result
+    equals row 0 of ``forward_batch`` on ``signal[None]`` bit for bit. It
+    runs that block itself, not through ``predict_batch``, so that a
+    wrapper installed there sees batch calls only.
     """
     signal = np.asarray(signal)
     if signal.shape != (spec.input_len,):
         raise ValueError(
             f"signal must have length {spec.input_len}, got {signal.shape}")
-    preds, _ = forward_batch(spec, params, signal[None, :], _cache=False)
-    return preds[0]
+    return _forward(spec, params, real_rows("signals", signal[None, :]), False)[0][0]

@@ -9,6 +9,7 @@ rounding of the gradient sums.
 """
 
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,62 @@ def test_split_matches_one_pass(monkeypatch, pools, kind, cpus):
     # A split is deterministic: the same slabs, summed in the same order.
     assert_same_bits(again, (loss, grads, preds))
     assert multiprocessing.active_children() == []
+
+
+# The default CNN at N=1750 trains in blocks of 32 rows.
+CNN_1750 = ModelSpec("cnn1d", input_len=1750)
+
+
+def chunk_rows(monkeypatch):
+    """Rows of every ``forward_batch`` call ``backprop`` makes from now on."""
+    rows, real = [], backprop.forward_batch
+
+    def counting(spec, params, signals):
+        rows.append(len(signals))
+        return real(spec, params, signals)
+
+    monkeypatch.setattr(backprop, "forward_batch", counting)
+    return rows
+
+
+def test_cnn_chunks_match_one_pass(monkeypatch):
+    # Blocks of 32, 32 and 16 rows, all multiples of 16 as the models
+    # docstring requires for the bits of one pass.
+    rng = np.random.default_rng(4)
+    params = init_params(CNN_1750, seed=4)
+    signals, targets = rng.random((80, 1750)), rng.normal(size=(80, 2))
+    loss1, grads1, preds1 = whole_batch(CNN_1750, params, signals, targets)
+    rows = chunk_rows(monkeypatch)
+    loss, grads, preds = got = loss_and_grads(CNN_1750, params, signals, targets)
+    assert rows == [32, 32, 16]
+    assert np.float64(loss).tobytes() == np.float64(loss1).tobytes()
+    assert preds.tobytes() == preds1.tobytes()
+    assert list(grads) == list(grads1)
+    for name, grad in grads1.items():
+        scale = np.abs(grad).max()
+        assert np.abs(grads[name] - grad).max() <= 1e-12 * scale, name
+    # The same chunks, summed in the same order, on every call.
+    assert_same_bits(loss_and_grads(CNN_1750, params, signals, targets), got)
+
+
+def test_cnn_training_peak_does_not_grow_with_batch(monkeypatch):
+    # One block of 32 rows against eight: 31.0 and 31.8 MiB traced. Holding
+    # every block's gradients until the last one came in took 33.9 MiB at
+    # 256 rows; convolving the whole batch as one block took 244.8 MiB.
+    rng = np.random.default_rng(5)
+    params = init_params(CNN_1750, seed=5)
+    rows = chunk_rows(monkeypatch)
+    peaks = []
+    for n_rows in (32, 256):
+        signals, targets = rng.random((n_rows, 1750)), rng.normal(size=(n_rows, 2))
+        tracemalloc.start()
+        try:
+            loss_and_grads(CNN_1750, params, signals, targets)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert rows == [32] * 9
+    assert peaks[1] < 1.05 * peaks[0]
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -170,6 +227,7 @@ def test_slab_error_reaches_caller(monkeypatch, cpus, bad_row):
 
 # The whole-against-split table of ``backprop``'s docstring: (N, chunk_size,
 # h, B) of a GRU, then the default ANN and CNN, and their slabs at two CPUs.
+# A slab is a process; the CNN's one runs two chunks of 32 rows.
 @pytest.mark.parametrize("kind, n, chunk, hidden, rows, slabs", [
     ("rnn_regressor", 100, 10, 64, 64, 1),
     ("rnn_regressor", 250, 10, 100, 64, 1),
@@ -192,7 +250,7 @@ def test_table_cases_take_their_side(monkeypatch, pools, kind, n, chunk, hidden,
     made = []
 
     def counting_fan_out(work, chunks, processes, real=backprop.fan_out):
-        made.append(len(chunks))
+        made.append(processes)
         return real(work, chunks, processes)
 
     monkeypatch.setattr(backprop, "fan_out", counting_fan_out)

@@ -186,7 +186,11 @@ class TestExpandGrid:
         # NumPy refuses the 28.4 PiB of T1 values before allocating any.
         (((1.0, 4000.0, 1e-12),), ((5.0, 500.0, 5.0),),
          "grid too fine to expand: Unable to allocate"),
-    ], ids=["no_pairs", "too_fine"])
+        # 1e23 T1 values, past NumPy's index type: it used to raise its bare
+        # ValueError "Maximum allowed size exceeded".
+        (((0.0, 1e20, 1e-3),), ((1.0, 1.0, 1.0),),
+         "grid too fine to expand: Maximum allowed size exceeded"),
+    ], ids=["no_pairs", "too_fine", "past_index_type"])
     def test_constructor_refuses_what_load_refuses(self, t1_segments, t2_segments, message):
         # Both used to be made, and only expand_grid refused them.
         with pytest.raises(ValueError, match=re.escape(message)):

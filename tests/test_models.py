@@ -15,6 +15,7 @@ from mrfmap.nn.models import (
     init_params,
     predict_batch,
     predict_single,
+    row_blocks,
 )
 from test_cells import CELL_KINDS, blocks, gru_step_reference
 
@@ -257,6 +258,18 @@ class TestBaselines:
             np.testing.assert_allclose(predict_single(spec, params, signals[row]),
                                        got[row], rtol=1e-12, atol=0)
         assert predict_batch(spec, params, np.empty((0, 250))).shape == (0, 2)
+
+    def test_row_blocks(self):
+        # A cnn1d cuts rows every _cnn_block_rows from the first; the GRU and
+        # the ANN run them all at once. No rows are one empty block.
+        cnn = ModelSpec("cnn1d", input_len=1750)
+        assert models._cnn_block_rows(cnn) == 32
+        assert row_blocks(cnn, 10, 80) == [(10, 42), (42, 74), (74, 80)]
+        assert row_blocks(cnn, 10, 42) == [(10, 42)]
+        for spec in (cnn, ModelSpec("rnn_regressor"), ModelSpec("ann")):
+            assert row_blocks(spec, 5, 5) == [(5, 5)]
+        for spec in (ModelSpec("rnn_regressor"), ModelSpec("ann")):
+            assert row_blocks(spec, 10, 5000) == [(10, 5000)]
 
     def test_cnn_length_arithmetic(self):
         spec = ModelSpec("cnn1d", input_len=1750)
