@@ -5,9 +5,9 @@
 ``build`` simulates a fingerprint dictionary over the grid (default: the
 paper grid) for the schedule (default: ``default_schedule(N)``), writes
 ``OUT.dict`` and ``OUT.json``, and prints one JSON line with the atom count,
-N, the number of processes, ``orders_kept`` (the EPG work the order caps
-leave, as a share of every atom at K = N), the build time, atoms/s and the
-schedule digest.
+N, ``workers`` (the processes the build's batches ran on, the caller
+included), ``orders_kept`` (the EPG work the order caps leave, as a share of
+every atom at K = N), the build time, atoms/s and the schedule digest.
 ``GRID.json`` holds ``{"t1_segments": [[start, stop, step], ...],
 "t2_segments": [...]}`` in ms, as in a dictionary manifest's ``grid``.
 Bad input or an unreadable file prints ``mrfmap: error: ...``, naming the
@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .dictionary import GridSpec, build_dictionary, build_plan, expand_grid, save_dictionary
 from .files import naming, read_json
+from .parallel import processes_for
 from .schedule import DEFAULT_N_EXCITATIONS, default_schedule, load_schedule
 
 
@@ -58,9 +59,9 @@ def _build(args) -> dict:
     seconds = time.perf_counter() - start
     save_dictionary(built, args.out)
     plan = build_plan(expand_grid(grid), schedule)
-    return {"atoms": built.n_atoms, "n": built.n_samples, "workers": plan.processes,
-            "orders_kept": plan.orders_kept, "seconds": seconds,
-            "atoms_per_s": built.n_atoms / seconds,
+    return {"atoms": built.n_atoms, "n": built.n_samples,
+            "workers": processes_for(len(plan.batches)), "orders_kept": plan.orders_kept,
+            "seconds": seconds, "atoms_per_s": built.n_atoms / seconds,
             "schedule_digest": built.schedule_digest}
 
 

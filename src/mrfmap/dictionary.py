@@ -41,10 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import epg
+from . import epg, parallel
 from .epg import TissueParams, order_caps, simulate_fingerprints
 from .files import json_object, naming, number, read_json, real_rows
-from .parallel import available_cpus, fan_out
 from .schedule import SequenceSchedule, schedule_digest
 
 DICT_MAGIC = b"MRFD"
@@ -241,7 +240,6 @@ class BuildPlan(NamedTuple):
     """How ``build_dictionary`` splits a grid over ``simulate_fingerprints`` calls."""
 
     batches: list[np.ndarray]  # rows of ``expand_grid(spec)``, one array per call
-    processes: int
     orders_kept: float  # modelled EPG work, as a share of every atom at K = N
 
 
@@ -259,23 +257,23 @@ def _cuts(head: np.ndarray, limit) -> list[int]:
 
 
 def build_plan(tissues, schedule: SequenceSchedule) -> BuildPlan:
-    """The batches and processes ``build_dictionary`` uses for (M, 2) ``tissues``.
+    """The batches ``build_dictionary`` simulates (M, 2) ``tissues`` in.
 
     Atoms are taken in descending order of their ``order_caps``
     (``epg._by_cap``). A batch costs its size times the rows its largest
     cap sweeps. The cut points split them into at most
     ``count = cpus * ceil(M / (cpus * epg.BATCH_SIZE))`` batches of at most
     ``epg.BATCH_SIZE`` atoms each, where the largest batch cost is least;
-    ``fan_out`` gives every process about count / cpus of them. For M up
-    to cpus × ``epg.BATCH_SIZE`` count is cpus, so one CPU takes such a
-    grid as one batch. Above it, cuts every ``epg.BATCH_SIZE`` atoms are
-    one split into at most count batches, so the plan's largest cost is
-    never above theirs; on 2 CPUs the map benchmark's grid and the paper
-    grid get exactly those cuts. Within a batch ``simulate_fingerprints``
-    makes its own cuts. Without ``fork`` the build runs in the calling
-    process alone.
+    ``fan_out`` runs them on up to cpus processes, each taking every
+    cpus-th batch, so about count / cpus of them. For M up to cpus ×
+    ``epg.BATCH_SIZE`` count is cpus, so one CPU takes such a grid as one
+    batch. Above it, cuts every ``epg.BATCH_SIZE`` atoms are one split into
+    at most count batches, so the plan's largest cost is never above
+    theirs; on 2 CPUs the map benchmark's grid and the paper grid get
+    exactly those cuts. Within a batch ``simulate_fingerprints`` makes its
+    own cuts. Without ``fork`` the build runs in the calling process alone.
     """
-    n, m, cpus = schedule.n_excitations, len(tissues), available_cpus()
+    n, m, cpus = schedule.n_excitations, len(tissues), parallel.available_cpus()
     order, head = epg._by_cap(order_caps(tissues, schedule), n)
     count = cpus * -(-m // (cpus * epg.BATCH_SIZE))
     # The least largest cost lies between the first atom's and a full batch
@@ -286,8 +284,7 @@ def build_plan(tissues, schedule: SequenceSchedule) -> BuildPlan:
         limits, True, key=lambda limit: len(_cuts(head, limit)) <= count + 1)])
     batches = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
     # Every atom at K = N sweeps N(N + 1)/2 rows.
-    return BuildPlan(batches, min(cpus, len(batches)),
-                     float(head.sum() / (m * n * (n + 1) / 2)))
+    return BuildPlan(batches, float(head.sum() / (m * n * (n + 1) / 2)))
 
 
 def _batch_atoms(chunk: np.ndarray, schedule: SequenceSchedule) -> np.ndarray:
@@ -307,20 +304,21 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
     ``build_plan`` sorts the atoms by cap and cuts them, by one rule for
     every grid size, into batches whose largest cost is least, one
     ``simulate_fingerprints`` call each, which groups its batch for the
-    kernel itself; ``fan_out`` spreads the batches over its processes. The
-    process that simulates a batch also normalizes its rows and rounds them
-    to float32; the caller only writes them into the one (M, N) float32
-    matrix. ``simulate_fingerprints`` gives each atom bit for bit the same
-    samples in any batch, so the atoms are identical however the grid is
-    split and whichever process simulates it, and rows keep
-    ``expand_grid`` order.
+    kernel itself; ``fan_out`` spreads the batches over processes and hands
+    their atoms back in batch order. The process that simulates a batch
+    also normalizes its rows and rounds them to float32; the caller only
+    writes them into the one (M, N) float32 matrix.
+    ``simulate_fingerprints`` gives each atom bit for bit the same samples
+    in any batch, so the atoms are identical however the grid is split and
+    whichever process simulates it, and rows keep ``expand_grid`` order.
     """
     tissues = expand_grid(spec)
     plan = build_plan(tissues, schedule)
     simulate = partial(_batch_atoms, schedule=schedule)
     atoms = np.empty((len(tissues), schedule.n_excitations), dtype=np.float32)
-    for i, batch in fan_out(simulate, [tissues[rows] for rows in plan.batches], plan.processes):
-        atoms[plan.batches[i]] = batch
+    batches = parallel.fan_out(simulate, [tissues[rows] for rows in plan.batches])
+    for rows, batch in zip(plan.batches, batches):
+        atoms[rows] = batch
     return Dictionary(atoms, schedule_digest(schedule), spec)
 
 

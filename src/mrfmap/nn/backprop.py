@@ -7,23 +7,24 @@ MSE derivative ``2 * (preds - targets) / targets.size``; it reads no cache.
 
 Data-parallel training. Every row's forward and backward pass is
 independent until the gradients are summed, so ``loss_and_grads`` splits a
-minibatch of B rows of any kind into P = ``max(1, min(available_cpus(),
-B * spec.n_steps // MIN_SLAB_STEPS))`` contiguous slabs of near-equal size.
+minibatch of B rows of any kind into ``parallel.processes_for(B *
+spec.n_steps // MIN_SLAB_STEPS)`` contiguous slabs of near-equal size: one
+per MIN_SLAB_STEPS row-steps of work, up to the CPUs, and at least one.
 ``ModelSpec.n_steps`` is the recurrent unroll's length, and 1 for the ANN
 and the CNN. Each slab is cut into chunks, the blocks of
 ``models.row_blocks``: one chunk per slab for the GRU and the ANN, and
 chunks of ``_cnn_block_rows`` rows from the slab's start for the CNN, so
 that its training copy of every window stays within one block's (traced
-peak of the default CNN at N=1750, one BLAS thread: 31.4 MiB at B=64 and
-31.8 MiB at B=256, where one chunk of the whole batch held 61.5 and
-244.8 MiB). ``fan_out`` runs the chunks on P processes, the caller taking
-every P-th from the first and P - 1 forked workers the others (no pool at
-P = 1); each chunk runs forward and backward over its rows with the whole
-batch's MSE gradient, and the caller sums the chunk gradients in chunk
-order as they come in.
+peak of the default CNN at N=1750 in one process, one BLAS thread:
+31.4 MiB at B=64 and 31.8 MiB at B=256, where one chunk of the whole batch
+held 61.5 and 244.8 MiB). ``fan_out`` runs the chunks on as many processes
+as they fill, up to the CPUs: the slabs of the GRU and the ANN, and the
+blocks of the CNN. Each chunk runs forward and backward over its rows with
+the whole batch's MSE gradient, and ``fan_out`` hands the results back in
+chunk order, in which the caller sums them.
 
-The rule counts work, not rows, because each unrolled step has a fixed
-cost whatever its rows, which every slab pays again, and a split also
+The slab rule counts work, not rows, because each unrolled step has a
+fixed cost whatever its rows, which every slab pays again, and a split also
 pickles the parameters to each worker and their gradients back and starts
 a pool. Milliseconds of ``loss_and_grads`` whole against forced into two
 slabs, alternating calls (one BLAS thread, 2-core Xeon): the median over 8
@@ -38,16 +39,21 @@ which the split was faster:
     GRU, 250 (1), 100, 32             8,000     91.7   107.4      18 of 20  split
     GRU, 1750 (1), 100, 64          112,000    733.0  1166.7        9 of 9  split
     ANN (300, 300), 1750, 64             64     65.0     7.8        0 of 8  whole
-    CNN (16, ..., 128), 1750, 64         64    116.2   176.6        8 of 8  whole
 
 The GRU rows cross over between 1,600 and 4,480 row-steps, so
 ``MIN_SLAB_STEPS`` is 2,000 and two slabs start at 4,000. From 4,480 to
 8,000 the split saves under a fifth, and which side is faster moves with
 the host's load. An ANN's ~616k parameters cost more to pickle than its
-slab saves. The CNN row is the one the rule gets wrong: one step per row
-undercounts a conv stack, so a CNN minibatch stays one process, its chunks
-run in turn, until its rows are priced by their work. (The CNN row was
-measured when the whole minibatch was one chunk.)
+slab saves. A CNN batch is one slab too, but its blocks are chunks, so the
+default CNN at N=1750 fills two processes from B=33. Milliseconds of its
+``loss_and_grads`` with every block in the caller against its blocks on
+two processes, alternating runs (one BLAS thread, 2-core Xeon): the median
+over 8 runs of each run's median of 9 (B=64) or 5 (B=256) calls per side,
+and the runs in which two processes were faster:
+
+    CNN (16, ..., 128), 1750, B   blocks  2 processes  1 process  2 faster
+    64                                 2        124.0      194.4    8 of 8
+    256                                8        415.8      659.2    8 of 8
 
 With one chunk the loss, the gradients and the predictions are bit for bit
 those of one forward and one backward over the whole batch. More chunks
@@ -64,8 +70,8 @@ from functools import partial
 
 import numpy as np
 
+from .. import parallel
 from ..files import real_rows
-from ..parallel import available_cpus, fan_out
 from .models import OUTPUT_DIM, ModelSpec, backward, forward_batch, row_blocks
 
 
@@ -92,9 +98,9 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
 
     NaN or inf signal rows, complex targets, targets of a shape other than
     (B, 2) and NaN or inf target or prediction rows are rejected, naming
-    whole-batch row indices. The rows are split over processes by the rule
-    and the table of the module docstring, and into chunks by
-    ``models.row_blocks``.
+    whole-batch row indices. The rows are split into slabs by the rule and
+    the table of the module docstring, and each slab into chunks by
+    ``models.row_blocks``; the chunks fill the processes.
     """
     signals = real_rows("signals", signals, spec.input_len)
     n_rows = signals.shape[0]
@@ -102,23 +108,19 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
         raise ValueError(
             f"targets must be ({n_rows}, {OUTPUT_DIM}), got {np.shape(targets)}")
     targets = real_rows("targets", targets, OUTPUT_DIM)
-    slabs = max(1, min(available_cpus(), n_rows * spec.n_steps // MIN_SLAB_STEPS))
+    slabs = parallel.processes_for(n_rows * spec.n_steps // MIN_SLAB_STEPS)
     edges = [n_rows * i // slabs for i in range(slabs + 1)]
     chunks = [(signals[a:b], targets[a:b]) for lo, hi in zip(edges, edges[1:])
               for a, b in row_blocks(spec, lo, hi)]
-    preds, grads, done = [], None, {}
-    for i, result in fan_out(partial(_chunk, spec, params, targets.size), chunks, slabs):
-        done[i] = result
-        # Sum in chunk order, each chunk once those before it are in, so
-        # that the caller holds few chunks' gradients at a time.
-        while len(preds) in done:
-            chunk_preds, chunk_grads = done.pop(len(preds))
-            preds.append(chunk_preds)
-            if grads is None:
-                grads = chunk_grads
-            else:
-                for name, grad in chunk_grads.items():
-                    grads[name] += grad
+    preds, grads = [], None
+    for chunk_preds, chunk_grads in parallel.fan_out(
+            partial(_chunk, spec, params, targets.size), chunks):
+        preds.append(chunk_preds)
+        if grads is None:
+            grads = chunk_grads
+        else:
+            for name, grad in chunk_grads.items():
+                grads[name] += grad
     preds = np.concatenate(preds)
     return mse_loss(preds, targets), grads, preds
 

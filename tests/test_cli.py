@@ -12,6 +12,7 @@ from mrfmap.dictionary import (
     expand_grid,
     load_dictionary,
 )
+from mrfmap.parallel import processes_for
 from mrfmap.schedule import default_schedule, save_schedule, schedule_digest
 
 GRID = {"t1_segments": [[300.0, 900.0, 300.0]], "t2_segments": [[40.0, 120.0, 40.0]]}
@@ -40,7 +41,7 @@ def test_build_default_schedule(tmp_path, grid_json, capsys):
     assert loaded.labels == expected.labels
     assert report["atoms"] == 9 and report["n"] == 40
     plan = build_plan(expand_grid(GridSpec.from_json_dict(GRID)), schedule)
-    assert report["workers"] == plan.processes
+    assert report["workers"] == processes_for(len(plan.batches))
     assert report["orders_kept"] == plan.orders_kept == 1.0  # T2 >= 40 ms keeps all 40
     assert report["seconds"] > 0
     assert report["atoms_per_s"] == pytest.approx(9 / report["seconds"])

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import time_limit
+from mrfmap import parallel
 from mrfmap.nn import backprop
 from mrfmap.nn.backprop import MIN_SLAB_STEPS, loss_and_grads, mse_loss
 from mrfmap.nn.models import (ModelSpec, backward, forward_batch, init_params,
@@ -62,7 +63,7 @@ def assert_same_bits(got, expected):
         (1, SPLIT_ROWS), (3, 5), (3, 32), (2, 63)]
 ] + [("ann", 3, SPLIT_ROWS), ("cnn1d", 3, SPLIT_ROWS)])
 def test_one_slab_is_bitwise_one_pass(monkeypatch, pools, kind, cpus, rows):
-    monkeypatch.setattr(backprop, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
     spec, params, signals, targets = case(kind, rows)
     assert_same_bits(loss_and_grads(spec, params, signals, targets),
                      whole_batch(spec, params, signals, targets))
@@ -75,7 +76,7 @@ def test_split_matches_one_pass(monkeypatch, pools, kind, cpus):
     rows = -(-3 * MIN_SLAB_STEPS // SPECS[kind].n_steps)  # fewest for three slabs
     spec, params, signals, targets = case(kind, rows, seed=cpus)
     loss1, grads1, preds1 = whole_batch(spec, params, signals, targets)
-    monkeypatch.setattr(backprop, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
     with time_limit(60):
         loss, grads, preds = loss_and_grads(spec, params, signals, targets)
         again = loss_and_grads(spec, params, signals, targets)
@@ -109,7 +110,9 @@ def chunk_rows(monkeypatch):
 
 def test_cnn_chunks_match_one_pass(monkeypatch):
     # Blocks of 32, 32 and 16 rows, all multiples of 16 as the models
-    # docstring requires for the bits of one pass.
+    # docstring requires for the bits of one pass. One CPU runs them all in
+    # this process, where their rows are counted.
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
     rng = np.random.default_rng(4)
     params = init_params(CNN_1750, seed=4)
     signals, targets = rng.random((80, 1750)), rng.normal(size=(80, 2))
@@ -130,7 +133,9 @@ def test_cnn_chunks_match_one_pass(monkeypatch):
 def test_cnn_training_peak_does_not_grow_with_batch(monkeypatch):
     # One block of 32 rows against eight: 31.0 and 31.8 MiB traced. Holding
     # every block's gradients until the last one came in took 33.9 MiB at
-    # 256 rows; convolving the whole batch as one block took 244.8 MiB.
+    # 256 rows; convolving the whole batch as one block took 244.8 MiB. One
+    # CPU keeps every block in this process, where tracemalloc sees it.
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
     rng = np.random.default_rng(5)
     params = init_params(CNN_1750, seed=5)
     rows = chunk_rows(monkeypatch)
@@ -149,7 +154,7 @@ def test_cnn_training_peak_does_not_grow_with_batch(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_nonfinite_rows_named_by_whole_batch_index(monkeypatch, pools, cpus):
-    monkeypatch.setattr(backprop, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
     spec, params, signals, targets = case("gru", SPLIT_ROWS)
     last = SPLIT_ROWS - 1
     signals[[1, last], 0] = (np.nan, np.inf)
@@ -189,7 +194,7 @@ def test_caller_slab_calls_through_module_globals(monkeypatch, cpus):
     # A profiler wraps ``backprop.forward_batch`` and ``backprop.backward``,
     # so a slab must look both up there when it runs. The caller's slab is
     # the first, and its calls are the ones this process sees.
-    monkeypatch.setattr(backprop, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
     rows = 2 * -(-MIN_SLAB_STEPS // SPECS["gru"].n_steps)  # two slabs' work
     spec, params, signals, targets = case("gru", rows)
     expected = loss_and_grads(spec, params, signals, targets)
@@ -218,7 +223,7 @@ def test_slab_error_reaches_caller(monkeypatch, cpus, bad_row):
             raise RuntimeError("slab holding the marked row")
         return real(spec, params, signals, *args)
 
-    monkeypatch.setattr(backprop, "available_cpus", lambda: cpus)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
     monkeypatch.setattr(backprop, "forward_batch", failing)
     with time_limit(60), pytest.raises(RuntimeError, match="marked row"):
         loss_and_grads(spec, params, signals, targets)
@@ -226,9 +231,10 @@ def test_slab_error_reaches_caller(monkeypatch, cpus, bad_row):
 
 
 # The whole-against-split table of ``backprop``'s docstring: (N, chunk_size,
-# h, B) of a GRU, then the default ANN and CNN, and their slabs at two CPUs.
-# A slab is a process; the CNN's one runs two chunks of 32 rows.
-@pytest.mark.parametrize("kind, n, chunk, hidden, rows, slabs", [
+# h, B) of a GRU, then the default ANN and CNN, and their processes at two
+# CPUs. A GRU or ANN slab is one chunk; the CNN's one slab is two chunks of
+# 32 rows, which fill two processes.
+@pytest.mark.parametrize("kind, n, chunk, hidden, rows, processes", [
     ("rnn_regressor", 100, 10, 64, 64, 1),
     ("rnn_regressor", 250, 10, 100, 64, 1),
     ("rnn_regressor", 1750, 25, 100, 64, 2),
@@ -236,27 +242,20 @@ def test_slab_error_reaches_caller(monkeypatch, cpus, bad_row):
     ("rnn_regressor", 250, 1, 100, 32, 2),
     ("rnn_regressor", 1750, 1, 100, 64, 2),
     ("ann", 1750, 1, 100, 64, 1),
-    ("cnn1d", 1750, 1, 100, 64, 1),
+    ("cnn1d", 1750, 1, 100, 64, 2),
 ])
 def test_table_cases_take_their_side(monkeypatch, pools, kind, n, chunk, hidden,
-                                     rows, slabs):
+                                     rows, processes):
     # Stand-ins for the passes, installed before any fork so that workers see
-    # them too: only the number of slabs is under test, not their arithmetic.
-    monkeypatch.setattr(backprop, "available_cpus", lambda: 2)
+    # them too: only the number of processes is under test, not their
+    # arithmetic.
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
     monkeypatch.setattr(backprop, "forward_batch",
                         lambda spec, params, signals: (np.zeros((len(signals), 2)), {}))
     monkeypatch.setattr(backprop, "backward", lambda spec, params, cache, d_preds: {
         name: np.zeros_like(arr) for name, arr in params.items()})
-    made = []
-
-    def counting_fan_out(work, chunks, processes, real=backprop.fan_out):
-        made.append(processes)
-        return real(work, chunks, processes)
-
-    monkeypatch.setattr(backprop, "fan_out", counting_fan_out)
     spec = ModelSpec(kind, input_len=n, hidden_dim=hidden, chunk_size=chunk)
     params = {name: np.zeros(shape) for name, shape in param_layout(spec).items()}
     with time_limit(60):
         loss_and_grads(spec, params, np.zeros((rows, n)), np.zeros((rows, 2)))
-    assert made == [slabs]
-    assert pools == ([1] if slabs == 2 else [])
+    assert pools == ([1] if processes == 2 else [])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_schedule, time_limit
-from mrfmap import dictionary, epg
+from mrfmap import dictionary, epg, parallel
 from mrfmap.dictionary import (
     Dictionary,
     GridSpec,
@@ -253,15 +253,15 @@ class TestBuildDictionary:
             # Rows are quantized to float32 at build time.
             np.testing.assert_allclose(d.atoms[i], expected, atol=1e-6)
 
-    def test_batching_does_not_change_atoms(self, toy_dictionary, monkeypatch):
+    def test_batching_does_not_change_atoms(self, toy_dictionary, monkeypatch, pools):
         # The toy grid is one batch per process; in the split grid its
         # atoms sit in several batches of other atoms.
         d, schedule = toy_dictionary
-        monkeypatch.setattr(dictionary, "available_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         split = build_dictionary(SPLIT_GRID, schedule)
         plan = dictionary.build_plan(split.labels, schedule)
         assert [len(rows) for rows in plan.batches] == [56] * 7
-        assert plan.processes == 1
+        assert pools == []  # seven batches, all run in this process
         rows = [split.labels.index(label) for label in d.labels]
         assert split.atoms[rows].tobytes() == d.atoms.tobytes()
 
@@ -276,7 +276,7 @@ class TestBuildDictionary:
                                             pools, cpus, batch_size, grid):
         d, schedule = toy_dictionary
         spec = d.grid if grid is None else grid
-        monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         monkeypatch.setattr(epg, "BATCH_SIZE", batch_size)
         built = build_dictionary(spec, schedule)
         expected = one_call_reference(spec, schedule)
@@ -305,13 +305,12 @@ class TestBuildDictionary:
             "1-64-8-plan4", "36-64-1-plan5", "24-64-2-plan6", "1020-64-2-plan7",
             "1020-64-3-plan8", "520-64-2-plan9"])
     def test_build_plan_split_rule(self, toy_dictionary, monkeypatch, grid, n, cpus, sizes):
-        monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         assert epg.BATCH_SIZE == 64
         schedule = default_schedule(n)
         labels = expand_grid(toy_dictionary[0].grid if grid is None else grid)
         plan = dictionary.build_plan(labels, schedule)
         assert [len(rows) for rows in plan.batches] == sizes
-        assert plan.processes == min(cpus, len(sizes))
         rows = np.concatenate(plan.batches)
         assert sorted(rows.tolist()) == list(range(len(labels)))
         caps = order_caps(labels, schedule)[rows]
@@ -320,7 +319,7 @@ class TestBuildDictionary:
     def test_dict_build_plan_largest_batch(self, monkeypatch):
         # On 2 CPUs the largest batch holds 12 atoms at K = N, where an
         # even split would hold 18.
-        monkeypatch.setattr(dictionary, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         schedule = default_schedule(1750)
         tissues = expand_grid(DICT_BUILD_GRID)
         plan = dictionary.build_plan(tissues, schedule)
@@ -342,7 +341,7 @@ class TestBuildDictionary:
         # finds no smaller largest cost.
         _, schedule = toy_dictionary
         labels = expand_grid(CAPPED_GRID)
-        monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         monkeypatch.setattr(epg, "BATCH_SIZE", batch_size)
         plan = dictionary.build_plan(labels, schedule)
         order = np.concatenate(plan.batches)
@@ -350,7 +349,7 @@ class TestBuildDictionary:
         count = cpus * -(-m // (cpus * batch_size))
 
         def split(cuts):
-            return dictionary.BuildPlan([order[lo:hi] for lo, hi in zip(cuts, cuts[1:])], 1, 0.0)
+            return dictionary.BuildPlan([order[lo:hi] for lo, hi in zip(cuts, cuts[1:])], 0.0)
 
         for k in range(1, count + 1):
             for inner in itertools.combinations(range(1, m), k - 1):
@@ -365,7 +364,7 @@ class TestBuildDictionary:
         # One process runs the whole dict-build grid as one batch; the
         # simulator cuts it where the work model is least, below the cost
         # of one kernel call over the batch's largest cap.
-        monkeypatch.setattr(dictionary, "available_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         schedule = default_schedule(1750)
         tissues = expand_grid(DICT_BUILD_GRID)
         [batch] = dictionary.build_plan(tissues, schedule).batches
@@ -384,7 +383,7 @@ class TestBuildDictionary:
     def test_batches_where_no_cut_pays_run_as_one_kernel_call(
             self, toy_dictionary, monkeypatch, grid, n):
         # Each batch these grids are built in at 2 CPUs is one kernel call.
-        monkeypatch.setattr(dictionary, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         schedule = default_schedule(n)
         tissues = expand_grid(toy_dictionary[0].grid if grid is None else grid)
         plan = dictionary.build_plan(tissues, schedule)
@@ -406,7 +405,7 @@ class TestBuildDictionary:
         # zero. The simulating process refuses its batch, and the calling
         # process simulates the first batch: the toy grid's first rows.
         d, _ = toy_dictionary
-        monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         pairs = expand_grid(d.grid)[:5].tolist()
         with time_limit(60), pytest.raises(ValueError, match=re.escape(
                 f"zero-signal atoms for (T1, T2) {pairs}")):
@@ -416,7 +415,7 @@ class TestBuildDictionary:
     def test_paper_grid_orders_kept(self, monkeypatch):
         # About three quarters of the paper atoms are capped, and the EPG
         # work they leave is about 0.65 of every atom at K = N.
-        monkeypatch.setattr(dictionary, "available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         labels = expand_grid(GridSpec.paper_grid())
         schedule = default_schedule(1750)
         caps = order_caps(labels, schedule)
@@ -439,7 +438,7 @@ class TestBuildDictionary:
                 raise RuntimeError(f"no signal for {bad}")
             return real(params, sched)
 
-        monkeypatch.setattr(dictionary, "available_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         plan = dictionary.build_plan(expand_grid(CAPPED_GRID), schedule)
         holder = [i for i, rows in enumerate(plan.batches)
                   if holds(expand_grid(CAPPED_GRID)[rows], bad)]
@@ -1020,7 +1019,7 @@ def test_build_load_and_first_match_hold_one_float32_matrix(monkeypatch, tmp_pat
     # Traced peaks in units of the float32 atom matrix, M·N·4 bytes: a
     # float64 copy of the atoms alone would take two. At one CPU the build
     # runs in this process, so tracemalloc sees all of it.
-    monkeypatch.setattr(dictionary, "available_cpus", lambda: 1)
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
     schedule = default_schedule(64)
     # First calls import modules (np.unique imports numpy.ma), which are no
     # part of a dictionary's cost, so a 4-atom grid makes them first.
