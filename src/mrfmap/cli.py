@@ -4,10 +4,11 @@
 
 ``build`` simulates a fingerprint dictionary over the grid (default: the
 paper grid) for the schedule (default: ``default_schedule(N)``), writes
-``OUT.dict`` and ``OUT.json``, and prints one JSON line with the atom count,
-N, ``workers`` (the processes the build's batches ran on, the caller
-included), ``orders_kept`` (the EPG work the order caps leave, as a share of
-every atom at K = N), the build time, atoms/s and the schedule digest.
+``OUT.dict`` and ``OUT.json``, and prints one JSON line of exactly these
+keys: ``atoms`` (the atom count), ``n`` (N), ``orders_kept`` (the EPG work
+the order caps leave, as a share of every atom at K = N:
+``epg.orders_kept``), ``seconds`` (the build time), ``atoms_per_s`` and
+``schedule_digest``.
 ``GRID.json`` holds ``{"t1_segments": [[start, stop, step], ...],
 "t2_segments": [...]}`` in ms, as in a dictionary manifest's ``grid``.
 Bad input or an unreadable file prints ``mrfmap: error: ...``, naming the
@@ -23,9 +24,9 @@ import sys
 import time
 from pathlib import Path
 
-from .dictionary import GridSpec, build_dictionary, build_plan, expand_grid, save_dictionary
+from .dictionary import GridSpec, build_dictionary, expand_grid, save_dictionary
+from .epg import orders_kept
 from .files import naming, read_json
-from .parallel import processes_for
 from .schedule import DEFAULT_N_EXCITATIONS, default_schedule, load_schedule
 
 
@@ -58,9 +59,8 @@ def _build(args) -> dict:
     built = build_dictionary(grid, schedule)
     seconds = time.perf_counter() - start
     save_dictionary(built, args.out)
-    plan = build_plan(expand_grid(grid), schedule)
     return {"atoms": built.n_atoms, "n": built.n_samples,
-            "workers": processes_for(len(plan.batches)), "orders_kept": plan.orders_kept,
+            "orders_kept": orders_kept(expand_grid(grid), schedule),
             "seconds": seconds, "atoms_per_s": built.n_atoms / seconds,
             "schedule_digest": built.schedule_digest}
 

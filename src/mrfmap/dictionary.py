@@ -34,10 +34,9 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -144,7 +143,10 @@ class Dictionary:
     already C-contiguous float32: it can be written until the first match
     derives ``_subspace`` from it, and is read-only from then on, so no write
     through it can leave the matcher stale. A view into a larger array can
-    still be written through that larger array.
+    still be written through that larger array. So the atoms are checked
+    again where they are used: the first match refuses NaN or inf rows by
+    index before it freezes them, and ``save_dictionary`` constructs the
+    dictionary again before it writes. ``labels`` is a tuple.
     """
 
     atoms: np.ndarray  # (M, N) float32
@@ -169,9 +171,9 @@ class Dictionary:
         return self.atoms.shape[1]
 
     @cached_property
-    def labels(self) -> list[TissueParams]:
+    def labels(self) -> tuple[TissueParams, ...]:
         """Each atom row's label, from ``expand_grid(grid)``'s rows on first use."""
-        return [TissueParams(*row) for row in expand_grid(self.grid).tolist()]
+        return tuple(TissueParams(*row) for row in expand_grid(self.grid).tolist())
 
     @cached_property
     def _subspace(self) -> tuple[np.ndarray, np.ndarray, float, float, float]:
@@ -207,7 +209,9 @@ class Dictionary:
         4(r + 4)u₃₂. No basis makes the result wrong; one that captures little
         of the atoms only leaves more atoms to score exactly.
         """
-        # V and W stand for these atoms, so they can no longer be written.
+        # V and W stand for these atoms, so they are checked as they are
+        # now, and can no longer be written.
+        real_rows("atoms", self.atoms, dtype=np.float32)
         self.atoms.flags.writeable = False
         m, n = self.atoms.shape
         r = min(RANK, m, n)
@@ -236,13 +240,6 @@ class Dictionary:
         return v, w, tol, scale, margin
 
 
-class BuildPlan(NamedTuple):
-    """How ``build_dictionary`` splits a grid over ``simulate_fingerprints`` calls."""
-
-    batches: list[np.ndarray]  # rows of ``expand_grid(spec)``, one array per call
-    orders_kept: float  # modelled EPG work, as a share of every atom at K = N
-
-
 def _cuts(head: np.ndarray, limit) -> list[int]:
     """Greedy cut points of batches of at most ``epg.BATCH_SIZE`` atoms costing at most ``limit``.
 
@@ -256,8 +253,9 @@ def _cuts(head: np.ndarray, limit) -> list[int]:
     return cuts
 
 
-def build_plan(tissues, schedule: SequenceSchedule) -> BuildPlan:
-    """The batches ``build_dictionary`` simulates (M, 2) ``tissues`` in.
+def build_plan(tissues, schedule: SequenceSchedule) -> list[np.ndarray]:
+    """The batches ``build_dictionary`` simulates (M, 2) ``tissues`` in: one
+    array of row indices into ``tissues`` per ``simulate_fingerprints`` call.
 
     Atoms are taken in descending order of their ``order_caps``
     (``epg._by_cap``). A batch costs its size times the rows its largest
@@ -272,6 +270,8 @@ def build_plan(tissues, schedule: SequenceSchedule) -> BuildPlan:
     theirs; on 2 CPUs the map benchmark's grid and the paper grid get
     exactly those cuts. Within a batch ``simulate_fingerprints`` makes its
     own cuts. Without ``fork`` the build runs in the calling process alone.
+    The plan is only its batches: the share of EPG work the caps leave is
+    ``epg.orders_kept``, and the process count ``fan_out``'s.
     """
     n, m, cpus = schedule.n_excitations, len(tissues), parallel.available_cpus()
     order, head = epg._by_cap(order_caps(tissues, schedule), n)
@@ -282,9 +282,7 @@ def build_plan(tissues, schedule: SequenceSchedule) -> BuildPlan:
     limits = range(head[0], min(epg.BATCH_SIZE, m) * head[0] + 1)
     cuts = _cuts(head, limits[bisect.bisect_left(
         limits, True, key=lambda limit: len(_cuts(head, limit)) <= count + 1)])
-    batches = [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    # Every atom at K = N sweeps N(N + 1)/2 rows.
-    return BuildPlan(batches, float(head.sum() / (m * n * (n + 1) / 2)))
+    return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _batch_atoms(chunk: np.ndarray, schedule: SequenceSchedule) -> np.ndarray:
@@ -316,8 +314,7 @@ def build_dictionary(spec: GridSpec, schedule: SequenceSchedule) -> Dictionary:
     plan = build_plan(tissues, schedule)
     simulate = partial(_batch_atoms, schedule=schedule)
     atoms = np.empty((len(tissues), schedule.n_excitations), dtype=np.float32)
-    batches = parallel.fan_out(simulate, [tissues[rows] for rows in plan.batches])
-    for rows, batch in zip(plan.batches, batches):
+    for rows, batch in zip(plan, parallel.fan_out(simulate, [tissues[rows] for rows in plan])):
         atoms[rows] = batch
     return Dictionary(atoms, schedule_digest(schedule), spec)
 
@@ -450,8 +447,15 @@ def _paths(name: str | Path) -> tuple[Path, Path]:
 
 
 def save_dictionary(dictionary: Dictionary, name: str | Path) -> tuple[Path, Path]:
-    """Write ``<name>.dict`` and ``<name>.json``; returns both paths."""
+    """Write ``<name>.dict`` and ``<name>.json``; returns both paths.
+
+    The atoms can be written until the first match, so the dictionary is
+    constructed again first: one it refuses raises a ValueError naming
+    ``<name>.dict`` and leaves both files as they were.
+    """
     dict_path, json_path = _paths(name)
+    with naming(dict_path):
+        dictionary = replace(dictionary)
     with open(dict_path, "wb") as fh:
         fh.write(DICT_MAGIC + struct.pack("<IQQ", DICT_VERSION, *dictionary.atoms.shape))
         np.ascontiguousarray(dictionary.atoms, dtype="<f4").tofile(fh)

@@ -53,7 +53,8 @@ shift is F_k -> F_k+1. Let r = exp(-TR_min / T2) and, for s = +1 or -1,
 
 The public surface is ``TissueParams``, ``simulate_fingerprints`` (the one
 simulator, for one tissue or a batch), ``order_caps`` (the K of each tissue,
-for ``EPSILON``) and ``isochromat_oracle``. A batch of tissues is a (B, 2)
+for ``EPSILON``), ``orders_kept`` (the share of EPG work those caps leave)
+and ``isochromat_oracle``. A batch of tissues is a (B, 2)
 array of (T1, T2) in ms, such as a list of ``TissueParams`` labels, and
 ``_relaxation_times`` is its one check. The oracle returns a ``Fingerprint``
 of complex ``samples`` until a change that may edit ``mrfbench`` drops it.
@@ -168,6 +169,18 @@ def order_caps(tissues, schedule: SequenceSchedule) -> np.ndarray:
     # Clipping T2 first keeps an enormous T2 from overflowing the product.
     orders = np.ceil(np.minimum(t2, (n + 1) / rate) * rate) - 1.0
     return np.clip(orders, 0, n).astype(np.int64)
+
+
+def orders_kept(tissues, schedule: SequenceSchedule) -> float:
+    """The EPG work the ``order_caps`` of (B, 2) ``tissues`` leave, as a share
+    of the same tissues at K = N, each of which sweeps N(N + 1)/2 state rows.
+
+    The work is the state rows each tissue sweeps alone (``_orders_swept``),
+    summed exactly in int64.
+    """
+    n = schedule.n_excitations
+    swept = _orders_swept(order_caps(tissues, schedule), n)
+    return float(swept.sum() / (swept.size * n * (n + 1) / 2))
 
 
 def _intervals(schedule: SequenceSchedule) -> np.ndarray:

@@ -49,15 +49,22 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
     """One Adam step; parameters are updated in place and returned.
 
     The learning rate must be a finite positive number (``files.number``).
-    ``grads`` and both moments must fit the parameters' names and shapes
-    (``files.fits``), each moment must be a writeable array of its
-    parameter's dtype, as the step writes it in place, and each gradient
-    must be a real, finite array (or nested list); otherwise ValueError is
-    raised before anything changes.
+    Each parameter must be a writeable array of a floating dtype, and each
+    moment a writeable array of its parameter's dtype, as the step writes
+    both in place. ``grads`` and both moments must fit the parameters'
+    names and shapes (``files.fits``), and each gradient must be a real,
+    finite array (or nested list). Otherwise ValueError is raised, naming
+    every array at fault of the first rule broken, before anything changes.
     """
     lr = number("learning_rate", state.learning_rate)
     if lr <= 0:
         raise ValueError(f"learning_rate must be finite and positive, got {lr}")
+    bad = [repr(key) for key, p in params.items()
+           if not (isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating)
+                   and p.flags.writeable)]
+    if bad:
+        raise ValueError("parameters that are not writeable arrays of a floating dtype: "
+                         f"{', '.join(bad)}")
     shapes = {key: p.shape for key, p in params.items()}
     for name, arrays in (("gradients", grads), ("moments m", state.m), ("moments v", state.v)):
         fits(name, arrays, shapes)

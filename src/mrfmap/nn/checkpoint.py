@@ -15,7 +15,8 @@ are not a dict of arrays by name or that ``files.fits`` refuses against
 float32 (complex, NaN or inf, or beyond float32; one error names every such
 array), label scaling that ``files.number`` refuses (not a finite number)
 or that is not positive, a ``seed`` that is not an integer and
-``metadata`` that is not a JSON object ``json.dumps`` can write. The arrays
+``metadata`` that is not a JSON object ``json.dumps`` can write as strict
+JSON (NaN and inf have no JSON form). The arrays
 and metadata can change after construction, so saving constructs the
 checkpoint again before it writes anything; then it only formats. Loading
 only parses the delimiter, the header JSON and the blob size, and
@@ -73,8 +74,8 @@ class ModelCheckpoint:
             object.__setattr__(self, key, value)
         json_object("metadata", self.metadata)
         try:
-            json.dumps(self.metadata, sort_keys=True)
-        except TypeError as err:  # a value JSON has no form for
+            json.dumps(self.metadata, sort_keys=True, allow_nan=False)
+        except (TypeError, ValueError) as err:  # a value JSON has no form for
             raise ValueError(f"metadata is not JSON: {err}") from None
 
 

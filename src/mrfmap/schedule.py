@@ -37,6 +37,9 @@ class SequenceSchedule:
     ``files.number`` takes (finite, not bools) and nonnegative, with TE
     below the shortest TR, and are stored as floats;
     ``inversion_prep`` must be a bool. Any other value is a ValueError.
+    The three per-excitation columns are stored as the constructor's own
+    read-only float64 copies, so no write can move a schedule past its
+    checks or its digest; ``dataclasses.replace`` makes a changed one.
     """
 
     flip_angles_rad: np.ndarray
@@ -59,9 +62,10 @@ class SequenceSchedule:
         if not len(table):
             raise ValueError("schedule has no excitations")
         flip, phase, tr = map(np.ascontiguousarray, table.T)
-        object.__setattr__(self, "flip_angles_rad", flip)
-        object.__setattr__(self, "rf_phases_rad", phase)
-        object.__setattr__(self, "tr_ms", tr)
+        for name, column in (("flip_angles_rad", flip), ("rf_phases_rad", phase),
+                             ("tr_ms", tr)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         for name in ("te_ms", "inversion_delay_ms"):
             value = number(name, getattr(self, name))
             if value < 0.0:

@@ -166,6 +166,30 @@ def test_moment_adam_cannot_write_changes_nothing(which, moment):
     assert_nothing_changed(state, params, *kept)
 
 
+@pytest.mark.parametrize("bad, names", [
+    ({"b": np.ones(1, dtype=np.int64)}, "'b'"),
+    ({"b": read_only(np.ones(1))}, "'b'"),
+    ({"b": [1.0]}, "'b'"),
+    ({"b": np.ones(1, dtype=np.int64), "c": read_only(np.ones(1)), "d": [1.0]}, "'b', 'c', 'd'"),
+], ids=["int64", "read_only", "list", "all"])
+def test_parameter_adam_cannot_write_changes_nothing(bad, names):
+    # The step writes each parameter in place. An int64 parameter used to
+    # raise UFuncTypeError, a read-only one "output array is read-only" and
+    # a list one AttributeError, the first two only after the step count
+    # had moved to 1 and w to 0.9999.
+    params = {"w": np.ones(3), **bad}
+    kept = {key: np.copy(p) for key, p in params.items()}
+    state = AdamState.for_params(params)
+    with pytest.raises(ValueError, match=re.escape(
+            f"parameters that are not writeable arrays of a floating dtype: {names}")):
+        adam_update(state, params, {key: np.ones(np.shape(p)) for key, p in params.items()})
+    assert state.step == 0
+    for key, p in params.items():
+        np.testing.assert_array_equal(p, kept[key], strict=True)
+        for moments in (state.m, state.v):
+            np.testing.assert_array_equal(moments[key], np.zeros_like(kept[key]), strict=True)
+
+
 def test_list_gradient_of_the_parameter_shape_is_an_array():
     lists = {"w": np.ones((2, 3))}
     arrays = {"w": np.ones((2, 3))}

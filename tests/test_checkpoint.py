@@ -421,6 +421,28 @@ def test_constructor_refuses_params_that_are_no_dict_of_arrays(params, message):
         ModelCheckpoint(SPECS["gru"], params, 1.0, 1.0, 0)
 
 
+NONFINITE = pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                                    ids=["nan", "inf", "-inf"])
+
+
+@NONFINITE
+def test_constructor_refuses_metadata_that_is_no_strict_json(value):
+    # Such metadata used to be made, and saved as a NaN or Infinity token,
+    # which is no JSON.
+    with pytest.raises(ValueError, match=re.escape(
+            "metadata is not JSON: Out of range float values are not JSON compliant")):
+        dataclasses.replace(gru_checkpoint(), metadata={"loss": value})
+
+
+@NONFINITE
+def test_header_metadata_that_is_no_strict_json_rejected(tmp_path, value):
+    path = saved_gru(tmp_path)
+    rewrite_header(path, lambda meta: meta.update(metadata={"loss": value}))
+    assert re.search(rb"NaN|Infinity", path.read_bytes().partition(b"\n")[0])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: metadata is not JSON: ")):
+        load_checkpoint(path)
+
+
 def test_checkpoint_fields_cannot_be_reassigned():
     # What the constructor checked stays checked, so a save need not check
     # it again.

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def plan_cost(plan, labels, schedule):
     n = schedule.n_excitations
     caps = order_caps(labels, schedule)
     return max(len(rows) * sum(min(i + 1, int(caps[rows].max()) + 1) for i in range(n))
-               for rows in plan.batches)
+               for rows in plan)
 
 
 def brute_force_pairs(t1_segments, t2_segments):
@@ -116,7 +117,7 @@ def naive_match(dictionary, query):
 
 def grid_labels(spec):
     """``expand_grid(spec)``'s rows as the ``TissueParams`` a dictionary labels them by."""
-    return [TissueParams(*row) for row in expand_grid(spec).tolist()]
+    return tuple(TissueParams(*row) for row in expand_grid(spec).tolist())
 
 
 def holds(tissues, bad):
@@ -260,7 +261,7 @@ class TestBuildDictionary:
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         split = build_dictionary(SPLIT_GRID, schedule)
         plan = dictionary.build_plan(split.labels, schedule)
-        assert [len(rows) for rows in plan.batches] == [56] * 7
+        assert [len(rows) for rows in plan] == [56] * 7
         assert pools == []  # seven batches, all run in this process
         rows = [split.labels.index(label) for label in d.labels]
         assert split.atoms[rows].tobytes() == d.atoms.tobytes()
@@ -310,8 +311,8 @@ class TestBuildDictionary:
         schedule = default_schedule(n)
         labels = expand_grid(toy_dictionary[0].grid if grid is None else grid)
         plan = dictionary.build_plan(labels, schedule)
-        assert [len(rows) for rows in plan.batches] == sizes
-        rows = np.concatenate(plan.batches)
+        assert [len(rows) for rows in plan] == sizes
+        rows = np.concatenate(plan)
         assert sorted(rows.tolist()) == list(range(len(labels)))
         caps = order_caps(labels, schedule)[rows]
         assert np.all(np.diff(caps) <= 0)  # descending cap order
@@ -324,8 +325,8 @@ class TestBuildDictionary:
         tissues = expand_grid(DICT_BUILD_GRID)
         plan = dictionary.build_plan(tissues, schedule)
         assert plan_cost(plan, tissues, schedule) == 12 * 1750 * 1751 // 2
-        assert set(tissues[plan.batches[0], 1].tolist()) == {158.0, 341.0}
-        assert 0.0 < plan.orders_kept < 0.5
+        assert set(tissues[plan[0], 1].tolist()) == {158.0, 341.0}
+        assert 0.0 < epg.orders_kept(tissues, schedule) < 0.5
 
     # At BATCH_SIZE 4 the 20 atoms are more than one batch per CPU: count
     # is 6 at 2 and 3 CPUs, and fixed 4-atom cuts cost 12,740 rows.
@@ -344,12 +345,12 @@ class TestBuildDictionary:
         monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         monkeypatch.setattr(epg, "BATCH_SIZE", batch_size)
         plan = dictionary.build_plan(labels, schedule)
-        order = np.concatenate(plan.batches)
+        order = np.concatenate(plan)
         m, best = len(labels), np.inf
         count = cpus * -(-m // (cpus * batch_size))
 
         def split(cuts):
-            return dictionary.BuildPlan([order[lo:hi] for lo, hi in zip(cuts, cuts[1:])], 0.0)
+            return [order[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
         for k in range(1, count + 1):
             for inner in itertools.combinations(range(1, m), k - 1):
@@ -358,7 +359,7 @@ class TestBuildDictionary:
                     best = min(best, plan_cost(split(cuts), labels, schedule))
         assert plan_cost(plan, labels, schedule) == best
         assert best <= plan_cost(split([*range(0, m, batch_size), m]), labels, schedule)
-        assert [len(rows) for rows in plan.batches] == sizes
+        assert [len(rows) for rows in plan] == sizes
 
     def test_one_cpu_plan_leaves_the_cut_to_the_simulator(self, monkeypatch):
         # One process runs the whole dict-build grid as one batch; the
@@ -367,7 +368,7 @@ class TestBuildDictionary:
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         schedule = default_schedule(1750)
         tissues = expand_grid(DICT_BUILD_GRID)
-        [batch] = dictionary.build_plan(tissues, schedule).batches
+        [batch] = dictionary.build_plan(tissues, schedule)
         caps = order_caps(tissues[batch], schedule)
         groups = epg._groups(caps, 1750)
         swept = epg._orders_swept(caps, 1750)
@@ -394,9 +395,9 @@ class TestBuildDictionary:
             real(tissues, caps, schedule, out, rows)
 
         monkeypatch.setattr(epg, "_kernel", counted)
-        for rows in plan.batches:
+        for rows in plan:
             simulate_fingerprints(tissues[rows], schedule)
-        assert calls == [len(rows) for rows in plan.batches]
+        assert calls == [len(rows) for rows in plan]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_zero_signal_atoms_refused_by_tissue(self, toy_dictionary, monkeypatch, cpus):
@@ -412,15 +413,36 @@ class TestBuildDictionary:
             build_dictionary(d.grid, constant_schedule(80, 0.0, inversion_prep=False))
         assert multiprocessing.active_children() == []
 
-    def test_paper_grid_orders_kept(self, monkeypatch):
+    def test_paper_grid_orders_kept(self):
         # About three quarters of the paper atoms are capped, and the EPG
         # work they leave is about 0.65 of every atom at K = N.
-        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         labels = expand_grid(GridSpec.paper_grid())
         schedule = default_schedule(1750)
         caps = order_caps(labels, schedule)
         assert 0.75 < np.mean(caps < 1750) < 0.8
-        assert 0.6 < dictionary.build_plan(labels, schedule).orders_kept < 0.7
+        assert 0.6 < epg.orders_kept(labels, schedule) < 0.7
+
+    @pytest.mark.parametrize("grid, n", [
+        (MAP_GRID, 250), (GridSpec.paper_grid(), 1750), (DICT_BUILD_GRID, 1750), (CI_GRID, 80),
+    ], ids=["map", "paper", "dict-build", "ci"])
+    def test_orders_kept_equals_the_cap_sorted_share(self, grid, n):
+        # The share a build plan used to carry, bit for bit: the rows each
+        # atom sweeps, summed in cap order, over N(N + 1)/2 rows per atom.
+        tissues, schedule = expand_grid(grid), default_schedule(n)
+        _, head = epg._by_cap(order_caps(tissues, schedule), n)
+        expected = float(head.sum() / (len(tissues) * n * (n + 1) / 2))
+        assert epg.orders_kept(tissues, schedule) == expected
+
+    @pytest.mark.parametrize("grid", [CAPPED_GRID, CI_GRID], ids=["capped", "ci"])
+    def test_orders_kept_counts_every_swept_row(self, grid):
+        # An atom capped at K updates min(i + 1, K + 1) rows at step i; both
+        # sums are exact integers, so the share is their correctly rounded
+        # quotient.
+        tissues, schedule = expand_grid(grid), default_schedule(80)
+        swept = sum(min(i + 1, int(k) + 1) for k in order_caps(tissues, schedule)
+                    for i in range(80))
+        kept = epg.orders_kept(tissues, schedule)
+        assert kept == float(Fraction(swept, len(tissues) * 80 * 81 // 2)) < 1.0
 
     # In cap order the plan's first batch holds the five T2 = 14 ms atoms,
     # and the calling process simulates it; the last holds the T2 = 2 ms
@@ -440,9 +462,9 @@ class TestBuildDictionary:
 
         monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
         plan = dictionary.build_plan(expand_grid(CAPPED_GRID), schedule)
-        holder = [i for i, rows in enumerate(plan.batches)
+        holder = [i for i, rows in enumerate(plan)
                   if holds(expand_grid(CAPPED_GRID)[rows], bad)]
-        assert holder == [0 if bad.t2_ms == 14.0 else len(plan.batches) - 1]
+        assert holder == [0 if bad.t2_ms == 14.0 else len(plan) - 1]
         monkeypatch.setattr(dictionary, "simulate_fingerprints", failing)
         with time_limit(60), pytest.raises(RuntimeError, match=re.escape(str(bad))):
             build_dictionary(CAPPED_GRID, schedule)
@@ -594,7 +616,7 @@ class TestCertifiedMatch:
             ref_label, ref_score = naive_match(d, query)
             assert label == ref_label
             assert abs(score - ref_score) < 1e-12
-        assert [label for label, _ in match_batch(d, queries)] == 2 * d.labels
+        assert tuple(label for label, _ in match_batch(d, queries)) == 2 * d.labels
 
     @pytest.mark.parametrize("factor", [0.0, 10.0])
     @pytest.mark.parametrize("scaled", [10, 50])
@@ -630,7 +652,7 @@ class TestCertifiedMatch:
 
     def test_self_match_sweep(self, map_dictionary):
         d = map_dictionary
-        assert [label for label, _ in match_batch(d, d.atoms)] == d.labels
+        assert tuple(label for label, _ in match_batch(d, d.atoms)) == d.labels
 
     def test_every_row_equals_match_bit_for_bit(self, map_dictionary):
         d = map_dictionary
@@ -706,6 +728,32 @@ class TestCertifiedMatch:
             atoms[-1] = query / np.linalg.norm(query)
         assert match(d, query) == (label, score)
         assert label == naive_match(d, query)[0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_match_refuses_atoms_written_nonfinite(self, bad):
+        # Such a write before the first match used to be taken: match
+        # returned the score nan and a wrong label.
+        atoms = np.abs(np.random.default_rng(5).standard_normal((110, 60))).astype(np.float32)
+        atoms /= np.linalg.norm(atoms, axis=1, keepdims=True)
+        d = Dictionary(atoms, "hand-made", numbered_grid(110))
+        d.atoms[3, 7] = d.atoms[50, 0] = bad
+        query = d.atoms[40] + np.float32(0.01)
+        for _ in range(2):  # a refused match derives nothing
+            with pytest.raises(ValueError, match=re.escape(
+                    "atoms holding NaN or inf at rows [3, 50]")):
+                match(d, query)
+        d.atoms[3], d.atoms[50] = d.atoms[4], d.atoms[51]  # still writeable
+        assert match(d, query)[0] == naive_match(d, query)[0]
+
+    def test_labels_cannot_be_written(self, toy_dictionary):
+        # d.labels[3] = TissueParams(1.0, 1.0) used to be taken, and match
+        # then returned that label for atom 3.
+        toy, _ = toy_dictionary
+        d = Dictionary(toy.atoms, toy.schedule_digest, toy.grid)
+        with pytest.raises(TypeError):
+            d.labels[3] = TissueParams(1.0, 1.0)
+        assert d.labels == grid_labels(d.grid)
+        assert match(d, d.atoms[3])[0] == grid_labels(d.grid)[3]
 
     def test_exact_stage_memory_is_bounded_on_noisy_queries(self):
         # At low SNR the bounds rule out few atoms; near a subspace of twice
@@ -864,6 +912,21 @@ class TestSerialization:
         dict_path.write_bytes(dict_path.read_bytes()[:24] + atoms.tobytes())
         with pytest.raises(ValueError, match=r"rows \[2, 6, 9\]"):
             load_dictionary(tmp_path / "dict_e")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_atoms_written_nonfinite(self, toy_dictionary, tmp_path, bad):
+        # Such a save used to write a .dict file that load_dictionary refuses.
+        d, _ = toy_dictionary
+        dict_path, json_path = save_dictionary(d, tmp_path / "d")
+        before = dict_path.read_bytes(), json_path.read_bytes()
+        written = Dictionary(d.atoms.copy(), d.schedule_digest, d.grid)
+        written.atoms[4, 2] = bad
+        for name in ("d", "e"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{tmp_path / name}.dict: atoms holding NaN or inf at rows [4]")):
+                save_dictionary(written, tmp_path / name)
+        assert (dict_path.read_bytes(), json_path.read_bytes()) == before
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["d.dict", "d.json"]
 
     def test_manifest_holds_grid_and_digest_only(self, toy_dictionary, tmp_path):
         d, _ = toy_dictionary

@@ -8,6 +8,7 @@ import pytest
 from conftest import constant_schedule
 from mrfmap import epg
 from mrfmap.dictionary import build_plan
+from mrfmap.epg import orders_kept
 from mrfmap.epg import (
     EPSILON,
     TissueParams,
@@ -139,7 +140,7 @@ class TestTissueParams:
     def test_complex_rows_refused(self):
         # A float64 cast would keep the real part: this simulated T1 = 1000.
         sched = default_schedule(10)
-        for call in (simulate_fingerprints, order_caps, build_plan):
+        for call in (simulate_fingerprints, order_caps, orders_kept, build_plan):
             with pytest.raises(ValueError, match="complex tissues"):
                 call(np.array([[1000.0 + 5j, 50.0]]), sched)
         with pytest.raises(ValueError, match="complex tissues"):

@@ -61,6 +61,27 @@ def test_scalar_settings_are_stored_as_floats():
                                         "inversion_delay_ms": 2.0, "te_ms": 1.5}
 
 
+@pytest.mark.parametrize("field, index, value", [
+    ("tr_ms", 5, -4.3), ("flip_angles_rad", 0, 7.0), ("rf_phases_rad", 1, 0.5)])
+def test_arrays_cannot_change_after_the_check(field, index, value):
+    # The constructor refuses a TR <= 0 and a flip above pi. Such writes used
+    # to be taken afterwards: the simulator ran on them and the digest moved.
+    schedule = default_schedule(10)
+    digest = schedule_digest(schedule)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(schedule, field)[index] = value
+    assert schedule_digest(schedule) == digest
+
+
+def test_arrays_are_copies_of_the_callers():
+    # Only the schedule's own copies turn read-only.
+    kwargs = schedule_kwargs()
+    schedule = SequenceSchedule(**kwargs)
+    for field in ("flip_angles_rad", "rf_phases_rad", "tr_ms"):
+        assert kwargs[field].flags.writeable
+        assert not np.shares_memory(kwargs[field], getattr(schedule, field))
+
+
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("field", ["flip_angles_rad", "rf_phases_rad", "tr_ms"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
