@@ -59,7 +59,8 @@ PAPER_T2_SEGMENTS = [(0.0, 100.0, 1.0), (100.0, 500.0, 2.0)]
 @dataclass(frozen=True)
 class GridSpec:
     """Piecewise-linear T1/T2 grids as (start_ms, stop_ms, step_ms) segments;
-    a grid that ``expand_grid`` would refuse cannot be made."""
+    a grid that ``expand_grid`` would refuse cannot be made, nor one with a
+    segment that starts below 0 ms, which no tissue's relaxation time is."""
 
     t1_segments: tuple
     t2_segments: tuple
@@ -75,8 +76,9 @@ class GridSpec:
             for seg in segments:
                 where = f"grid {name} value in segment {tuple(seg)}"
                 start, stop, step = checked_seg = tuple(number(where, x) for x in seg)
-                if step <= 0 or stop < start:
-                    raise ValueError(f"invalid segment {checked_seg}")
+                if step <= 0 or stop < start or start < 0:
+                    raise ValueError(f"invalid segment {checked_seg}: a segment needs "
+                                     f"0 <= start <= stop and step > 0")
                 checked.append(checked_seg)
             object.__setattr__(self, name, tuple(checked))
         expand_grid(self)

@@ -24,11 +24,13 @@ N. ``order_caps`` keeps, per tissue,
     K = min(N, ceil(T2 * ln(sqrt(2) * N * C / EPSILON) / (2 * TR_min)) - 1),
     C = 2 + sum_i (1 - exp(-dt_i / T1)),
 
-orders, where dt_i runs over every relaxation interval and TR_min is the
-shortest interval that precedes a spoiler shift. Dropping the orders above
-K moves no sample by more than EPSILON. Proof: write the state two-sided,
-F_k = F+_k and F_-k = conj(F-_k) (likewise Z_-k = conj(Z_k)), so that the
-shift is F_k -> F_k+1. Let r = exp(-TR_min / T2) and, for s = +1 or -1,
+orders, where dt_i runs over every relaxation interval (the inversion
+delay, which is 0 in a schedule without the inversion, then every TR but
+the last) and TR_min is the shortest interval that precedes a spoiler
+shift. Dropping the orders above K moves no sample by more than EPSILON.
+Proof: write the state two-sided, F_k = F+_k and F_-k = conj(F-_k)
+(likewise Z_-k = conj(Z_k)), so that the shift is F_k -> F_k+1. Let
+r = exp(-TR_min / T2) and, for s = +1 or -1,
 
     ||S||_s^2 = sum over all integers k of r^(2 s |k|) (|F_k|^2 + |Z_k|^2).
 
@@ -184,9 +186,9 @@ def orders_kept(tissues, schedule: SequenceSchedule) -> float:
 
 
 def _intervals(schedule: SequenceSchedule) -> np.ndarray:
-    """Relaxation interval before each pulse: the inversion delay (or 0), then the TRs."""
-    delay = schedule.inversion_delay_ms if schedule.inversion_prep else 0.0
-    return np.concatenate(([delay], schedule.tr_ms[:-1]))
+    """Relaxation interval before each pulse: the inversion delay, which a
+    schedule without the inversion holds as 0, then the TRs."""
+    return np.concatenate(([schedule.inversion_delay_ms], schedule.tr_ms[:-1]))
 
 
 def simulate_fingerprints(tissues, schedule: SequenceSchedule) -> np.ndarray:

@@ -48,7 +48,9 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
                 grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """One Adam step; parameters are updated in place and returned.
 
-    The learning rate must be a finite positive number (``files.number``).
+    The learning rate must be a finite positive number and the step count a
+    nonnegative integer (``files.number``): at step -1 the first bias
+    correction would divide by 0.
     Each parameter must be a writeable array of a floating dtype, and each
     moment a writeable array of its parameter's dtype, as the step writes
     both in place. ``grads`` and both moments must fit the parameters'
@@ -59,6 +61,9 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
     lr = number("learning_rate", state.learning_rate)
     if lr <= 0:
         raise ValueError(f"learning_rate must be finite and positive, got {lr}")
+    step = number("step", state.step, integral=True)
+    if step < 0:
+        raise ValueError(f"step must be a nonnegative integer, got {step}")
     bad = [repr(key) for key, p in params.items()
            if not (isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating)
                    and p.flags.writeable)]
@@ -78,8 +83,7 @@ def adam_update(state: AdamState, params: dict[str, np.ndarray],
     # One row, so that a bad gradient's message stays one line long.
     checked = {key: real_rows(f"gradient {key!r}", np.reshape(grads[key], (1, -1)),
                               dtype=p.dtype).reshape(p.shape) for key, p in params.items()}
-    state.step += 1
-    t = state.step
+    state.step = t = step + 1
     bc1 = 1.0 - BETA1 ** t
     bc2 = 1.0 - BETA2 ** t
     for key, p in params.items():

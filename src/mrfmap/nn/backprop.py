@@ -71,8 +71,8 @@ from functools import partial
 import numpy as np
 
 from .. import parallel
-from ..files import real_rows
-from .models import OUTPUT_DIM, ModelSpec, backward, forward_batch, row_blocks
+from ..files import fits, real_rows
+from .models import OUTPUT_DIM, ModelSpec, backward, forward_batch, param_layout, row_blocks
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -96,12 +96,15 @@ def loss_and_grads(spec: ModelSpec, params: dict[str, np.ndarray],
                    signals: np.ndarray, targets: np.ndarray):
     """MSE loss, its gradient for every parameter, and the (B, 2) predictions.
 
-    NaN or inf signal rows, complex targets, targets of a shape other than
-    (B, 2) and NaN or inf target or prediction rows are rejected, naming
-    whole-batch row indices. The rows are split into slabs by the rule and
-    the table of the module docstring, and each slab into chunks by
-    ``models.row_blocks``; the chunks fill the processes.
+    Parameters whose names or shapes differ from ``param_layout(spec)``
+    are rejected, naming them, before any chunk runs. So are NaN or inf
+    signal rows, complex targets, targets of a shape other than (B, 2) and
+    NaN or inf target or prediction rows, naming whole-batch row indices.
+    The rows are split into slabs by the rule and the table of the module
+    docstring, and each slab into chunks by ``models.row_blocks``; the
+    chunks fill the processes.
     """
+    fits("parameters", params, param_layout(spec))
     signals = real_rows("signals", signals, spec.input_len)
     n_rows = signals.shape[0]
     if np.shape(targets) != (n_rows, OUTPUT_DIM):

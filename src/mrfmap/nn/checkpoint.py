@@ -4,9 +4,11 @@ A ``.ckpt`` file is a one-line JSON header (model spec, label-scaling
 constants, seed, training metadata), a delimiter line, then every parameter
 array of ``param_layout(spec)``, in its order and shapes, flattened to
 little-endian float32; the ``param_order`` and ``param_shapes`` that older
-headers also hold are ignored. Loading restores float64 parameters whose
-values are exactly the stored f32 ones, so save -> load -> save is
-byte-identical.
+headers also hold are ignored. The spec names no recurrent cell, as the GRU
+is the only one: an older header's ``"cell_kind": "gru"`` is dropped on
+load and any other cell refused (``ModelSpec.from_json_dict``). Loading
+restores float64 parameters whose values are exactly the stored f32 ones,
+so save -> load -> save is byte-identical.
 
 A ``ModelCheckpoint`` holds every rule on what a checkpoint may be. Its
 constructor refuses a ``spec`` that is not a ``ModelSpec``, ``params`` that

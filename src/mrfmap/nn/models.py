@@ -6,8 +6,16 @@ t2_hat): a ``_forward_<kind>`` makes (B, width) features, to which
 ``_forward`` applies the one dense head, and ``backward`` hands the
 features' gradient to the matching ``_backward_<kind>``. Parameters are an
 insertion-ordered dict of float64 arrays in ``param_layout``'s order, which
-is also ``init_params``'s draw order and the checkpoint blob's. A cache
-holds layer outputs only, and inference keeps none.
+is also ``init_params``'s draw order and the checkpoint blob's. Each entry
+(``forward_batch``, ``predict_batch``, ``predict_single`` and
+``backprop.loss_and_grads``) refuses parameters whose names or shapes
+differ from that layout (``files.fits``) before any block runs; it reads
+no values, which for the default ANN would be a pass over 616k of them on
+every call. A cache holds layer outputs only, and inference keeps none.
+
+A ``ModelSpec`` records only settings that change the network. The GRU is
+the one recurrent cell, so ``cell_kind`` is a class constant, not a field
+that a header would record.
 
 The recurrent regressor feeds the signal ``chunk_size`` samples per time
 step (chunk_size=1 reproduces one-sample-per-step reading of the signal;
@@ -95,7 +103,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ..files import json_object, number, real_rows
+from ..files import fits, json_object, number, real_rows
 from .cells import N_GATES, _glorot, init_cell, step, step_grad
 
 OUTPUT_DIM = 2
@@ -119,13 +127,15 @@ def _positive_int(name: str, value) -> int:
 class ModelSpec:
     kind: str
     input_len: int = 1750
-    cell_kind: str = "gru"  # the only cell; .ckpt headers still record it
     hidden_dim: int = 100
     chunk_size: int = 1
     ann_hidden: tuple = (300, 300)
     cnn_channels: tuple = (16, 32, 64, 128)
     cnn_kernel: int = 5
     cnn_stride: int = 2
+    # The one recurrent cell: a class constant, not a field, so no header
+    # records it; mrfbench's tracer still reads it.
+    cell_kind = "gru"
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -139,8 +149,6 @@ class ModelSpec:
                 raise ValueError(f"{name} must be a sequence of positive "
                                  f"integers, got {value!r}")
             object.__setattr__(self, name, tuple(_positive_int(name, v) for v in value))
-        if self.cell_kind != "gru":
-            raise ValueError(f"unknown cell kind {self.cell_kind!r}; the only cell is 'gru'")
         if self.kind == "rnn_regressor" and self.input_len % self.chunk_size != 0:
             raise ValueError(
                 f"chunk_size {self.chunk_size} must divide input_len {self.input_len}")
@@ -168,8 +176,17 @@ class ModelSpec:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ModelSpec":
-        """The spec ``to_json_dict`` wrote; unknown keys raise ValueError."""
-        return cls(**json_object("spec", d, ("kind",), {f.name for f in fields(cls)}))
+        """The spec ``to_json_dict`` wrote; unknown keys raise ValueError.
+
+        Older headers also hold ``"cell_kind": "gru"``, which is dropped; any
+        other cell is refused.
+        """
+        names = {"cell_kind", *(f.name for f in fields(cls))}
+        d = dict(json_object("spec", d, ("kind",), names))
+        cell = d.pop("cell_kind", cls.cell_kind)
+        if cell != cls.cell_kind:
+            raise ValueError(f"unknown cell kind {cell!r}; the only cell is 'gru'")
+        return cls(**d)
 
 
 def param_layout(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
@@ -225,10 +242,12 @@ def forward_batch(spec: ModelSpec, params: dict[str, np.ndarray],
     """The training forward on a (B, input_len) batch, all its rows one
     block; returns (preds, cache).
 
-    The cache holds every activation ``backward`` needs. Rows holding NaN
-    or inf are rejected with their indices. ``backprop.loss_and_grads``
+    The cache holds every activation ``backward`` needs. Parameters whose
+    names or shapes differ from ``param_layout(spec)``, and rows holding
+    NaN or inf, are rejected, naming them. ``backprop.loss_and_grads``
     calls this once per block of ``row_blocks``.
     """
+    fits("parameters", params, param_layout(spec))
     return _forward(spec, params, real_rows("signals", signals, spec.input_len), True)
 
 
@@ -370,10 +389,11 @@ def predict_batch(spec: ModelSpec, params: dict[str, np.ndarray],
                   signals: np.ndarray) -> np.ndarray:
     """(B, 2) outputs for a (B, input_len) batch.
 
-    Rows holding NaN or inf are rejected with their indices. Each block of
-    ``row_blocks`` runs without ``backward``'s cache, so a cnn1d holds one
-    block's layers at a time.
+    Parameters and rows are checked as ``forward_batch`` checks them. Each
+    block of ``row_blocks`` runs without ``backward``'s cache, so a cnn1d
+    holds one block's layers at a time.
     """
+    fits("parameters", params, param_layout(spec))
     signals = real_rows("signals", signals, spec.input_len)
     return np.concatenate([_forward(spec, params, signals[lo:hi], False)[0]
                            for lo, hi in row_blocks(spec, 0, len(signals))])
@@ -388,6 +408,7 @@ def predict_single(spec: ModelSpec, params: dict[str, np.ndarray],
     runs that block itself, not through ``predict_batch``, so that a
     wrapper installed there sees batch calls only.
     """
+    fits("parameters", params, param_layout(spec))
     signal = np.asarray(signal)
     if signal.shape != (spec.input_len,):
         raise ValueError(

@@ -1,12 +1,14 @@
 """Excitation schedules for fingerprint simulation.
 
 A schedule is the per-excitation list of RF flip angles, RF phases and
-repetition times, plus the preparation settings (inversion pulse, inversion
-delay, echo time). Schedules are persisted as a CSV file, angles in radians,
-with an optional JSON sidecar holding the preparation settings; the SHA-256
-digest of the canonical serialization identifies a schedule in
-dictionary/dataset manifests. ``SequenceSchedule`` owns every rule of a
-schedule; ``load_schedule`` only parses and names the file at fault.
+repetition times, plus the preparation settings (inversion pulse, the delay
+after it, echo time). Schedules are persisted as a CSV file, angles in
+radians, with an optional JSON sidecar holding the preparation settings; the
+SHA-256 digest of the canonical serialization identifies a schedule in
+dictionary/dataset manifests, so a setting the simulator would ignore, such
+as a delay without an inversion, is refused rather than recorded.
+``SequenceSchedule`` owns every rule of a schedule; ``load_schedule`` only
+parses and names the file at fault.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ class SequenceSchedule:
     ``te_ms`` and ``inversion_delay_ms`` must be numbers that
     ``files.number`` takes (finite, not bools) and nonnegative, with TE
     below the shortest TR, and are stored as floats;
-    ``inversion_prep`` must be a bool. Any other value is a ValueError.
+    ``inversion_prep`` must be a bool, and without it the inversion delay
+    must be 0, as there is no inversion to wait after. Any other value is a
+    ValueError.
     The three per-excitation columns are stored as the constructor's own
     read-only float64 copies, so no write can move a schedule past its
     checks or its digest; ``dataclasses.replace`` makes a changed one.
@@ -73,6 +77,9 @@ class SequenceSchedule:
             object.__setattr__(self, name, value)
         if not isinstance(self.inversion_prep, bool):
             raise ValueError(f"inversion_prep must be a bool, got {self.inversion_prep!r}")
+        if not self.inversion_prep and self.inversion_delay_ms:
+            raise ValueError(f"inversion_delay_ms must be 0 without inversion_prep, "
+                             f"got {self.inversion_delay_ms}")
         if np.any(flip < 0.0) or np.any(flip > math.pi):
             raise ValueError("flip angles must lie in [0, pi] radians")
         if np.any(tr <= 0.0):

@@ -219,6 +219,23 @@ def test_learning_rate_not_finite_positive_changes_nothing(lr, message):
     np.testing.assert_array_equal(state.m["w"], np.zeros(3))
 
 
+@pytest.mark.parametrize("step, message", [
+    # Step -1 made t = 0 and both bias corrections 0: every parameter NaN.
+    (-1, "step must be a nonnegative integer, got -1"),
+    (2.5, "step must be an integer, got 2.5"),
+    (True, "step must be an integer, got True"),
+], ids=["negative", "fraction", "bool"])
+def test_step_not_a_nonnegative_integer_changes_nothing(step, message):
+    params = {"w": np.ones(3)}
+    state = AdamState.for_params(params)
+    state.step = step
+    with pytest.raises(ValueError, match=re.escape(message)):
+        adam_update(state, params, {"w": np.ones(3)})
+    assert state.step is step
+    np.testing.assert_array_equal(params["w"], np.ones(3))
+    np.testing.assert_array_equal(state.m["w"], np.zeros(3))
+
+
 @pytest.mark.parametrize("grads, message", [
     ({"w": np.zeros(3)}, re.escape("gradients do not fit, name: (given shape, expected shape): "
                                    "{'b': (None, (1,))}")),

@@ -17,8 +17,7 @@ from test_gradients import TOY_SPECS
 from test_models import NONFINITE_SPECS, SINGLE_SPECS
 
 SPECS = {
-    "gru": ModelSpec("rnn_regressor", input_len=12, cell_kind="gru",
-                     hidden_dim=4, chunk_size=3),
+    "gru": ModelSpec("rnn_regressor", input_len=12, hidden_dim=4, chunk_size=3),
     "ann": ModelSpec("ann", input_len=12, ann_hidden=(5, 3)),
     "cnn1d": ModelSpec("cnn1d", input_len=40, cnn_channels=(2, 3), cnn_kernel=3),
 }
@@ -146,19 +145,29 @@ def rewrite_header(path, edit):
 def test_header_holds_no_layout(tmp_path):
     header = json.loads(saved_gru(tmp_path).read_bytes().partition(b"\n")[0])
     assert sorted(header) == ["label_scaling", "metadata", "seed", "spec"]
+    assert "cell_kind" not in header["spec"]
+
+
+def add_old_keys(meta, params):
+    """Older headers also listed the layout and named the GRU cell, for
+    every kind of network."""
+    meta.update(param_order=list(params),
+                param_shapes={k: list(v.shape) for k, v in params.items()})
+    meta["spec"]["cell_kind"] = "gru"
 
 
 @pytest.mark.parametrize("name", SPECS)
 def test_header_with_old_layout_keys_loads_the_same(tmp_path, name):
-    # Older files also listed the layout; loading ignores it.
+    # Loading ignores the old keys, and saving writes none of them.
     spec = SPECS[name]
     params = init_params(spec, seed=1)
     path = save_checkpoint(ModelCheckpoint(spec, params, 4000.0, 500.0, 7, {"a": 1}),
                            tmp_path / "m.ckpt")
+    fresh_bytes = path.read_bytes()
     fresh = load_checkpoint(path)
-    rewrite_header(path, lambda meta: meta.update(
-        param_order=list(params), param_shapes={k: list(v.shape) for k, v in params.items()}))
+    rewrite_header(path, lambda meta: add_old_keys(meta, params))
     old = load_checkpoint(path)
+    assert save_checkpoint(old, tmp_path / "again.ckpt").read_bytes() == fresh_bytes
     assert (old.spec, old.t1_max, old.t2_max, old.seed, old.metadata) == (
         fresh.spec, fresh.t1_max, fresh.t2_max, fresh.seed, fresh.metadata)
     assert list(old.params) == list(fresh.params) == list(params)

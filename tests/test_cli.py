@@ -122,9 +122,12 @@ def test_nonfinite_grid_rejected(tmp_path, capsys, position, bad):
     # JSON reads this as an int, which float() cannot hold.
     ({**GRID, "t2_segments": [[40, 10**400, 40]]},
      f"grid t2_segments value in segment (40, {10**400}, 40) is too large for a float"),
+    # Used to build T1 100-500 ms at T2 10 ms: expansion drops values <= 0.
+    ({"t1_segments": [[-100, 500, 100]], "t2_segments": [[-20, 10, 10]]},
+     "invalid segment (-100.0, 500.0, 100.0)"),
 ], ids=["empty", "missing_key", "unknown_key", "not_object", "segments_not_list",
         "short_segment", "null_value", "bool_value", "not_json", "not_utf8", "no_pairs",
-        "too_fine", "inf_steps", "huge_value"])
+        "too_fine", "inf_steps", "huge_value", "negative_start"])
 def test_malformed_grid_json_rejected(tmp_path, capsys, grid, message):
     """``grid`` is written as JSON, or as it is when given as bytes."""
     path = tmp_path / "grid.json"

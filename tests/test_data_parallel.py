@@ -23,8 +23,7 @@ from mrfmap.nn.models import (ModelSpec, backward, forward_batch, init_params,
 
 # The recurrent spec unrolls 60 steps; a feed-forward row is one step.
 SPECS = {
-    "gru": ModelSpec("rnn_regressor", input_len=180, cell_kind="gru",
-                     hidden_dim=4, chunk_size=3),
+    "gru": ModelSpec("rnn_regressor", input_len=180, hidden_dim=4, chunk_size=3),
     "ann": ModelSpec("ann", input_len=12, ann_hidden=(6,)),
     "cnn1d": ModelSpec("cnn1d", input_len=12, cnn_channels=(3,), cnn_kernel=3),
 }

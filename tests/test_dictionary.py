@@ -203,6 +203,15 @@ class TestExpandGrid:
         with pytest.raises(ValueError):
             GridSpec(t1_segments=((0.0, 10.0, 0.0),), t2_segments=((1, 2, 1),))
 
+    def test_segment_starting_below_zero_rejected(self):
+        # Used to be made: expand_grid drops every value <= 0, so this grid
+        # was T1 100-500 ms at T2 10 ms. Zero stays dropped, as the paper's
+        # printed ranges start at it.
+        with pytest.raises(ValueError, match=re.escape(
+                "invalid segment (-100.0, 500.0, 100.0): a segment needs "
+                "0 <= start <= stop and step > 0")):
+            GridSpec(((-100, 500, 100),), ((-20, 10, 10),))
+
     def test_bool_rejected_numpy_float_accepted(self):
         with pytest.raises(ValueError, match=re.escape(
                 "grid t1_segments value in segment (True, 900.0, 300.0) must be a number, "

@@ -20,15 +20,18 @@ from mrfmap.schedule import SequenceSchedule, default_schedule
 
 
 def random_schedule(rng, n, zero_phase=False):
-    """Random schedule; ``zero_phase`` keeps every RF phase at 0 (real state)."""
-    return SequenceSchedule(
-        flip_angles_rad=rng.uniform(0.05, np.pi / 2, n),
-        rf_phases_rad=np.zeros(n) if zero_phase else rng.uniform(-np.pi, np.pi, n),
-        tr_ms=rng.uniform(3.0, 12.0, n),
-        te_ms=0.0,
-        inversion_prep=bool(rng.integers(0, 2)),
-        inversion_delay_ms=float(rng.uniform(0.0, 20.0)),
-    )
+    """Random schedule; ``zero_phase`` keeps every RF phase at 0 (real state).
+
+    The inversion delay is drawn either way, so the random stream does not
+    depend on the prep, and kept only with the inversion.
+    """
+    flip = rng.uniform(0.05, np.pi / 2, n)
+    phase = np.zeros(n) if zero_phase else rng.uniform(-np.pi, np.pi, n)
+    tr = rng.uniform(3.0, 12.0, n)
+    prep = bool(rng.integers(0, 2))
+    delay = float(rng.uniform(0.0, 20.0))
+    return SequenceSchedule(flip_angles_rad=flip, rf_phases_rad=phase, tr_ms=tr, te_ms=0.0,
+                            inversion_prep=prep, inversion_delay_ms=delay if prep else 0.0)
 
 
 def random_params(rng):
@@ -84,8 +87,7 @@ def epg_reference(params, schedule, k_max):
 def cap_bound(params, schedule, k):
     """The module docstring's bound on what capping at order k moves a sample."""
     n = schedule.n_excitations
-    delay = schedule.inversion_delay_ms if schedule.inversion_prep else 0.0
-    dt = np.concatenate(([delay], schedule.tr_ms[:-1]))
+    dt = np.concatenate(([schedule.inversion_delay_ms], schedule.tr_ms[:-1]))
     c = 2.0 + np.sum(1.0 - np.exp(-dt / params.t1_ms))
     r = np.exp(-schedule.tr_ms[:-1].min() / params.t2_ms)
     return np.sqrt(2.0) * n * c * r ** (2 * (k + 1))

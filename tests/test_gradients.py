@@ -15,8 +15,7 @@ from mrfmap.nn.models import ModelSpec, backward, forward_batch, init_params
 DELTA = 1e-6
 
 TOY_SPECS = {
-    "gru": ModelSpec("rnn_regressor", input_len=5, cell_kind="gru",
-                     hidden_dim=3),
+    "gru": ModelSpec("rnn_regressor", input_len=5, hidden_dim=3),
     "ann": ModelSpec("ann", input_len=9, ann_hidden=(6, 4)),
     "cnn1d": ModelSpec("cnn1d", input_len=24, cnn_channels=(3, 4),
                        cnn_kernel=3, cnn_stride=2),
@@ -120,7 +119,7 @@ def check_gradients(spec, params, signals, targets):
 
     assert_gradients_agree(np.concatenate([analytic[k].ravel() for k in params]),
                            np.concatenate([numeric[k].ravel() for k in params]),
-                           f"{spec.kind}/{spec.cell_kind}")
+                           spec.kind)
     assert np.isfinite(loss)
     return {name: idx for name, idx in kinks.items() if idx}
 
@@ -221,8 +220,7 @@ def test_backward_requires_cache(kind):
 
 
 def test_no_nans_through_full_pass():
-    spec = ModelSpec("rnn_regressor", input_len=50, cell_kind="gru",
-                     hidden_dim=12, chunk_size=2)
+    spec = ModelSpec("rnn_regressor", input_len=50, hidden_dim=12, chunk_size=2)
     params = init_params(spec, seed=5)
     rng = np.random.default_rng(5)
     signals = rng.normal(size=(8, 50)) * 3.0

@@ -17,7 +17,7 @@ from mrfmap.nn.models import (
     predict_single,
     row_blocks,
 )
-from test_cells import CELL_KINDS, blocks, gru_step_reference
+from test_cells import blocks, gru_step_reference
 
 
 def param_count(spec):
@@ -40,8 +40,7 @@ def closed_form_count(spec):
 
 class TestParamCount:
     def test_gru_canonical(self):
-        spec = ModelSpec("rnn_regressor", input_len=1750, cell_kind="gru",
-                         hidden_dim=100)
+        spec = ModelSpec("rnn_regressor", input_len=1750, hidden_dim=100)
         assert param_count(spec) == 3 * (100 * 101 + 100) + 202 == 30802
 
     def test_ann_closed_form(self):
@@ -51,10 +50,7 @@ class TestParamCount:
 
     def test_count_matches_actual_arrays(self):
         specs = [
-            ModelSpec("rnn_regressor", input_len=20, cell_kind=k, hidden_dim=6,
-                      chunk_size=4)
-            for k in CELL_KINDS
-        ] + [
+            ModelSpec("rnn_regressor", input_len=20, hidden_dim=6, chunk_size=4),
             ModelSpec("ann", input_len=40, ann_hidden=(13, 7)),
             ModelSpec("cnn1d", input_len=80, cnn_channels=(4, 8)),
         ]
@@ -102,8 +98,7 @@ class TestForwardSequence:
     """One signal forwarded through ``predict_single``."""
 
     def test_zero_signal_zero_params_gives_head_bias(self):
-        spec = ModelSpec("rnn_regressor", input_len=12, cell_kind="gru",
-                         hidden_dim=5, chunk_size=3)
+        spec = ModelSpec("rnn_regressor", input_len=12, hidden_dim=5, chunk_size=3)
         params = init_params(spec, seed=0)
         for arr in params.values():
             arr[:] = 0.0
@@ -112,8 +107,7 @@ class TestForwardSequence:
         np.testing.assert_allclose(out, [0.25, -0.5], atol=1e-15)
 
     def test_frozen_gru_state_gives_head_bias(self):
-        spec = ModelSpec("rnn_regressor", input_len=10, cell_kind="gru",
-                         hidden_dim=4)
+        spec = ModelSpec("rnn_regressor", input_len=10, hidden_dim=4)
         params = init_params(spec, seed=1)
         # Blocks are [reset | update | candidate].
         (_, w_z, _), (_, u_z, _), (_, b_z, _) = (
@@ -125,12 +119,10 @@ class TestForwardSequence:
         out = predict_single(spec, params, np.full(10, 0.4))
         np.testing.assert_allclose(out, [0.7, 0.1], atol=1e-5)
 
-    @pytest.mark.parametrize("cell_kind", CELL_KINDS)
-    def test_matches_stepwise_composition(self, cell_kind):
+    def test_matches_stepwise_composition(self):
         # The reference is the scalar per-step loop of test_cells, which
         # shares no arithmetic with the cells.step kernel.
-        spec = ModelSpec("rnn_regressor", input_len=7, cell_kind=cell_kind,
-                         hidden_dim=4)
+        spec = ModelSpec("rnn_regressor", input_len=7, hidden_dim=4)
         params = init_params(spec, seed=7)
         rng = np.random.default_rng(0)
         signal = rng.normal(size=7)
@@ -142,13 +134,12 @@ class TestForwardSequence:
         got = predict_single(spec, params, signal)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("cell_kind", CELL_KINDS)
     @pytest.mark.parametrize("chunk_size", [1, 3])
-    def test_input_projection_matches_matmul_unroll(self, cell_kind, chunk_size):
+    def test_input_projection_matches_matmul_unroll(self, chunk_size):
         # The unroll projects each input chunk with np.dot; an unroll that
         # projects it with the @ operator must give the same bits.
-        spec = ModelSpec("rnn_regressor", input_len=12, cell_kind=cell_kind,
-                         hidden_dim=5, chunk_size=chunk_size)
+        spec = ModelSpec("rnn_regressor", input_len=12, hidden_dim=5,
+                         chunk_size=chunk_size)
         params = init_params(spec, seed=4)
         signals = np.random.default_rng(4).normal(size=(6, 12))
         w, u, b = params["cell.w"], params["cell.u"], params["cell.b"]
@@ -177,8 +168,7 @@ class TestForwardSequence:
             forward_batch(spec, params, np.zeros((2, 21)))
 
     def test_deterministic(self):
-        spec = ModelSpec("rnn_regressor", input_len=30, cell_kind="gru",
-                         hidden_dim=6, chunk_size=2)
+        spec = ModelSpec("rnn_regressor", input_len=30, hidden_dim=6, chunk_size=2)
         params = init_params(spec, seed=3)
         sig = np.random.default_rng(1).normal(size=30)
         a = predict_single(spec, params, sig)
@@ -285,12 +275,14 @@ class TestBaselines:
 
     @pytest.mark.parametrize("make, message", [
         (lambda: ModelSpec("transformer"), "unknown model kind 'transformer'"),
-        # A list is unhashable, so it used to raise TypeError.
-        (lambda: ModelSpec("rnn_regressor", cell_kind=["gru"]), "unknown cell kind ['gru']"),
+        # A spec has no cell field; a header may still name one. A list is
+        # unhashable, so it used to raise TypeError.
+        (lambda: ModelSpec.from_json_dict({"kind": "rnn_regressor", "cell_kind": ["gru"]}),
+         "unknown cell kind ['gru']"),
         # Cells an older checkpoint may name.
-        (lambda: ModelSpec("rnn_regressor", cell_kind="lstm"),
+        (lambda: ModelSpec.from_json_dict({"kind": "rnn_regressor", "cell_kind": "lstm"}),
          "unknown cell kind 'lstm'; the only cell is 'gru'"),
-        (lambda: ModelSpec("rnn_regressor", cell_kind="simple"),
+        (lambda: ModelSpec.from_json_dict({"kind": "rnn_regressor", "cell_kind": "simple"}),
          "unknown cell kind 'simple'; the only cell is 'gru'"),
         (lambda: ModelSpec.from_json_dict({"input_len": 30}), "spec lacks ['kind']"),
         # Used to be made; its forward passes then raised ValueError or IndexError.
@@ -303,10 +295,8 @@ class TestBaselines:
 
 
 SINGLE_SPECS = {
-    **{f"{cell_kind}-{chunk}": ModelSpec("rnn_regressor", input_len=60,
-                                         cell_kind=cell_kind, hidden_dim=9,
-                                         chunk_size=chunk)
-       for cell_kind in CELL_KINDS for chunk in (1, 3)},
+    **{f"gru-{chunk}": ModelSpec("rnn_regressor", input_len=60, hidden_dim=9,
+                                 chunk_size=chunk) for chunk in (1, 3)},
     "ann": ModelSpec("ann", input_len=60, ann_hidden=(13, 7)),
     "cnn1d": ModelSpec("cnn1d", input_len=60, cnn_channels=(4, 8)),
 }
@@ -323,8 +313,7 @@ class TestPredictSingle:
             forward_batch(spec, params, sig[None])[0][0])
 
     def test_activations_bounded_no_nan(self):
-        spec = ModelSpec("rnn_regressor", input_len=40, cell_kind="gru",
-                         hidden_dim=8)
+        spec = ModelSpec("rnn_regressor", input_len=40, hidden_dim=8)
         params = init_params(spec, seed=0)
         sig = np.random.default_rng(3).normal(size=40) * 5.0
         preds, cache = forward_batch(spec, params, sig[None, :])
@@ -387,10 +376,9 @@ def cache_arrays(obj):
 class TestTape:
     @pytest.mark.parametrize("rows", [1, 5])
     @pytest.mark.parametrize("chunk_size", [1, 3])
-    @pytest.mark.parametrize("cell_kind", CELL_KINDS)
-    def test_matches_list_tape_bitwise(self, cell_kind, chunk_size, rows):
-        spec = ModelSpec("rnn_regressor", input_len=24, cell_kind=cell_kind,
-                         hidden_dim=6, chunk_size=chunk_size)
+    def test_matches_list_tape_bitwise(self, chunk_size, rows):
+        spec = ModelSpec("rnn_regressor", input_len=24, hidden_dim=6,
+                         chunk_size=chunk_size)
         params = init_params(spec, seed=4)
         rng = np.random.default_rng(rows)
         signals = rng.normal(size=(rows, spec.input_len))
@@ -403,14 +391,12 @@ class TestTape:
         for name in grads:
             np.testing.assert_array_equal(grads[name], ref_grads[name], err_msg=name)
 
-    @pytest.mark.parametrize("cell_kind", CELL_KINDS)
-    def test_array_count_independent_of_length(self, cell_kind):
+    def test_array_count_independent_of_length(self):
         # One array per taped quantity, however long the unroll: a per-step
         # list would grow with n_steps.
         counts = []
         for n_steps in (4, 40):
-            spec = ModelSpec("rnn_regressor", input_len=n_steps,
-                             cell_kind=cell_kind, hidden_dim=3)
+            spec = ModelSpec("rnn_regressor", input_len=n_steps, hidden_dim=3)
             _, cache = forward_batch(spec, init_params(spec, seed=0),
                                      np.ones((2, n_steps)))
             tape = cache["tape"]
@@ -463,3 +449,32 @@ class TestNonFiniteInput:
             loss_and_grads(spec, params, signals, np.zeros((3, 2)))
         with pytest.raises(ValueError, match=re.escape("magnitudes (np.abs)")):
             predict_single(spec, params, signals[0])
+
+
+# Each entry that runs a network, called with a spec, its parameters and a
+# (B, input_len) batch.
+ENTRIES = {
+    "forward_batch": forward_batch,
+    "predict_batch": predict_batch,
+    "predict_single": lambda spec, params, signals: predict_single(spec, params, signals[0]),
+    "loss_and_grads": lambda spec, params, signals: loss_and_grads(
+        spec, params, signals, np.zeros((len(signals), 2))),
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRIES))
+@pytest.mark.parametrize("kind", list(NONFINITE_SPECS))
+def test_parameters_that_do_not_fit_the_layout_rejected_by_name(kind, entry):
+    # A (1,) head bias used to be broadcast to both outputs and an extra
+    # array was ignored; loss_and_grads failed inside backward, with a NumPy
+    # message that named no array.
+    spec = NONFINITE_SPECS[kind]
+    signals = np.random.default_rng(8).normal(size=(5, 12))
+    full = init_params(spec, seed=0)
+    for params, fault in [({**full, "head.b": np.zeros(1)}, "{'head.b': ((1,), (2,))}"),
+                          ({**full, "extra.w": np.zeros(3)}, "{'extra.w': ((3,), None)}"),
+                          ({k: v for k, v in full.items() if k != "head.b"},
+                           "{'head.b': (None, (2,))}")]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"parameters do not fit, name: (given shape, expected shape): {fault}")):
+            ENTRIES[entry](spec, params, signals)

@@ -42,10 +42,13 @@ def test_arrays_not_1d_of_one_length_rejected(shapes):
     ("inversion_prep", "no", "inversion_prep must be a bool, got 'no'"),
     ("inversion_prep", 0, "inversion_prep must be a bool, got 0"),
     ("inversion_prep", None, "inversion_prep must be a bool, got None"),
+    # schedule_kwargs' 2 ms inversion delay, with no inversion to wait
+    # after: the simulator ignored it, but the digest recorded it.
+    ("inversion_prep", False, "inversion_delay_ms must be 0 without inversion_prep, got 2.0"),
 ])
 def test_constructor_refuses_what_load_refuses(field, bad, message):
-    # The first three used to raise a bare TypeError; the others were made,
-    # and only the .prep.json reader refused them.
+    # The first three used to raise a bare TypeError; the last was made, and
+    # the others were made and only the .prep.json reader refused them.
     kwargs = schedule_kwargs()
     kwargs[field] = bad
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -197,7 +200,7 @@ class TestRoundTrip:
 PHASED = SequenceSchedule(
     flip_angles_rad=np.linspace(0.1, 1.2, 7), rf_phases_rad=np.pi * np.arange(7) / 3,
     tr_ms=np.array([4.3, 5.0, 6.25, 4.3, 12.0, 7.5, 4.3]), te_ms=1.5,
-    inversion_prep=False, inversion_delay_ms=20.0)
+    inversion_prep=False)
 
 
 # A digest names every dictionary built on its schedule, so its bytes may not
@@ -206,7 +209,7 @@ PHASED = SequenceSchedule(
     (default_schedule(1), "a426f8435aa0605b42a964333142d1358214ad4e3d969b7c2ed52df13200eea8"),
     (default_schedule(250), "190b1e7549b38a29c493c70c990c5cf3d41e5b1127dd66ba295721aff301cb6a"),
     (default_schedule(1750), "b968008fea5783045756b1f273ed65fed1bdbc0230e68e42d82aeb550790a48a"),
-    (PHASED, "7740712a3e6e04c8e42a25d4ff2a6ddf718be68167a3e2f48795b7d988ffbf08"),
+    (PHASED, "b7cc49b3c9ea617b66fb5fb4329502c5e7e1ff94508994c6641efe312a744599"),
 ], ids=["default_1", "default_250", "default_1750", "phased_no_prep"])
 def test_schedule_digest_pinned(schedule, digest):
     assert schedule_digest(schedule) == digest
@@ -227,8 +230,10 @@ ROWS = b"0,0.5,0.0,4.3\n1,0.5,0.0,4.3\n"
     (HEADER + ROWS, b'{"te_ms": -1}', "sidecar", "te_ms must be nonnegative"),
     (HEADER + ROWS, b'{"te_ms": 5.0}', "sidecar",
      "te_ms=5.0 must be below the shortest TR (4.3)"),
+    (HEADER + ROWS, b'{"inversion_prep": false, "inversion_delay_ms": 5.0}', "sidecar",
+     "inversion_delay_ms must be 0 without inversion_prep, got 5.0"),
 ], ids=["csv_not_utf8", "nan_flip", "flip_above_pi", "negative_tr", "sidecar_not_json",
-        "sidecar_not_utf8", "negative_te", "te_above_tr"])
+        "sidecar_not_utf8", "negative_te", "te_above_tr", "delay_without_inversion"])
 def test_load_error_names_the_file_at_fault(tmp_path, csv_bytes, sidecar, at_fault,
                                             message):
     path = tmp_path / "s.csv"
