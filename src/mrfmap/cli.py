@@ -13,7 +13,7 @@ the order caps leave, as a share of every atom at K = N:
 "t2_segments": [...]}`` in ms, as in a dictionary manifest's ``grid``.
 Bad input or an unreadable file prints ``mrfmap: error: ...``, naming the
 schedule or grid file at fault (a grid of no valid (T1, T2) pair, or of
-too many to expand, included), and exits 2.
+too many to expand, included) or OUT's missing directory, and exits 2.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _build(args) -> dict:
+    # Refused before the build, which at the paper's size takes minutes.
+    if not args.out.parent.is_dir():
+        raise ValueError(f"{args.out.parent}: no such directory")
     schedule = (load_schedule(args.schedule) if args.schedule is not None
                 else default_schedule(args.n))
     grid = GridSpec.paper_grid()

@@ -140,7 +140,8 @@ class Dictionary:
     """What a ``.dict`` and its manifest hold; ``atoms`` of another dtype are rounded to float32.
 
     Construction refuses atoms that are not finite real (M, N) rows, M the
-    grid's number of pairs, and a ``schedule_digest`` that is not a string.
+    grid's number of pairs, a ``schedule_digest`` that is not a string and
+    a ``grid`` that is not a ``GridSpec``.
     ``atoms`` is the checked array itself, the caller's own when it is
     already C-contiguous float32: it can be written until the first match
     derives ``_subspace`` from it, and is read-only from then on, so no write
@@ -158,6 +159,8 @@ class Dictionary:
     def __post_init__(self):
         if not isinstance(self.schedule_digest, str):
             raise ValueError(f"schedule_digest must be a string, got {self.schedule_digest!r}")
+        if not isinstance(self.grid, GridSpec):
+            raise ValueError(f"grid must be a GridSpec, got {type(self.grid).__name__}")
         object.__setattr__(self, "atoms", real_rows("atoms", self.atoms, dtype=np.float32))
         n_pairs = len(expand_grid(self.grid))
         if self.atoms.shape[0] != n_pairs:

@@ -37,13 +37,15 @@ class SequenceSchedule:
 
     ``te_ms`` and ``inversion_delay_ms`` must be numbers that
     ``files.number`` takes (finite, not bools) and nonnegative, with TE
-    below the shortest TR, and are stored as floats;
+    below the shortest TR, and are stored as floats, -0.0 as 0.0;
     ``inversion_prep`` must be a bool, and without it the inversion delay
     must be 0, as there is no inversion to wait after. Any other value is a
     ValueError.
     The three per-excitation columns are stored as the constructor's own
     read-only float64 copies, so no write can move a schedule past its
-    checks or its digest; ``dataclasses.replace`` makes a changed one.
+    checks or its digest; ``dataclasses.replace`` makes a changed one. A
+    flip angle of -0.0 is stored as 0.0 too, so a schedule that simulates
+    alike gets one digest, but a phase keeps its sign.
     """
 
     flip_angles_rad: np.ndarray
@@ -65,7 +67,10 @@ class SequenceSchedule:
         table = real_rows("schedule excitations", np.column_stack(columns), 3)
         if not len(table):
             raise ValueError("schedule has no excitations")
-        flip, phase, tr = map(np.ascontiguousarray, table.T)
+        # Adding 0.0 turns -0.0 into 0.0. A -0.0 phase changes the sign of
+        # some zero samples, so the phases are kept as given.
+        flip = table[:, 0] + 0.0
+        phase, tr = map(np.ascontiguousarray, table.T[1:])
         for name, column in (("flip_angles_rad", flip), ("rf_phases_rad", phase),
                              ("tr_ms", tr)):
             column.flags.writeable = False
@@ -74,7 +79,7 @@ class SequenceSchedule:
             value = number(name, getattr(self, name))
             if value < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, value + 0.0)
         if not isinstance(self.inversion_prep, bool):
             raise ValueError(f"inversion_prep must be a bool, got {self.inversion_prep!r}")
         if not self.inversion_prep and self.inversion_delay_ms:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_schedule
+from mrfmap import cli
 from mrfmap.cli import main
 from mrfmap.dictionary import GridSpec, build_dictionary, load_dictionary
 from mrfmap.epg import orders_kept
@@ -119,6 +120,9 @@ def test_nonfinite_grid_rejected(tmp_path, capsys, position, bad):
     # Its step count is inf, which no integer holds.
     ({"t1_segments": [[0, 1e308, 1e-300]], "t2_segments": [[1, 1, 1]]},
      "grid too fine to expand: cannot convert float infinity to integer"),
+    # Its 1e23 steps pass what NumPy's index type holds.
+    ({"t1_segments": [[0, 1e20, 1e-3]], "t2_segments": [[1, 1, 1]]},
+     "grid too fine to expand: "),
     # JSON reads this as an int, which float() cannot hold.
     ({**GRID, "t2_segments": [[40, 10**400, 40]]},
      f"grid t2_segments value in segment (40, {10**400}, 40) is too large for a float"),
@@ -127,7 +131,7 @@ def test_nonfinite_grid_rejected(tmp_path, capsys, position, bad):
      "invalid segment (-100.0, 500.0, 100.0)"),
 ], ids=["empty", "missing_key", "unknown_key", "not_object", "segments_not_list",
         "short_segment", "null_value", "bool_value", "not_json", "not_utf8", "no_pairs",
-        "too_fine", "inf_steps", "huge_value", "negative_start"])
+        "too_fine", "inf_steps", "past_index", "huge_value", "negative_start"])
 def test_malformed_grid_json_rejected(tmp_path, capsys, grid, message):
     """``grid`` is written as JSON, or as it is when given as bytes."""
     path = tmp_path / "grid.json"
@@ -166,3 +170,19 @@ def test_malformed_schedule_sidecar(tmp_path, grid_json, capsys):
                                  "--grid", str(grid_json)])
     assert f"{sidecar}: unknown preparation keys ['te']" in error
     assert not (tmp_path / "d.dict").exists()
+
+
+def test_no_excitations_rejected(tmp_path, grid_json, capsys):
+    error = build_error(capsys, [str(tmp_path / "d"), "--n", "0", "--grid", str(grid_json)])
+    assert error == "mrfmap: error: schedule has no excitations"
+    assert not (tmp_path / "d.dict").exists()
+
+
+def test_missing_output_directory_rejected_before_the_build(tmp_path, grid_json, capsys,
+                                                            monkeypatch):
+    # The whole dictionary used to be built, and then its write failed.
+    monkeypatch.setattr(cli, "build_dictionary", None)  # a call raises TypeError
+    missing = tmp_path / "absent"
+    error = build_error(capsys, [str(missing / "d"), "--n", "40", "--grid", str(grid_json)])
+    assert error == f"mrfmap: error: {missing}: no such directory"
+    assert list(tmp_path.iterdir()) == [grid_json]

@@ -874,6 +874,9 @@ class TestSerialization:
         dict_path, json_path = save_dictionary(d, tmp_path / "dict_a")
         loaded = load_dictionary(tmp_path / "dict_a")
         np.testing.assert_array_equal(loaded.atoms, d.atoms)
+        # The atoms after the 24-byte header, as they are: no widened copy.
+        assert loaded.atoms.dtype == np.float32
+        assert loaded.atoms.tobytes() == dict_path.read_bytes()[24:]
         assert loaded.labels == d.labels == grid_labels(d.grid)
         assert loaded.schedule_digest == d.schedule_digest
         assert loaded.grid == d.grid
@@ -992,6 +995,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape(
                 f"schedule_digest must be a string, got {digest!r}")):
             Dictionary(d.atoms, digest, d.grid)
+
+    @pytest.mark.parametrize("grid", [None, json.loads(TOY_GRID_JSON)], ids=["none", "json"])
+    def test_constructor_rejects_a_grid_that_is_no_gridspec(self, toy_dictionary, grid):
+        # A grid's JSON dict used to raise AttributeError on t1_segments.
+        d, _ = toy_dictionary
+        with pytest.raises(ValueError, match=f"grid must be a GridSpec, got {type(grid).__name__}"):
+            Dictionary(d.atoms, d.schedule_digest, grid)
 
     def test_constructor_rejects_atoms_that_are_not_2d(self, toy_dictionary):
         d, _ = toy_dictionary

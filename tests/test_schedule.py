@@ -64,6 +64,26 @@ def test_scalar_settings_are_stored_as_floats():
                                         "inversion_delay_ms": 2.0, "te_ms": 1.5}
 
 
+@pytest.mark.parametrize("base, field, zero", [
+    (default_schedule(50), "te_ms", 0.0),
+    (default_schedule(30), "flip_angles_rad", np.zeros(30)),
+    (default_schedule(30), "inversion_delay_ms", 0.0),
+    (dataclasses.replace(default_schedule(30), inversion_prep=False), "inversion_delay_ms", 0.0),
+], ids=["te", "flips", "delay", "delay_without_inversion"])
+def test_negative_zero_settings_get_no_second_digest(base, field, zero):
+    # Each used to be stored as -0.0, which gave a schedule that simulates
+    # alike a second digest.
+    negative = dataclasses.replace(base, **{field: -zero})
+    assert schedule_digest(negative) == schedule_digest(dataclasses.replace(base, **{field: zero}))
+    assert not np.signbit(getattr(negative, field)).any()
+
+
+def test_negative_zero_phases_keep_their_sign():
+    # A -0.0 phase changes the sign of some zero samples.
+    schedule = dataclasses.replace(default_schedule(30), rf_phases_rad=np.full(30, -0.0))
+    assert np.signbit(schedule.rf_phases_rad).all()
+
+
 @pytest.mark.parametrize("field, index, value", [
     ("tr_ms", 5, -4.3), ("flip_angles_rad", 0, 7.0), ("rf_phases_rad", 1, 0.5)])
 def test_arrays_cannot_change_after_the_check(field, index, value):
