@@ -69,8 +69,10 @@ phase graphs: dephasing, RF pulses, and echoes - pure and simple", JMRI):
   Z_k = z_k. There the RF rotation has real coefficients,
   a' = pp*a + pm*b - s*z, b' = pm*a + pp*b + s*z, z' = s*(a - b)/2 + c*z,
   with pp = cos^2(alpha/2), pm = sin^2(alpha/2), s = sin(alpha) and
-  c = cos(alpha). Moving on to the next pulse multiplies a by e/e_next and b
-  by its conjugate; the refill F+_0 = conj(F-_0) reads a_0 = -conj(b_0).
+  c = cos(alpha). Moving on to the next pulse relaxes the state, then turns
+  a by e/e_next and b by its conjugate: a multiply by the Python-float cos
+  and sin of the phase step. The refill F+_0 = conj(F-_0) reads
+  a_0 = -conj(b_0).
 * Real or complex. When every RF phase is exactly 0 (the phase of the
   inversion pulse) every frame factor is 1 and a, b and z stay real, so the
   kernel runs on one float64 plane. Otherwise it carries a second plane for
@@ -78,8 +80,21 @@ phase graphs: dephasing, RF pulses, and echoes - pure and simple", JMRI):
   multiply rounds differently for short inner loops, which would break the
   bit-for-bit equality of a batch with its single-pair runs.
 * Layout. States are (planes, orders, batch) arrays, so the active window of
-  orders is contiguous. The spoiler shift copies nothing: F+ and F- live in
-  buffers of N+K rows whose base offsets move down and up by one per TR.
+  orders is contiguous, and the relaxation factors are (orders, batch)
+  tiles of the same rows. The spoiler shift copies nothing: F+ and F- live
+  in buffers of N+K rows whose base offsets move down and up by one per TR.
+* Relaxation. A (B,) factor broadcast along the orders makes NumPy run one
+  inner loop of only B tissues per order row: at 1,750 rows it took 2.7x
+  as long as a same-shape multiply at B=12, 2.3x at B=24 and about 2x at
+  B=64. So the kernel keeps two (K+1, B) tiles, of exp(-dt/T1) and
+  exp(-dt/T2), whose every row holds the current interval's factors, and
+  relaxes a, b and z by same-shape multiplies with them. Rows are filled
+  as the window grows and refilled from row 0 only when the interval
+  differs from the previous step's; the default schedule fills each tile
+  twice per call, for the inversion delay and for the TR. Each element is
+  still one IEEE product with its own tissue's factor, whatever B is, so a
+  batch still equals its rows simulated alone, bit for bit. The tiles cost
+  2(K+1)B float64s per call.
 * Mixed caps. The window is the group's largest K. After each shift the
   kernel writes +0 into F-_K of every tissue whose own K is smaller, which
   is what that tissue reads there when simulated alone. Its orders <= K
@@ -92,17 +107,21 @@ cap, into runs of at most ``BATCH_SIZE`` tissues, one kernel call each.
 The work model prices a run at ``GROUP_ROWS`` state rows per excitation, for
 the kernel's per-excitation Python overhead, plus its size times the rows
 its largest cap sweeps (``_orders_swept``). ``_groups`` finds the runs of
-least total cost. On one core of a 2-core Xeon at N=1750 the overhead
-measured 14-19 us per excitation and a state row 5.6-6.8 ns, so a call
-costs about 2,000-3,500 rows per excitation; the train benchmark's set-up
-call timed the same at 3,000 to 6,000, and ``GROUP_ROWS`` is 4,000.
+least total cost. On one core of a 2-core Xeon at N=1750, over B = 8, 16,
+32 and 64 in three runs, the overhead measured 15-26 us per excitation
+(19 in the median; a call whose tissues all keep order 0) and a state row
+3.0-3.9 ns at B = 8-16 and 4.3-6.5 ns at B = 32-64 (the extra time of a
+K = N window over that call, per row). So a call costs about 3,000-7,000
+rows per excitation, 4,300 in the median, and ``GROUP_ROWS`` is 4,000;
+any value from 4,000 to 6,000 plans 256 evenly spaced paper-grid atoms
+alike.
 Seconds of one ``simulate_fingerprints`` call at N=1750, default schedule,
 planned and as one kernel call over the batch's largest cap, in two runs
 (the median of 3 calls per train seed, the best of 2 for 238 tissues):
 
     batch                                    one window   planned   groups
-    32 stratified off-grid tissues (train)   0.36-0.49    0.21-0.28  2
-    238 off-grid tissues, 14 x 17 strata     3.4-3.7      1.2-1.4    5
+    32 stratified off-grid tissues (train)   0.30-0.47    0.16-0.25  2
+    238 off-grid tissues, 14 x 17 strata     3.4          0.95       5
 
 The first row is the train benchmark's set-up call for seeds 61-66, the
 second ``mrfbench``'s ``stratified_tissues`` over the train ranges at
@@ -208,15 +227,19 @@ def simulate_fingerprints(tissues, schedule: SequenceSchedule) -> np.ndarray:
     Small groups pay the kernel's per-excitation Python overhead on few
     tissues; large ones push its (orders x batch) state out of the core's
     cache. Atoms/s of evenly spaced paper-grid atoms (2048 at N=250, best
-    of 3; 512 at N=1750, best of 2) in cap order, default schedule, on one
-    core of a 2-core Xeon with 2 MB L2 per core, by most tissues per kernel
-    call:
+    of 3; 512 at N=1750, best of 2; the better of two sweeps) in cap order,
+    default schedule, on one core of a 2-core Xeon with 2 MB L2 per core,
+    by most tissues per kernel call:
 
         batch     16    32    64   128   256   512  2048
-        N=250   1665  2716  3999  4239  4108  3301  3115
-        N=1750   111   115   107    95    84    70    68
+        N=250   2742  4548  5738  6542  5287  3548  2438
+        N=1750   174   196   156   141   131   133   121
 
-    ``BATCH_SIZE`` = 64 stays within 7% of the best at both lengths.
+    No one size is best at both lengths. In 6 alternating pairs each,
+    32 beat 64 on 256 of those atoms at N=1750 (median 186 against 161
+    atoms/s) and lost on 1,024 at N=250 (4,405 against 5,658), where 128
+    beat 64 in 4 (6,273). ``BATCH_SIZE`` = 64 stays: it is 12% below the
+    best at N=250 and 13-20% below it at N=1750.
     """
     tissues = _relaxation_times(tissues)
     caps = order_caps(tissues, schedule)
@@ -293,13 +316,11 @@ def _kernel(tissues: np.ndarray, caps: np.ndarray, schedule: SequenceSchedule,
     # equilibrium with dt = 0) to pulse i. Relaxing over it also carries the
     # state into pulse i's frame: a turns by e_{i-1} / e_i, b by its
     # conjugate. With every phase zero no turn happens and the state is real.
-    dt = _intervals(schedule)[:, None]
-    e1 = np.exp(-dt / t1)                      # (N, B)
-    e2 = np.exp(-dt / t2)
+    dt = _intervals(schedule)
+    e1 = np.exp(-dt[:, None] / t1)             # (N, B)
+    e2 = np.exp(-dt[:, None] / t2)
     g1 = 1.0 - e1
     turn = -np.diff(phases, prepend=0.0)
-    e2_cos = e2 * np.cos(turn)[:, None]
-    e2_sin = e2 * np.sin(turn)[:, None]
     planes = 2 if np.any(phases) else 1
     conj_neg = np.array([-1.0, 1.0])[:planes, None]
 
@@ -322,16 +343,28 @@ def _kernel(tissues: np.ndarray, caps: np.ndarray, schedule: SequenceSchedule,
                      v[:, :1], sz[:, :1], t[:, :1], *_rf_real(np.pi))
     rf = _rf_real(schedule.flip_angles_rad)
     turns = turn.tolist()
+    cos_turn, sin_turn = np.cos(turn).tolist(), np.sin(turn).tolist()
+    # Every row of a tile holds the current interval's factors, so the
+    # window relaxes by same-shape multiplies. Rows are filled as the window
+    # grows, and refilled only when the interval changes.
+    e1_tile, e2_tile = np.empty((2, kk, b))
+    refill = np.concatenate(([True], dt[1:] != dt[:-1])).tolist()
+    filled = 0
     w = 1  # populated orders
     for i in range(n):
+        if refill[i]:
+            filled = 0
+        if filled < w:
+            e1_tile[filled:w] = e1[i]
+            e2_tile[filled:w] = e2[i]
+            filled = w
         a_w, b_w, z_w = a_buf[:, op:op + w], b_buf[:, om:om + w], z[:, :w]
+        np.multiply(a_w, e2_tile[:w], out=a_w)
+        np.multiply(b_w, e2_tile[:w], out=b_w)
+        np.multiply(z_w, e1_tile[:w], out=z_w)
         if turns[i]:
-            _turn(a_w, e2_cos[i], e2_sin[i], t[:, :w])
-            _turn(b_w, e2_cos[i], -e2_sin[i], t[:, :w])
-        else:
-            np.multiply(a_w, e2[i], out=a_w)
-            np.multiply(b_w, e2[i], out=b_w)
-        np.multiply(z_w, e1[i], out=z_w)
+            _turn(a_w, cos_turn[i], sin_turn[i], t[:, :w])
+            _turn(b_w, cos_turn[i], -sin_turn[i], t[:, :w])
         z[0, 0] += g1[i]
         if i:
             op -= 1
@@ -353,7 +386,7 @@ def _kernel(tissues: np.ndarray, caps: np.ndarray, schedule: SequenceSchedule,
     out.imag[rows] = (x * cos_p - y * sin_p).T
 
 
-def _turn(x, p, q, scratch) -> None:
+def _turn(x, p: float, q: float, scratch) -> None:
     """x <- (p + i*q) * x in place, for a state with planes (re, im).
 
     Written with real ufuncs because NumPy's complex multiply rounds

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,16 @@ def random_schedule(rng, n, zero_phase=False):
     delay = float(rng.uniform(0.0, 20.0))
     return SequenceSchedule(flip_angles_rad=flip, rf_phases_rad=phase, tr_ms=tr, te_ms=0.0,
                             inversion_prep=prep, inversion_delay_ms=delay if prep else 0.0)
+
+
+def piecewise_tr_schedule(rng, n, zero_phase=False):
+    """``random_schedule`` with TR 4.3 ms, then 9 ms from excitation n/3
+    and 4.3 ms again from 2n/3: the relaxation interval changes twice after
+    the window of orders has grown."""
+    sched = random_schedule(rng, n, zero_phase=zero_phase)
+    tr = np.full(n, 4.3)
+    tr[n // 3:2 * n // 3] = 9.0
+    return replace(sched, tr_ms=tr)
 
 
 def random_params(rng):
@@ -298,8 +309,9 @@ class TestSimulateFingerprint:
         # Short-T2 tissues keep fewer orders than the batch's window, and
         # each row must still be that tissue run alone (its own window).
         rng = np.random.default_rng(3)
-        for zero_phase in (False, True):
-            sched = random_schedule(rng, 60, zero_phase=zero_phase)
+        for zero_phase, make in itertools.product(
+                (False, True), (random_schedule, piecewise_tr_schedule)):
+            sched = make(rng, 60, zero_phase=zero_phase)
             params = [random_params(rng) for _ in range(7)]
             params += short_t2_params(rng, [0.5, 1.0, 2.0, 3.0, 5.0])
             caps = order_caps(params, sched)
@@ -327,15 +339,16 @@ class TestSimulateFingerprint:
         # K+1 orders truncates the same way after each shift.
         rng = np.random.default_rng(17)
         n = 60
-        sched = random_schedule(rng, n, zero_phase=zero_phase)
-        sched = SequenceSchedule(sched.flip_angles_rad, sched.rf_phases_rad,
-                                 sched.tr_ms, te_ms=0.0, inversion_prep=False)
-        params = short_t2_params(rng, [0.5, 2.0, 6.0]) + [random_params(rng)]
-        caps = order_caps(params, sched)
-        assert np.all(caps[:3] < n)  # the first three are really capped
-        got = simulate_fingerprints(params, sched)
-        for row, p, k in zip(got, params, caps.tolist()):
-            assert np.max(np.abs(row - epg_reference(p, sched, k))) < 1e-12
+        for make in (random_schedule, piecewise_tr_schedule):
+            sched = make(rng, n, zero_phase=zero_phase)
+            sched = SequenceSchedule(sched.flip_angles_rad, sched.rf_phases_rad,
+                                     sched.tr_ms, te_ms=0.0, inversion_prep=False)
+            params = short_t2_params(rng, [0.5, 2.0, 6.0]) + [random_params(rng)]
+            caps = order_caps(params, sched)
+            assert np.all(caps[:3] < n)  # the first three are really capped
+            got = simulate_fingerprints(params, sched)
+            for row, p, k in zip(got, params, caps.tolist()):
+                assert np.max(np.abs(row - epg_reference(p, sched, k))) < 1e-12
 
     def test_order_caps_smallest_within_epsilon(self):
         # Each cap is the smallest K whose bound is at most EPSILON, or N;
