@@ -45,9 +45,10 @@ in the caller and 3k in its worker, and the median call from 1.33 to
 
 One rule, ``row_blocks``, cuts rows into the blocks that one forward
 runs at once, and two callers apply it: ``predict_batch`` runs each block
-of its batch without a cache, and ``backprop.loss_and_grads`` runs
-``forward_batch`` and ``backward`` on each block of each slab. The GRU and
-the ANN run all their rows as one block. A cnn1d runs blocks of rows,
+of each of its slabs without a cache, one slab per thread, and
+``backprop.loss_and_grads`` runs ``forward_batch`` and ``backward`` on
+each block of each slab. The GRU and the ANN run all their rows as one
+block. A cnn1d runs blocks of rows,
 because each layer's ``np.einsum(..., optimize=True)`` copies every window
 it reads, an im2col copy about K/stride = 2.5 times the layer's input: the
 whole batch at once held 490 MiB for inference at N=1750, B=1024, and for
@@ -56,8 +57,9 @@ bytes are the most it holds at once in any layer: the layer's input, its
 window copy and its output, each channels x length x 8 bytes, read from
 ``conv_lengths`` and ``cnn_channels``. A block has as many rows as
 ``CNN_BLOCK_BUDGET`` holds at that size, rounded down to a multiple of 16
-and at least 16 (``_cnn_block_rows``), and ``_forward_cnn`` itself runs
-whatever rows it is handed as one block.
+and at least 16 (``_cnn_block_rows``); where ``predict_batch`` runs S
+blocks at once on S threads, each has an S-th of the budget. ``_forward_cnn``
+itself runs whatever rows it is handed as one block.
 
 The rounding keeps the bits. OpenBLAS (0.3.31, Haswell kernels) computes
 the last (columns mod 8) columns of a product by other code than the rest,
@@ -83,7 +85,9 @@ runs at N=250 and 7 at N=1750, tracemalloc peak in MiB):
             peak      8.7    8.7    8.7   16.3   31.6   62.2   490.8
 
 16 MiB was the fastest budget at both lengths; at N=1750 no row count
-under 16 was tried, as that would break the rounding above.
+under 16 was tried, as that would break the rounding above. The sweep ran
+every block on one thread. On two, each thread's 8 MiB blocks hold 112
+rows at N=250 and 16 at N=1750, the 8 MiB column.
 
 ``_backward_ann`` and ``_backward_cnn`` use the subgradient relu'(0) = 0:
 the mask is ``out > 0`` on the ReLU output, so a pre-activation of exactly
@@ -103,6 +107,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .. import parallel
 from ..files import fits, json_object, number, real_rows
 from .cells import N_GATES, _glorot, init_cell, step, step_grad
 
@@ -114,6 +119,10 @@ MODEL_KINDS = ("rnn_regressor", "ann", "cnn1d")
 # forward may hold, which also sizes its training blocks; the module
 # docstring gives the sweep that set it.
 CNN_BLOCK_BUDGET = 16 * 2**20
+
+# Fewest rows one thread of predict_batch runs, by kind, each a multiple
+# of 16; its docstring gives the probe that set them.
+MIN_SLAB_ROWS = {"rnn_regressor": 48, "ann": 128, "cnn1d": 48}
 
 
 def _positive_int(name: str, value) -> int:
@@ -228,12 +237,13 @@ def init_params(spec: ModelSpec, seed: int) -> dict[str, np.ndarray]:
     return params
 
 
-def row_blocks(spec: ModelSpec, lo: int, hi: int) -> list[tuple[int, int]]:
+def row_blocks(spec: ModelSpec, lo: int, hi: int, at_once: int = 1) -> list[tuple[int, int]]:
     """(start, stop) of each block that rows ``lo`` to ``hi`` run in, one
-    forward each: for a cnn1d every ``_cnn_block_rows`` rows from ``lo``,
-    the last block short, and for the GRU and the ANN all of them. No rows
-    are one empty block."""
-    rows = _cnn_block_rows(spec) if spec.kind == "cnn1d" else max(hi - lo, 1)
+    forward each: for a cnn1d every ``_cnn_block_rows(spec, at_once)`` rows
+    from ``lo``, the last block short, and for the GRU and the ANN all of
+    them. ``at_once`` is the number of blocks that run at the same time,
+    which share ``CNN_BLOCK_BUDGET``. No rows are one empty block."""
+    rows = _cnn_block_rows(spec, at_once) if spec.kind == "cnn1d" else max(hi - lo, 1)
     return [(a, min(a + rows, hi)) for a in range(lo, hi, rows)] or [(lo, hi)]
 
 
@@ -337,8 +347,8 @@ def _conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return win[:, :, ::stride]
 
 
-def _cnn_block_rows(spec: ModelSpec) -> int:
-    """Rows per block of a cnn1d forward: as many as
+def _cnn_block_rows(spec: ModelSpec, at_once: int = 1) -> int:
+    """Rows per block of a cnn1d forward: as many as an ``at_once``-th of
     ``CNN_BLOCK_BUDGET`` holds, rounded down to a multiple of 16, at least 16.
 
     A row costs the most it holds at once in any layer: the layer's input,
@@ -348,7 +358,7 @@ def _cnn_block_rows(spec: ModelSpec) -> int:
     row_bytes = 8 * max(c_in * (l_in + spec.cnn_kernel * l_out) + c_out * l_out
                         for c_in, c_out, l_in, l_out
                         in zip(widths, widths[1:], lengths, lengths[1:]))
-    return max(16, CNN_BLOCK_BUDGET // row_bytes // 16 * 16)
+    return max(16, CNN_BLOCK_BUDGET // at_once // row_bytes // 16 * 16)
 
 
 def _forward_cnn(spec, params, x, keep_cache):
@@ -389,14 +399,52 @@ def predict_batch(spec: ModelSpec, params: dict[str, np.ndarray],
                   signals: np.ndarray) -> np.ndarray:
     """(B, 2) outputs for a (B, input_len) batch.
 
-    Parameters and rows are checked as ``forward_batch`` checks them. Each
-    block of ``row_blocks`` runs without ``backward``'s cache, so a cnn1d
-    holds one block's layers at a time.
+    Parameters and rows are checked as ``forward_batch`` checks them, in
+    the caller. The rows are split into S = ``parallel.processes_for(B //
+    MIN_SLAB_ROWS[kind])`` contiguous slabs whose edges fall on multiples
+    of 16 rows, the last slab taking the rest, and ``parallel.thread_map``
+    runs one slab per thread. Each slab runs its blocks of
+    ``row_blocks(spec, lo, hi, S)`` in turn, without ``backward``'s cache,
+    so the S blocks that run at once share ``CNN_BLOCK_BUDGET`` and a
+    cnn1d holds no more than on one thread.
+
+    A split pays only when each thread has enough work between the calls
+    that hold the interpreter lock: a GRU step is about ten short NumPy
+    calls, and an ANN at N=250 is cheap per row. Milliseconds per call on
+    one thread against two slabs on two, at N=250 and the map benchmark's
+    networks (GRU h=100, chunk 1; ANN (300, 300); default cnn1d), one
+    BLAS thread, 2-core Xeon, the mean of two runs' medians of 5 (GRU) or
+    21 alternating calls:
+
+        B          32         64         96        128        192        256
+        GRU   31 / 44    67 / 59   105 / 66   167 / 97  200 / 116  277 / 156
+        ANN  0.5 / 0.8  0.8 / 1.0  1.0 / 1.1  1.2 / 1.3  1.9 / 1.6  2.5 / 1.9
+        CNN  3.0 / 3.4  4.9 / 4.6  7.7 / 5.8  9.9 / 7.2 11.8 / 9.0   18 / 12
+
+    Two threads lost at B=32 for every kind, and at B=64 the GRU and the
+    CNN won in one run and lost in the other, as the GRU did in a third
+    probe (46 against 49 to 57 ms). So a slab holds at least 48 rows of a
+    GRU or a CNN and 128 of an ANN: on the map benchmark the GRU's calls
+    of 64 rows run whole, and the ANN's and the CNN's of 1,024 split.
+
+    The slab edges keep the bits of the GRU and the CNN: on a batch of a
+    multiple of 16 rows every block is one too, so the predictions equal
+    the one-block forward's at any S (see the module docstring). An ANN
+    runs each slab as one product, whose last bits change with its row
+    count: the default ANN's outputs at N=250, about 0.5 at most, moved by
+    up to 1.7e-16 between slabs of 512 rows and one of 1,024.
     """
     fits("parameters", params, param_layout(spec))
     signals = real_rows("signals", signals, spec.input_len)
-    return np.concatenate([_forward(spec, params, signals[lo:hi], False)[0]
-                           for lo, hi in row_blocks(spec, 0, len(signals))])
+    units = len(signals) // 16
+    slabs = parallel.processes_for(len(signals) // MIN_SLAB_ROWS[spec.kind])
+    edges = [16 * (units * i // slabs) for i in range(slabs)] + [len(signals)]
+
+    def slab(rows):
+        return np.concatenate([_forward(spec, params, signals[lo:hi], False)[0]
+                               for lo, hi in row_blocks(spec, *rows, slabs)])
+
+    return np.concatenate(parallel.thread_map(slab, list(zip(edges, edges[1:]))))
 
 
 def predict_single(spec: ModelSpec, params: dict[str, np.ndarray],

@@ -602,6 +602,58 @@ class TestMatchBatch:
         assert match(d, queries[1]) == scaled[0] and match(d, queries[2]) == scaled[1]
 
 
+class TestMatchSlabs:
+    """``match_batch`` splits a batch into slabs of at least one query
+    block, one per thread, and joins their rows back in order."""
+
+    @pytest.fixture(scope="class")
+    def tied(self, map_dictionary):
+        # Atom 700 is a copy of atom 300, so a query scores them alike bit
+        # for bit and the lower row must win. Rows 148 to 151, which hold
+        # that atom, straddle the slab edge at 150.
+        atoms = map_dictionary.atoms.copy()
+        atoms[700] = atoms[300]
+        d = Dictionary(atoms, "hand-made", numbered_grid(len(atoms)))
+        rng = np.random.default_rng(15)
+        queries = np.abs(atoms[rng.integers(0, len(atoms), size=300)]
+                         + rng.normal(0.0, 0.02, size=(300, d.n_samples)))
+        queries[148:152] = atoms[300]
+        return d, queries
+
+    def test_two_cpus_give_the_rows_of_one(self, tied, monkeypatch):
+        d, queries = tied
+        slabs = []
+        match_rows = dictionary._match_rows
+
+        def counting(d, queries, norms):
+            slabs.append(len(queries))
+            return match_rows(d, queries, norms)
+
+        monkeypatch.setattr(dictionary, "_match_rows", counting)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+        one = match_batch(d, queries)
+        assert slabs == [300]
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        slabs.clear()
+        assert match_batch(d, queries) == one
+        assert sorted(slabs) == [150, 150]
+        assert [label for label, _ in one[148:152]] == [d.labels[300]] * 4
+        assert [np.float64(score).tobytes() for _, score in one] == [
+            np.float64(match(d, query)[1]).tobytes() for query in queries]
+
+    def test_bad_rows_are_named_by_batch_index(self, tied, monkeypatch):
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        d, queries = tied
+        queries = queries.copy()
+        queries[250, 3] = np.nan
+        with pytest.raises(ValueError, match=r"NaN.*\[250\]"):
+            match_batch(d, queries)
+        queries[250] = 0.0
+        queries[10] = 0.0
+        with pytest.raises(ValueError, match=r"all-zero queries at rows \[10, 250\]"):
+            match_batch(d, queries)
+
+
 class TestCertifiedMatch:
     """Matching above RANK atoms: subspace bounds, then exact re-scoring."""
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mrfmap import parallel
 from mrfmap.nn.backprop import loss_and_grads, mse_loss
 from mrfmap.nn.cells import step, step_grad
 from mrfmap.nn import models
@@ -222,7 +223,9 @@ class TestBaselines:
 
     def test_cnn_inference_blocks_equal_one_block(self, monkeypatch):
         # Three full blocks and a partial one of 64 rows, a multiple of 16 as
-        # the module docstring requires for bit identity.
+        # the module docstring requires for bit identity. One thread runs
+        # them, so they come in order and at the size of the whole budget.
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         spec = ModelSpec("cnn1d", input_len=250)
         params = init_params(spec, seed=5)
         rows = models._cnn_block_rows(spec)
@@ -333,6 +336,70 @@ class TestPredictSingle:
                          cnn_kernel=3, cnn_stride=2)
         again = ModelSpec.from_json_dict(spec.to_json_dict())
         assert again == spec
+
+
+class TestPredictSlabs:
+    """``predict_batch`` runs slabs of multiples of 16 rows on threads."""
+
+    @pytest.fixture
+    def forwards(self, monkeypatch):
+        """The rows of every block ``predict_batch`` runs while the test runs."""
+        rows, forward = [], models._forward
+
+        def counting(spec, params, x, keep_cache):
+            rows.append(len(x))
+            return forward(spec, params, x, keep_cache)
+
+        monkeypatch.setattr(models, "_forward", counting)
+        return rows
+
+    @pytest.mark.parametrize("kind, rows, one, two", [
+        ("rnn_regressor", 96, [96], [48, 48]),
+        # Blocks of 240 rows on one thread, of 112 on each of two.
+        ("cnn1d", 512, [240, 240, 32], [112, 112, 32, 112, 112, 32]),
+        ("ann", 1024, [1024], [512, 512]),
+    ])
+    def test_two_cpus_give_the_predictions_of_one(self, monkeypatch, forwards,
+                                                  kind, rows, one, two):
+        spec = ModelSpec(kind, input_len=250)
+        params = init_params(spec, seed=8)
+        signals = np.random.default_rng(8).random((rows, 250))
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
+        serial = predict_batch(spec, params, signals)
+        assert forwards == one
+        forwards.clear()
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        split = predict_batch(spec, params, signals)
+        assert sorted(forwards) == sorted(two)
+        if kind == "ann":
+            # One product per slab, whose last bits move with its rows, by
+            # up to 1.7e-16 here: a relative error near 5e-15 on an output
+            # near 0, so the bound is relative to the largest output.
+            assert np.abs(split - serial).max() <= 1e-15 * np.abs(serial).max()
+        else:
+            assert split.tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("cpus, rows, slabs", [
+        (2, 0, [0]), (2, 95, [95]), (2, 96, [48, 48]), (2, 100, [48, 52]),
+        (2, 131, [64, 67]), (3, 131, [64, 67]), (3, 160, [48, 48, 64])])
+    def test_slab_edges_fall_on_multiples_of_16(self, monkeypatch, forwards, cpus, rows, slabs):
+        # A GRU slab holds at least MIN_SLAB_ROWS rows, 48.
+        spec = ModelSpec("rnn_regressor", input_len=12, hidden_dim=4, chunk_size=3)
+        monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+        predicted = predict_batch(spec, init_params(spec, seed=0), np.ones((rows, 12)))
+        assert predicted.shape == (rows, 2)
+        assert sorted(forwards) == sorted(slabs)
+
+    @pytest.mark.parametrize("name", ["gru-3", "ann", "cnn1d"])
+    def test_a_batch_splits_from_twice_the_least_slab(self, monkeypatch, forwards, name):
+        spec = SINGLE_SPECS[name]
+        params = init_params(spec, seed=0)
+        least = models.MIN_SLAB_ROWS[spec.kind]
+        monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+        for rows in (2 * least - 1, 2 * least):
+            predict_batch(spec, params, np.ones((rows, spec.input_len)))
+        assert least % 16 == 0
+        assert sorted(forwards) == [least, least, 2 * least - 1]
 
 
 def list_tape_reference(spec, params, signals, d_preds):

@@ -26,12 +26,15 @@ RULES = {
                                  "if spec.kind in ('ann', 'cnn1d'):"]),
     "cells": (r"np\.tanh|sigmoid\(", "nn/cells.py", "cells.step and cells.step_grad alone "
               "apply the cell's gates", ["x = np.tanh(y)", "z = cells.sigmoid(y)"]),
-    "processes": (r"multiprocessing|concurrent\.futures|ProcessPoolExecutor"
-                  r"|sched_getaffinity|os\.fork", "parallel.py", "parallel.py alone counts "
-                  "CPUs, forks and pools", ["import multiprocessing",
-                                            "from concurrent.futures import wait",
-                                            "pool = ProcessPoolExecutor(2)",
-                                            "cpus = os.sched_getaffinity(0)", "os.fork()"]),
+    "processes": (r"multiprocessing|concurrent\.futures|ProcessPoolExecutor|ThreadPoolExecutor"
+                  r"|threading|sched_getaffinity|sched_setaffinity|thread-self|os\.fork",
+                  "parallel.py", "parallel.py alone counts CPUs, places workers, and starts "
+                  "processes, pools and threads",
+                  ["import multiprocessing", "from concurrent.futures import wait",
+                   "pool = ProcessPoolExecutor(2)", "pool = ThreadPoolExecutor(2)",
+                   "import threading", "cpus = os.sched_getaffinity(0)",
+                   "os.sched_setaffinity(0, {1})", "open('/proc/thread-self/stat')",
+                   "os.fork()"]),
 }
 
 
