@@ -1,5 +1,6 @@
 """Helpers shared by the tests: a constant flip-angle schedule, and a time
-limit and a pool counter for the tests that fork worker processes."""
+limit and a pool counter for the tests that start worker processes or
+threads."""
 
 import concurrent.futures
 import signal
@@ -36,15 +37,24 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+class Pools(list):
+    """Worker counts of every ProcessPoolExecutor made while a test runs,
+    and in ``threads`` those of every ThreadPoolExecutor."""
+
+    def __init__(self):
+        super().__init__()
+        self.threads = []
+
+
 @pytest.fixture
 def pools(monkeypatch):
-    """Worker counts of every ProcessPoolExecutor made while the test runs."""
-    made = []
-    real_pool = concurrent.futures.ProcessPoolExecutor
+    """The pools made while the test runs, counted as ``Pools``."""
+    made = Pools()
+    for name, counts in (("ProcessPoolExecutor", made), ("ThreadPoolExecutor", made.threads)):
+        def counting_pool(max_workers, real_pool=getattr(concurrent.futures, name),
+                          counts=counts, **kwargs):
+            counts.append(max_workers)
+            return real_pool(max_workers, **kwargs)
 
-    def counting_pool(max_workers, **kwargs):
-        made.append(max_workers)
-        return real_pool(max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+        monkeypatch.setattr(concurrent.futures, name, counting_pool)
     return made

@@ -620,7 +620,7 @@ class TestMatchSlabs:
         queries[148:152] = atoms[300]
         return d, queries
 
-    def test_two_cpus_give_the_rows_of_one(self, tied, monkeypatch):
+    def test_two_cpus_give_the_rows_of_one(self, tied, monkeypatch, pools):
         d, queries = tied
         slabs = []
         match_rows = dictionary._match_rows
@@ -633,10 +633,12 @@ class TestMatchSlabs:
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         one = match_batch(d, queries)
         assert slabs == [300]
+        assert pools.threads == []
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         slabs.clear()
         assert match_batch(d, queries) == one
         assert sorted(slabs) == [150, 150]
+        assert pools.threads == [1] and pools == []
         assert [label for label, _ in one[148:152]] == [d.labels[300]] * 4
         assert [np.float64(score).tobytes() for _, score in one] == [
             np.float64(match(d, query)[1]).tobytes() for query in queries]

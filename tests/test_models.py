@@ -359,7 +359,7 @@ class TestPredictSlabs:
         ("cnn1d", 512, [240, 240, 32], [112, 112, 32, 112, 112, 32]),
         ("ann", 1024, [1024], [512, 512]),
     ])
-    def test_two_cpus_give_the_predictions_of_one(self, monkeypatch, forwards,
+    def test_two_cpus_give_the_predictions_of_one(self, monkeypatch, forwards, pools,
                                                   kind, rows, one, two):
         spec = ModelSpec(kind, input_len=250)
         params = init_params(spec, seed=8)
@@ -367,10 +367,12 @@ class TestPredictSlabs:
         monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
         serial = predict_batch(spec, params, signals)
         assert forwards == one
+        assert pools.threads == []
         forwards.clear()
         monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
         split = predict_batch(spec, params, signals)
         assert sorted(forwards) == sorted(two)
+        assert pools.threads == [1] and pools == []
         if kind == "ann":
             # One product per slab, whose last bits move with its rows, by
             # up to 1.7e-16 here: a relative error near 5e-15 on an output

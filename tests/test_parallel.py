@@ -1,7 +1,8 @@
-"""``parallel.fan_out`` and ``parallel.thread_map``: every chunk's result
-once, in chunk order, from the caller alone at one CPU and from the caller
-and forked workers or threads above it, on as many as the chunks fill, each
-worker pinned off the caller's CPU."""
+"""``parallel.fan_out`` and ``parallel.thread_map``, one loop over a pool of
+processes or of threads: every chunk's result once, in chunk order, from
+the caller alone at one CPU and from the caller and a pool above it, on as
+many as the chunks fill, each worker pinned off the caller's CPU. The tests
+of that shared contract run through both runners."""
 
 import multiprocessing
 import os
@@ -27,6 +28,15 @@ def fail_on_five(chunk):
     return chunk
 
 
+def fail_late_on_one(chunk):
+    """Chunk 1 fails after 0.2 s, every later chunk at once."""
+    if chunk == 1:
+        time.sleep(0.2)
+    if chunk:
+        raise RuntimeError(f"chunk {chunk} failed")
+    return chunk
+
+
 def affinity(_):
     return os.sched_getaffinity(0)
 
@@ -37,29 +47,56 @@ def sleep_then_clock(seconds):
     return seconds, time.monotonic()
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_every_index_once_with_its_result(monkeypatch, pools, cpus):
+def runners(names="", cases=((),)):
+    """Parametrize a test of the shared contract over ``runner`` and the
+    space-separated ``names``: every case once with ``fan_out`` and once
+    with ``thread_map``. A case's id is its values, led by the runner's
+    name for ``thread_map`` and for a case without values."""
+    params = []
+    for runner in (fan_out, thread_map):
+        for case in cases:
+            lead = [runner.__name__] if runner is thread_map or not case else []
+            params.append(pytest.param(runner, *case, id="-".join(lead + [str(v) for v in case])))
+    return pytest.mark.parametrize(["runner", *names.split()], params)
+
+
+def pools_made(runner, pools, workers):
+    """Whether ``pools`` counts one pool of ``workers`` of ``runner``'s kind,
+    none at 0 workers, and none of the other kind."""
+    one = [workers] if workers else []
+    return (pools, pools.threads) == ((one, []) if runner is fan_out else ([], one))
+
+
+def left_running(threads):
+    """Worker processes, and threads beyond the first ``threads``, still alive."""
+    return multiprocessing.active_children(), threading.active_count() - threads
+
+
+@runners("cpus", [(1,), (2,), (3,)])
+def test_every_index_once_with_its_result(monkeypatch, pools, runner, cpus):
     monkeypatch.setattr(parallel, "available_cpus", lambda: cpus)
+    threads = threading.active_count()
     chunks = [3, -1, 4, 1, -5, 9, 2, 6]  # more chunks than processes
     with time_limit(60):
-        got = list(fan_out(square, chunks))
+        got = list(runner(square, chunks))
     assert got == [square(chunk) for chunk in chunks]
-    assert pools == ([cpus - 1] if cpus > 1 else [])
-    assert multiprocessing.active_children() == []
+    assert pools_made(runner, pools, cpus - 1)
+    assert left_running(threads) == ([], 0)
 
 
-def test_results_come_in_chunk_order_whenever_they_finish(monkeypatch, pools):
-    # Three processes: the caller takes chunks 0 and 3, two workers the
-    # others. Chunk 1 sleeps longest, so chunk 2 and others after it finish
-    # before it, and are held until its turn.
+@runners()
+def test_results_come_in_chunk_order_whenever_they_finish(monkeypatch, pools, runner):
+    # Three processes or threads: the caller takes chunks 0 and 3, two
+    # workers the others. Chunk 1 sleeps longest, so chunk 2 and others
+    # after it finish before it, and are held until its turn.
     monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
     chunks = [0.0, 0.6, 0.0, 0.0, 0.0, 0.0]
     with time_limit(60):
-        got = list(fan_out(sleep_then_clock, chunks))
+        got = list(runner(sleep_then_clock, chunks))
     assert [seconds for seconds, _ in got] == chunks
     finished = [clock for _, clock in got]
     assert finished[2] < finished[1] and finished[4] < finished[1]
-    assert pools == [2]
+    assert pools_made(runner, pools, 2)
 
 
 def test_more_cpus_than_chunks_start_one_worker_per_other_chunk(monkeypatch, pools):
@@ -81,18 +118,17 @@ def test_early_close_joins_the_workers(monkeypatch, pools):
 
 
 def test_one_process_imports_no_pool_machinery():
-    # One chunk is one process or thread whatever the CPUs; two are one on
-    # one CPU.
-    code = ("import sys\n"
-            "from mrfmap import parallel\n"
-            "assert list(parallel.fan_out(abs, [-1])) == [1]\n"
-            "parallel.available_cpus = lambda: 1\n"
-            "assert list(parallel.fan_out(abs, [-1, -2])) == [1, 2]\n"
-            "import threading\n"
+    # No chunk or one is one process or thread whatever the CPUs; two are
+    # one on one CPU. Neither runner starts a thread or imports a pool.
+    code = ("import sys, threading\n"
             "threading.Thread.start = lambda self: sys.exit('a thread started')\n"
-            "assert parallel.thread_map(abs, [-1, -2]) == [1, 2]\n"
-            "parallel.available_cpus = lambda: 2\n"
-            "assert parallel.thread_map(abs, [-1]) == [1] and parallel.thread_map(abs, []) == []\n"
+            "from mrfmap import parallel\n"
+            "runners = parallel.fan_out, parallel.thread_map\n"
+            "for run in runners:\n"
+            "    assert list(run(abs, [-1])) == [1] and list(run(abs, [])) == []\n"
+            "parallel.available_cpus = lambda: 1\n"
+            "for run in runners:\n"
+            "    assert list(run(abs, [-1, -2])) == [1, 2]\n"
             "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=60)
@@ -101,17 +137,27 @@ def test_one_process_imports_no_pool_machinery():
 
 # The failing chunk sits at index 0, the caller's at every process count,
 # or at index 5, a worker's at 2 and 3 processes.
-@pytest.mark.parametrize("bad_first", [False, True])
-@pytest.mark.parametrize("processes", [1, 2, 3])
-def test_worker_error_reaches_caller(monkeypatch, processes, bad_first):
+@runners("processes bad_first",
+         [(processes, bad_first) for bad_first in (False, True) for processes in (1, 2, 3)])
+def test_worker_error_reaches_caller(monkeypatch, runner, processes, bad_first):
     monkeypatch.setattr(parallel, "available_cpus", lambda: processes)
+    threads = threading.active_count()
     chunks = [5, 0, 1, 2, 3, 4, 6] if bad_first else list(range(7))
     got = []
     with time_limit(60), pytest.raises(RuntimeError, match="chunk 5 failed"):
-        got.extend(fan_out(fail_on_five, chunks))
-    # Every chunk before the failing one has come in, and none after it.
-    assert got == chunks[:chunks.index(5)]
-    assert multiprocessing.active_children() == []
+        got.extend(runner(fail_on_five, chunks))
+    # fan_out has yielded every chunk before the failing one, and none
+    # after it; thread_map returns nothing.
+    assert got == (chunks[:chunks.index(5)] if runner is fan_out else [])
+    assert left_running(threads) == ([], 0)
+
+
+@runners()
+def test_first_failed_chunk_in_chunk_order_is_raised(monkeypatch, runner):
+    # Chunk 1's worker fails late, chunk 2's at once: chunk 1's turn is first.
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
+    with time_limit(60), pytest.raises(RuntimeError, match="chunk 1 failed"):
+        list(runner(fail_late_on_one, [0, 1, 2]))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -122,54 +168,61 @@ def test_threads_keep_chunk_order_and_the_caller_runs_chunk_zero(monkeypatch, cp
     with time_limit(60):
         got = thread_map(lambda chunk: (square(chunk), threading.current_thread()), chunks)
     assert [result for result, _ in got] == [square(chunk) for chunk in chunks]
-    # Chunk i runs in the thread of chunk i mod P, chunk 0's is the caller.
-    ran_in = [thread for _, thread in got]
-    assert ran_in[0] is threading.current_thread()
-    assert ran_in == [ran_in[i % cpus] for i in range(len(chunks))]
-    assert len(set(ran_in)) == cpus
+    # Chunks 0, P, 2P, ... run in the caller, the others in at most P - 1
+    # other threads.
+    ran_in, caller = [thread for _, thread in got], threading.current_thread()
+    assert [thread is caller for thread in ran_in] == [i % cpus == 0 for i in range(len(chunks))]
+    assert len(set(ran_in) - {caller}) <= cpus - 1
     assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_thread_error_is_raised_after_every_thread_is_joined(monkeypatch, failing):
-    # Three threads: the caller runs chunks 0 and 3, two threads 1 and 4,
-    # and 2 and 5. The failing chunk fails at once, the caller's or a
-    # thread's, while the third thread sleeps in chunk 2 and then runs 5.
+    # Three threads: the caller runs chunks 0 and 3, two pool threads the
+    # others. The failing chunk, the caller's or a pool thread's, fails
+    # once chunk 2 has started in a pool thread, and chunk 2 then sleeps:
+    # it has finished by the time the error comes out.
     monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
-    threads, done = threading.active_count(), []
+    threads, done, started = threading.active_count(), [], threading.Event()
 
     def work(chunk):
         if chunk == failing:
+            assert started.wait(30)
             raise RuntimeError(f"chunk {chunk} failed")
         if chunk == 2:
+            started.set()
             time.sleep(0.3)
         done.append(chunk)
         return chunk
 
     with time_limit(60), pytest.raises(RuntimeError, match=f"chunk {failing} failed"):
         thread_map(work, list(range(6)))
-    assert {2, 5} <= set(done)
+    assert 2 in done
     assert threading.active_count() == threads
 
 
-def test_first_failed_chunk_in_chunk_order_is_raised(monkeypatch):
-    # Chunk 1's thread fails late, chunk 2's at once: chunk 1's turn is first.
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 3)
+def test_thread_error_cancels_the_chunks_no_thread_has_started(monkeypatch):
+    # Two threads: the pool thread sleeps in chunk 1 while the caller's
+    # chunk 0 fails at once, so chunk 3, queued behind chunk 1, never runs.
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    done = []
 
     def work(chunk):
+        if chunk == 0:
+            raise RuntimeError("chunk 0 failed")
         if chunk == 1:
-            time.sleep(0.2)
-        if chunk:
-            raise RuntimeError(f"chunk {chunk} failed")
+            time.sleep(0.3)
+        done.append(chunk)
         return chunk
 
-    with time_limit(60), pytest.raises(RuntimeError, match="chunk 1 failed"):
-        thread_map(work, [0, 1, 2])
+    with time_limit(60), pytest.raises(RuntimeError, match="chunk 0 failed"):
+        thread_map(work, [0, 1, 2, 3])
+    assert 3 not in done
 
 
 def test_many_threads_on_a_short_switch_interval(monkeypatch):
     # More threads than cores, switched every microsecond: each result
-    # still lands in its own chunk's slot.
+    # still comes back in its own chunk's place.
     monkeypatch.setattr(parallel, "available_cpus", lambda: 8)
     threads, interval = threading.active_count(), sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
