@@ -4,13 +4,13 @@
 
 ``build`` simulates a fingerprint dictionary over the grid (default: the
 paper grid) for the schedule (default: ``default_schedule(N)``), writes
-``OUT.dict`` and ``OUT.json``, and prints one JSON line of exactly these
+the one file ``OUT.dict``, and prints one JSON line of exactly these
 keys: ``atoms`` (the atom count), ``n`` (N), ``orders_kept`` (the EPG work
 the order caps leave, as a share of every atom at K = N:
 ``epg.orders_kept``), ``seconds`` (the build time), ``atoms_per_s`` and
 ``schedule_digest``.
 ``GRID.json`` holds ``{"t1_segments": [[start, stop, step], ...],
-"t2_segments": [...]}`` in ms, as in a dictionary manifest's ``grid``.
+"t2_segments": [...]}`` in ms, as in the ``grid`` of a ``.dict``'s manifest line.
 Bad input or an unreadable file prints ``mrfmap: error: ...``, naming the
 schedule or grid file at fault (a grid of no valid (T1, T2) pair, or of
 too many to expand, included) or OUT's missing directory, and exits 2.
@@ -35,7 +35,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="mrfmap", description="MR fingerprinting T1/T2 mapping")
     commands = parser.add_subparsers(dest="command", required=True)
     build = commands.add_parser(
-        "build", help="simulate a fingerprint dictionary; write OUT.dict and OUT.json")
+        "build", help="simulate a fingerprint dictionary; write OUT.dict")
     build.add_argument("out", type=Path, help="output path without suffix")
     source = build.add_mutually_exclusive_group()
     source.add_argument("--n", type=int, default=DEFAULT_N_EXCITATIONS,

@@ -19,21 +19,19 @@ a wrong label. An exact score is one row-wise float64 dot product, the same
 whichever rows share the call, so ``match`` and ``match_batch`` agree bit
 for bit.
 
-On disk a dictionary is a ``<name>.dict`` binary (magic ``MRFD``, version,
-M, N, then M*N little-endian float32 atoms, row-major) plus a ``<name>.json``
-manifest of two keys, ``grid`` and the generating ``schedule_digest``. Row i
-is labelled by pair i of ``expand_grid(grid)``; the ``labels`` older
-manifests also hold are ignored. In memory the atoms are the file's float32
-values; match scores are float64, over the rows the matcher widens to score.
+On disk a dictionary is one ``<name>.dict`` file, the ``files.write_blob``
+container: a one-line JSON manifest of exactly three keys, ``grid``,
+``n_samples`` (N) and the generating ``schedule_digest``, the ``---ATOMS---``
+delimiter line, then the M*N atoms as little-endian float32, row-major. M is
+the grid's number of pairs, and row i is labelled by pair i of
+``expand_grid(grid)``. In memory the atoms are the file's float32 values;
+match scores are float64, over the rows the matcher widens to score.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 import math
-import os
-import struct
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -42,11 +40,10 @@ import numpy as np
 
 from . import epg, parallel
 from .epg import TissueParams, order_caps, simulate_fingerprints
-from .files import json_object, naming, number, read_json, real_rows
+from .files import json_object, naming, number, read_blob, real_rows, write_blob
 from .schedule import SequenceSchedule, schedule_digest
 
-DICT_MAGIC = b"MRFD"
-DICT_VERSION = 1
+DELIMITER = b"---ATOMS---\n"
 
 # Piecewise (start, stop, step) segments in ms. Zero grid values are printed
 # in the source ranges but excluded during expansion: exp(-TR/T) is singular
@@ -137,7 +134,7 @@ def expand_grid(spec: GridSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """What a ``.dict`` and its manifest hold; ``atoms`` of another dtype are rounded to float32.
+    """What a ``.dict`` holds; ``atoms`` of another dtype are rounded to float32.
 
     Construction refuses atoms that are not finite real (M, N) rows, M the
     grid's number of pairs, a ``schedule_digest`` that is not a string and
@@ -488,62 +485,45 @@ def match_batch(dictionary: Dictionary,
     return _labelled(dictionary, *(np.concatenate(part) for part in zip(*parts)))
 
 
-def _paths(name: str | Path) -> tuple[Path, Path]:
-    """``<name>.dict`` and ``<name>.json``: a dot in ``name`` is part of the name."""
-    return Path(f"{name}.dict"), Path(f"{name}.json")
-
-
-def save_dictionary(dictionary: Dictionary, name: str | Path) -> tuple[Path, Path]:
-    """Write ``<name>.dict`` and ``<name>.json``; returns both paths.
+def save_dictionary(dictionary: Dictionary, name: str | Path) -> tuple[Path]:
+    """Write ``<name>.dict`` (a dot in ``name`` is part of the name); returns
+    the one path written, as a tuple.
 
     The atoms can be written until the first match, so the dictionary is
     constructed again first: one it refuses raises a ValueError naming
-    ``<name>.dict`` and leaves both files as they were.
+    ``<name>.dict`` and leaves the file as it was.
     """
-    dict_path, json_path = _paths(name)
-    with naming(dict_path):
+    path = Path(f"{name}.dict")
+    with naming(path):
         dictionary = replace(dictionary)
-    with open(dict_path, "wb") as fh:
-        fh.write(DICT_MAGIC + struct.pack("<IQQ", DICT_VERSION, *dictionary.atoms.shape))
-        np.ascontiguousarray(dictionary.atoms, dtype="<f4").tofile(fh)
-    manifest = {
-        "grid": dictionary.grid.to_json_dict(),
-        "schedule_digest": dictionary.schedule_digest,
-    }
-    json_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    return dict_path, json_path
+    manifest = {"grid": dictionary.grid.to_json_dict(), "n_samples": dictionary.n_samples,
+                "schedule_digest": dictionary.schedule_digest}
+    write_blob(path, manifest, DELIMITER, [dictionary.atoms])
+    return (path,)
 
 
 def load_dictionary(name: str | Path) -> Dictionary:
-    """Read ``<name>.dict`` and ``<name>.json`` as written by ``save_dictionary``.
+    """Read ``<name>.dict`` as written by ``save_dictionary``.
 
     The atoms are the file's float32 values, read once into an array that
-    is writable until the first match (see ``Dictionary``).
-    Rejects a bad header or size, atoms of no samples or holding NaN or inf
-    (naming the rows), a manifest that is not a JSON object holding a valid
-    grid and a string ``schedule_digest``, a manifest grid too fine to
-    expand, and a row count other than the number of pairs of that grid,
-    each with a ValueError naming the file.
+    is writable until the first match (see ``Dictionary``). Rejects, with a
+    ValueError naming the file, what ``files.read_blob`` refuses (among it a
+    ``.ckpt`` and the older ``MRFD`` binary, which has no manifest line), a
+    manifest that is not a JSON object of exactly its three keys, an
+    ``n_samples`` that is not a positive integer, atoms that are not whole
+    rows of it, and whatever ``Dictionary`` refuses: a grid that is not
+    valid or too fine to expand, a row count other than its number of pairs,
+    a ``schedule_digest`` that is not a string and rows holding NaN or inf.
     """
-    dict_path, json_path = _paths(name)
-    with open(dict_path, "rb") as fh, naming(dict_path):
-        header = fh.read(24).ljust(24, b"\0")  # a shorter file fails the size check
-        if header[:4] != DICT_MAGIC:
-            raise ValueError(f"bad magic {header[:4]!r}")
-        version, m, n = struct.unpack("<IQQ", header[4:])
-        if version != DICT_VERSION:
-            raise ValueError(f"unsupported version {version}")
-        expected, size = 24 + 4 * m * n, os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise ValueError(f"expected {expected} bytes, got {size}")
-        atoms = np.fromfile(fh, dtype="<f4", count=m * n).reshape(m, n)
-    with naming(json_path):
-        manifest = json_object("manifest", read_json(json_path), ("grid", "schedule_digest"))
-        if not isinstance(manifest["schedule_digest"], str):
-            raise ValueError("schedule_digest must be a string, "
-                             f"got {manifest['schedule_digest']!r}")
-        grid = GridSpec.from_json_dict(manifest["grid"])
-    try:
-        return Dictionary(atoms, manifest["schedule_digest"], grid)
-    except ValueError as err:
-        raise ValueError(f"{dict_path}: {err} (grid of {json_path})") from None
+    path = Path(f"{name}.dict")
+    with naming(path):
+        manifest, blob = read_blob(path, DELIMITER)
+        manifest = json_object("manifest", manifest, ("grid", "n_samples", "schedule_digest"),
+                               allowed=())
+        n = number("n_samples", manifest["n_samples"], integral=True)
+        if n < 1:
+            raise ValueError(f"n_samples must be at least 1, got {n}")
+        if blob.size % n:
+            raise ValueError(f"{blob.size} atom values are not whole rows of {n} samples")
+        return Dictionary(blob.reshape(-1, n), manifest["schedule_digest"],
+                          GridSpec.from_json_dict(manifest["grid"]))

@@ -1,4 +1,10 @@
-"""The rules for checking what files and callers hand the pipeline.
+"""The one file container, and the rules for checking what files and callers
+hand the pipeline.
+
+Every array artifact, a ``.dict`` and a ``.ckpt`` alike, is one container:
+a one-line JSON header (``json.dumps`` with sorted keys), a delimiter line
+of the artifact's own, then its arrays as little-endian float32 values.
+``write_blob`` writes one and ``read_blob`` reads one back.
 
 A reader runs its checks inside ``naming(path)``, so that every ValueError
 starts with the path of the file at fault. JSON is read as UTF-8, and its
@@ -12,6 +18,7 @@ of named arrays ``fits``, which refuses names or shapes other than a layout's.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import numbers
@@ -28,6 +35,42 @@ def naming(path: Path):
         yield
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+
+
+def write_blob(path: Path, header: dict, delimiter: bytes, arrays) -> None:
+    """Write ``header`` as one JSON line, the ``delimiter`` line, then each of
+    ``arrays`` flattened to little-endian float32, in order."""
+    with open(path, "wb") as fh:
+        fh.writelines([json.dumps(header, sort_keys=True).encode("utf-8"), b"\n", delimiter])
+        for array in arrays:
+            fh.write(np.ascontiguousarray(array, dtype="<f4"))
+
+
+def read_blob(path: Path, delimiter: bytes) -> tuple[object, np.ndarray]:
+    """The header value and the flat float32 values of a ``write_blob`` file.
+
+    A second line other than ``delimiter``, a first line that is not UTF-8
+    JSON and a blob that is not whole float32 values are refused. The values
+    are read straight into one new array, aligned and writable, so no bytes
+    object holds a second copy of them.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if fh.readline() != delimiter:
+            raise ValueError(f"second line is not the {delimiter.decode().strip()} delimiter")
+        try:
+            header = json.loads(line.decode("utf-8"))
+        except ValueError as err:  # also UnicodeDecodeError
+            raise ValueError(f"header is not JSON: {err}") from None
+        start = fh.tell()
+        size = fh.seek(0, io.SEEK_END) - start
+        if size % 4:
+            raise ValueError(f"blob of {size} bytes is not whole float32 values")
+        fh.seek(start)
+        blob = np.empty(size // 4, dtype="<f4")
+        if fh.readinto(blob) != size:  # the file shrank while it was read
+            raise ValueError(f"blob of {size} bytes read short")
+    return header, blob
 
 
 def read_json(path: Path):

@@ -1,8 +1,9 @@
 """Model checkpoint files.
 
-A ``.ckpt`` file is a one-line JSON header (model spec, label-scaling
-constants, seed, training metadata), a delimiter line, then every parameter
-array of ``param_layout(spec)``, in its order and shapes, flattened to
+A ``.ckpt`` file is the ``files.write_blob`` container: a one-line JSON
+header (model spec, label-scaling constants, seed, training metadata), the
+``---PARAMS---`` delimiter line, then every parameter array of
+``param_layout(spec)``, in its order and shapes, flattened to
 little-endian float32; the ``param_order`` and ``param_shapes`` that older
 headers also hold are ignored. The spec names no recurrent cell, as the GRU
 is the only one: an older header's ``"cell_kind": "gru"`` is dropped on
@@ -21,9 +22,9 @@ or that is not positive, a ``seed`` that is not an integer and
 JSON (NaN and inf have no JSON form). The arrays
 and metadata can change after construction, so saving constructs the
 checkpoint again before it writes anything; then it only formats. Loading
-only parses the delimiter, the header JSON and the blob size, and
-constructs. ``ModelSpec`` refuses a bad spec. Each refusal in a save or a
-load is a ValueError that names the file.
+only parses the container (``files.read_blob``), the header's keys and the
+blob size, and constructs. ``ModelSpec`` refuses a bad spec. Each refusal
+in a save or a load is a ValueError that names the file.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..files import fits, json_object, naming, number, real_rows
+from ..files import fits, json_object, naming, number, read_blob, real_rows, write_blob
 from .models import ModelSpec, param_layout
 
 DELIMITER = b"---PARAMS---\n"
@@ -88,33 +89,22 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path) -> Path:
         ckpt = replace(ckpt)  # the arrays and metadata may have changed since construction
     header = {"spec": ckpt.spec.to_json_dict(), "seed": ckpt.seed, "metadata": ckpt.metadata,
               "label_scaling": {"t1_max": ckpt.t1_max, "t2_max": ckpt.t2_max}}
-    blob = b"".join(np.ascontiguousarray(ckpt.params[name], dtype="<f4").tobytes()
-                    for name in param_layout(ckpt.spec))
-    with open(path, "wb") as fh:
-        fh.writelines([json.dumps(header, sort_keys=True).encode("utf-8"), b"\n", DELIMITER, blob])
+    write_blob(path, header, DELIMITER, [ckpt.params[name] for name in param_layout(ckpt.spec)])
     return path
 
 
 def load_checkpoint(path: str | Path) -> ModelCheckpoint:
     path = Path(path)
-    raw = path.read_bytes()
     with naming(path):
-        cut = raw.find(DELIMITER)
-        if cut < 0:
-            raise ValueError("missing parameter delimiter")
-        try:
-            header = json.loads(raw[:cut].decode("utf-8"))
-        except ValueError as err:  # also UnicodeDecodeError
-            raise ValueError(f"header is not JSON: {err}") from None
+        header, blob = read_blob(path, DELIMITER)
         header = json_object("header", header, ("spec", "label_scaling", "seed"))
         scaling = json_object("label_scaling", header["label_scaling"], ("t1_max", "t2_max"))
         spec = ModelSpec.from_json_dict(header["spec"])
         layout = param_layout(spec)
         sizes = [math.prod(shape) for shape in layout.values()]
-        blob = memoryview(raw)[cut + len(DELIMITER):]
-        if 4 * sum(sizes) != len(blob):
-            raise ValueError(f"parameter blob has {len(blob)} bytes, expected {4 * sum(sizes)}")
-        flat = np.frombuffer(blob, dtype="<f4").astype(np.float64)
+        if sum(sizes) != blob.size:
+            raise ValueError(f"parameter blob has {4 * blob.size} bytes, expected {4 * sum(sizes)}")
+        flat = blob.astype(np.float64)
         params = {name: part.reshape(shape) for (name, shape), part
                   in zip(layout.items(), np.split(flat, np.cumsum(sizes)[:-1]))}
         return ModelCheckpoint(spec, params, scaling["t1_max"], scaling["t2_max"],

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import time_limit
 from mrfmap.nn.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
-from mrfmap.nn.models import ModelSpec, init_params
+from mrfmap.nn.models import ModelSpec, init_params, param_layout
 from test_gradients import TOY_SPECS
 from test_models import NONFINITE_SPECS, SINGLE_SPECS
 
@@ -146,6 +147,29 @@ def test_header_holds_no_layout(tmp_path):
     header = json.loads(saved_gru(tmp_path).read_bytes().partition(b"\n")[0])
     assert sorted(header) == ["label_scaling", "metadata", "seed", "spec"]
     assert "cell_kind" not in header["spec"]
+
+
+# The sha256 of each kind's fixed checkpoint below, as the format writes it:
+# a change of these bytes is a change of the .ckpt format.
+PINNED_SHA256 = {
+    "gru": "f8ce77683c38584fa026b2890c90368b0ac47dbe159f8057aae355e888a3d527",
+    "ann": "a4e6a90a46d79e225190de47e87870a320413b797f94b89aeb0c79c7d06ce7d3",
+    "cnn1d": "e1427c2edbe1f39fd5ad86c56d0e0e9b14457b5c062369a2b9ea272ff32ad036",
+}
+
+
+@pytest.mark.parametrize("name", SPECS)
+def test_fixed_checkpoint_bytes_are_pinned(tmp_path, name):
+    # Parameters (i - 7) / 8 over the layout's entries i in order: exact in
+    # float32, and drawn by no generator that could change their bits.
+    spec = SPECS[name]
+    layout = param_layout(spec)
+    flat = (np.arange(sum(math.prod(shape) for shape in layout.values())) - 7) / 8
+    parts = np.split(flat, np.cumsum([math.prod(shape) for shape in layout.values()])[:-1])
+    params = {key: part.reshape(shape) for (key, shape), part in zip(layout.items(), parts)}
+    ckpt = ModelCheckpoint(spec, params, 4000.0, 500.0, 7, {"epochs": 3, "note": "fixed"})
+    data = save_checkpoint(ckpt, tmp_path / "m.ckpt").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == PINNED_SHA256[name]
 
 
 def add_old_keys(meta, params):

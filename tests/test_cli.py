@@ -43,6 +43,12 @@ def test_build_default_schedule(tmp_path, grid_json, capsys):
     assert report["schedule_digest"] == schedule_digest(schedule) == loaded.schedule_digest
 
 
+def test_build_writes_out_dict_alone(tmp_path, grid_json, capsys):
+    # A build used to write OUT.json beside OUT.dict.
+    run_build(capsys, [str(tmp_path / "d"), "--n", "20", "--grid", str(grid_json)])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.dict", "grid.json"]
+
+
 def test_build_schedule_file(tmp_path, grid_json, capsys):
     schedule = constant_schedule(30, 25.0, inversion_prep=False)
     save_schedule(schedule, tmp_path / "s.csv")

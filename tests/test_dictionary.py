@@ -3,13 +3,17 @@ import itertools
 import json
 import multiprocessing
 import re
+import struct
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import constant_schedule, time_limit
 from mrfmap import dictionary, epg, parallel
@@ -24,6 +28,8 @@ from mrfmap.dictionary import (
     save_dictionary,
 )
 from mrfmap.epg import TissueParams, order_caps, simulate_fingerprints
+from mrfmap.nn.checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
+from mrfmap.nn.models import ModelSpec, init_params
 from mrfmap.schedule import default_schedule
 
 
@@ -922,38 +928,86 @@ TOY_GRID_JSON = ('{"t1_segments": [[200.0, 1000.0, 200.0]], '
                  '"t2_segments": [[50.0, 250.0, 50.0]]}')
 
 
+def manifest_line(path):
+    """The JSON manifest line of the ``.dict`` at ``path``, parsed."""
+    return json.loads(path.read_bytes().partition(b"\n")[0])
+
+
+def rewrite_dict(path, manifest=None, atoms=None):
+    """Replace the manifest line (a JSON value, or the bytes of a line) or the
+    atom bytes of the ``.dict`` at ``path``; what is None stays."""
+    head, sep, blob = path.read_bytes().partition(b"\n---ATOMS---\n")
+    if manifest is not None:
+        head = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+    path.write_bytes(head + sep + (blob if atoms is None else atoms))
+
+
+small_grids = st.builds(
+    lambda t1, t1_step, t1_count, t2, t2_count: GridSpec(
+        ((t1, t1 + t1_step * t1_count, t1_step),), ((t2, t2 + t2_count, 1.0),)),
+    st.integers(50, 100).map(float), st.sampled_from([25.0, 50.0]), st.integers(0, 3),
+    st.integers(1, 49).map(float), st.integers(0, 3))
+
+
 class TestSerialization:
     def test_round_trip_bit_identical(self, toy_dictionary, tmp_path):
         d, _ = toy_dictionary
-        dict_path, json_path = save_dictionary(d, tmp_path / "dict_a")
+        (path,) = save_dictionary(d, tmp_path / "dict_a")
         loaded = load_dictionary(tmp_path / "dict_a")
         np.testing.assert_array_equal(loaded.atoms, d.atoms)
-        # The atoms after the 24-byte header, as they are: no widened copy.
+        # The atoms after the delimiter line, as they are: no widened copy,
+        # and one aligned array that owns them, not a view of file bytes.
         assert loaded.atoms.dtype == np.float32
-        assert loaded.atoms.tobytes() == dict_path.read_bytes()[24:]
+        assert loaded.atoms.tobytes() == path.read_bytes().partition(b"\n---ATOMS---\n")[2]
+        assert loaded.atoms.flags.aligned and loaded.atoms.flags.writeable
+        assert loaded.atoms.base.flags.owndata and loaded.atoms.base.ndim == 1
         assert loaded.labels == d.labels == grid_labels(d.grid)
         assert loaded.schedule_digest == d.schedule_digest
         assert loaded.grid == d.grid
-        p2, _ = save_dictionary(loaded, tmp_path / "dict_b")
-        assert p2.read_bytes() == dict_path.read_bytes()
+        (p2,) = save_dictionary(loaded, tmp_path / "dict_b")
+        assert p2.read_bytes() == path.read_bytes()
 
-    def test_bad_magic_rejected(self, toy_dictionary, tmp_path):
-        d, _ = toy_dictionary
-        dict_path, _ = save_dictionary(d, tmp_path / "dict_c")
-        blob = bytearray(dict_path.read_bytes())
-        blob[:4] = b"XXXX"
-        dict_path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="magic"):
-            load_dictionary(tmp_path / "dict_c")
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), grid=small_grids, n=st.integers(1, 6), digest=st.text(max_size=12))
+    def test_save_load_save_is_byte_identical(self, data, grid, n, digest):
+        m = len(expand_grid(grid))
+        atoms = data.draw(hnp.arrays(np.float32, (m, n), elements=st.floats(
+            width=32, allow_nan=False, allow_infinity=False)))
+        with tempfile.TemporaryDirectory() as tmp:
+            (first,) = save_dictionary(Dictionary(atoms, digest, grid), Path(tmp) / "a")
+            loaded = load_dictionary(Path(tmp) / "a")
+            (second,) = save_dictionary(loaded, Path(tmp) / "b")
+            assert second.read_bytes() == first.read_bytes()
+        assert loaded.atoms.tobytes() == atoms.tobytes()
+        assert (loaded.schedule_digest, loaded.grid) == (digest, grid)
 
     def test_unsupported_version_rejected_naming_file(self, toy_dictionary, tmp_path):
+        # The layout before the manifest line (MRFD, version 1, M, N, atoms,
+        # with its grid and digest in a <name>.json beside it) is refused,
+        # not read: such a dictionary must be built again.
         d, _ = toy_dictionary
-        dict_path, _ = save_dictionary(d, tmp_path / "dict_v")
-        blob = bytearray(dict_path.read_bytes())
-        blob[4:8] = (2).to_bytes(4, "little")
-        dict_path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match=re.escape(f"{dict_path}: unsupported version 2")):
-            load_dictionary(tmp_path / "dict_v")
+        path = tmp_path / "old.dict"
+        path.write_bytes(b"MRFD" + struct.pack("<IQQ", 1, *d.atoms.shape) + d.atoms.tobytes())
+        (tmp_path / "old.json").write_text(json.dumps(
+            {"grid": d.grid.to_json_dict(), "schedule_digest": d.schedule_digest}))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: second line is not the ---ATOMS--- delimiter")):
+            load_dictionary(tmp_path / "old")
+
+    def test_checkpoint_given_as_a_dictionary_rejected_naming_file(self, tmp_path):
+        spec = ModelSpec("ann", input_len=12, ann_hidden=(5, 3))
+        path = save_checkpoint(ModelCheckpoint(spec, init_params(spec, seed=0), 4000.0, 500.0, 0),
+                               tmp_path / "m.dict")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: second line is not the ---ATOMS--- delimiter")):
+            load_dictionary(tmp_path / "m")
+
+    def test_dictionary_given_as_a_checkpoint_rejected_naming_file(self, toy_dictionary,
+                                                                   tmp_path):
+        (path,) = save_dictionary(toy_dictionary[0], tmp_path / "d")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: second line is not the ---PARAMS--- delimiter")):
+            load_checkpoint(path)
 
     def test_dotted_names_keep_their_dots(self, toy_dictionary, tmp_path):
         # "d.250" and "d.1750" used to both write d.dict and d.json.
@@ -961,78 +1015,77 @@ class TestSerialization:
         short = Dictionary(d.atoms[:, :40], d.schedule_digest, d.grid)
         save_dictionary(d, tmp_path / "d.250")
         save_dictionary(short, tmp_path / "d.1750")
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "d.1750.dict", "d.1750.json", "d.250.dict", "d.250.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.1750.dict", "d.250.dict"]
         assert load_dictionary(tmp_path / "d.250").atoms.tobytes() == d.atoms.tobytes()
         assert load_dictionary(tmp_path / "d.1750").atoms.tobytes() == short.atoms.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_atoms_rejected_with_rows(self, toy_dictionary, tmp_path, bad):
         d, _ = toy_dictionary
-        dict_path, _ = save_dictionary(d, tmp_path / "dict_e")
+        (path,) = save_dictionary(d, tmp_path / "dict_e")
         atoms = d.atoms.astype("<f4")
         atoms[2, 5] = bad
         atoms[9, 0] = bad
         # Both infinities in one row: its sum is NaN, with no warning.
         atoms[6, 1], atoms[6, 3] = np.inf, -np.inf
-        dict_path.write_bytes(dict_path.read_bytes()[:24] + atoms.tobytes())
-        with pytest.raises(ValueError, match=r"rows \[2, 6, 9\]"):
+        rewrite_dict(path, atoms=atoms.tobytes())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: atoms holding NaN or inf at rows [2, 6, 9]")):
             load_dictionary(tmp_path / "dict_e")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_save_refuses_atoms_written_nonfinite(self, toy_dictionary, tmp_path, bad):
         # Such a save used to write a .dict file that load_dictionary refuses.
         d, _ = toy_dictionary
-        dict_path, json_path = save_dictionary(d, tmp_path / "d")
-        before = dict_path.read_bytes(), json_path.read_bytes()
+        (path,) = save_dictionary(d, tmp_path / "d")
+        before = path.read_bytes()
         written = Dictionary(d.atoms.copy(), d.schedule_digest, d.grid)
         written.atoms[4, 2] = bad
         for name in ("d", "e"):
             with pytest.raises(ValueError, match=re.escape(
                     f"{tmp_path / name}.dict: atoms holding NaN or inf at rows [4]")):
                 save_dictionary(written, tmp_path / name)
-        assert (dict_path.read_bytes(), json_path.read_bytes()) == before
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["d.dict", "d.json"]
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["d.dict"]
 
-    def test_manifest_holds_grid_and_digest_only(self, toy_dictionary, tmp_path):
+    def test_manifest_holds_grid_samples_and_digest_only(self, toy_dictionary, tmp_path):
         d, _ = toy_dictionary
-        _, json_path = save_dictionary(d, tmp_path / "dict_i")
-        assert sorted(json.loads(json_path.read_text())) == ["grid", "schedule_digest"]
+        (path,) = save_dictionary(d, tmp_path / "dict_i")
+        line = path.read_bytes().partition(b"\n")[0]
+        assert line == json.dumps({"grid": d.grid.to_json_dict(), "n_samples": 80,
+                                   "schedule_digest": d.schedule_digest},
+                                  sort_keys=True).encode()
+        assert path.stat().st_size == len(line) + len(b"\n---ATOMS---\n") + d.atoms.nbytes
 
-    def test_manifest_with_old_labels_loads_the_same(self, toy_dictionary, tmp_path):
-        # Older manifests also listed the labels; loading ignores them.
+    @pytest.mark.parametrize("key", ["labels", "n_atoms"])
+    def test_manifest_unknown_key_rejected(self, toy_dictionary, tmp_path, key):
+        # Older manifests also listed the labels, which expand_grid derives.
         d, _ = toy_dictionary
-        _, json_path = save_dictionary(d, tmp_path / "dict_j")
-        fresh = load_dictionary(tmp_path / "dict_j")
-        manifest = json.loads(json_path.read_text())
-        manifest["labels"] = [[p.t1_ms, p.t2_ms] for p in d.labels]
-        json_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-        old = load_dictionary(tmp_path / "dict_j")
-        assert old.atoms.tobytes() == fresh.atoms.tobytes() == d.atoms.tobytes()
-        assert old.labels == fresh.labels == d.labels
-        assert (old.schedule_digest, old.grid) == (fresh.schedule_digest, fresh.grid)
+        (path,) = save_dictionary(d, tmp_path / "dict_j")
+        rewrite_dict(path, {**manifest_line(path), key: []})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown manifest keys ['{key}']")):
+            load_dictionary(tmp_path / "dict_j")
 
     def test_rows_disagreeing_with_grid_rejected(self, toy_dictionary, tmp_path):
         # The toy grid has 24 pairs; this one, with T1 up to 1200 ms, has 29.
         d, _ = toy_dictionary
-        dict_path, json_path = save_dictionary(d, tmp_path / "dict_g")
-        manifest = json.loads(json_path.read_text())
+        (path,) = save_dictionary(d, tmp_path / "dict_g")
+        manifest = manifest_line(path)
         manifest["grid"]["t1_segments"] = [[200.0, 1200.0, 200.0]]
-        json_path.write_text(json.dumps(manifest))
+        rewrite_dict(path, manifest)
         with pytest.raises(ValueError, match=re.escape(
-                f"{dict_path}: 24 atom rows, but the grid expands to 29 (T1, T2) "
-                f"pairs (grid of {json_path})")):
+                f"{path}: 24 atom rows, but the grid expands to 29 (T1, T2) pairs")):
             load_dictionary(tmp_path / "dict_g")
 
     def test_grid_too_fine_to_expand_rejected(self, toy_dictionary, tmp_path):
         # 4e15 T1 values: NumPy refuses their 28.4 PiB before allocating any.
         d, _ = toy_dictionary
-        dict_path, json_path = save_dictionary(d, tmp_path / "dict_m")
-        manifest = json.loads(json_path.read_text())
+        (path,) = save_dictionary(d, tmp_path / "dict_m")
+        manifest = manifest_line(path)
         manifest["grid"]["t1_segments"] = [[1.0, 4000.0, 1e-12]]
-        json_path.write_text(json.dumps(manifest))
+        rewrite_dict(path, manifest)
         with pytest.raises(ValueError, match=re.escape(
-                f"{json_path}: grid too fine to expand: Unable to allocate")):
+                f"{path}: grid too fine to expand: Unable to allocate")):
             load_dictionary(tmp_path / "dict_m")
 
     def test_constructor_rejects_rows_disagreeing_with_grid(self, toy_dictionary):
@@ -1076,12 +1129,12 @@ class TestSerialization:
         refusal = f"atoms must be (B, N) with N >= 1, got ({d.n_atoms}, 0)"
         with pytest.raises(ValueError, match=re.escape(refusal)):
             Dictionary(np.zeros((d.n_atoms, 0)), d.schedule_digest, d.grid)
-        dict_path, _ = save_dictionary(d, tmp_path / "dict_z")
-        blob = bytearray(dict_path.read_bytes()[:24])
-        blob[16:24] = (0).to_bytes(8, "little")  # N = 0: the header alone is the file
-        dict_path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match=re.escape(f"{dict_path}: {refusal}")):
-            load_dictionary(tmp_path / "dict_z")
+        (path,) = save_dictionary(d, tmp_path / "dict_z")
+        for atoms in (b"", d.atoms.tobytes()):
+            rewrite_dict(path, {**manifest_line(path), "n_samples": 0}, atoms)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: n_samples must be at least 1, got 0")):
+                load_dictionary(tmp_path / "dict_z")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructor_rejects_nonfinite_atoms_with_rows(self, toy_dictionary, bad):
@@ -1092,16 +1145,34 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape("atoms holding NaN or inf at rows [4, 20]")):
             Dictionary(atoms, d.schedule_digest, d.grid)
 
-    @pytest.mark.parametrize("key", ["grid", "schedule_digest"])
+    @pytest.mark.parametrize("key", ["grid", "schedule_digest", "n_samples"])
     def test_manifest_missing_key_rejected(self, toy_dictionary, tmp_path, key):
         d, _ = toy_dictionary
-        _, json_path = save_dictionary(d, tmp_path / "dict_h")
-        manifest = json.loads(json_path.read_text())
+        (path,) = save_dictionary(d, tmp_path / "dict_h")
+        manifest = manifest_line(path)
         del manifest[key]
-        json_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=re.escape(f"{json_path}: manifest lacks ['{key}']")):
+        rewrite_dict(path, manifest)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: manifest lacks ['{key}']")):
             load_dictionary(tmp_path / "dict_h")
 
+    @pytest.mark.parametrize("value, reason", [
+        (80.0, "n_samples must be an integer, got 80.0"),
+        (True, "n_samples must be an integer, got True"),
+        ("80", "n_samples must be an integer, got '80'"),
+        (-80, "n_samples must be at least 1, got -80"),
+        # 1920 values: 24 rows of 80, which are no whole rows of 7 or 7680.
+        (7, "1920 atom values are not whole rows of 7 samples"),
+        (7680, "1920 atom values are not whole rows of 7680 samples"),
+        (40, "48 atom rows, but the grid expands to 24 (T1, T2) pairs")])
+    def test_bad_n_samples_rejected_naming_file(self, toy_dictionary, tmp_path, value, reason):
+        d, _ = toy_dictionary
+        (path,) = save_dictionary(d, tmp_path / "dict_n")
+        rewrite_dict(path, {**manifest_line(path), "n_samples": value})
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {reason}")):
+            load_dictionary(tmp_path / "dict_n")
+
+    # The manifest line of each case is the text; a text that is no JSON
+    # is refused by the container as a header that is not JSON.
     @pytest.mark.parametrize("text, reason", [
         ('["grid", "schedule_digest"]', "manifest must be a JSON object, got list"),
         ('"grid schedule_digest"', "manifest must be a JSON object, got str"),
@@ -1110,45 +1181,60 @@ class TestSerialization:
         ("grid: toy", "Expecting value"),
         ("", "Expecting value"),
         (b"\xff\xfe{}", ""),  # not UTF-8
-        ('{"grid": %s, "schedule_digest": 5}' % TOY_GRID_JSON,
+        ('{"grid": %s, "schedule_digest": 5, "n_samples": 80}' % TOY_GRID_JSON,
          "schedule_digest must be a string, got 5"),
-        ('{"grid": %s, "schedule_digest": null}' % TOY_GRID_JSON,
+        ('{"grid": %s, "schedule_digest": null, "n_samples": 80}' % TOY_GRID_JSON,
          "schedule_digest must be a string, got None"),
-        ('{"grid": [], "schedule_digest": "ab"}', "grid must be a JSON object, got list"),
+        ('{"grid": [], "schedule_digest": "ab", "n_samples": 80}',
+         "grid must be a JSON object, got list"),
         # JSON reads this as an int, which float() cannot hold.
         pytest.param('{"grid": {"t1_segments": [[200, 1%s, 200]], "t2_segments": '
-                     '[[50, 250, 50]]}, "schedule_digest": "ab"}' % ("0" * 399),
+                     '[[50, 250, 50]]}, "schedule_digest": "ab", "n_samples": 80}' % ("0" * 399),
                      "grid t1_segments value in segment (200, 1%s, 200) is too large for a float"
                      % ("0" * 399), id="huge_grid_value"),
         pytest.param('{"grid": {"t1_segments": [[0, 1e308, 1e-300]], "t2_segments": '
-                     '[[1, 1, 1]]}, "schedule_digest": "ab"}',
+                     '[[1, 1, 1]]}, "schedule_digest": "ab", "n_samples": 80}',
                      "grid too fine to expand: cannot convert float infinity to integer",
                      id="inf_grid_steps"),
     ])
     def test_corrupt_manifest_rejected_naming_file(self, toy_dictionary, tmp_path,
                                                    text, reason):
         d, _ = toy_dictionary
-        _, json_path = save_dictionary(d, tmp_path / "dict_k")
-        json_path.write_bytes(text if isinstance(text, bytes) else text.encode())
-        with pytest.raises(ValueError, match=re.escape(f"{json_path}: {reason}")):
+        (path,) = save_dictionary(d, tmp_path / "dict_k")
+        rewrite_dict(path, text if isinstance(text, bytes) else text.encode())
+        with pytest.raises(ValueError, match=(
+                f"^{re.escape(str(path))}: (header is not JSON: )?{re.escape(reason)}")) as err:
             load_dictionary(tmp_path / "dict_k")
+        assert isinstance(text, str) or "'utf-8' codec can't decode" in str(err.value)
 
-    # Two bytes leave no magic, six no version, twelve no sizes.
-    @pytest.mark.parametrize("size, reason", [
-        (2, "bad magic"), (6, "expected 24 bytes, got 6"), (12, "expected 24 bytes, got 12")])
-    def test_short_header_rejected_naming_file(self, toy_dictionary, tmp_path, size, reason):
+    def test_file_cut_before_its_atoms_rejected_naming_file(self, toy_dictionary, tmp_path):
         d, _ = toy_dictionary
-        dict_path, _ = save_dictionary(d, tmp_path / "dict_l")
-        dict_path.write_bytes(dict_path.read_bytes()[:size])
-        with pytest.raises(ValueError, match=re.escape(f"{dict_path}: {reason}")):
+        (path,) = save_dictionary(d, tmp_path / "dict_l")
+        whole = path.read_bytes()
+        atoms_at = len(whole) - d.atoms.nbytes
+        # Inside the manifest line, at its end, with its newline, inside the
+        # delimiter line: no delimiter follows. After it: no atom rows.
+        for size in (2, atoms_at - 13, atoms_at - 12, atoms_at - 5):
+            path.write_bytes(whole[:size])
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: second line is not the ---ATOMS--- delimiter")):
+                load_dictionary(tmp_path / "dict_l")
+        path.write_bytes(whole[:atoms_at])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: 0 atom rows, but the grid expands to 24 (T1, T2) pairs")):
             load_dictionary(tmp_path / "dict_l")
 
     def test_truncated_file_rejected(self, toy_dictionary, tmp_path):
+        # Inside a value, inside a row, and at a row boundary.
         d, _ = toy_dictionary
-        dict_path, _ = save_dictionary(d, tmp_path / "dict_d")
-        dict_path.write_bytes(dict_path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="bytes"):
-            load_dictionary(tmp_path / "dict_d")
+        (path,) = save_dictionary(d, tmp_path / "dict_d")
+        whole = path.read_bytes()
+        for cut, reason in [(3, f"blob of {d.atoms.nbytes - 3} bytes is not whole float32 values"),
+                            (8, "1918 atom values are not whole rows of 80 samples"),
+                            (320, "23 atom rows, but the grid expands to 24 (T1, T2) pairs")]:
+            path.write_bytes(whole[:-cut])
+            with pytest.raises(ValueError, match=re.escape(f"{path}: {reason}")):
+                load_dictionary(tmp_path / "dict_d")
 
 
 def test_build_load_and_first_match_hold_one_float32_matrix(monkeypatch, tmp_path):

@@ -26,6 +26,11 @@ RULES = {
                                  "if spec.kind in ('ann', 'cnn1d'):"]),
     "cells": (r"np\.tanh|sigmoid\(", "nn/cells.py", "cells.step and cells.step_grad alone "
               "apply the cell's gates", ["x = np.tanh(y)", "z = cells.sigmoid(y)"]),
+    "blobs": (r"\.tofile\(|np\.fromfile|np\.frombuffer|\.readinto\(", "files.py",
+              "files.write_blob and files.read_blob alone write and read the float32 "
+              "blob of an array artifact",
+              ["atoms.tofile(fh)", "atoms = np.fromfile(fh, dtype='<f4')",
+               "flat = np.frombuffer(raw, dtype='<f4')", "fh.readinto(blob)"]),
     "processes": (r"multiprocessing|concurrent\.futures|ProcessPoolExecutor|ThreadPoolExecutor"
                   r"|threading|sched_getaffinity|sched_setaffinity|thread-self|os\.fork",
                   "parallel.py", "parallel.py alone counts CPUs, places workers, and starts "
